@@ -16,6 +16,10 @@ workers and caches converged points.
 
 import math
 
+# numpy loads once, with the module: the sweep workers ``repro bench``
+# forks inherit it instead of each cell paying for the import.
+import numpy as np
+
 from repro.analysis import Table
 from repro.dataflow import Interpreter
 from repro.exp import Experiment
@@ -35,7 +39,6 @@ def integrate(n, a=0.0, b=1.0):
 
 
 def scipy_reference(n, a=0.0, b=1.0):
-    import numpy as np
     from scipy.integrate import trapezoid
 
     xs = np.linspace(a, b, n + 1)

@@ -20,22 +20,12 @@ same comparison the ``REPRO_SIM_KERNEL=legacy`` switch gives whole
 programs).  ``--experiments`` additionally times the wall-clock gated
 experiments (e10 scaling sweep, e19 crossover) in subprocesses.
 
-The ``batch`` section measures ``exec_mode="batch"`` (the SoA batch
-drain) against the reference event path on two batch-heavy scenarios —
-a 256-PE waiting-matching pool and a 2048-bank full/empty memory system
-— plus an e10-style TTDA matmul timed under both modes.  The gate is
-recorded as ``{target, achieved, met}``; because batch mode replays
-every handler byte-identically, the un-vectorizable per-event machinery
-bounds it near parity on real components, and an unmet gate with the
-honest number is the expected outcome (see docs/PERFORMANCE.md).
-
 The ``psim`` section measures the sharded parallel kernel
-(:mod:`repro.common.psim`): cross-shard ring throughput per mode, and an
-e10-style TTDA matmul timed serial vs. ``shards=4``.  The recorded
-``host_cpus`` qualifies the speedup — on a single-CPU host (or any
-CPython with the GIL and ``mode=thread``) the conservative kernel pays
-its synchronization overhead without the parallel hardware to buy it
-back, so speedups below 1.0 are the *honest* expected result there.
+(:mod:`repro.common.psim`): cross-shard ring throughput serial vs.
+sharded, and an e10-style TTDA matmul timed serial vs. ``shards=4``.
+The sharded kernel dispatches in the serial order, so it pays for its
+channel bookkeeping and buys no parallelism: speedups below 1.0 are the
+expected result.
 
 Usage::
 
@@ -57,6 +47,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.common.psim import ShardedSimulator  # noqa: E402
 from repro.common.simulator import CalendarSimulator, LegacySimulator  # noqa: E402
+from repro.exp.bench import host_cpus  # noqa: E402
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_perf.json")
@@ -169,21 +160,21 @@ SCENARIOS = [
 # Parallel-kernel (psim) scenarios.
 # ----------------------------------------------------------------------
 
-def psim_ring(n_events, shards=4, mode=None, owners_per_shard=8,
+def psim_ring(n_events, shards=4, sharded=True, owners_per_shard=8,
               lookahead=1.0):
     """Cross-shard token ring: ``shards * owners_per_shard`` owners laid
     round-robin over the shards, each running an independent chain that
     hops to the next owner — so nearly every post crosses a shard
     boundary at exactly the channel lookahead (the conservative kernel's
     worst case: maximal synchronization per unit of work)."""
-    if mode is None:
+    if not sharded:
         sim = CalendarSimulator()       # serial baseline, same code path
         shards = 1
     else:
-        sim = ShardedSimulator(shards=shards, mode=mode)
+        sim = ShardedSimulator(shards=shards)
     n = shards * owners_per_shard
     owners = [object() for _ in range(n)]
-    if mode is not None:
+    if sharded:
         links = {}
         for s in range(shards):
             links[(s, (s + 1) % shards)] = lookahead
@@ -207,8 +198,6 @@ def psim_ring(n_events, shards=4, mode=None, owners_per_shard=8,
     return sim
 
 
-PSIM_MODES = (None, "sequenced", "window", "thread")
-
 #: The e10-style workload for the serial-vs-parallel machine timing:
 #: the same matmul the e10 scaling sweep runs, at its largest PE count.
 PSIM_E10_CONFIG = {"n_pes": 16}
@@ -217,37 +206,29 @@ PSIM_E10_SHARDS = 4
 
 
 def run_psim_bench(n_events, repeat):
-    """Ring throughput per mode + e10-style TTDA serial/parallel timing."""
+    """Ring throughput serial vs. sharded + e10-style TTDA timing."""
     from repro.machines import registry
 
     ring = {}
     kernel_stats = {}
-    for mode in PSIM_MODES:
-        label = mode or "serial"
+    for label, sharded in (("serial", False), ("sequenced", True)):
         best = 0.0
         fired = 0
         for _ in range(repeat):
             t0 = time.perf_counter()
-            sim = psim_ring(n_events, mode=mode)
+            sim = psim_ring(n_events, sharded=sharded)
             elapsed = time.perf_counter() - t0
             fired = sim.events_fired
             best = max(best, fired / elapsed if elapsed > 0 else 0.0)
         ring[f"{label}_events_per_sec"] = round(best)
         ring["events_fired"] = fired
-        # Conservative-parallel honesty counters (null messages, rounds,
-        # per-shard balance) for the last repetition of each mode.
+        # Channel traffic and per-shard balance for the last repetition.
         kernel_stats[label] = sim.kernel_stats()
 
     spec = {"machine": "ttda", "config": dict(PSIM_E10_CONFIG),
             "workload": dict(PSIM_E10_WORKLOAD)}
     timings = {}
-    for label, shards, mode in (("serial", None, None),
-                                ("sequenced", PSIM_E10_SHARDS, None),
-                                ("thread", PSIM_E10_SHARDS, "thread")):
-        if mode is None:
-            os.environ.pop("REPRO_PSIM_MODE", None)
-        else:
-            os.environ["REPRO_PSIM_MODE"] = mode
+    for label, shards in (("serial", None), ("sequenced", PSIM_E10_SHARDS)):
         run_spec = dict(spec)
         if shards:
             run_spec["config"] = dict(spec["config"], shards=shards)
@@ -258,11 +239,10 @@ def run_psim_bench(n_events, repeat):
             elapsed = time.perf_counter() - t0
             best = elapsed if best is None else min(best, elapsed)
         timings[f"{label}_wall_seconds"] = round(best, 3)
-    os.environ.pop("REPRO_PSIM_MODE", None)
 
     serial = timings["serial_wall_seconds"]
     return {
-        "host_cpus": os.cpu_count(),
+        "host_cpus": host_cpus(),
         "kernel_stats": kernel_stats,
         "ring": dict(ring, shards=PSIM_E10_SHARDS),
         "e10_ttda_matmul": dict(
@@ -273,193 +253,8 @@ def run_psim_bench(n_events, repeat):
             sequenced_speedup=round(
                 serial / timings["sequenced_wall_seconds"], 2
             ) if timings["sequenced_wall_seconds"] else 0.0,
-            thread_speedup=round(
-                serial / timings["thread_wall_seconds"], 2
-            ) if timings["thread_wall_seconds"] else 0.0,
         ),
     }
-
-
-# ----------------------------------------------------------------------
-# Batch execution mode (exec_mode="batch") scenarios.
-# ----------------------------------------------------------------------
-
-#: The gate the ISSUE sets for the batch-heavy scenarios.  Recorded as
-#: ``{target, achieved, met}`` — honestly, like the psim section: the
-#: batch drain replays every entry's exact handler body to stay
-#: byte-identical, so the un-vectorizable per-event machinery (FIFO
-#: server restarts, queue bookkeeping, downstream submits) bounds the
-#: achievable speedup on real components regardless of batch width.
-BATCH_GATE_TARGET = 2.5
-
-#: The e10-style workload timed event-vs-batch (recorded, not gated).
-BATCH_E10_CONFIG = {"n_pes": 64}
-BATCH_E10_WORKLOAD = {"workload": "matmul", "args": [8]}
-
-
-def batch_token_match(exec_mode, n_pes=256, pairs=8192):
-    """Wide waiting-matching pool: ``pairs`` dyadic ADD token pairs
-    injected at t=0 into a ``n_pes``-PE tagged-token machine, then run
-    to quiescence.  Every instant drains one completion per PE — runs
-    up to ``n_pes`` wide through the waiting-matching, fetch, ALU and
-    output sections (the §1.2 shape: a large pool of homogeneous ready
-    work)."""
-    from repro.dataflow.machine import MachineConfig, TaggedTokenMachine
-    from repro.dataflow.tags import intern_tag, reset_intern_table
-    from repro.dataflow.token import Token, TokenKind
-    from repro.graph import Opcode, ProgramBuilder
-
-    pb = ProgramBuilder()
-    b = pb.procedure("pairs")
-    add = b.emit(Opcode.ADD, name="a+b")
-    ret = b.emit(Opcode.RETURN)
-    b.wire(add, ret, 0)
-    b.param((add, 0))
-    b.param((add, 1))
-    program = pb.build(validate=False)
-
-    machine = TaggedTokenMachine(
-        program, MachineConfig(n_pes=n_pes, exec_mode=exec_mode))
-    reset_intern_table()
-    sim = machine.sim
-    for i in range(pairs):
-        tag = intern_tag(None, "pairs", add, i + 1)
-        pe = machine.mapping.pe_of(tag)
-        target = machine.pes[pe]
-        for port in (0, 1):
-            token = Token(tag, port, i, TokenKind.NORMAL, nt=2)
-            sim.post_to(target, 0, target.receive, token.routed_to(pe))
-    t0 = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - t0
-    matches = sum(pe.counters["matches"] for pe in machine.pes)
-    assert matches == pairs, f"expected {pairs} matches, got {matches}"
-    return sim.events_fired, elapsed, sim.kernel_stats()
-
-
-def batch_bank_service(exec_mode, banks=2048, rounds=40):
-    """Wide memory-bank pool: ``banks`` full/empty-bit memory modules,
-    each cycling LOAD / WRITEF / READF / FAA request chains — every
-    instant completes one request per bank, so the batch kernel sees
-    ``banks``-wide runs through the vectorized full/empty gather."""
-    from repro.common.batch import BatchPlane
-    from repro.common.simulator import Simulator
-    from repro.vonneumann.isa import Op
-    from repro.vonneumann.memory import (
-        BankServeKind, FullBitPlane, MemRequest, MemoryModule,
-    )
-
-    sim = Simulator()
-    modules = [MemoryModule(sim, 1.0, name=f"m{i}") for i in range(banks)]
-    if exec_mode == "batch" and isinstance(sim, CalendarSimulator):
-        plane = sim.attach_batch_plane(BatchPlane())
-        full = FullBitPlane()
-        for module in modules:
-            module.full_bits = full
-        kind = BankServeKind(sim, full)
-        for module in modules:
-            plane.register(module.server._complete, kind)
-    ops = (Op.LOAD, Op.WRITEF, Op.READF, Op.FAA)
-    done = [0]
-
-    def chain(i, k):
-        if k >= rounds:
-            done[0] += 1
-            return
-        request = MemRequest(ops[k % 4], i, value=k)
-        modules[i].submit(request, lambda _resp, i=i, k=k: chain(i, k + 1))
-
-    for i in range(banks):
-        chain(i, 0)
-    t0 = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - t0
-    assert done[0] == banks, f"expected {banks} chains done, got {done[0]}"
-    return sim.events_fired, elapsed, sim.kernel_stats()
-
-
-BATCH_SCENARIOS = [
-    ("token_match", batch_token_match),
-    ("bank_service", batch_bank_service),
-]
-
-
-def run_batch_bench(repeat):
-    """Batch-vs-event throughput on the gate scenarios + an e10-style
-    TTDA matmul timed under both modes (recorded, not gated)."""
-    from repro.machines import registry
-
-    scenarios = {}
-    speedups = []
-    for name, fn in BATCH_SCENARIOS:
-        row = {}
-        stats = None
-        for mode in ("event", "batch"):
-            best = 0.0
-            fired = 0
-            for _ in range(repeat):
-                fired, elapsed, kernel_stats = fn(mode)
-                rate = fired / elapsed if elapsed > 0 else 0.0
-                best = max(best, rate)
-                if mode == "batch":
-                    stats = kernel_stats
-            row[f"{mode}_events_per_sec"] = round(best)
-            row["events_fired"] = fired
-        event = row["event_events_per_sec"]
-        row["speedup"] = (
-            round(row["batch_events_per_sec"] / event, 2) if event else 0.0
-        )
-        row["batch_kernel_stats"] = {
-            key: stats.get(key) for key in
-            ("batched_ops", "batch_flushes", "max_batch_width")
-        }
-        speedups.append(row["speedup"])
-        scenarios[name] = row
-
-    spec = {"machine": "ttda", "config": dict(BATCH_E10_CONFIG),
-            "workload": dict(BATCH_E10_WORKLOAD)}
-    timings = {}
-    for mode in ("event", "batch"):
-        run_spec = dict(spec)
-        run_spec["config"] = dict(spec["config"], exec_mode=mode)
-        best = None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            registry.run_spec(run_spec)
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None else min(best, elapsed)
-        timings[f"{mode}_wall_seconds"] = round(best, 3)
-    event_wall = timings["event_wall_seconds"]
-    batch_wall = timings["batch_wall_seconds"]
-
-    achieved = math.exp(
-        sum(math.log(s) for s in speedups) / len(speedups)
-    ) if all(s > 0 for s in speedups) else 0.0
-    section = {
-        "scenarios": scenarios,
-        "e10_ttda_matmul": dict(
-            timings,
-            config=dict(BATCH_E10_CONFIG),
-            workload=dict(BATCH_E10_WORKLOAD),
-            speedup=round(event_wall / batch_wall, 2) if batch_wall else 0.0,
-        ),
-        "gate": {
-            "target": BATCH_GATE_TARGET,
-            "achieved": round(achieved, 2),
-            "met": achieved >= BATCH_GATE_TARGET,
-        },
-    }
-    if not section["gate"]["met"]:
-        # The honest story, recorded next to the number (PERFORMANCE.md
-        # has the full analysis): byte-identical replay means the batch
-        # kernels only lift the *compute* out of each handler, and the
-        # per-event control machinery they must replay dominates.
-        section["gate"]["note"] = (
-            "batch mode trades throughput for byte-identical replay; the "
-            "un-vectorizable per-event machinery bounds it near parity "
-            "on real components (see docs/PERFORMANCE.md)"
-        )
-    return section
 
 
 #: The analytic-surrogate answer-latency gate (seconds per query): the
@@ -562,8 +357,6 @@ def main(argv=None):
                         help="also time the gated experiments (e10, e19)")
     parser.add_argument("--skip-psim", action="store_true",
                         help="skip the parallel-kernel (psim) section")
-    parser.add_argument("--skip-batch", action="store_true",
-                        help="skip the batch execution mode section")
     parser.add_argument("--skip-predict", action="store_true",
                         help="skip the analytic-surrogate latency section")
     parser.add_argument("--out", default=DEFAULT_OUT,
@@ -593,15 +386,12 @@ def main(argv=None):
         print(f"{name:<{width}}  {cal if cal else '-':>14}  "
               f"{leg if leg else '-':>12}  "
               f"{f'{speed:.2f}x' if speed else '-':>8}")
-    from repro.common.batch import resolve_exec_mode
-
     payload = {
         "meta": {
-            "host_cpus": os.cpu_count() or 1,
+            "host_cpus": host_cpus(),
             "kernel": ("legacy" if args.legacy
                        else os.environ.get("REPRO_SIM_KERNEL")
                        or "calendar"),
-            "exec_mode": resolve_exec_mode(),
             "shards": PSIM_E10_SHARDS if not args.skip_psim else 1,
             "python": sys.version.split()[0],
         },
@@ -621,33 +411,13 @@ def main(argv=None):
         psim = run_psim_bench(args.events, args.repeat)
         payload["psim"] = psim
         ring = psim["ring"]
-        for label in ("serial", "sequenced", "window", "thread"):
+        for label in ("serial", "sequenced"):
             print(f"  ring {label:>9}: "
                   f"{ring[f'{label}_events_per_sec']:>8} ev/s")
         e10 = psim["e10_ttda_matmul"]
         print(f"  e10 ttda matmul: serial {e10['serial_wall_seconds']:.3f}s, "
-              f"sequenced x{e10['sequenced_speedup']:.2f}, "
-              f"thread x{e10['thread_speedup']:.2f} "
+              f"sequenced x{e10['sequenced_speedup']:.2f} "
               f"(shards={e10['shards']}, host_cpus={psim['host_cpus']})")
-
-    if not args.skip_batch and not args.legacy:
-        print("\nbenchmarking batch execution mode (exec_mode=batch)...")
-        batch = run_batch_bench(args.repeat)
-        payload["batch"] = batch
-        for name, row in batch["scenarios"].items():
-            stats = row["batch_kernel_stats"]
-            print(f"  {name:>12}: event {row['event_events_per_sec']:>8} ev/s, "
-                  f"batch {row['batch_events_per_sec']:>8} ev/s, "
-                  f"x{row['speedup']:.2f} "
-                  f"(ops={stats['batched_ops']}, "
-                  f"max_width={stats['max_batch_width']})")
-        e10 = batch["e10_ttda_matmul"]
-        print(f"  e10 ttda matmul: event {e10['event_wall_seconds']:.3f}s, "
-              f"batch {e10['batch_wall_seconds']:.3f}s, x{e10['speedup']:.2f}")
-        gate = batch["gate"]
-        verdict = "met" if gate["met"] else "NOT met"
-        print(f"  gate: {gate['achieved']:.2f}x achieved vs "
-              f"{gate['target']:.1f}x target ({verdict})")
 
     if not args.skip_predict:
         print("\nbenchmarking the analytic surrogate (repro predict)...")

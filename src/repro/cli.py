@@ -134,10 +134,6 @@ def build_parser():
     profile.add_argument("--latency", type=float, default=4.0,
                          help="network latency in cycles")
     profile.add_argument("--optimize", action="store_true")
-    profile.add_argument("--exec", choices=("event", "batch"), default=None,
-                         help="execution mode (note: provenance tracing "
-                              "keeps batch kinds unregistered, so this "
-                              "mainly labels the kernel-stats block)")
     profile.add_argument("--path-nodes", type=int, default=12,
                          metavar="N",
                          help="critical-path events to print (default 12)")
@@ -186,11 +182,6 @@ def build_parser():
                        help="run every simulation on the sharded parallel "
                             "kernel with N shards (sets REPRO_SIM_SHARDS; "
                             "tables stay byte-identical to serial runs)")
-    bench.add_argument("--exec", choices=("event", "batch"), default=None,
-                       help="execution mode for every simulation (sets "
-                            "REPRO_EXEC_MODE; batch drains same-instant "
-                            "work into numpy SoA kernels, tables stay "
-                            "byte-identical to event runs)")
     bench.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="result-cache directory (default: "
                             "$REPRO_EXP_CACHE or <benchmarks>/.expcache)")
@@ -358,9 +349,6 @@ def build_parser():
     machine.add_argument("--shards", type=int, default=None, metavar="N",
                          help="pass shards=N to the model (sharded "
                               "parallel kernel)")
-    machine.add_argument("--exec", choices=("event", "batch"), default=None,
-                         help="pass exec_mode to the model (batch = "
-                              "numpy SoA batch execution)")
     machine.add_argument("--topology", action="store_true",
                          help="print the machine's partition graph "
                               "(registry.describe) instead of running it")
@@ -611,8 +599,7 @@ def _cmd_profile(options, out):
             source = fh.read()
         value, result, machine = run_sequential(
             source, tuple(args), entry=entry, latency=options.latency,
-            trace_bus=bus, return_machine=True,
-            exec_mode=options.exec)
+            trace_bus=bus, return_machine=True)
         accounting = vn_accounting(machine, result, name="vn")
     else:
         from .obs.analysis import ttda_accounting
@@ -620,8 +607,7 @@ def _cmd_profile(options, out):
         program = _load(options.file, entry, options.optimize)
         config = MachineConfig(n_pes=options.pes,
                                network_latency=options.latency,
-                               trace_bus=bus,
-                               exec_mode=options.exec)
+                               trace_bus=bus)
         machine = TaggedTokenMachine(program, config)
         result = machine.run(*args)
         value = result.value
@@ -713,12 +699,6 @@ def _cmd_bench(options, out):
         # and config echoes byte-identical to serial runs — which is the
         # whole point: the psim-smoke CI job diffs the tables.
         os.environ["REPRO_SIM_SHARDS"] = str(resolve_shards(options.shards))
-    if options.exec is not None:
-        import os
-
-        # Same env route as --shards, for the same reason: the perf-smoke
-        # CI job byte-diffs batch-mode tables against the baselines.
-        os.environ["REPRO_EXEC_MODE"] = options.exec
     bus = None
     sink = None
     if options.trace:
@@ -1150,8 +1130,6 @@ def _cmd_machine(options, out):
         from .common.simulator import resolve_shards
 
         config["shards"] = resolve_shards(options.shards)
-    if options.exec is not None:
-        config["exec_mode"] = options.exec
     if options.topology:
         print(json.dumps(registry.describe(options.name, **config),
                          indent=2, sort_keys=True), file=out)

@@ -2,43 +2,19 @@
 
 The serial calendar kernel (:mod:`repro.common.simulator`) runs a whole
 machine on one queue.  This kernel partitions a machine's simulation
-objects across N *shards*, each draining its own calendar queue, and
-synchronizes the shards conservatively: a shard only advances while its
-inbound *channel clocks* guarantee that no earlier message can still
-arrive.  Each channel's clock is driven by the link's minimum latency —
-the Chandy–Misra *lookahead*, taken from the machine's topology
-(:mod:`repro.common.topology`) — and by null updates (clock-only
-promises) exchanged when a shard has nothing to send, which is what
-breaks the classic waiting cycle on ring topologies.
+objects across N *shards*, each holding its own calendar queue, and
+connects the shards by *channels*.  Each channel carries the link's
+minimum latency — the Chandy–Misra *lookahead*, taken from the
+machine's topology (:mod:`repro.common.topology`) — and every
+cross-shard post is checked against it.
 
-Three execution modes (``REPRO_PSIM_MODE`` or ``mode=``):
-
-``sequenced`` (default)
-    Per-shard calendars with a global (instant, post-sequence) merge:
-    events dispatch in exactly the order the serial kernel would use, so
-    results are **byte-identical** to the calendar kernel by
-    construction.  Cross-shard posts still flow through channels (with
-    lookahead validation and traffic accounting), so the partition is
-    exercised while determinism stays absolute.  This is the mode the
-    ``REPRO_SIM_KERNEL=parallel`` byte-identity gate runs.
-
-``window``
-    True conservative windows, cooperatively scheduled: every round,
-    each shard drains all events strictly below its safe horizon
-    (min over inbound channel clocks), then messages and null clock
-    updates exchange at a barrier.  Deterministic run-to-run, but the
-    cross-shard interleaving is *not* the serial one, so shared-state
-    order (e.g. global allocation counters) may differ from the serial
-    kernel.  Single-threaded — this mode exists to validate the
-    synchronization protocol and to measure its overhead honestly.
-
-``thread``
-    The same barrier-synchronous algorithm with one worker thread per
-    shard draining its window.  Only safe for share-nothing partitions
-    (units that never touch another shard's Python objects outside
-    channel messages).  Under the CPython GIL this buys no wall-clock
-    speedup for pure-Python event processing; it validates the protocol
-    under real concurrency and is ready for free-threaded builds.
+Dispatch is *sequenced*: a global (instant, post-sequence) merge over
+the per-shard calendars fires events in exactly the order the serial
+kernel would use, so results are **byte-identical** to the calendar
+kernel by construction.  Cross-shard posts still flow through channels
+(with lookahead validation and traffic accounting), so the partition is
+exercised while determinism stays absolute: the kernel is the contract
+checker for a machine's topology declaration.
 
 A machine opts in by describing its partition graph (``topology()``)
 and registering object ownership via :meth:`configure_shards`; unrouted
@@ -51,41 +27,26 @@ the paper critiques) contract to a single shard and run serially.
 import heapq
 import itertools
 import math
-import os
-import threading
 import time
 
 from .errors import SimulationError
 from .simulator import _COMPACT_MIN, Event
 
-__all__ = ["ShardedSimulator", "MODES"]
-
-MODES = ("sequenced", "window", "thread")
-
-
-class _Local(threading.local):
-    """Per-thread execution context: the clock and shard of the event
-    being dispatched on this thread (None outside a dispatch)."""
-
-    now = None
-    shard = None
+__all__ = ["ShardedSimulator"]
 
 
 class _Shard:
-    """One shard: a private calendar queue plus channel buffers."""
+    """One shard: a private calendar queue."""
 
-    __slots__ = ("index", "buckets", "keys", "now", "live", "ncancelled",
-                 "fired", "outbound")
+    __slots__ = ("index", "buckets", "keys", "live", "ncancelled", "fired")
 
     def __init__(self, index):
         self.index = index
         self.buckets = {}  # float instant -> [(seq, fn, args) | Event]
         self.keys = []  # heap of occupied instants
-        self.now = 0.0
         self.live = 0  # queued, not yet fired or cancelled
         self.ncancelled = 0  # cancelled but still queued (lazy)
         self.fired = 0
-        self.outbound = []  # (channel, time, fn, args) awaiting exchange
 
     # Events created by ``schedule`` carry this shard as their ``sim`` so
     # a cancel() lands on the right shard's accounting.
@@ -113,25 +74,22 @@ class _Shard:
 
 
 class _Channel:
-    """A directed shard-to-shard link with a conservative clock."""
+    """A directed shard-to-shard link and its minimum latency."""
 
-    __slots__ = ("src", "dst", "lookahead", "clock", "messages", "nulls")
+    __slots__ = ("src", "dst", "lookahead", "messages")
 
     def __init__(self, src, dst, lookahead):
         self.src = src
         self.dst = dst
         self.lookahead = lookahead
-        # Senders start at t=0, so nothing can arrive before the lookahead.
-        self.clock = lookahead
         self.messages = 0
-        self.nulls = 0
 
 
 class ShardedSimulator:
     """Drop-in kernel: the :class:`~repro.common.simulator.Simulator`
     surface (post/schedule/run/now/...) plus shard configuration."""
 
-    def __init__(self, shards=1, mode=None):
+    def __init__(self, shards=1):
         if isinstance(shards, bool) or not isinstance(shards, int):
             raise SimulationError(
                 f"shards must be a positive integer, got {shards!r}"
@@ -140,25 +98,17 @@ class ShardedSimulator:
             raise SimulationError(
                 f"shards must be a positive integer, got {shards!r}"
             )
-        mode = (mode or os.environ.get("REPRO_PSIM_MODE", "")
-                or "sequenced").lower()
-        if mode not in MODES:
-            raise SimulationError(
-                f"unknown psim mode {mode!r} (expected one of {list(MODES)})"
-            )
         self.shards = shards
-        self.mode = mode
         self._shards = [_Shard(i) for i in range(shards)]
         self._channels = {}  # (src, dst) -> _Channel
         self._owner_shard = {}  # id(obj) -> shard index
         self._owner_refs = []  # keep owners alive so ids stay unique
         self._seq = itertools.count()
-        self._clock = 0.0
+        self._now = 0.0
+        self._active = None  # index of the dispatching shard, else None
         self._events_fired = 0
-        self._rounds = 0
         self._running = False
         self._quiescence_hooks = []
-        self._tl = _Local()
         self.bus = None  # optional repro.obs.TraceBus
         self.wall_seconds = 0.0  # host time spent inside run()
 
@@ -225,7 +175,6 @@ class ShardedSimulator:
                 imbalance = round(max(populated) / mean, 4)
         return {
             "kernel": "parallel",
-            "mode": self.mode,
             "shards": self.shards,
             "populated_shards": sum(
                 1 for s in self._shards if s.live or s.fired
@@ -238,22 +187,14 @@ class ShardedSimulator:
             "channel_messages": sum(
                 c.messages for c in self._channels.values()
             ),
-            "null_updates": sum(c.nulls for c in self._channels.values()),
-            "rounds": self._rounds,
         }
 
     # ------------------------------------------------------------------
     # Clock and bookkeeping
     # ------------------------------------------------------------------
     @property
-    def _now(self):
-        now = self._tl.now
-        return self._clock if now is None else now
-
-    @property
     def now(self):
-        """Current simulated time (the executing shard's clock during a
-        dispatch; the global clock otherwise)."""
+        """Current simulated time."""
         return self._now
 
     @property
@@ -275,7 +216,7 @@ class ShardedSimulator:
     # Scheduling
     # ------------------------------------------------------------------
     def _active_shard(self):
-        shard = self._tl.shard
+        shard = self._active
         return self._shards[0] if shard is None else self._shards[shard]
 
     def _insert(self, shard, when, fn, args):
@@ -317,7 +258,7 @@ class ShardedSimulator:
                 f"cannot schedule into the past (delay={delay})"
             )
         target = self._owner_shard.get(id(owner))
-        active = self._tl.shard
+        active = self._active
         if target is None:
             target = active if active is not None else 0
         if active is None or target == active:
@@ -336,14 +277,10 @@ class ShardedSimulator:
                 f"cross-shard post {active}->{target} with delay {delay} "
                 f"below the declared lookahead {channel.lookahead}"
             )
-        when = self._now + delay
-        if self.mode == "sequenced":
-            # Global sequence numbers keep the serial dispatch order;
-            # the channel exists for accounting and validation.
-            channel.messages += 1
-            self._insert(self._shards[target], when, fn, args)
-        else:
-            self._shards[active].outbound.append((channel, when, fn, args))
+        # Global sequence numbers keep the serial dispatch order; the
+        # channel exists for accounting and validation.
+        channel.messages += 1
+        self._insert(self._shards[target], self._now + delay, fn, args)
 
     def schedule(self, delay, fn, *args):
         """Cancellable schedule; returns the :class:`Event`."""
@@ -387,14 +324,10 @@ class ShardedSimulator:
         wall_start = time.perf_counter()
         self._running = True
         try:
-            if self.mode == "sequenced":
-                return self._run_sequenced(until, max_events)
-            return self._run_windows(until, max_events,
-                                     threaded=(self.mode == "thread"))
+            return self._run(until, max_events)
         finally:
             self._running = False
-            self._tl.now = None
-            self._tl.shard = None
+            self._active = None
             self.wall_seconds += time.perf_counter() - wall_start
             if bus is not None and bus.enabled:
                 bus.emit(self._now, "sim", "run_end", "",
@@ -411,7 +344,7 @@ class ShardedSimulator:
                 shard.buckets.clear()
                 shard.ncancelled = 0
         if bus is not None and bus.enabled:
-            bus.emit(self._clock, "sim", "quiescent", "",
+            bus.emit(self._now, "sim", "quiescent", "",
                      events=self._events_fired)
         for hook in self._quiescence_hooks:
             hook()
@@ -422,11 +355,10 @@ class ShardedSimulator:
     def _budget_error(self, max_events):
         return SimulationError(
             f"event budget exhausted ({max_events} events) at "
-            f"t={self._clock}; possible livelock"
+            f"t={self._now}; possible livelock"
         )
 
-    # -------------------------- sequenced -----------------------------
-    def _run_sequenced(self, until, max_events):
+    def _run(self, until, max_events):
         """Per-shard calendars, global (instant, sequence) merge.
 
         Dispatch order is exactly the serial calendar kernel's — within
@@ -435,7 +367,6 @@ class ShardedSimulator:
         byte-identical to a serial run.
         """
         shards = self._shards
-        tl = self._tl
         until_f = math.inf if until is None else until
         budget = math.inf if max_events is None else max_events
         fired_total = 0
@@ -447,14 +378,13 @@ class ShardedSimulator:
             if self.pending == 0:
                 if self._quiesce(self.bus):
                     continue
-                return self._clock
+                return self._now
             t = min(shard.next_time() for shard in shards)
             if t > until_f:
-                self._clock = float(until)
-                return self._clock
-            prev_clock = self._clock
-            self._clock = t
-            tl.now = t
+                self._now = float(until)
+                return self._now
+            prev_now = self._now
+            self._now = t
             cursors = [0] * len(shards)
             nfired = [0] * len(shards)
             fired_instant = 0
@@ -494,8 +424,7 @@ class ShardedSimulator:
                     cursors[best.index] += 1
                     nfired[best.index] += 1
                     fired_instant += 1
-                    tl.shard = best.index
-                    best.now = t
+                    self._active = best.index
                     if type(entry) is tuple:
                         entry[1](*entry[2])
                     else:
@@ -503,7 +432,7 @@ class ShardedSimulator:
                         entry.cancelled = True
                         entry.fn(*entry.args)
             finally:
-                tl.shard = None
+                self._active = None
                 fired_total += fired_instant
                 self._events_fired += fired_instant
                 for shard in shards:
@@ -526,171 +455,11 @@ class ShardedSimulator:
                 if fired_instant == 0:
                     # Cancelled-only instant: the clock never advances
                     # (parity with the serial kernels).
-                    self._clock = prev_clock
-                tl.now = self._clock
-
-    # ----------------------- window / thread ---------------------------
-    def _horizon(self, shard_index):
-        """Safe simulation bound: min over inbound channel clocks."""
-        horizon = math.inf
-        for (_, dst), channel in self._channels.items():
-            if dst == shard_index and channel.clock < horizon:
-                horizon = channel.clock
-        return horizon
-
-    def _drain_shard(self, shard, horizon, until_f, allowed):
-        """Execute this shard's events with time < horizon (and
-        <= until).  Runs on the shard's worker thread in thread mode.
-        Returns the number of events fired."""
-        tl = self._tl
-        tl.shard = shard.index
-        if shard.ncancelled >= _COMPACT_MIN and shard.ncancelled > shard.live:
-            shard.compact()
-        buckets = shard.buckets
-        keys = shard.keys
-        fired = 0
-        try:
-            while keys:
-                key = keys[0]
-                if key >= horizon or key > until_f:
-                    break
-                heapq.heappop(keys)
-                bucket = buckets.pop(key)
-                tl.now = key
-                shard.now = key
-                idx = 0
-                while idx < len(bucket):
-                    entry = bucket[idx]
-                    idx += 1
-                    if type(entry) is tuple:
-                        if fired >= allowed:
-                            bucket[:idx - 1] = []
-                            buckets[key] = bucket
-                            heapq.heappush(keys, key)
-                            raise self._budget_error(None)
-                        fired += 1
-                        entry[1](*entry[2])
-                    elif entry.cancelled:
-                        shard.ncancelled -= 1
-                    else:
-                        if fired >= allowed:
-                            bucket[:idx - 1] = []
-                            buckets[key] = bucket
-                            heapq.heappush(keys, key)
-                            raise self._budget_error(None)
-                        fired += 1
-                        entry.cancelled = True
-                        entry.fn(*entry.args)
-        finally:
-            shard.live -= fired
-            shard.fired += fired
-            tl.shard = None
-            tl.now = None
-        return fired
-
-    def _run_windows(self, until, max_events, threaded):
-        """Barrier-synchronous conservative windows.
-
-        Round: every shard independently drains to its horizon; at the
-        barrier, buffered channel messages insert into their target
-        calendars (in deterministic shard/send order) and every channel
-        clock advances to its sender's new promise — a *null update*
-        when no payload accompanied it.  Positive lookahead on every
-        channel guarantees the shard holding the globally earliest event
-        always has a horizon beyond it, so rounds always progress.
-        """
-        shards = self._shards
-        until_f = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
-        fired_total = 0
-        while True:
-            if self.pending == 0:
-                if self._quiesce(self.bus):
-                    continue
-                return self._clock
-            global_next = min(shard.next_time() for shard in shards)
-            if global_next > until_f:
-                self._clock = float(until)
-                return self._clock
-            self._rounds += 1
-            horizons = [self._horizon(i) for i in range(len(shards))]
-            allowed = budget - fired_total
-            if allowed <= 0:
-                raise self._budget_error(max_events)
-            active = [s for s in shards if s.keys]
-            errors = []
-            fired_round = 0
-            if threaded and len(active) > 1:
-                results = [0] * len(shards)
-
-                def work(shard, horizon):
-                    try:
-                        results[shard.index] = self._drain_shard(
-                            shard, horizon, until_f, allowed)
-                    except BaseException as exc:  # noqa: BLE001 — rethrown
-                        errors.append(exc)
-
-                workers = [
-                    threading.Thread(
-                        target=work, args=(s, horizons[s.index]),
-                        name=f"psim-shard{s.index}", daemon=True)
-                    for s in active
-                ]
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join()
-                fired_round = sum(results)
-            else:
-                for shard in active:
-                    try:
-                        fired_round += self._drain_shard(
-                            shard, horizons[shard.index], until_f,
-                            allowed - fired_round)
-                    except BaseException as exc:  # noqa: BLE001 — rethrown
-                        errors.append(exc)
-                        break
-            fired_total += fired_round
-            self._events_fired += fired_round
-            self._clock = max(self._clock,
-                              max((s.now for s in active), default=0.0))
-            # Exchange: deliveries first (they may wake a shard), then
-            # clock promises computed from the post-delivery state.
-            messages_round = 0
-            for shard in shards:
-                for channel, when, fn, args in shard.outbound:
-                    channel.messages += 1
-                    messages_round += 1
-                    self._insert(self._shards[channel.dst], when, fn, args)
-                shard.outbound.clear()
-            if errors:
-                raise errors[0]
-            clock_advanced = False
-            for channel in self._channels.values():
-                source = shards[channel.src]
-                promise = min(source.next_time(),
-                              horizons[channel.src]) + channel.lookahead
-                if promise > channel.clock:
-                    channel.nulls += 1
-                    channel.clock = promise
-                    clock_advanced = True
-            if (fired_round == 0 and messages_round == 0
-                    and not clock_advanced and self.pending):
-                raise SimulationError(
-                    "conservative kernel stalled: no events, messages, or "
-                    "clock advances in a round (is a lookahead missing?)"
-                )
-
-    def _run_quiescence_hooks(self):
-        for hook in self._quiescence_hooks:
-            hook()
-            if self.pending:
-                return True
-        return False
+                    self._now = prev_now
 
     def __repr__(self):
         return (
-            f"<ShardedSimulator mode={self.mode} shards={self.shards} "
-            f"t={self._clock} pending={self.pending} "
+            f"<ShardedSimulator shards={self.shards} "
+            f"t={self._now} pending={self.pending} "
             f"fired={self._events_fired}>"
         )

@@ -115,7 +115,7 @@ class CalendarSimulator:
     __slots__ = (
         "_buckets", "_keys", "_seq", "_now", "_events_fired", "_live",
         "_ncancelled", "_needs_compact", "_dispatching",
-        "_quiescence_hooks", "bus", "wall_seconds", "_plane",
+        "_quiescence_hooks", "bus", "wall_seconds",
     )
 
     def __init__(self):
@@ -131,7 +131,6 @@ class CalendarSimulator:
         self._quiescence_hooks = []
         self.bus = None  # optional repro.obs.TraceBus
         self.wall_seconds = 0.0  # host time spent inside run()
-        self._plane = None  # optional repro.common.batch.BatchPlane
 
     # ------------------------------------------------------------------
     # Clock and bookkeeping
@@ -259,13 +258,6 @@ class CalendarSimulator:
         """
         self._quiescence_hooks.append(hook)
 
-    def attach_batch_plane(self, plane):
-        """Attach a :class:`repro.common.batch.BatchPlane`: the drain will
-        scan each bucket segment for runs of registered entries and apply
-        them through the plane's SoA kernels (``exec_mode="batch"``)."""
-        self._plane = plane
-        return plane
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -340,7 +332,6 @@ class CalendarSimulator:
         keys = self._keys
         heappop = heapq.heappop
         heappush = heapq.heappush
-        plane = self._plane
         until_f = math.inf if until is None else until
         budget = math.inf if max_events is None else max_events
         fired = 0
@@ -375,72 +366,40 @@ class CalendarSimulator:
             try:
                 # The outer loop re-reads ``len(bucket)`` only at batch
                 # boundaries: callbacks may post at the current instant
-                # and extend the list mid-drain.  With a batch plane
-                # attached, each segment is first scanned for contiguous
-                # runs of batchable entries; runs fire through their
-                # kind's SoA kernel, everything between them takes the
-                # scalar path below unchanged.
+                # and extend the list mid-drain.
                 while True:
                     n = len(bucket)
                     if idx >= n:
                         break
-                    if plane is not None and n - idx > 1:
-                        runs = plane.scan(bucket, idx, n, allowed - nfired)
-                    else:
-                        runs = ()
-                    ri = 0
-                    nruns = len(runs)
-                    while True:
-                        if ri < nruns:
-                            run = runs[ri]
-                            limit = run[0]
+                    while idx < n:
+                        entry = bucket[idx]
+                        idx += 1
+                        if type(entry) is tuple:
+                            if nfired >= allowed:
+                                idx -= 1
+                                raise SimulationError(
+                                    f"event budget exhausted ({max_events} "
+                                    f"events) at t={self._now}; possible "
+                                    "livelock"
+                                )
+                            nfired += 1
+                            fn, args = entry
+                            fn(*args)
+                        elif entry.cancelled:
+                            ncancelled += 1
                         else:
-                            run = None
-                            limit = n
-                        while idx < limit:
-                            entry = bucket[idx]
-                            idx += 1
-                            if type(entry) is tuple:
-                                if nfired >= allowed:
-                                    idx -= 1
-                                    raise SimulationError(
-                                        f"event budget exhausted ({max_events} "
-                                        f"events) at t={self._now}; possible "
-                                        "livelock"
-                                    )
-                                nfired += 1
-                                fn, args = entry
-                                fn(*args)
-                            elif entry.cancelled:
-                                ncancelled += 1
-                            else:
-                                if nfired >= allowed:
-                                    idx -= 1
-                                    raise SimulationError(
-                                        f"event budget exhausted ({max_events} "
-                                        f"events) at t={self._now}; possible "
-                                        "livelock"
-                                    )
-                                nfired += 1
-                                entry.cancelled = True
-                                fn = entry.fn
-                                args = entry.args
-                                fn(*args)
-                        if run is None:
-                            break
-                        # The scan bounded every run by the remaining
-                        # budget, so the whole run fires unconditionally.
-                        # Count it before applying: if a handler raises,
-                        # the run is charged as fired and the exception
-                        # propagates (the same entry raises the same
-                        # error the event path would have).
-                        end = run[1]
-                        width = end - idx
-                        nfired += width
-                        idx = end
-                        plane.note_run(width)
-                        run[2].apply_run(bucket, end - width, end)
-                        ri += 1
+                            if nfired >= allowed:
+                                idx -= 1
+                                raise SimulationError(
+                                    f"event budget exhausted ({max_events} "
+                                    f"events) at t={self._now}; possible "
+                                    "livelock"
+                                )
+                            nfired += 1
+                            entry.cancelled = True
+                            fn = entry.fn
+                            args = entry.args
+                            fn(*args)
             finally:
                 self._dispatching = False
                 fired += nfired
@@ -475,18 +434,12 @@ class CalendarSimulator:
         ``events_fired``) so callers can surface either kernel's stats
         without case analysis.  Wall-clock time is deliberately absent —
         these values feed byte-stable result payloads."""
-        stats = {
+        return {
             "kernel": "calendar",
             "events_fired": self._events_fired,
             "pending": self._live,
             "cancelled_queued": self._ncancelled,
         }
-        plane = self._plane
-        if plane is None:
-            stats["exec_mode"] = "event"
-        else:
-            stats.update(plane.stats())
-        return stats
 
     def __repr__(self):
         return (
@@ -639,7 +592,6 @@ class LegacySimulator:
             "events_fired": self._events_fired,
             "pending": self.pending,
             "cancelled_queued": 0,
-            "exec_mode": "event",  # batch mode is calendar-kernel only
         }
 
     def __repr__(self):

@@ -34,9 +34,6 @@ __all__ = [
     "ProgramResult",
     "assemble_operands",
     "execute",
-    "BATCH_INT_BINARY",
-    "BATCH_BOOL_RESULT",
-    "batched_effects",
 ]
 
 
@@ -130,28 +127,6 @@ def _fanout(tag, dests, value):
 def _reply_arcs(tag, dests):
     at_statement = tag.at_statement
     return tuple((at_statement(s), p) for s, p in _dest_pairs(dests))
-
-
-#: Opcodes the batch ALU kernel (``exec_mode="batch"``) may evaluate
-#: vectorized over machine-int operands: closed over int64 without
-#: overflow when |operand| < 2**31, exception-free, and bit-identical to
-#: the scalar lambda above.  Comparisons are mapped back through bool()
-#: at extraction, everything else through int(), so no numpy scalar type
-#: ever leaks into a token.
-BATCH_INT_BINARY = (
-    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.MIN, Opcode.MAX,
-    Opcode.LT, Opcode.LE, Opcode.GT, Opcode.GE, Opcode.EQ, Opcode.NE,
-)
-BATCH_BOOL_RESULT = frozenset(
-    (Opcode.LT, Opcode.LE, Opcode.GT, Opcode.GE, Opcode.EQ, Opcode.NE)
-)
-
-
-def batched_effects(instruction, tag, value):
-    """Effects of a PURE_BINARY instruction whose ``value`` was computed
-    out-of-band (the batch ALU kernel): exactly the fanout
-    :func:`execute` would have produced for the same value."""
-    return _fanout(tag, instruction.dests, value)
 
 
 def execute(program, instruction, tag, operands):

@@ -16,10 +16,8 @@ reads and unmatched tokens listed.
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..common.batch import BatchPlane, FusedKind, resolve_exec_mode
-from ..common.batch import np as batch_np
 from ..common.errors import DeadlockError, MachineError
-from ..common.simulator import CalendarSimulator, Simulator
+from ..common.simulator import Simulator
 from ..common.stats import Counter
 from ..common.topology import MachineTopology, TopologyLink, TopologyUnit
 from ..istructure.heap import StructureRef
@@ -90,10 +88,6 @@ class MachineConfig:
     #: across the sharded parallel kernel using :func:`ttda_topology`.
     sim_kernel: Optional[str] = None
     sim_shards: Optional[int] = None
-    #: Execution mode: ``"event"`` (reference, the default) or
-    #: ``"batch"`` — drain homogeneous same-instant work into numpy
-    #: structure-of-arrays kernels.  None defers to ``REPRO_EXEC_MODE``.
-    exec_mode: Optional[str] = None
 
     def make_network(self, sim):
         if self.network_factory is not None:
@@ -181,38 +175,6 @@ class TaggedTokenMachine:
         for pe in self.pes:
             self.network.attach(pe.pe, self._network_delivery, owner=pe)
         self._configure_shards()
-        # Batch execution mode: attach the plane whenever batch was
-        # requested on the calendar kernel (so kernel_stats reports the
-        # mode honestly), but register kinds only when no fault injector
-        # or trace bus needs per-event interposition.
-        self.exec_mode = resolve_exec_mode(self.config.exec_mode)
-        self._plane = None
-        if (self.exec_mode == "batch" and batch_np is not None
-                and isinstance(self.sim, CalendarSimulator)):
-            from ..istructure.controller import IStructureBatchKind
-            from .pe import AluBatchKind, WaitingMatchKind
-
-            plane = self._plane = self.sim.attach_batch_plane(BatchPlane())
-            if self._bus is None and self.faults is None:
-                wm_kind = WaitingMatchKind(self)
-                alu_kind = AluBatchKind(self)
-                isc_kind = IStructureBatchKind(self.sim)
-                fused = FusedKind()
-                for pe in self.pes:
-                    plane.register(pe.waiting_matching._complete, wm_kind)
-                    plane.register(pe.alu._complete, alu_kind)
-                    plane.register(pe.istructure._complete, isc_kind)
-                    # Fetch/output/controller completions have no SoA
-                    # compute to lift, but they still batch as fused
-                    # dispatch runs.
-                    plane.register(pe.fetch._complete, fused)
-                    plane.register(pe.output._complete, fused)
-                    plane.register(pe.controller._complete, fused)
-                    plane.register(pe.receive, fused)
-                # Network deliveries are the bulk of the calendar's
-                # entries; the whole wave arriving at one instant fuses
-                # into a single dispatch run.
-                plane.register(self.network._deliver, fused)
         self.counters = Counter()
         self._next_sid = 0
         self._result = None

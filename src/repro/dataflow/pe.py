@@ -23,29 +23,24 @@ Each PE also hosts an I-structure controller (d=1 traffic) and a PE
 controller (d=2 traffic — here, structure allocation).
 """
 
-from ..common.batch import BatchKind, np
 from ..common.errors import MachineError
 from ..common.queueing import FifoServer
 from ..common.stats import Counter, TimeWeighted
-from ..graph.opcodes import OPCODE_CLASS, PURE_BINARY
+from ..graph.opcodes import OPCODE_CLASS
 from ..istructure.controller import IStructureController, ReadRequest, WriteRequest
 from ..istructure.heap import interleave_home
 from .exec_core import (
-    BATCH_BOOL_RESULT,
-    BATCH_INT_BINARY,
     ProgramResult,
     Send,
     StructureAlloc,
     StructureRead,
     StructureWrite,
     assemble_operands,
-    batched_effects,
     execute,
 )
 from .token import Token, TokenKind
 
-__all__ = ["ProcessingElement", "AllocRequest",
-           "WaitingMatchKind", "AluBatchKind"]
+__all__ = ["ProcessingElement", "AllocRequest"]
 
 
 class AllocRequest:
@@ -380,222 +375,3 @@ class ProcessingElement:
             f"<PE {self.pe} instructions={self.counters['instructions']} "
             f"waiting={self._waiting_tokens()}>"
         )
-
-
-# ----------------------------------------------------------------------
-# Batch execution kinds (exec_mode="batch")
-# ----------------------------------------------------------------------
-# Registered by TaggedTokenMachine against each PE's waiting-matching and
-# ALU server completions when no fault plan or trace bus needs per-event
-# interposition.  Each kind's ``apply_run`` replays the exact bodies of
-# FifoServer._complete plus the PE handler at each entry's bucket
-# position, substituting vectorized results for the scalar compute, so
-# the run is byte-identical to the event path by construction.  One
-# server completes at most once per bucket segment, so a run spans
-# distinct PEs and the SoA pre-pass can never observe mid-run mutations.
-
-#: Sentinel for "no precomputed result; replay the scalar handler".
-_MISS = object()
-
-if np is not None:
-    #: Opcode -> numpy ufunc for the int-vectorizable pure binaries.
-    _NP_BINARY = {
-        "add": np.add, "sub": np.subtract, "mul": np.multiply,
-        "min": np.minimum, "max": np.maximum,
-        "lt": np.less, "le": np.less_equal,
-        "gt": np.greater, "ge": np.greater_equal,
-        "eq": np.equal, "ne": np.not_equal,
-    }
-else:  # pragma: no cover - numpy is baked into the environment
-    _NP_BINARY = {}
-
-#: Operand magnitude bound under which int64 vector arithmetic cannot
-#: overflow (|a op b| < 2**63 for ADD/SUB/MUL) and int<->int64 round
-#: trips are exact.
-_INT_BOUND = 1 << 31
-
-
-class WaitingMatchKind(BatchKind):
-    """SoA waiting-matching: tag-keyed match over int arrays.
-
-    Tokens in the run are grouped by ``(pe, tag)`` in int64 arrays
-    (interned tags carry a small sequential ``_tid``).  A group of two
-    dyadic tokens whose partner arrived *in the same run* matches
-    entirely in-array: the associative store is never probed or written
-    for the pair (the event path inserts then deletes the slot — net
-    identical).  Everything else (singles probing the store, nt > 2,
-    uninterned tags, duplicate ports) replays the scalar ``_match``.
-    """
-
-    name = "wm_match"
-    min_run = 8
-
-    def __init__(self, machine):
-        self.sim = machine.sim
-
-    def apply_run(self, bucket, start, end):
-        width = end - start
-        tokens = [None] * width
-        dones = [None] * width
-        keys = [0] * width
-        seen = set()
-        collided = False
-        for j in range(width):
-            fn, (token, on_done) = bucket[start + j]
-            tokens[j] = token
-            dones[j] = on_done
-            tid = token.tag._tid
-            if tid < 0:
-                keys[j] = -1 - j  # unique key: never pairs in-array
-            else:
-                key = keys[j] = (on_done.__self__.pe << 18) | tid
-                if key in seen:
-                    collided = True
-                else:
-                    seen.add(key)
-        outcome = partner = None
-        if collided:
-            # In-array pair detection: stable sort by key; adjacent equal
-            # keys with exactly two members are candidate pairs.  On the
-            # registry machines this never triggers — one waiting-matching
-            # server per PE serializes same-tag probes, so a run cannot
-            # hold both halves of a pair — which is why the numpy grouping
-            # is gated behind the python collision scan above.
-            outcome = [0] * width  # 0 scalar / 1 park / 2 match
-            partner = [0] * width
-            akeys = np.array(keys, dtype=np.int64)
-            order = np.argsort(akeys, kind="stable")
-            skeys = akeys[order]
-            boundary = np.empty(width, dtype=bool)
-            boundary[0] = True
-            np.not_equal(skeys[1:], skeys[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            counts = np.diff(np.append(starts, width))
-            for g in np.flatnonzero(counts == 2):
-                s = starts[g]
-                j1 = int(order[s])
-                j2 = int(order[s + 1])
-                t1, t2 = tokens[j1], tokens[j2]
-                if t1.nt != 2 or t2.nt != 2:
-                    continue
-                if t1.port == t2.port or keys[j1] < 0:
-                    continue
-                if dones[j1].__self__._match_store.get(t1.tag) is not None:
-                    continue
-                outcome[j1] = 1
-                outcome[j2] = 2
-                partner[j2] = j1
-        now = self.sim._now
-        for j in range(width):
-            fn = bucket[start + j][0]
-            server = fn.__self__
-            server.utilization.end(now)
-            server._busy = False
-            server.items_served += 1
-            token = tokens[j]
-            on_done = dones[j]
-            o = 0 if outcome is None else outcome[j]
-            if o == 0:
-                on_done(token)
-            else:
-                pe = on_done.__self__
-                if o == 1:
-                    pe.counters.add("tokens_parked")
-                    waiting = pe._waiting = pe._waiting + 1
-                    pe.match_occupancy.update(now, waiting)
-                else:
-                    pe.counters.add("matches")
-                    waiting = pe._waiting = pe._waiting - 1
-                    pe.match_occupancy.update(now, waiting)
-                    if pe._match_causes:
-                        pe._match_causes.pop(token.tag, None)
-                    mate = tokens[partner[j]]
-                    slot = {mate.port: mate.data, token.port: token.data}
-                    pe.fetch.submit((token.tag, slot, token.cause),
-                                    pe._fetched)
-            if not server._busy:
-                server._start_next()
-
-
-class AluBatchKind(BatchKind):
-    """SoA ALU: int-vectorized pure-binary execution across PEs.
-
-    Enabled instructions whose opcode is in
-    :data:`~repro.dataflow.exec_core.BATCH_INT_BINARY` and whose operands
-    are machine ints are grouped by opcode and evaluated with one numpy
-    ufunc per group; results are cast back through ``int``/``bool`` at
-    extraction so no numpy scalar ever reaches a token.  Everything else
-    (other opcodes, non-int operands, missing ports) replays the scalar
-    ``_executed`` handler.
-    """
-
-    name = "alu"
-    min_run = 8
-
-    def __init__(self, machine):
-        self.sim = machine.sim
-        #: opcode -> (ufunc, bool_result, "class_<x>" counter name)
-        self._vec = {
-            op: (_NP_BINARY[op.value], op in BATCH_BOOL_RESULT,
-                 f"class_{OPCODE_CLASS[op].value}")
-            for op in BATCH_INT_BINARY
-        } if np is not None else {}
-
-    def apply_run(self, bucket, start, end):
-        width = end - start
-        vec = self._vec
-        values = [_MISS] * width
-        groups = {}  # opcode -> (indices, a_operands, b_operands)
-        bound = _INT_BOUND
-        for j in range(width):
-            work = bucket[start + j][1][0]
-            instruction = work[0]
-            entry = vec.get(instruction.opcode)
-            if entry is None or instruction.natural_arity != 2:
-                continue
-            by_port = work[2]
-            cport = instruction.constant_port
-            try:
-                a = instruction.constant if cport == 0 else by_port[0]
-                b = instruction.constant if cport == 1 else by_port[1]
-            except KeyError:
-                continue  # scalar replay raises the exact MachineError
-            if (type(a) is not int or type(b) is not int
-                    or not (-bound < a < bound) or not (-bound < b < bound)):
-                continue
-            group = groups.get(instruction.opcode)
-            if group is None:
-                group = groups[instruction.opcode] = ([], [], [])
-            group[0].append(j)
-            group[1].append(a)
-            group[2].append(b)
-        for opcode, (idxs, a_ops, b_ops) in groups.items():
-            ufunc = vec[opcode][0]
-            # tolist() round-trips the whole group back to machine ints
-            # (or bools, for the comparison ufuncs) in one call, so no
-            # numpy scalar ever reaches a token.
-            res = ufunc(np.array(a_ops, dtype=np.int64),
-                        np.array(b_ops, dtype=np.int64)).tolist()
-            for k, j in enumerate(idxs):
-                values[j] = res[k]
-        now = self.sim._now
-        for j in range(width):
-            fn, (work, on_done) = bucket[start + j]
-            server = fn.__self__
-            server.utilization.end(now)
-            server._busy = False
-            server.items_served += 1
-            value = values[j]
-            if value is _MISS:
-                on_done(work)
-            else:
-                instruction, tag, by_port, cause = work
-                pe = on_done.__self__
-                counters = pe.counters
-                counters.add("instructions")
-                counters.add(vec[instruction.opcode][2])
-                emit = pe._emit
-                for effect in batched_effects(instruction, tag, value):
-                    emit(effect, tag, cause)
-            if not server._busy:
-                server._start_next()

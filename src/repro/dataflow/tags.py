@@ -37,7 +37,7 @@ class Tag:
     """An activity name ``(u, c, s, i)``.  Immutable."""
 
     __slots__ = ("context", "code_block", "statement", "iteration",
-                 "_hash", "_map_key", "_tid")
+                 "_hash", "_map_key")
 
     def __init__(self, context, code_block, statement, iteration=1):
         set_ = object.__setattr__
@@ -47,10 +47,6 @@ class Tag:
         set_(self, "iteration", iteration)
         set_(self, "_hash", hash((context, code_block, statement, iteration)))
         set_(self, "_map_key", None)  # cache for mapping.stable_tag_key
-        # Small sequential int assigned at intern time (-1 = uninterned):
-        # the batch waiting-matching kernel groups tokens by (pe, _tid)
-        # in int arrays, so only canonical tags may carry a real id.
-        set_(self, "_tid", -1)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Tag is immutable (tried to set {name!r})")
@@ -149,7 +145,6 @@ def intern_tag(context, code_block, statement, iteration=1):
     if tag is None:
         tag = Tag(context, code_block, statement, iteration)
         if len(_INTERN) < _INTERN_MAX:
-            object.__setattr__(tag, "_tid", len(_INTERN))
             _INTERN[key] = tag
     return tag
 

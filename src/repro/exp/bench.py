@@ -25,10 +25,20 @@ from .engine import run_experiment
 from .experiment import Experiment
 from .tables import payload_to_table, table_rows, table_to_payload
 
-__all__ = ["build_experiment", "find_bench_dir", "run_suite"]
+__all__ = ["build_experiment", "find_bench_dir", "host_cpus", "run_suite"]
 
 #: Seconds one benchmark run may take before it is terminated + retried.
 DEFAULT_TIMEOUT = 300.0
+
+
+def host_cpus():
+    """CPUs this process may run on (its affinity mask), which is what
+    bounds a sweep's parallelism; ``os.cpu_count()`` counts the whole
+    machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
 
 
 def find_bench_dir(start=None):
@@ -196,7 +206,6 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             "data": table_rows(table),
         })
 
-    from ..common.batch import resolve_exec_mode
     from ..common.simulator import resolve_shards
 
     aggregate = {
@@ -211,10 +220,9 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             # Provenance: where this sweep ran.  The tables themselves
             # are host-independent (the regression gate diffs them), the
             # telemetry is not — stamp enough to explain a slow run.
-            "host_cpus": os.cpu_count() or 1,
+            "host_cpus": host_cpus(),
             "kernel": os.environ.get("REPRO_SIM_KERNEL") or "calendar",
             "shards": resolve_shards(),
-            "exec_mode": resolve_exec_mode(),
             "python": sys.version.split()[0],
         },
     }

@@ -13,7 +13,7 @@ token into the network back toward the requesting PE.
 from ..common.stats import Counter, TimeWeighted, UtilizationTracker
 from .store import DEFERRED, IStructureModule
 
-__all__ = ["IStructureController", "IStructureBatchKind", "ReadRequest", "WriteRequest"]
+__all__ = ["IStructureController", "ReadRequest", "WriteRequest"]
 
 
 class ReadRequest:
@@ -216,85 +216,3 @@ class IStructureController:
             f"<IStructureController {self.name!r} queued={self.queued} "
             f"busy={self._busy} pending_reads={self.pending_reads}>"
         )
-
-
-class IStructureBatchKind:
-    """Batched presence-bit operations (``exec_mode="batch"``).
-
-    A run holds at most one completion per controller (each is busy until
-    ``_finish_drain``), so the pre-pass can prefetch every request's cell
-    and classify the presence bits for the whole run at once — the batch
-    analogue of the §2.1 presence-bit prefetch — before replaying each
-    completion's exact side effects in bucket order.  Registered only
-    when no fault injector or trace hook needs per-event interposition,
-    so the replay below mirrors ``_complete`` with ``faults is None`` and
-    ``tracing`` false.
-    """
-
-    name = "istructure"
-    min_run = 8
-
-    def __init__(self, sim):
-        from ..common.batch import np
-
-        self.sim = sim
-        self._np = np
-
-    def apply_run(self, bucket, start, end):
-        from .presence import Presence
-        from .store import _Cell
-
-        width = end - start
-        requests = [None] * width
-        cells = [None] * width
-        # Presence prefetch: 0 = absent/EMPTY/WAITING, 1 = PRESENT,
-        # 2 = write.  One classification pass over the run before any
-        # side effect lands.
-        codes = [0] * width
-        present = Presence.PRESENT
-        for j in range(width):
-            fn, (request,) = bucket[start + j]
-            requests[j] = request
-            if isinstance(request, ReadRequest):
-                cell = fn.__self__.module._cells.get(request.key)
-                cells[j] = cell
-                if cell is not None and cell.state is present:
-                    codes[j] = 1
-            else:
-                codes[j] = 2
-        waiting = Presence.WAITING
-        now = self.sim._now
-        for j in range(width):
-            controller = bucket[start + j][0].__self__
-            request = requests[j]
-            module = controller.module
-            code = codes[j]
-            extra = 0.0
-            if code == 1:
-                module.counters.add("reads_immediate")
-                controller.counters.add("reads")
-                controller.reply_cause = None
-                controller.deliver(request.reply, cells[j].value)
-            elif code == 0:
-                cell = cells[j]
-                if cell is None:
-                    cell = module._cells[request.key] = _Cell()
-                cell.deferred.append(request.reply)
-                cell.state = waiting
-                module.counters.add("reads_deferred")
-                controller.counters.add("reads_deferred")
-            else:
-                drained = module.write(request.key, request.value)
-                extra = controller.drain_cycles_per_deferred * len(drained)
-                controller.counters.add("writes")
-                if drained:
-                    controller.counters.add("reads_drained", len(drained))
-                for reply in drained:
-                    controller.reply_cause = None
-                    controller.deliver(reply, request.value)
-            if extra > 0:
-                controller.sim.post(extra, controller._finish_drain)
-            else:
-                controller.utilization.end(now)
-                controller._busy = False
-                controller._start_next()

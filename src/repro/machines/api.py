@@ -65,7 +65,7 @@ class SimResult:
     accounting: Optional[Dict[str, Any]] = None
     #: Optional event-kernel counters (``Simulator.kernel_stats()``):
     #: which kernel ran, events fired, and — on the sharded parallel
-    #: kernel — null updates, channel traffic, and per-shard balance.
+    #: kernel — channel traffic and per-shard balance.
     #: Telemetry about *this* run's engine, not part of the result:
     #: excluded from ``as_dict`` so payloads stay byte-identical across
     #: kernels (the byte-identity gate) and store-cached values never

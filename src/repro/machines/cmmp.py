@@ -27,7 +27,7 @@ __all__ = ["CmmpModel"]
 
 
 def _build_cmmp(n_procs=16, memory_time=3.0, switch_latency=1.0,
-                port_service_time=1.0, faults=None, exec_mode=None):
+                port_service_time=1.0, faults=None):
     """A C.mmp-shaped machine: n processors x n memory ports, crossbar."""
 
     def network_factory(sim, n_ports):
@@ -39,7 +39,7 @@ def _build_cmmp(n_procs=16, memory_time=3.0, switch_latency=1.0,
     return VNMachine(
         n_procs, memory="dancehall", n_modules=n_procs,
         memory_time=memory_time, network_factory=network_factory,
-        faults=faults, exec_mode=exec_mode,
+        faults=faults,
     )
 
 
@@ -48,8 +48,7 @@ class CmmpModel:
     """Registry model: the crossbar machine plus its two workloads."""
 
     def __init__(self, n_procs=16, memory_time=3.0, switch_latency=1.0,
-                 port_service_time=1.0, faults=None, exec_mode=None):
-        from ..common.batch import resolve_exec_mode
+                 port_service_time=1.0, faults=None):
         from ..faults import coerce_plan
 
         plan = coerce_plan(faults)
@@ -63,9 +62,6 @@ class CmmpModel:
         # and every existing baseline row stay byte-identical.
         if plan is not None:
             self.config["faults"] = plan.as_dict()
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
 
     def build(self):
         """The underlying (empty) :class:`VNMachine`."""

@@ -30,7 +30,7 @@ LOCAL_BLOCK = 1024
 
 def _build_cmstar(n_clusters=4, cluster_size=4, kmap_time=3.0,
                   intercluster_time=9.0, local_time=1.0, memory_time=2.0,
-                  faults=None, shards=None, exec_mode=None):
+                  faults=None, shards=None):
     """A Cm*-shaped machine: one memory module co-located with each
     processor, clusters joined by Kmaps and an intercluster bus."""
     n = n_clusters * cluster_size
@@ -49,7 +49,6 @@ def _build_cmstar(n_clusters=4, cluster_size=4, kmap_time=3.0,
         n, memory="dancehall", n_modules=n, memory_time=memory_time,
         network_factory=network_factory, placement="blocked",
         block_size=LOCAL_BLOCK, faults=faults, sim_shards=shards,
-        exec_mode=exec_mode,
     )
 
 
@@ -95,8 +94,7 @@ class CmstarModel:
 
     def __init__(self, n_clusters=4, cluster_size=4, kmap_time=3.0,
                  intercluster_time=9.0, local_time=1.0, memory_time=2.0,
-                 faults=None, shards=None, exec_mode=None):
-        from ..common.batch import resolve_exec_mode
+                 faults=None, shards=None):
         from ..faults import coerce_plan
 
         plan = coerce_plan(faults)
@@ -114,9 +112,6 @@ class CmstarModel:
             self.config["faults"] = plan.as_dict()
         if shards is not None:
             self.config["shards"] = shards
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
 
     def topology(self):
         """Cm*'s partition graph — and the paper's point made concrete.

@@ -117,9 +117,7 @@ class ConnectionMachine:
 
     def __init__(self, groups_log2=10, procs_per_group=64, word_bits=32,
                  message_bits=32, bit_time=1.0, illiac_rows=8,
-                 illiac_cols=8, illiac_shift_time=1.0, faults=None,
-                 exec_mode=None):
-        from ..common.batch import resolve_exec_mode
+                 illiac_cols=8, illiac_shift_time=1.0, faults=None):
         from ..faults import coerce_plan
 
         self._fault_plan = coerce_plan(faults)
@@ -144,11 +142,6 @@ class ConnectionMachine:
         # baseline row) stay byte-identical.
         if self._fault_plan is not None:
             self.config["faults"] = self._fault_plan.as_dict()
-        # Closed-form model (no event kernel), so exec_mode only needs
-        # validation and echo — sweep grids can set it uniformly.
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
 
     # ------------------------------------------------------------------
     def route_round(self, messages):

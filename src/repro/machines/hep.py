@@ -25,7 +25,7 @@ __all__ = ["HepModel"]
 
 
 def _build_hep(contexts=8, latency=8.0, memory_time=1.0, retry_backoff=4.0,
-               source=None, regs_of=None, faults=None, exec_mode=None):
+               source=None, regs_of=None, faults=None):
     """One barrel processor with ``contexts`` register sets.
 
     ``source`` (default: a load/compute kernel) is loaded into every
@@ -33,8 +33,7 @@ def _build_hep(contexts=8, latency=8.0, memory_time=1.0, retry_backoff=4.0,
     """
     machine = VNMachine(1, memory="dancehall", latency=latency,
                         memory_time=memory_time,
-                        retry_backoff=retry_backoff, faults=faults,
-                        exec_mode=exec_mode)
+                        retry_backoff=retry_backoff, faults=faults)
     if source is None:
         source = programs.compute_loop(16, loads_per_iter=1,
                                        alu_ops_per_iter=2)
@@ -47,8 +46,7 @@ def _build_hep(contexts=8, latency=8.0, memory_time=1.0, retry_backoff=4.0,
     return machine
 
 
-def _producer_consumer(n, producer_work, retry_backoff, faults=None,
-                       exec_mode=None):
+def _producer_consumer(n, producer_work, retry_backoff, faults=None):
     """Busy-wait traffic of HEP-style full/empty synchronization.
 
     Two contexts on one barrel processor share an array: the producer
@@ -57,8 +55,7 @@ def _producer_consumer(n, producer_work, retry_backoff, faults=None,
     Returns (result, retries, memory_requests_per_element).
     """
     machine = VNMachine(1, memory="dancehall", latency=2, memory_time=1,
-                        retry_backoff=retry_backoff, faults=faults,
-                        exec_mode=exec_mode)
+                        retry_backoff=retry_backoff, faults=faults)
     machine.add_multithreaded_processor(
         [
             (programs.producer_per_element(100, n,
@@ -80,8 +77,7 @@ class HepModel:
     """Registry model: one HEP barrel processor over full/empty memory."""
 
     def __init__(self, contexts=8, latency=8.0, memory_time=1.0,
-                 retry_backoff=4.0, faults=None, exec_mode=None):
-        from ..common.batch import resolve_exec_mode
+                 retry_backoff=4.0, faults=None):
         from ..faults import coerce_plan
 
         plan = coerce_plan(faults)
@@ -95,9 +91,6 @@ class HepModel:
         # and every existing baseline row stay byte-identical.
         if plan is not None:
             self.config["faults"] = plan.as_dict()
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
 
     def build(self, source=None, regs_of=None):
         """The underlying :class:`VNMachine`, contexts loaded."""
@@ -129,8 +122,7 @@ class HepModel:
         elif workload == "producer_consumer":
             result, retries, per_element, machine = _producer_consumer(
                 n, producer_work, config["retry_backoff"],
-                faults=config.get("faults"),
-                exec_mode=config.get("exec_mode"))
+                faults=config.get("faults"))
             metrics = {
                 "time": result.time,
                 "instructions": result.instructions,

@@ -20,9 +20,7 @@ class TtdaModel:
     ``n_pes`` is 0 — the unbounded-parallelism idealization)."""
 
     def __init__(self, n_pes=4, network_latency=4.0, mapping="hash",
-                 wm_capacity=None, faults=None, shards=None,
-                 exec_mode=None):
-        from ..common.batch import resolve_exec_mode
+                 wm_capacity=None, faults=None, shards=None):
         from ..faults import coerce_plan
 
         self._fault_plan = coerce_plan(faults)
@@ -39,11 +37,6 @@ class TtdaModel:
             self.config["faults"] = self._fault_plan.as_dict()
         if shards is not None:
             self.config["shards"] = shards
-        # Validate eagerly (unknown modes fail at construction, not mid
-        # sweep); echoed only when set, same baseline-stability rule.
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
 
     def topology(self):
         """The PE partition graph (:func:`repro.dataflow.ttda_topology`):
@@ -64,7 +57,6 @@ class TtdaModel:
             wm_capacity=self.config["wm_capacity"],
             fault_plan=self._fault_plan,
             sim_shards=self._shards,
-            exec_mode=self.config.get("exec_mode"),
         )
         if self.config["mapping"] == "context":
             config.mapping_factory = lambda n: ByContextMapping(n)

@@ -56,25 +56,17 @@ class UltraResult:
 
 def _run_hotspot(stages, combining=True, requests_per_proc=1,
                  switch_time=1.0, memory_time=2.0, spacing=0.0,
-                 faults=None, shards=None, exec_mode=None):
+                 faults=None, shards=None):
     """All 2**stages processors FETCH-AND-ADD address 0.
 
     ``spacing`` staggers injections (0 = the worst-case synchronous burst
     the Ultracomputer's synchronous network design assumes).
     """
-    from ..common.batch import BatchPlane, FusedKind, resolve_exec_mode
-    from ..common.batch import np as batch_np
-    from ..common.simulator import CalendarSimulator
     from ..faults import coerce_plan
 
     plan = coerce_plan(faults)
     injector = plan.injector() if plan is not None and plan.enabled else None
     sim = Simulator(shards=shards)
-    exec_mode = resolve_exec_mode(exec_mode)
-    plane = None
-    if (exec_mode == "batch" and batch_np is not None
-            and isinstance(sim, CalendarSimulator)):
-        plane = sim.attach_batch_plane(BatchPlane())
     net = CombiningOmegaNetwork(sim, stages, switch_time=switch_time,
                                 combining=combining)
     net.faults = injector
@@ -83,13 +75,6 @@ def _run_hotspot(stages, combining=True, requests_per_proc=1,
     servers = [
         FifoServer(sim, memory_time, name=f"ultra.mem{i}") for i in range(n)
     ]
-    if plane is not None and injector is None:
-        # The memory-port completions have no SoA compute to lift (the
-        # combining network owns the interesting arithmetic), but they
-        # still batch as fused dispatch runs.
-        fused = FusedKind()
-        for server in servers:
-            plane.register(server._complete, fused)
 
     def make_memory_handler(port):
         def finish(rec, pay):
@@ -155,9 +140,7 @@ class UltracomputerModel:
     """Registry model: a 2**stages-port combining omega hot-spot machine."""
 
     def __init__(self, stages=4, combining=True, switch_time=1.0,
-                 memory_time=2.0, faults=None, shards=None,
-                 exec_mode=None):
-        from ..common.batch import resolve_exec_mode
+                 memory_time=2.0, faults=None, shards=None):
         from ..faults import coerce_plan
 
         plan = coerce_plan(faults)
@@ -173,9 +156,6 @@ class UltracomputerModel:
             self.config["faults"] = plan.as_dict()
         if shards is not None:
             self.config["shards"] = shards
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
 
     def topology(self):
         """The combining network's partition graph.
@@ -218,7 +198,6 @@ class UltracomputerModel:
             spacing=spacing,
             faults=self.config.get("faults"),
             shards=self.config.get("shards"),
-            exec_mode=self.config.get("exec_mode"),
         )
 
     def run(self, requests_per_proc=1, spacing=0.0):

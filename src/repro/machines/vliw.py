@@ -77,9 +77,7 @@ class VliwModel:
     latency surprise.
     """
 
-    def __init__(self, issue_width=8, assumed_latency=1.0, faults=None,
-                 exec_mode=None):
-        from ..common.batch import resolve_exec_mode
+    def __init__(self, issue_width=8, assumed_latency=1.0, faults=None):
         from ..faults import coerce_plan
 
         self._fault_plan = coerce_plan(faults)
@@ -91,11 +89,6 @@ class VliwModel:
         # baseline row) stay byte-identical.
         if self._fault_plan is not None:
             self.config["faults"] = self._fault_plan.as_dict()
-        # Static schedule (no event kernel), so exec_mode only needs
-        # validation and echo — sweep grids can set it uniformly.
-        resolve_exec_mode(exec_mode)
-        if exec_mode is not None:
-            self.config["exec_mode"] = exec_mode
 
     @property
     def issue_width(self):

@@ -233,9 +233,13 @@ class CombiningOmegaNetwork:
                 self._bus.emit(self.sim.now, self._bus_source, "net_split",
                                f"A={record.payload.address}", stage=stage,
                                rail=rail)
-            # first receives (A); second receives (A) + x.
-            self._return_hop(first, value, len(first.trace) - 2)
-            self._return_hop(second, value + x, len(second.trace) - 2)
+            # first receives (A); second receives (A) + x.  Both parts
+            # queued at this switch output, so each resumes its return
+            # here: a part that was itself combined here (it combined
+            # again while still queued) splits at once, any other part
+            # takes its next hop back.
+            self._return_arrive(first, value, len(first.trace) - 1)
+            self._return_arrive(second, value + x, len(second.trace) - 1)
             return
         self._return_hop(record, value, index - 1)
 

@@ -359,8 +359,7 @@ class _SeqCompiler:
 
 
 def run_sequential(source, args, entry=None, latency=1.0, memory_time=1.0,
-                   cpu_time=1.0, trace_bus=None, return_machine=False,
-                   exec_mode=None):
+                   cpu_time=1.0, trace_bus=None, return_machine=False):
     """Compile and execute on a single stalling processor.
 
     Returns ``(value, VNResult)`` — the fair von Neumann comparator for a
@@ -378,7 +377,7 @@ def run_sequential(source, args, entry=None, latency=1.0, memory_time=1.0,
         )
     machine = VNMachine(1, memory="dancehall", latency=latency,
                         memory_time=memory_time, cpu_time=cpu_time,
-                        trace_bus=trace_bus, exec_mode=exec_mode)
+                        trace_bus=trace_bus)
     processor = machine.add_processor(text, regs=dict(zip(param_regs, args)))
     # Expression-deep programs need a wider register file than the
     # architectural 32; the simulator indulges us.

@@ -8,10 +8,8 @@ per-processor utilization, bus/network statistics, retry traffic.
 
 from dataclasses import dataclass, field
 
-from ..common.batch import BatchPlane, FusedKind, resolve_exec_mode
-from ..common.batch import np as batch_np
 from ..common.errors import MachineError
-from ..common.simulator import CalendarSimulator, Simulator
+from ..common.simulator import Simulator
 from ..faults import coerce_plan
 from .assembler import assemble
 from .coherence import SnoopyBusSystem
@@ -57,8 +55,7 @@ class VNMachine:
                  network_factory=None, cpu_time=1.0, retry_backoff=0.0,
                  contexts=None, switch_time=0.0, placement="interleaved",
                  block_size=1024, write_policy="write_back", trace_bus=None,
-                 faults=None, sim_kernel=None, sim_shards=None,
-                 exec_mode=None):
+                 faults=None, sim_kernel=None, sim_shards=None):
         self.sim = Simulator(kernel=sim_kernel, shards=sim_shards)
         self.bus = trace_bus
         if trace_bus is not None:
@@ -101,27 +98,6 @@ class VNMachine:
                 network.faults = self.faults
             for module in getattr(self.memory, "modules", ()):
                 module.faults = self.faults
-        # Batch execution mode: attach the plane whenever batch was
-        # requested on the calendar kernel (so kernel_stats reports the
-        # mode honestly), but register kinds only when no fault injector
-        # or trace bus needs per-event interposition.  The bus memory
-        # system does its own timing inside bus transactions, so only the
-        # dancehall banks have a batchable completion.
-        self.exec_mode = resolve_exec_mode(exec_mode)
-        self._plane = None
-        self._step_kind = None
-        if (self.exec_mode == "batch" and batch_np is not None
-                and isinstance(self.sim, CalendarSimulator)):
-            self._plane = self.sim.attach_batch_plane(BatchPlane())
-            if trace_bus is None and self.faults is None:
-                self._step_kind = FusedKind()
-                if isinstance(self.memory, DancehallMemorySystem):
-                    for fn, kind in self.memory.batch_kinds().items():
-                        self._plane.register(fn, kind)
-                    # Request/response waves crossing the dancehall
-                    # network at one instant fuse into dispatch runs.
-                    self._plane.register(
-                        self.memory.network._deliver, self._step_kind)
         self.processors = []
         self._halted = 0
 
@@ -138,11 +114,6 @@ class VNMachine:
         if regs:
             proc.set_regs(regs)
         proc.bus = self.bus
-        if self._step_kind is not None:
-            # Instruction steps batch as fused runs: same bodies, one
-            # tight loop per instant instead of one dispatch per step.
-            for fn in proc.batch_fns():
-                self._plane.register(fn, self._step_kind)
         self.memory.attach_processor(proc.proc_id)
         self.processors.append(proc)
         return proc
@@ -159,9 +130,6 @@ class VNMachine:
             program = assemble(source) if isinstance(source, str) else source
             proc.add_context(program, regs=regs)
         proc.bus = self.bus
-        if self._step_kind is not None:
-            for fn in proc.batch_fns():
-                self._plane.register(fn, self._step_kind)
         self.memory.attach_processor(proc.proc_id)
         self.processors.append(proc)
         return proc

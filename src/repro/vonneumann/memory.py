@@ -193,21 +193,6 @@ class DancehallMemorySystem:
         on_complete(response)
 
     # ------------------------------------------------------------------
-    def batch_kinds(self):
-        """Prepare the dancehall banks for batch mode: share one
-        :class:`FullBitPlane` across the modules (addresses are disjoint,
-        so membership is unchanged) and return the posted-callback ->
-        kind mapping for the plane to register.  Called at machine
-        construction, before any workload pokes memory."""
-        full = FullBitPlane()
-        for module in self.modules:
-            for address in module.full_bits:
-                full.add(address)
-            module.full_bits = full
-        kind = BankServeKind(self.sim, full)
-        return {module.server._complete: kind for module in self.modules}
-
-    # ------------------------------------------------------------------
     def peek(self, address):
         return self.modules[self.module_of(address)].peek(address)
 
@@ -216,158 +201,3 @@ class DancehallMemorySystem:
 
     def total_retries(self):
         return sum(m.counters["readf_retries"] for m in self.modules)
-
-
-# ----------------------------------------------------------------------
-# Batch execution mode (exec_mode="batch")
-# ----------------------------------------------------------------------
-
-class FullBitPlane:
-    """Full/empty bits as a dense numpy bool plane with a spill set.
-
-    Set-compatible (``in`` / ``add``) so it drops in for the per-module
-    ``full_bits`` set — word addresses are disjoint across modules, so
-    one plane serves a whole memory system and the batch bank kernel can
-    gather a run's full/empty bits in one vectorized indexing operation.
-    Non-int or out-of-range addresses spill to a plain set.
-    """
-
-    #: Addresses at or above this spill to the set (bounds the array).
-    DENSE_LIMIT = 1 << 22
-
-    __slots__ = ("bits", "spill")
-
-    def __init__(self, capacity=1024):
-        from ..common.batch import np
-
-        self.bits = np.zeros(capacity, dtype=bool)
-        self.spill = set()
-
-    def __contains__(self, address):
-        if type(address) is int and 0 <= address:
-            if address < len(self.bits):
-                return bool(self.bits[address])
-        return address in self.spill
-
-    def add(self, address):
-        if type(address) is int and 0 <= address < self.DENSE_LIMIT:
-            bits = self.bits
-            if address >= len(bits):
-                from ..common.batch import np
-
-                grown = np.zeros(
-                    max(address + 1, 2 * len(bits)), dtype=bool)
-                grown[: len(bits)] = bits
-                self.bits = bits = grown
-            bits[address] = True
-        else:
-            self.spill.add(address)
-
-    def __len__(self):
-        return int(self.bits.sum()) + len(self.spill)
-
-    def __iter__(self):
-        from ..common.batch import np
-
-        yield from (int(a) for a in np.flatnonzero(self.bits))
-        yield from self.spill
-
-
-class BankServeKind:
-    """Batched memory-bank request service.
-
-    A run holds at most one completion per bank (each
-    :class:`~repro.common.queueing.FifoServer` is busy until its
-    ``_complete`` fires), so addresses within a run are distinct and the
-    pre-pass can classify every request's opcode and gather the run's
-    full/empty bits from the shared :class:`FullBitPlane` in one
-    vectorized pass.  The replay then applies each request's exact
-    ``FifoServer._complete`` + ``MemoryModule._serve`` body in bucket
-    order.  Registered only when no fault injector is attached, so the
-    replay mirrors ``_serve`` with ``faults is None``.
-    """
-
-    name = "bank"
-    min_run = 8
-
-    def __init__(self, sim, full_bits):
-        from ..common.batch import np
-
-        self.sim = sim
-        self.full_bits = full_bits
-        self._np = np
-
-    def apply_run(self, bucket, start, end):
-        np = self._np
-        full_bits = self.full_bits
-        dense = full_bits.bits
-        limit = len(dense)
-        readf, writef = Op.READF, Op.WRITEF
-        # Prefetch pass: dense-range full/empty addresses of the run's
-        # READF/WRITEF requests, gathered from the bit plane in one
-        # vectorized indexing op and extracted back to python bools
-        # wholesale (tolist), so the replay never touches numpy scalars.
-        # Spilled/odd addresses fall back to scalar membership (None).
-        flags = {}
-        fe_j = []
-        fe_addrs = []
-        for j in range(start, end):
-            request = bucket[j][1][0][0]
-            op = request.op
-            if op is readf or op is writef:
-                address = request.address
-                if type(address) is int and 0 <= address < limit:
-                    fe_j.append(j)
-                    fe_addrs.append(address)
-                else:
-                    flags[j] = None
-        if fe_j:
-            for j, full in zip(
-                    fe_j, dense[np.array(fe_addrs, dtype=np.int64)].tolist()):
-                flags[j] = full
-        now = self.sim._now
-        for j in range(start, end):
-            fn, ((request, on_done), serve) = bucket[j]
-            server = fn.__self__
-            server.utilization.end(now)
-            server._busy = False
-            server.items_served += 1
-            module = serve.__self__
-            op = request.op
-            address = request.address
-            data = module.data
-            module.counters.add(op.value)
-            if op is Op.LOAD:
-                response = data.get(address, 0)
-            elif op is Op.STORE:
-                data[address] = request.value
-                response = None
-            elif op is readf:
-                full = flags[j]
-                if full is None:
-                    full = address in full_bits
-                if full:
-                    response = data.get(address, 0)
-                else:
-                    module.counters.add("readf_retries")
-                    response = RETRY
-            elif op is writef:
-                full = flags[j]
-                if full is None:
-                    full = address in full_bits
-                if full:
-                    module.counters.add("writef_overwrites")
-                data[address] = request.value
-                full_bits.add(address)
-                response = None
-            elif op is Op.TESTSET:
-                response = data.get(address, 0)
-                data[address] = 1
-            elif op is Op.FAA:
-                response = data.get(address, 0)
-                data[address] = response + request.value
-            else:
-                raise MachineError(f"{module.name}: not a memory op: {op}")
-            on_done(response)
-            if not server._busy:
-                server._start_next()

@@ -124,13 +124,6 @@ class MultithreadedProcessor:
                 return candidate
         return None
 
-    def batch_fns(self):
-        """Posted callbacks eligible for fused batching under
-        ``exec_mode="batch"``: the barrel's context pick and the issue
-        slot.  Both are self-contained per processor, so a fused run
-        replays them bit-for-bit."""
-        return (self._dispatch, self._execute)
-
     def _dispatch(self):
         if not self._running:
             return

@@ -62,14 +62,6 @@ class Processor:
         self.sim.post(delay, self._step)
 
     # ------------------------------------------------------------------
-    def batch_fns(self):
-        """Posted callbacks eligible for fused batching under
-        ``exec_mode="batch"``: the per-instruction step.  Memory
-        completions are batched on the bank side (the full/empty RETRY
-        classification in :meth:`_memory_done` consumes the responses the
-        bank kernel computed vectorized)."""
-        return (self._step,)
-
     def _step(self):
         if self.halted:
             return

@@ -1,5 +1,6 @@
 """Deterministic fault injection: plans, recovery, determinism contracts."""
 
+import hashlib
 import json
 
 import pytest
@@ -165,19 +166,69 @@ class TestMachineFaults:
 # Sweep determinism: faults are a pure function of the config
 # ---------------------------------------------------------------------------
 
-def fault_sweep_point(config):
-    """Module-level (picklable) worker: one e20-style grid point."""
-    level = config["level"]
-    faults = None if level == 0 else {
-        "seed": 11, "mem_slow_rate": 0.9, "mem_slow_cycles": level}
-    return registry.create("hep", faults=faults).run().as_dict()
+# (name, config, workload) — every registered machine, small instances.
+REGISTRY_RUNS = [
+    ("ttda", {"n_pes": 4}, {"workload": "matmul", "args": (3,)}),
+    ("ttda", {"n_pes": 8}, {"workload": "fib", "args": (8,)}),
+    ("hep", {"contexts": 4}, {}),
+    ("cmmp", {"n_procs": 4}, {"iterations": 8}),
+    ("cmstar", {}, {"n_refs": 8}),
+    ("ultracomputer", {"stages": 3}, {}),
+    ("connection_machine", {"groups_log2": 5}, {"rounds": 2}),
+    ("vliw", {}, {}),
+]
+
+FAULTS = {"seed": 11, "mem_slow_rate": 0.2, "mem_slow_cycles": 8,
+          "mem_fail_rate": 0.05}
+
+#: sha256 of each cell's canonical ``as_dict()`` JSON, grid order
+#: (REGISTRY_RUNS x {faults off, faults on}).  A digest that moves means
+#: a model's results moved: re-record only for an intended change.
+REGISTRY_DIGESTS = [
+    "06193d9808e48a853fb01453ed9fd1993b8fa66433ee655ff9abf929b9872bde",
+    "62c4fdcb87fdf7f2e75fdae0a54eb579911cbcac2b4c14c85dcd898244408f0d",
+    "05407ef86b96068d3a47c08686f1c4771dbef56fcde79a1f9bdc55d71d720abc",
+    "5fdcd3b8f04162417be92c0430003c7deb9bdf1ad8fd524bee6abe9ac0186ee5",
+    "edc0e8b93604acbe193339d7af7f31e1ff7f1681df8126a25e757fa2e6d46d53",
+    "59b7e44f1189a7618089ca36b3dbecb2c2d1c6d6e833808cbe08fc57b53ffa3f",
+    "5dc52f847fa2537215a1ce3278d26eac855e3766d3396aac26cc32980e9d26d1",
+    "a5269357fc0f9422935519a88a1e6879cea40332fbbe1fcf1c0a1e954a75f02f",
+    "e8da680243f48015750c4a40e411a8da28db14ce2d459dbf97bb58b9055652ae",
+    "3802951eb6a722035d9192556fc9080ad68457538cc9e72c111823e4e3add8ac",
+    "7ac754699aad09bce511cc30b6432c91db941e83439617bd8996ba8b2bcf9256",
+    "a27218417f6a77b1c3a99ae8d5eda7bc12281243447c166905cb761573131586",
+    "53f1bde8a1805c3c1520e73c6348cf02c776f8b8a8efd19fda4e3fb2d7d993ac",
+    "23d9b4e6dd9aad6d74b1a00acaca77f2c20752eb04c2438373cd200595e3e5a3",
+    "b440a9cbd681bf1ac27e9cd69863c7844803f38b92aa15463f167413d25292e2",
+    "8a609c7a8b87999e95bf0a58995c41bbe58dc1d8983ad3cdeb4c44e741d6caf6",
+]
+
+
+def registry_point(config):
+    """Module-level (picklable) worker: one registry machine, with or
+    without the fault plan."""
+    name, machine_config, workload = REGISTRY_RUNS[config["case"]]
+    if config["faults"]:
+        machine_config = dict(machine_config, faults=FAULTS)
+    return registry.create(name, **machine_config).run(**workload).as_dict()
+
+
+def _digest(value):
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"),
+                           default=repr)
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class TestSweepDeterminism:
     def test_jobs0_and_jobs2_are_byte_identical(self):
+        """The differential gate: every registered machine x {faults
+        off, on}, inline and on two workers, byte-identical to each
+        other and to the recorded digests."""
         experiment = Experiment(
-            name="fault_sweep", run=fault_sweep_point,
-            grid=[{"level": level} for level in (0, 64, 256)])
+            name="registry_sweep", run=registry_point,
+            grid=[{"case": case, "faults": faults}
+                  for case in range(len(REGISTRY_RUNS))
+                  for faults in (False, True)])
         inline = run_experiment(experiment, jobs=0)
         workers = run_experiment(experiment, jobs=2)
         assert all(record.ok for record in inline + workers)
@@ -185,6 +236,8 @@ class TestSweepDeterminism:
                            default=repr)
                 == json.dumps(records_payload(workers), sort_keys=True,
                               default=repr))
+        assert [_digest(record.value) for record in inline] == \
+            REGISTRY_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Tests for the survey machine models (C.mmp, Cm*, Ultracomputer, VLIW,
 Connection Machine / Illiac IV), driven through the unified registry API."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.dataflow import Interpreter
 from repro.machines import IlliacIV, registry, schedule_length
 from repro.workloads.handbuilt import build_array_pipeline, build_sum_loop
@@ -23,6 +28,21 @@ class TestRegistry:
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(KeyError, match="ultracomputer"):
             registry.get("ultra")
+
+    def test_running_every_model_leaves_numpy_unimported(self):
+        # numpy is a test-only dependency: no model may pull it in.
+        script = (
+            "import sys\n"
+            "from repro.machines import registry\n"
+            "for name in registry.names():\n"
+            "    registry.create(name).run()\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestCmmp:

@@ -205,8 +205,10 @@ class TestHierarchical:
 
 
 class TestOmega:
-    def _run_hotspot(self, stages, combining, n_requesters=None):
-        """All processors FETCH-AND-ADD the same address once."""
+    def _run_hotspot(self, stages, combining, n_requesters=None,
+                     requests_per_port=1):
+        """All processors FETCH-AND-ADD the same address
+        ``requests_per_port`` times each."""
         sim = Simulator()
         net = CombiningOmegaNetwork(sim, stages, combining=combining)
         n = net.n_ports if n_requesters is None else n_requesters
@@ -223,17 +225,25 @@ class TestOmega:
             net.attach_processor(
                 port, lambda payload, value: replies.append(value)
             )
-        for src in range(n):
-            net.request(src, FetchAddRequest(address=0, value=1))
+        for _ in range(requests_per_port):
+            for src in range(n):
+                net.request(src, FetchAddRequest(address=0, value=1))
         sim.run()
         return net, memory, replies
 
-    @pytest.mark.parametrize("combining", [True, False])
-    def test_fetch_and_add_is_serializable(self, combining):
-        net, memory, replies = self._run_hotspot(3, combining)
-        # Sum is preserved and the returned values are a permutation of 0..n-1
-        assert memory[0] == 8
-        assert sorted(replies) == list(range(8))
+    @pytest.mark.parametrize("combining,rpp", [
+        pytest.param(c, rpp, id=str(c) if rpp == 1 else f"{c}-rpp{rpp}")
+        for rpp in (1, 2, 3) for c in (True, False)])
+    def test_fetch_and_add_is_serializable(self, combining, rpp):
+        # rpp >= 2 queues combined packets behind each other, so a
+        # combined packet can combine again at the same switch output.
+        net, memory, replies = self._run_hotspot(
+            3, combining, requests_per_port=rpp)
+        # Sum is preserved and the returned values are a permutation of
+        # 0..n*rpp-1
+        assert memory[0] == 8 * rpp
+        assert sorted(replies) == list(range(8 * rpp))
+        assert net.counters["combines"] == net.counters["splits"]
 
     def test_combining_happens_on_hot_spot(self):
         net, _, _ = self._run_hotspot(4, combining=True)

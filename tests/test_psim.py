@@ -2,15 +2,14 @@
 
 The contract under test, in order of importance:
 
-1. **Byte-identity** — in the default ``sequenced`` mode, every machine
-   result (metrics, counters, accounting) is byte-for-byte the serial
-   calendar kernel's, across shard counts and with fault plans active.
-2. **Conservative synchronization** — window/thread modes drain only
-   below the inbound channel horizons, null clock updates break the
-   two-shard waiting ring, and zero-lookahead links are rejected.
+1. **Byte-identity** — every machine result (metrics, counters,
+   accounting) is byte-for-byte the serial calendar kernel's, across
+   shard counts and with fault plans active.
+2. **Channel contract** — cross-shard posts need a declared channel and
+   at least its lookahead, and zero-lookahead links are rejected.
 3. **Selection and validation** — ``shards`` resolves and validates
-   through ``resolve_kernel``/``resolve_shards`` exactly like the PR 4
-   kernel switch, env var included.
+   through ``resolve_kernel``/``resolve_shards`` exactly like the
+   ``kernel=`` switch, env var included.
 """
 
 import json
@@ -155,13 +154,14 @@ class TestKernelSelection:
             ShardedSimulator(shards=0)
         with pytest.raises(SimulationError):
             ShardedSimulator(shards=2.0)
-        with pytest.raises(SimulationError):
-            ShardedSimulator(shards=2, mode="optimistic")
+        # Dispatch is always sequenced; there is no mode to choose.
+        with pytest.raises(TypeError):
+            ShardedSimulator(shards=2, mode="window")
 
 
-def two_shard_ring(mode, hops=25, lookahead=2.0):
+def two_shard_ring(hops=25, lookahead=2.0):
     """A waiting cycle: each shard only ever has work the other sends."""
-    sim = ShardedSimulator(shards=2, mode=mode)
+    sim = ShardedSimulator(shards=2)
     left, right = object(), object()
     sim.configure_shards(
         [(left, 0), (right, 1)],
@@ -180,25 +180,16 @@ def two_shard_ring(mode, hops=25, lookahead=2.0):
 
 
 class TestConservativeProtocol:
-    @pytest.mark.parametrize("mode", ["window", "thread"])
-    def test_null_messages_break_the_ring(self, mode):
-        """Without null clock updates the two-shard ring deadlocks —
-        each shard's horizon starts at the channel lookahead and only
-        promises advance it."""
-        sim, hits = two_shard_ring(mode)
+    def test_two_shard_ring_crosses_channels(self):
+        """Every hop of the ring is a cross-shard channel message, and
+        each lands exactly one lookahead after it was sent."""
+        sim, hits = two_shard_ring()
         assert [hop for (_, hop) in hits] == list(range(26))
         assert [t for (t, _) in hits] == [2.0 * hop for hop in range(26)]
         stats = sim.kernel_stats()
         assert stats["channel_messages"] == 25
-        assert stats["null_updates"] > 0
-        assert stats["rounds"] >= 25
-
-    @pytest.mark.parametrize("mode", ["window", "thread"])
-    def test_window_matches_thread_and_repeats(self, mode):
-        first = two_shard_ring(mode)[1]
-        second = two_shard_ring(mode)[1]
-        assert first == second
-        assert first == two_shard_ring("window")[1]
+        assert stats["shard_events"] == [13, 13]
+        assert two_shard_ring()[1] == hits
 
     def test_zero_lookahead_rejected(self):
         sim = ShardedSimulator(shards=2)
@@ -208,7 +199,7 @@ class TestConservativeProtocol:
             sim.configure_shards([], [(1, 0, -1.0)])
 
     def test_cross_shard_post_needs_a_channel(self):
-        sim = ShardedSimulator(shards=2, mode="window")
+        sim = ShardedSimulator(shards=2)
         a, b = object(), object()
         sim.configure_shards([(a, 0), (b, 1)], {(0, 1): 1.0})
 
@@ -220,7 +211,7 @@ class TestConservativeProtocol:
             sim.run()
 
     def test_cross_shard_post_below_lookahead_rejected(self):
-        sim = ShardedSimulator(shards=2, mode="window")
+        sim = ShardedSimulator(shards=2)
         a, b = object(), object()
         sim.configure_shards([(a, 0), (b, 1)],
                              {(0, 1): 4.0, (1, 0): 4.0})
