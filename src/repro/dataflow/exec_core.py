@@ -79,13 +79,17 @@ class ProgramResult:
     value: object
 
 
-def assemble_operands(instruction, by_port):
+def assemble_operands(instruction, by_port, arity=None):
     """Build the full operand list, folding in the immediate if any.
 
     ``by_port`` maps port number -> value for the token-fed ports.
+    ``arity`` is ``instruction.natural_arity``, passed in by callers that
+    have it decoded already.
     """
+    if arity is None:
+        arity = instruction.natural_arity
     operands = []
-    for port in range(instruction.natural_arity):
+    for port in range(arity):
         if port == instruction.constant_port:
             operands.append(instruction.constant)
         else:

@@ -20,7 +20,7 @@ from collections import deque
 
 from ..common.errors import DeadlockError, MachineError
 from ..common.stats import Counter
-from ..graph.opcodes import OPCODE_CLASS
+from ..graph.opcodes import CLASS_COUNTER
 from ..istructure.heap import Allocator
 from ..istructure.store import DEFERRED, IStructureModule
 from .exec_core import (
@@ -148,7 +148,7 @@ class Interpreter:
         done = ts + 1
         self.parallelism_profile[done] = self.parallelism_profile.get(done, 0) + 1
         self.counters.add("executed")
-        self.counters.add(f"class_{OPCODE_CLASS[instruction.opcode].value}")
+        self.counters.add(CLASS_COUNTER[instruction.opcode])
         for effect in effects:
             self._apply(effect, done)
 

@@ -25,7 +25,7 @@ from ..network.ideal import IdealNetwork
 from ..faults import coerce_plan
 from ..obs import MetricsRegistry, TraceBus
 from .mapping import HashMapping
-from .pe import ProcessingElement
+from .pe import DecodedInstruction, ProcessingElement
 from .tags import intern_tag, reset_intern_table
 from .trace import TraceLog
 from .token import Token, TokenKind
@@ -167,7 +167,7 @@ class TaggedTokenMachine:
         )
         if self.faults is not None:
             self.network.faults = self.faults
-        # (code_block, statement) -> (instruction, nt), shared by every PE
+        # (code_block, statement) -> DecodedInstruction, shared by every PE
         # and the injection path.  The program is frozen once the machine
         # runs, so the memoization is safe for the machine's lifetime.
         self._instr_cache = {}
@@ -260,13 +260,20 @@ class TaggedTokenMachine:
             topo.shard_links(assignment),
         )
 
-    def _inject(self, tag, port, value):
-        key = (tag.code_block, tag.statement)
+    def _decoded(self, code_block, statement):
+        """The :class:`DecodedInstruction` for one statement, built on
+        first use."""
+        key = (code_block, statement)
         entry = self._instr_cache.get(key)
         if entry is None:
-            instruction = self.program.instruction(*key)
-            entry = self._instr_cache[key] = (instruction, instruction.nt)
-        token = Token(tag, port, value, TokenKind.NORMAL, nt=entry[1])
+            entry = self._instr_cache[key] = DecodedInstruction(
+                self.program.instruction(code_block, statement)
+            )
+        return entry
+
+    def _inject(self, tag, port, value):
+        entry = self._decoded(tag.code_block, tag.statement)
+        token = Token(tag, port, value, TokenKind.NORMAL, nt=entry.nt)
         pe = self.mapping.pe_of(tag)
         target = self.pes[pe]
         self.sim.post_to(target, 0, target.receive, token.routed_to(pe))

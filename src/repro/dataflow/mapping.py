@@ -14,27 +14,48 @@ import zlib
 __all__ = ["stable_tag_key", "HashMapping", "ByContextMapping"]
 
 
-def _mix(h, value):
-    return (h * 1000003 ^ value) & 0xFFFFFFFF
+#: crc32 of each code-block name, the one per-block input to the key.
+#: Keyed by the name string, so it holds no program alive; bounded, and
+#: cleared wholesale on overflow (a pure cache: values never change).
+_BLOCK_CRC = {}
+_BLOCK_CRC_MAX = 1 << 12
+
+
+def _block_crc(name):
+    crc = _BLOCK_CRC.get(name)
+    if crc is None:
+        if len(_BLOCK_CRC) >= _BLOCK_CRC_MAX:
+            _BLOCK_CRC.clear()
+        crc = _BLOCK_CRC[name] = zlib.crc32(name.encode("utf-8"))
+    return crc
 
 
 def stable_tag_key(tag):
     """A deterministic 32-bit key for a tag (recursing through contexts).
 
-    The key is a pure function of the tag's structure, so it is memoized
-    on the tag itself (``Tag._map_key``) — with interned tags the mapping
-    policy pays the chain walk once per distinct activity name instead of
-    once per routed token.
+    Each chain node folds (crc32 of its code block, statement, iteration)
+    into the key with ``h = (h * 1000003 ^ value) & 0xFFFFFFFF``.  The key
+    is a pure function of the tag's structure, so it is memoized on the
+    tag itself (``Tag._map_key``) — with interned tags the mapping policy
+    pays the chain walk once per distinct activity name instead of once
+    per routed token.
     """
-    cached = getattr(tag, "_map_key", None)
+    try:
+        cached = tag._map_key
+    except AttributeError:  # a non-Tag stand-in without the cache slot
+        cached = None
     if cached is not None:
         return cached
+    crcs = _BLOCK_CRC
     h = 0x811C9DC5
     node = tag
     while node is not None:
-        h = _mix(h, zlib.crc32(node.code_block.encode("utf-8")))
-        h = _mix(h, node.statement)
-        h = _mix(h, node.iteration)
+        crc = crcs.get(node.code_block)
+        if crc is None:
+            crc = _block_crc(node.code_block)
+        h = (h * 1000003 ^ crc) & 0xFFFFFFFF
+        h = (h * 1000003 ^ node.statement) & 0xFFFFFFFF
+        h = (h * 1000003 ^ node.iteration) & 0xFFFFFFFF
         node = node.context
     try:
         object.__setattr__(tag, "_map_key", h)
@@ -75,9 +96,12 @@ class ByContextMapping:
 
     def pe_of(self, tag):
         context_key = stable_tag_key(tag.context) if tag.context else 0
-        h = _mix(context_key, zlib.crc32(tag.code_block.encode("utf-8")))
+        crc = _BLOCK_CRC.get(tag.code_block)
+        if crc is None:
+            crc = _block_crc(tag.code_block)
+        h = (context_key * 1000003 ^ crc) & 0xFFFFFFFF
         if self.spread_iterations:
-            h = _mix(h, tag.iteration)
+            h = (h * 1000003 ^ tag.iteration) & 0xFFFFFFFF
         return h % self.n_pes
 
     def __repr__(self):

@@ -26,7 +26,7 @@ controller (d=2 traffic — here, structure allocation).
 from ..common.errors import MachineError
 from ..common.queueing import FifoServer
 from ..common.stats import Counter, TimeWeighted
-from ..graph.opcodes import OPCODE_CLASS
+from ..graph.opcodes import CLASS_COUNTER
 from ..istructure.controller import IStructureController, ReadRequest, WriteRequest
 from ..istructure.heap import interleave_home
 from .exec_core import (
@@ -40,7 +40,21 @@ from .exec_core import (
 )
 from .token import Token, TokenKind
 
-__all__ = ["ProcessingElement", "AllocRequest"]
+__all__ = ["ProcessingElement", "AllocRequest", "DecodedInstruction"]
+
+
+class DecodedInstruction:
+    """One statement as the fetch unit hands it to the ALU, decoded once
+    per machine: the instruction plus what every firing of it needs and
+    no firing can change (the program is frozen once the machine runs)."""
+
+    __slots__ = ("instruction", "nt", "arity", "class_counter")
+
+    def __init__(self, instruction):
+        self.instruction = instruction
+        self.nt = instruction.nt
+        self.arity = instruction.natural_arity
+        self.class_counter = CLASS_COUNTER[instruction.opcode]
 
 
 class AllocRequest:
@@ -99,9 +113,7 @@ class ProcessingElement:
         # -(nt-1) on match) so capacity checks and occupancy samples are
         # O(1) instead of a sum over the associative store.
         self._waiting = 0
-        # (code_block, statement) -> (instruction, nt), shared machine-wide.
-        # ``Instruction.nt`` is a recomputed property and the program is
-        # frozen once the machine runs, so both are safe to memoize.
+        # (code_block, statement) -> DecodedInstruction, shared machine-wide.
         self._instr_cache = machine._instr_cache
         self._wm_time = config.wm_time
         self._wm_capacity = config.wm_capacity
@@ -199,15 +211,6 @@ class ProcessingElement:
     # ------------------------------------------------------------------
     # Instruction fetch and ALU
     # ------------------------------------------------------------------
-    def _instruction_entry(self, code_block, statement):
-        """The (instruction, nt) pair for one statement, memoized."""
-        key = (code_block, statement)
-        entry = self._instr_cache.get(key)
-        if entry is None:
-            instruction = self.machine.program.instruction(code_block, statement)
-            entry = self._instr_cache[key] = (instruction, instruction.nt)
-        return entry
-
     def _fetched(self, enabled):
         if self._faults is not None:
             self._fetched_faulty(enabled)
@@ -215,8 +218,8 @@ class ProcessingElement:
         tag, by_port, cause = enabled
         entry = self._instr_cache.get((tag.code_block, tag.statement))
         if entry is None:
-            entry = self._instruction_entry(tag.code_block, tag.statement)
-        self.alu.submit((entry[0], tag, by_port, cause), self._executed)
+            entry = self.machine._decoded(tag.code_block, tag.statement)
+        self.alu.submit((entry, tag, by_port, cause), self._executed)
 
     def _fetched_faulty(self, enabled):
         """The :meth:`_fetched` path with PE fault injection.
@@ -232,9 +235,9 @@ class ProcessingElement:
         )
         entry = self._instr_cache.get((tag.code_block, tag.statement))
         if entry is None:
-            entry = self._instruction_entry(tag.code_block, tag.statement)
+            entry = self.machine._decoded(tag.code_block, tag.statement)
         if verdict is None:
-            self.alu.submit((entry[0], tag, by_port, cause), self._executed)
+            self.alu.submit((entry, tag, by_port, cause), self._executed)
             return
         kind, cycles = verdict
         if kind == "crash":
@@ -248,17 +251,18 @@ class ProcessingElement:
             return
         # Stall: the instruction occupies the ALU longer.
         self.counters.add("fault_stalls")
-        self.alu.submit((entry[0], tag, by_port, cause), self._executed,
+        self.alu.submit((entry, tag, by_port, cause), self._executed,
                         service_time=self._alu_time + cycles)
 
     def _executed(self, work):
-        instruction, tag, by_port, cause = work
+        entry, tag, by_port, cause = work
+        instruction = entry.instruction
         machine = self.machine
-        operands = assemble_operands(instruction, by_port)
+        operands = assemble_operands(instruction, by_port, entry.arity)
         effects = execute(machine.program, instruction, tag, operands)
         counters = self.counters
         counters.add("instructions")
-        counters.add(f"class_{OPCODE_CLASS[instruction.opcode].value}")
+        counters.add(entry.class_counter)
         bus = machine._bus
         if bus is not None and bus.enabled:
             # dur = the ALU slice just finished; the Chrome exporter
@@ -279,9 +283,9 @@ class ProcessingElement:
             etag = effect.tag
             entry = self._instr_cache.get((etag.code_block, etag.statement))
             if entry is None:
-                entry = self._instruction_entry(etag.code_block, etag.statement)
+                entry = self.machine._decoded(etag.code_block, etag.statement)
             token = Token(etag, effect.port, effect.value,
-                          TokenKind.NORMAL, nt=entry[1], cause=cause)
+                          TokenKind.NORMAL, nt=entry.nt, cause=cause)
             self.output.submit(token, self._route)
         elif isinstance(effect, StructureRead):
             for reply_tag, reply_port in effect.replies:
@@ -338,11 +342,11 @@ class ProcessingElement:
                 if eid is not None:
                     cause = eid
             for reply_tag, reply_port in request.replies:
-                entry = self._instruction_entry(
+                entry = self.machine._decoded(
                     reply_tag.code_block, reply_tag.statement
                 )
                 token = Token(reply_tag, reply_port, ref, TokenKind.NORMAL,
-                              nt=entry[1], cause=cause)
+                              nt=entry.nt, cause=cause)
                 self.output.submit(token, self._route)
         else:
             raise MachineError(f"pe{self.pe}: unknown control request {request!r}")
@@ -357,18 +361,18 @@ class ProcessingElement:
         reply_tag, reply_port = reply
         entry = self._instr_cache.get((reply_tag.code_block, reply_tag.statement))
         if entry is None:
-            entry = self._instruction_entry(reply_tag.code_block,
-                                            reply_tag.statement)
+            entry = self.machine._decoded(reply_tag.code_block,
+                                          reply_tag.statement)
         # The controller sets reply_cause synchronously right before each
         # deliver call, so this read is race-free under the event kernel.
         token = Token(reply_tag, reply_port, value, TokenKind.NORMAL,
-                      nt=entry[1], cause=self.istructure.reply_cause)
+                      nt=entry.nt, cause=self.istructure.reply_cause)
         self.output.submit(token, self._route)
 
     # ------------------------------------------------------------------
     def alu_utilization(self, until=None):
         now = self.machine.sim.now if until is None else until
-        return self.alu.utilization.utilization(now)
+        return self.alu.utilization(now)
 
     def __repr__(self):
         return (

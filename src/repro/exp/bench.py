@@ -21,7 +21,7 @@ import sys
 import time
 
 from .cache import ResultCache, invalidate_fingerprints, resolve_cache_dir
-from .engine import run_experiment
+from .engine import host_cpus, run_experiment
 from .experiment import Experiment
 from .tables import payload_to_table, table_rows, table_to_payload
 
@@ -29,16 +29,6 @@ __all__ = ["build_experiment", "find_bench_dir", "host_cpus", "run_suite"]
 
 #: Seconds one benchmark run may take before it is terminated + retried.
 DEFAULT_TIMEOUT = 300.0
-
-
-def host_cpus():
-    """CPUs this process may run on (its affinity mask), which is what
-    bounds a sweep's parallelism; ``os.cpu_count()`` counts the whole
-    machine."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
 
 
 def find_bench_dir(start=None):
@@ -212,7 +202,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
         "experiments": telemetry,
         "failures": failures,
         "meta": {
-            "jobs": jobs if jobs is not None else (os.cpu_count() or 1),
+            "jobs": jobs if jobs is not None else host_cpus(),
             "cache": (None if cache is None else
                       {"root": cache.root, "hits": cache.hits,
                        "misses": cache.misses}),

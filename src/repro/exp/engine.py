@@ -41,7 +41,7 @@ from typing import Any, Optional
 from .cache import config_key, repro_fingerprint
 
 __all__ = ["RunRecord", "TaskQueue", "experiment_code_version",
-           "records_payload", "run_experiment"]
+           "host_cpus", "records_payload", "run_experiment"]
 
 #: Statuses a run can end in.  ``ok`` is the only cached one.
 #: ``fatal`` marks operator interrupts / resource exhaustion inside a
@@ -288,12 +288,22 @@ def _emit(bus, clock_start, kind, detail="", **fields):
                  detail, **fields)
 
 
+def host_cpus():
+    """CPUs this process may run on (its affinity mask), which is what
+    bounds a sweep's parallelism; ``os.cpu_count()`` counts the whole
+    machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def run_experiment(experiment, jobs=None, cache=None, timeout=None,
                    retries=DEFAULT_RETRIES, bus=None, progress=None):
     """Execute every config in ``experiment.grid``; returns RunRecords
     in grid order.
 
-    ``jobs``: worker processes (default ``os.cpu_count()``); ``0`` runs
+    ``jobs``: worker processes (default :func:`host_cpus`); ``0`` runs
     the grid inline in this process (no isolation, no timeout — the
     debugging path).  ``timeout``: seconds per attempt (spawn + import
     + run); an expired worker is terminated and the run retried up to
@@ -305,7 +315,7 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     finished :class:`RunRecord`.
     """
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = host_cpus()
     clock_start = time.monotonic()
     code_version = (experiment_code_version(experiment)
                     if cache is not None else None)

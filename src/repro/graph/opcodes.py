@@ -27,6 +27,7 @@ __all__ = [
     "Opcode",
     "OpcodeClass",
     "OPCODE_CLASS",
+    "CLASS_COUNTER",
     "PURE_BINARY",
     "PURE_UNARY",
     "arity_of",
@@ -182,6 +183,10 @@ OPCODE_CLASS.update(
         Opcode.I_STORE: OpcodeClass.STRUCTURE,
     }
 )
+
+#: The per-class instruction counter each engine bumps on every firing
+#: (``class_pure``, ``class_tag``, ...), built once so neither formats it.
+CLASS_COUNTER = {op: f"class_{cls.value}" for op, cls in OPCODE_CLASS.items()}
 
 
 def arity_of(opcode):

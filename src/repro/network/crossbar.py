@@ -53,4 +53,4 @@ class CrossbarNetwork(Network):
     def output_utilization(self):
         """Per-output-port utilization at the current simulated time."""
         now = self.sim.now
-        return [port.utilization.utilization(now) for port in self.output_ports]
+        return [port.utilization(now) for port in self.output_ports]

@@ -88,7 +88,7 @@ class HierarchicalNetwork(Network):
     # ------------------------------------------------------------------
     def kmap_utilization(self):
         now = self.sim.now
-        return [k.utilization.utilization(now) for k in self.kmaps]
+        return [k.utilization(now) for k in self.kmaps]
 
     def bus_utilization(self):
-        return self.intercluster_bus.utilization.utilization(self.sim.now)
+        return self.intercluster_bus.utilization(self.sim.now)

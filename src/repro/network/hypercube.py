@@ -159,7 +159,7 @@ class HypercubeNetwork(Network):
         """Mean utilization across all live links at the current time."""
         now = self.sim.now
         values = [
-            server.utilization.utilization(now)
+            server.utilization(now)
             for key, server in self.links.items()
             if key not in self._dead_links
         ]

@@ -209,7 +209,7 @@ def ttda_accounting(machine, window=None):
     for pe in machine.pes:
         for suffix, attr, bucket in _TTDA_STAGE_BUCKETS:
             server = getattr(pe, attr)
-            busy = server.utilization.busy_time(now)
+            busy = server.busy_time(now)
             units.append(unit_account(f"pe{pe.pe}.{suffix}", now,
                                       **{bucket: busy}))
         isc_busy = pe.istructure.utilization.busy_time(now)
@@ -257,7 +257,7 @@ def ultra_accounting(net, servers, window, name="ultracomputer"):
     """
     units = []
     for server in servers:
-        busy = server.utilization.busy_time(window)
+        busy = server.busy_time(window)
         units.append(unit_account(server.name, window, memory_stall=busy))
     for (stage, rail), switch in sorted(net._switches.items()):
         busy = switch.utilization.busy_time(window)

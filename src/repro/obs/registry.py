@@ -1,12 +1,13 @@
 """A hierarchical registry over the existing measurement primitives.
 
-Every machine model already records measurements with the
-:mod:`repro.common.stats` primitives — ``Counter`` bundles, per-unit
-``UtilizationTracker``/``TimeWeighted`` instances inside ``FifoServer``,
-latency ``Histogram``s inside networks.  What was missing is one place
-that knows where they all live.  ``MetricsRegistry`` holds *references*
-to live instruments under hierarchical dotted names (``pe0.alu``,
-``net.latency``, ``proc3``) and renders them all with a single
+Every machine model already records measurements: ``Counter`` bundles,
+``UtilizationTracker``/``TimeWeighted`` instances from
+:mod:`repro.common.stats`, latency ``Histogram``s inside networks, and
+the served count, busy time and queue depth each ``FifoServer`` keeps
+in its own slots.  What was missing is one place that knows where they
+all live.  ``MetricsRegistry`` holds *references* to live instruments
+under hierarchical dotted names (``pe0.alu``, ``net.latency``,
+``proc3``) and renders them all with a single
 :meth:`snapshot` call into a flat, JSON-ready, deterministically ordered
 dict — no instrument is copied or wrapped, so registering costs nothing
 during the simulation itself.
@@ -86,15 +87,11 @@ class MetricsRegistry:
                 flat[f"{name}.utilization"] = instrument.utilization(now)
         elif isinstance(instrument, FifoServer):
             flat[f"{name}.served"] = instrument.items_served
-            flat[f"{name}.queue_mean"] = instrument.queue_depth.mean(
-                end_time=now
-            )
-            flat[f"{name}.queue_max"] = instrument.queue_depth.max
-            flat[f"{name}.busy"] = instrument.utilization.busy_time(now)
+            flat[f"{name}.queue_mean"] = instrument.queue_mean(end_time=now)
+            flat[f"{name}.queue_max"] = instrument.queue_max
+            flat[f"{name}.busy"] = instrument.busy_time(now)
             if now is not None:
-                flat[f"{name}.utilization"] = (
-                    instrument.utilization.utilization(now)
-                )
+                flat[f"{name}.utilization"] = instrument.utilization(now)
         elif callable(instrument):
             flat[name] = instrument()
         else:

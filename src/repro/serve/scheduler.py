@@ -48,7 +48,8 @@ from typing import Any, Optional
 
 from ..exp.cache import config_key
 from ..exp.engine import (DEFAULT_RETRIES, RunRecord, TaskQueue,
-                          experiment_code_version, records_payload)
+                          experiment_code_version, host_cpus,
+                          records_payload)
 from ..obs.live import LiveMetrics
 from ..predict import OutOfRegionError, PredictPlane
 from .protocol import (SweepRequest, key_config, machine_plan,
@@ -173,7 +174,7 @@ class SweepScheduler:
         self.predict = (predict if predict is not None
                         else PredictPlane(bench_dir=bench_dir))
         self.size = max(1, workers if workers is not None
-                        else (os.cpu_count() or 2))
+                        else host_cpus())
         self.timeout = timeout
         self.retries = retries
         self.backup_fraction = backup_fraction

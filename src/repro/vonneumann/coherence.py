@@ -158,7 +158,7 @@ class SnoopyBusSystem:
 
     # ------------------------------------------------------------------
     def bus_utilization(self):
-        return self.bus.utilization.utilization(self.sim.now)
+        return self.bus.utilization(self.sim.now)
 
     def peek(self, address):
         return self.memory.peek(address)

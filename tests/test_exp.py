@@ -1,6 +1,9 @@
 """The sweep engine: grids, caching, timeouts, determinism, cell parsing."""
 
+import io
 import json
+import os
+import sys
 import time
 
 import pytest
@@ -344,3 +347,59 @@ class TestCacheDirResolution:
         second = run_experiment(experiment, jobs=0, cache=cache)
         assert not first[0].cached and second[0].cached
         assert (tmp_path / "redirect").is_dir()
+
+
+class TestDefaultJobs:
+    """With no ``jobs`` given, a sweep forks one worker per CPU the
+    process may run on (its affinity mask), not one per CPU the machine
+    has; the bench aggregate records that same number."""
+
+    @pytest.fixture
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+
+    def test_run_experiment_defaults_to_the_affinity_mask(self, one_cpu):
+        from repro.exp.bench import host_cpus
+        from repro.obs import TraceBus
+        from repro.obs.sinks import RingSink
+
+        assert host_cpus() == 1
+        sink = RingSink()
+        experiment = Experiment(name="sq", run=square, grid=grid(x=[2, 3]))
+        records = run_experiment(experiment, bus=TraceBus(sink))
+        assert [r.value for r in records] == [4, 9]
+        (begin,) = [e for e in sink.events if e.kind == "sweep_begin"]
+        assert begin.fields["jobs"] == 1
+
+    def test_bench_aggregate_records_the_default(self, one_cpu, monkeypatch,
+                                                 tmp_path):
+        from repro.exp.bench import run_suite
+
+        (tmp_path / "run_all.py").write_text(
+            'EXPERIMENTS = [("bench_tiny", [("table", "tiny")])]\n')
+        (tmp_path / "harness.py").write_text(
+            "def write_table(table, name, meta=None):\n    pass\n")
+        (tmp_path / "bench_tiny.py").write_text(
+            "from repro.analysis import Table\n\n"
+            "def table():\n"
+            "    t = Table('tiny', ['x'])\n"
+            "    t.add_row(1)\n"
+            "    return t\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        # run_suite imports run_all/harness by name: swap the real
+        # benchmark modules out for the stubs, and back in afterwards.
+        names = ("run_all", "harness", "bench_tiny")
+        saved = {n: sys.modules.pop(n) for n in names if n in sys.modules}
+        try:
+            aggregate = run_suite(no_cache=True, bench_dir=str(tmp_path),
+                                  err=io.StringIO())
+        finally:
+            for name in names:
+                sys.modules.pop(name, None)
+            sys.modules.update(saved)
+        assert not aggregate["failures"]
+        assert aggregate["meta"]["jobs"] == 1
+        assert aggregate["meta"]["host_cpus"] == 1

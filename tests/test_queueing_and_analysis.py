@@ -1,6 +1,9 @@
 """Tests for the FIFO server, result tables, sweeps and analytic models."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     Table,
@@ -16,6 +19,7 @@ from repro.analysis import (
 )
 from repro.common import Simulator
 from repro.common.queueing import FifoServer
+from repro.common.stats import TimeWeighted, UtilizationTracker
 
 
 class TestFifoServer:
@@ -59,8 +63,8 @@ class TestFifoServer:
         server.submit("a", lambda _: None)
         server.submit("b", lambda _: None)
         sim.run()
-        assert server.utilization.utilization(sim.now) == pytest.approx(1.0)
-        assert server.queue_depth.max == 1  # b waited while a served
+        assert server.utilization(sim.now) == pytest.approx(1.0)
+        assert server.queue_max == 1  # b waited while a served
 
     def test_idle_server_stays_idle(self):
         sim = Simulator()
@@ -68,6 +72,133 @@ class TestFifoServer:
         sim.run()
         assert not server.busy
         assert server.queued == 0
+
+
+class _OracleFifoServer:
+    """The FIFO server as it was built on the stats trackers: one
+    ``TimeWeighted`` queue depth updated on every push and pop, and one
+    ``UtilizationTracker`` with a begin/end pair per item.  FifoServer
+    keeps the same numbers in its own slots and must match this exactly."""
+
+    def __init__(self, sim, service_time):
+        self.sim = sim
+        self.service_time = service_time
+        self._queue = deque()
+        self._busy = False
+        self.queue_depth = TimeWeighted()
+        self.utilization = UtilizationTracker()
+        self.items_served = 0
+
+    def submit(self, item, on_done, service_time=None):
+        self._queue.append((item, on_done, service_time))
+        self.queue_depth.update(self.sim.now, len(self._queue))
+        if not self._busy:
+            self._start_next()
+
+    def _start_next(self):
+        if not self._queue:
+            return
+        item, on_done, service_time = self._queue.popleft()
+        now = self.sim.now
+        self.queue_depth.update(now, len(self._queue))
+        self._busy = True
+        self.utilization.begin(now)
+        duration = self.service_time if service_time is None else service_time
+        self.sim.post(duration, self._complete, item, on_done)
+
+    def _complete(self, item, on_done):
+        self.utilization.end(self.sim.now)
+        self._busy = False
+        self.items_served += 1
+        on_done(item)
+        if not self._busy:
+            self._start_next()
+
+
+def _oracle_stats(oracle, now):
+    depth, util = oracle.queue_depth, oracle.utilization
+    return (oracle.items_served, util.operations, util.busy_time(),
+            util.busy_time(now), util.utilization(now),
+            depth.mean(), depth.mean(end_time=now), depth.max, depth.current)
+
+
+def _server_stats(server, now):
+    return (server.items_served, server.operations, server.busy_time(),
+            server.busy_time(now), server.utilization(now),
+            server.queue_mean(), server.queue_mean(end_time=now),
+            server.queue_max, float(server.queued))
+
+
+#: Service and gap times, fractional ones included: 1/3 and 0.1 have no
+#: exact binary form, so any reordering of the float sums would show.
+_TIMES = st.sampled_from([0, 1, 2, 5, 1 / 3, 0.1, 0.25, 2.5, 7 / 3])
+
+#: One arrival: (gap after the previous one, service-time override or
+#: None, how many times on_done resubmits the item synchronously).
+_ARRIVALS = st.lists(
+    st.tuples(_TIMES, st.one_of(st.none(), _TIMES), st.integers(0, 2)),
+    max_size=12,
+)
+
+
+def _replay(make_server, stats, service_time, arrivals, probe_every):
+    """Drive one server through ``arrivals``; return every completion
+    and the server's statistics (read by ``stats``) after every event."""
+    sim = Simulator()
+    server = make_server(sim, service_time)
+    log = []
+
+    def record(event):
+        log.append((event, sim.now) + stats(server, sim.now))
+
+    def done(item):
+        name, override, resubmits = item
+        record(("done", name))
+        if resubmits:
+            server.submit((name + "'", override, resubmits - 1), done,
+                          service_time=override)
+            record(("resubmit", name))
+
+    def arrive(index, override, resubmits):
+        server.submit((str(index), override, resubmits), done,
+                      service_time=override)
+        record(("arrive", index))
+
+    at = 0
+    for index, (gap, override, resubmits) in enumerate(arrivals):
+        at += gap
+        sim.post_at(at, arrive, index, override, resubmits)
+    horizon = at + 40
+    probe = probe_every
+    while probe < horizon:  # mid-service readings
+        sim.post_at(probe, record, ("probe",))
+        probe += probe_every
+    sim.run()
+    return log
+
+
+class TestFifoServerMatchesTrackers:
+    @settings(max_examples=150, deadline=None)
+    @given(service_time=_TIMES.filter(lambda t: t > 0),
+           arrivals=_ARRIVALS,
+           probe_every=st.sampled_from([0.7, 1, 1 / 3]))
+    def test_every_event_matches_the_tracker_oracle(self, service_time,
+                                                    arrivals, probe_every):
+        ours = _replay(FifoServer, _server_stats, service_time, arrivals,
+                       probe_every)
+        oracle = _replay(_OracleFifoServer, _oracle_stats, service_time,
+                         arrivals, probe_every)
+        assert ours == oracle
+
+    def test_resubmission_behind_a_queue_keeps_fifo_order(self):
+        # "0" completes while "1" waits; its on_done resubmits "0'",
+        # which must queue behind "1" rather than jump it.
+        arrivals = [(0, None, 1), (0, 1 / 3, 0)]
+        ours = _replay(FifoServer, _server_stats, 0.1, arrivals, 0.7)
+        assert ours == _replay(_OracleFifoServer, _oracle_stats, 0.1,
+                               arrivals, 0.7)
+        done = [entry[0][1] for entry in ours if entry[0][0] == "done"]
+        assert done == ["0", "1", "0'"]
 
 
 class TestTable:
