@@ -3,12 +3,15 @@
 Run:  python benchmarks/run_all.py [--only SUBSTRING] [--jobs N]
                                    [--no-cache] [--timeout SECONDS]
 
-Execution is farmed out by the sweep engine in :mod:`repro.exp`:
-modules that declare ``SWEEPS`` run grid-parallel (one worker per
-parameter point), the rest run one table per worker, and every finished
-run is cached on disk (``benchmarks/.expcache``) keyed by a content hash
-of (config, code version) — so a second invocation is served almost
-entirely from cache and editing a module invalidates exactly its runs.
+Execution is farmed out by the sweep engine in :mod:`repro.exp`: every
+selected experiment is submitted to one persistent worker pool (the
+scheduler ``repro serve`` runs on); modules that declare ``SWEEPS`` run
+grid-parallel (one task per parameter point), the rest one task per
+table.  Every finished run is kept in the SQLite result store shared
+with ``repro serve`` and ``repro cache`` (``$REPRO_STORE``, default
+``~/.cache/repro/store.sqlite``), keyed by a content hash of (config,
+code version) — so a second invocation is served almost entirely from
+the store and editing a module invalidates exactly its runs.
 
 Each table is written as .txt + .json, and an aggregate telemetry file
 ``BENCH_results.json`` (experiment name, table shape, wall-clock seconds)

@@ -182,9 +182,10 @@ def build_parser():
                        help="run every simulation on the sharded parallel "
                             "kernel with N shards (sets REPRO_SIM_SHARDS; "
                             "tables stay byte-identical to serial runs)")
-    bench.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result-cache directory (default: "
-                            "$REPRO_EXP_CACHE or <benchmarks>/.expcache)")
+    bench.add_argument("--cache-dir", default=None, metavar="PATH",
+                       help="result store, shared with repro serve and "
+                            "repro cache (default: $REPRO_STORE or "
+                            "~/.cache/repro/store.sqlite)")
     bench.add_argument("--remote", default=None, metavar="URL",
                        help="run the suite against a repro serve "
                             "instance instead of in-process; tables are "
@@ -202,7 +203,8 @@ def build_parser():
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="pool size (default: cpu count)")
     serve.add_argument("--store", default=None, metavar="PATH",
-                       help="result store (default: $REPRO_STORE or "
+                       help="result store, shared with repro bench and "
+                            "repro cache (default: $REPRO_STORE or "
                             "~/.cache/repro/store.sqlite)")
     serve.add_argument("--no-store", action="store_true",
                        help="serve without a durable store (every cell "
@@ -317,17 +319,11 @@ def build_parser():
                                   "(bare numbers are seconds)")
     cache_clear = cache_sub.add_parser(
         "clear", help="drop every entry")
-    cache_ingest = cache_sub.add_parser(
-        "ingest", help="import a legacy .expcache directory's entries")
-    cache_ingest.add_argument("dir", help="directory cache to import, "
-                                          "e.g. benchmarks/.expcache")
-    for sub_parser in (cache_stats, cache_prune, cache_clear,
-                       cache_ingest):
+    for sub_parser in (cache_stats, cache_prune, cache_clear):
         sub_parser.add_argument(
             "--store", default=None, metavar="PATH",
-            help="store path (default: $REPRO_STORE or "
-                 "~/.cache/repro/store.sqlite; a legacy .expcache "
-                 "directory also works)")
+            help="store path, shared with repro bench and repro serve "
+                 "(default: $REPRO_STORE or ~/.cache/repro/store.sqlite)")
         sub_parser.add_argument("--json", action="store_true",
                                 help="machine-readable output")
 
@@ -1058,7 +1054,7 @@ def _cmd_top(options, out):
 
 
 def _cmd_cache(options, out):
-    """Inspect / prune / clear / ingest the durable result store."""
+    """Inspect / prune / clear the durable result store."""
     from .serve.store import open_store
 
     store = open_store(options.store)
@@ -1094,21 +1090,10 @@ def _cmd_cache(options, out):
             print(f"cleared {dropped} entr"
                   f"{'y' if dropped == 1 else 'ies'}", file=out)
             return 0
-        if options.cache_command == "ingest":
-            if not hasattr(store, "ingest_dir"):
-                raise SystemExit("ingest needs a SQLite store target "
-                                 "(--store pointing at a directory "
-                                 "cache cannot ingest)")
-            added = store.ingest_dir(options.dir)
-            print(f"ingested {added} entr"
-                  f"{'y' if added == 1 else 'ies'} from {options.dir}",
-                  file=out)
-            return 0
         raise SystemExit(f"unknown cache command "
                          f"{options.cache_command!r}")
     finally:
-        if hasattr(store, "close"):
-            store.close()
+        store.close()
 
 
 def _cmd_machine(options, out):

@@ -1,4 +1,4 @@
-"""The parallel sweep engine (batch scheduler + result cache).
+"""The parallel sweep engine (grids, executor, cache keys, bench suite).
 
 The paper's argument is carried by 19 parameter-sweep experiments; this
 package is the machinery that runs such sweeps without the reproduction
@@ -6,12 +6,14 @@ of a parallelism paper being itself embarrassingly sequential:
 
 * :class:`Experiment` — a parameter grid plus a pure
   ``run(config) -> value`` function (:mod:`repro.exp.experiment`);
-* :func:`run_experiment` — fans the grid out across ``multiprocessing``
-  workers with a per-run timeout, one retry, and structured failure rows
-  instead of crashed sweeps (:mod:`repro.exp.engine`);
-* :class:`ResultCache` — disk cache keyed by a content hash of
-  (experiment, config, code-version) so re-runs are incremental
-  (:mod:`repro.exp.cache`);
+* :func:`run_experiment` — runs the grid inline, or on the persistent
+  worker pool of :mod:`repro.serve.scheduler` with a per-run timeout,
+  one retry, and structured failure rows instead of crashed sweeps
+  (:mod:`repro.exp.engine`);
+* :func:`~repro.exp.cache.config_key` — the content hash of
+  (experiment, config, code-version) that results are stored under in
+  the SQLite store of :mod:`repro.serve.store`, so re-runs are
+  incremental (:mod:`repro.exp.cache`);
 * :mod:`repro.exp.bench` — the benchmark-suite orchestration behind
   ``repro bench`` and ``benchmarks/run_all.py``.
 
@@ -20,15 +22,13 @@ Progress and telemetry stream through the existing :mod:`repro.obs` bus
 See docs/EXPERIMENT_ENGINE.md.
 """
 
-from .cache import (ResultCache, code_fingerprint, invalidate_fingerprints,
-                    resolve_cache_dir)
+from .cache import code_fingerprint, invalidate_fingerprints
 from .engine import RunRecord, TaskQueue, records_payload, run_experiment
 from .experiment import Experiment, grid
 from .tables import parse_cell, payload_to_table, table_to_payload
 
 __all__ = [
     "Experiment",
-    "ResultCache",
     "RunRecord",
     "TaskQueue",
     "code_fingerprint",
@@ -37,7 +37,6 @@ __all__ = [
     "parse_cell",
     "payload_to_table",
     "records_payload",
-    "resolve_cache_dir",
     "run_experiment",
     "table_to_payload",
 ]

@@ -4,10 +4,14 @@
 The suite definition (which modules, which table-producing functions)
 lives in ``benchmarks/run_all.py`` as the ``EXPERIMENTS`` list.  A bench
 module may additionally publish ``SWEEPS = {table_name: Experiment}``;
-those tables are executed *grid-parallel* — one worker per grid point —
+those tables are executed *grid-parallel* — one task per grid point —
 while the rest run as single-config experiments (the whole table in one
-worker).  Either way every run flows through the same scheduler, cache,
-timeout and telemetry machinery in :mod:`repro.exp.engine`.
+task).  With ``jobs >= 1`` every selected table is submitted up front to
+one :class:`~repro.serve.scheduler.SweepScheduler` pool, so cells of
+later experiments keep workers busy that a single-cell experiment would
+leave idle; ``jobs=0`` runs them one after another inline.  Either way
+results are read from and written to the SQLite store
+(:mod:`repro.serve.store`) that ``repro serve`` and ``repro cache`` use.
 
 Results land exactly where the serial runner put them: a ``.txt`` +
 ``.json`` pair per table under ``benchmarks/results/`` and the aggregate
@@ -20,7 +24,7 @@ import os
 import sys
 import time
 
-from .cache import ResultCache, invalidate_fingerprints, resolve_cache_dir
+from .cache import invalidate_fingerprints
 from .engine import host_cpus, run_experiment
 from .experiment import Experiment
 from .tables import payload_to_table, table_rows, table_to_payload
@@ -101,9 +105,47 @@ def build_experiment(module, fn_name, out_name):
     ), False
 
 
-def _build_experiment(bench_dir, module_name, fn_name, out_name):
-    return build_experiment(importlib.import_module(module_name),
-                            fn_name, out_name)
+def _run_inline(selected, store, bus):
+    """``--jobs 0``: each experiment in turn, inline in this process."""
+    for module_name, fn_name, out_name in selected:
+        experiment, _ = build_experiment(
+            importlib.import_module(module_name), fn_name, out_name)
+        start = time.time()
+        records = run_experiment(experiment, jobs=0, cache=store, bus=bus)
+        wall = time.time() - start
+        yield module_name, out_name, experiment, records, wall
+
+
+def _run_pooled(selected, bench_dir, jobs, store, timeout, bus, faults):
+    """``--jobs N``: every experiment submitted up front to one pool of
+    N workers, then awaited in suite order.  An experiment's wall is its
+    own span (first dispatch to last cell), not its time in the queue.
+
+    No backup copies: cells are deterministic, so a copy only duplicates
+    work while holding a worker a later experiment's cell could use."""
+    from ..serve.scheduler import SweepScheduler
+
+    pool = SweepScheduler(store=store, workers=jobs, timeout=timeout,
+                          bus=bus, bench_dir=bench_dir)
+    try:
+        # Submitting imports every bench module.  It must finish before
+        # the pool starts: a worker forked while this thread is inside
+        # an import inherits that module's lock held, and deadlocks on
+        # its first import of the module.
+        sweep_ids = [pool.submit({"experiment": out_name,
+                                  "bench_dir": bench_dir, "faults": faults,
+                                  "backup": False})
+                     for _module, _fn, out_name in selected]
+        pool.start()
+        for (module_name, _fn, out_name), sweep_id in zip(selected,
+                                                           sweep_ids):
+            pool.wait(sweep_id)
+            sweep = pool.get(sweep_id)
+            records = [sweep.records[index] for index in range(sweep.cells)]
+            yield (module_name, out_name, sweep.experiment, records,
+                   sweep.run_seconds)
+    finally:
+        pool.close()
 
 
 def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
@@ -113,15 +155,22 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
 
     ``jobs``/``timeout``/``no_cache`` map 1:1 onto the ``repro bench``
     CLI flags.  Tables print to stdout (as the serial runner always did);
-    per-experiment progress lines go to ``err``.
+    per-experiment progress lines go to ``err``.  Results are read from
+    and written to the SQLite store at ``cache_dir`` (default
+    :func:`~repro.serve.store.default_store_path`); ``no_cache`` runs
+    without a store.
 
     ``faults`` (a plan dict or a JSON file path, the ``--faults`` flag)
-    is validated and exported as ``REPRO_FAULT_PLAN`` before the bench
-    modules are imported; fault-aware sweeps (e20) read it while
-    building their grids, so each fault level appears as its own row.
-    The payload may carry a ``levels`` list overriding a sweep's default
-    fault-severity grid.
+    is validated, and its machine-level part is exported as
+    ``REPRO_FAULT_PLAN`` before the bench modules are imported (and sent
+    with every pool request, whose workers export it the same way);
+    fault-aware sweeps (e20) read it while building their grids, so each
+    fault level appears as its own row.  The payload may carry a
+    ``levels`` list overriding a sweep's default fault-severity grid.
     """
+    from ..serve.protocol import machine_plan
+    from ..serve.store import open_store
+
     err = err if err is not None else sys.stderr
     # Fingerprint memoization is per process-lifetime; a long-lived
     # driver would stamp stale code versions after an on-disk edit.
@@ -131,13 +180,13 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
 
         if isinstance(faults, str):
             with open(faults, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        elif isinstance(faults, dict):
-            payload = faults
-        else:
-            payload = faults.as_dict()
-        FaultPlan.from_dict(payload)  # validate eagerly (allows "levels")
-        os.environ["REPRO_FAULT_PLAN"] = json.dumps(payload, sort_keys=True)
+                faults = json.load(fh)
+        elif not isinstance(faults, dict):
+            faults = faults.as_dict()
+        FaultPlan.from_dict(faults)  # validate eagerly (allows "levels")
+    plan = machine_plan(faults)
+    if plan is not None:
+        os.environ["REPRO_FAULT_PLAN"] = json.dumps(plan, sort_keys=True)
     else:
         os.environ.pop("REPRO_FAULT_PLAN", None)
     bench_dir = find_bench_dir(bench_dir)
@@ -147,54 +196,57 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     run_all = importlib.import_module("run_all")
     harness = importlib.import_module("harness")
 
-    cache = None
-    if not no_cache:
-        cache = ResultCache(resolve_cache_dir(cache_dir, bench_dir))
+    store = None if no_cache else open_store(cache_dir)
     timeout = DEFAULT_TIMEOUT if timeout is None else timeout
+    jobs = host_cpus() if jobs is None else jobs
+    selected = _select(run_all.EXPERIMENTS, only)
 
     telemetry = []
     failures = []
     suite_start = time.time()
-    for module_name, fn_name, out_name in _select(run_all.EXPERIMENTS, only):
-        experiment, is_sweep = _build_experiment(
-            bench_dir, module_name, fn_name, out_name)
-        start = time.time()
-        records = run_experiment(experiment, jobs=jobs, cache=cache,
-                                 timeout=timeout, bus=bus)
-        wall = time.time() - start
-        cached = sum(1 for record in records if record.cached)
-        failed = [record for record in records if not record.ok]
-        if failed:
-            for record in failed:
-                print(f"[FAILED] {out_name}[{record.index}] "
-                      f"{record.status} after {record.attempts} attempt(s):"
-                      f"\n{record.error}", file=err)
-            failures.append({
+    outcomes = (_run_inline(selected, store, bus)
+                if jobs == 0 else
+                _run_pooled(selected, bench_dir, jobs, store, timeout, bus,
+                            faults))
+    try:
+        for module_name, out_name, experiment, records, wall in outcomes:
+            cached = sum(1 for record in records if record.cached)
+            failed = [record for record in records if not record.ok]
+            if failed:
+                for record in failed:
+                    print(f"[FAILED] {out_name}[{record.index}] "
+                          f"{record.status} after {record.attempts} "
+                          f"attempt(s):\n{record.error}", file=err)
+                failures.append({
+                    "experiment": out_name,
+                    "module": module_name,
+                    "rows": [record.payload() for record in failed],
+                })
+                continue
+            table = experiment.table([record.value for record in records])
+            harness.write_table(
+                table, out_name,
+                meta={"wall_seconds": round(wall, 3),
+                      "cache_hits": cached,
+                      "grid": len(records)},
+            )
+            print(f"[{wall:6.1f}s] {out_name} "
+                  f"({cached}/{len(records)} cached)\n", file=err)
+            telemetry.append({
                 "experiment": out_name,
                 "module": module_name,
-                "rows": [record.payload() for record in failed],
+                "title": table.title,
+                "rows": len(table.rows),
+                "columns": list(table.columns),
+                "wall_seconds": round(wall, 3),
+                "cache_hits": cached,
+                "grid": len(records),
+                "data": table_rows(table),
             })
-            continue
-        table = experiment.table([record.value for record in records])
-        harness.write_table(
-            table, out_name,
-            meta={"wall_seconds": round(wall, 3),
-                  "cache_hits": cached,
-                  "grid": len(records)},
-        )
-        print(f"[{wall:6.1f}s] {out_name} "
-              f"({cached}/{len(records)} cached)\n", file=err)
-        telemetry.append({
-            "experiment": out_name,
-            "module": module_name,
-            "title": table.title,
-            "rows": len(table.rows),
-            "columns": list(table.columns),
-            "wall_seconds": round(wall, 3),
-            "cache_hits": cached,
-            "grid": len(records),
-            "data": table_rows(table),
-        })
+    finally:
+        outcomes.close()  # stops the pool even if a table write failed
+        if store is not None:
+            store.close()
 
     from ..common.simulator import resolve_shards
 
@@ -202,10 +254,10 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
         "experiments": telemetry,
         "failures": failures,
         "meta": {
-            "jobs": jobs if jobs is not None else host_cpus(),
-            "cache": (None if cache is None else
-                      {"root": cache.root, "hits": cache.hits,
-                       "misses": cache.misses}),
+            "jobs": jobs,
+            "cache": (None if store is None else
+                      {"root": store.path, "hits": store.hits,
+                       "misses": store.misses}),
             "wall_seconds": round(time.time() - suite_start, 3),
             # Provenance: where this sweep ran.  The tables themselves
             # are host-independent (the regression gate diffs them), the
@@ -221,7 +273,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     with open(aggregate_path, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
-    total = sum(entry["wall_seconds"] for entry in telemetry)
-    print(f"[{total:6.1f}s] total -> {aggregate_path}"
+    print(f"[{aggregate['meta']['wall_seconds']:6.1f}s] total -> "
+          f"{aggregate_path}"
           + (f"  [{len(failures)} FAILED]" if failures else ""), file=err)
     return aggregate

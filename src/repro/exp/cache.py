@@ -1,50 +1,25 @@
-"""The sweep result cache: content-addressed, invalidated by code change.
+"""Cache keys: content hashes invalidated by code change.
 
-Every completed run is stored as one JSON file::
+A finished run is stored under ``key = sha256(experiment name,
+canonical config JSON, code version)``.  The code version is a content
+fingerprint of the source that produced the result — the :mod:`repro`
+package tree plus any ``code_paths`` the experiment names (its benchmark
+module, typically) — so editing a model or a bench module invalidates
+exactly the runs whose code changed, while re-running an untouched sweep
+is pure cache hits.
 
-    <root>/<experiment>/<key>.json
-
-where ``key = sha256(experiment name, canonical config JSON, code
-version)``.  The code version is a content fingerprint of the source
-that produced the result — the :mod:`repro` package tree plus any
-``code_paths`` the experiment names (its benchmark module, typically) —
-so editing a model or a bench module invalidates exactly the runs whose
-code changed, while re-running an untouched sweep is pure cache hits.
-
-Only successful runs are cached; timeouts and errors are always retried
-on the next invocation.
-
-The cache location is configurable: ``repro bench --cache-dir``, the
-``cache_dir=`` kwarg to :func:`repro.exp.bench.run_suite`, or the
-``REPRO_EXP_CACHE`` environment variable (in that precedence order),
-falling back to ``<benchmarks>/.expcache``.  The same ``get``/``put``
-interface is implemented by the durable SQLite store behind ``repro
-serve`` (:mod:`repro.serve.store`), which subsumes this directory layout
-for service deployments.
+The entries themselves live in the SQLite store
+(:mod:`repro.serve.store`) that ``repro bench``, ``repro serve`` and
+``repro cache`` share.  Only successful runs are stored; timeouts and
+errors are always retried on the next invocation.
 """
 
 import functools
 import hashlib
 import json
 import os
-import time
 
-__all__ = ["ResultCache", "code_fingerprint", "config_key",
-           "invalidate_fingerprints", "resolve_cache_dir"]
-
-
-def resolve_cache_dir(cache_dir=None, bench_dir=None):
-    """The experiment-cache directory: explicit argument, then the
-    ``REPRO_EXP_CACHE`` environment variable, then the historical
-    ``<benchmarks>/.expcache`` default."""
-    if cache_dir:
-        return os.path.abspath(cache_dir)
-    env = os.environ.get("REPRO_EXP_CACHE")
-    if env:
-        return os.path.abspath(env)
-    if bench_dir:
-        return os.path.join(os.path.abspath(bench_dir), ".expcache")
-    raise ValueError("no cache_dir, $REPRO_EXP_CACHE, or bench_dir given")
+__all__ = ["code_fingerprint", "config_key", "invalidate_fingerprints"]
 
 
 def _iter_source_files(path):
@@ -104,126 +79,3 @@ def config_key(experiment_name, config, code_version):
         sort_keys=True, separators=(",", ":"), default=repr,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
-
-
-class ResultCache:
-    """Directory-backed store of finished run values."""
-
-    def __init__(self, root):
-        self.root = os.path.abspath(root)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, experiment_name, key):
-        return os.path.join(self.root, experiment_name, f"{key}.json")
-
-    def get(self, experiment_name, key):
-        """(found, value) — ``found`` False on miss or unreadable entry."""
-        path = self._path(experiment_name, key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return False, None
-        self.hits += 1
-        return True, entry.get("value")
-
-    def put(self, experiment_name, key, config, code_version, value):
-        """Persist one successful run value (atomic rename)."""
-        path = self._path(experiment_name, key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        entry = {
-            "experiment": experiment_name,
-            "config": config,
-            "code_version": code_version,
-            "value": value,
-        }
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True, default=repr)
-            fh.write("\n")
-        os.replace(tmp, path)
-
-    # -- inspection / maintenance (the `repro cache` surface) ----------
-    def entries(self):
-        """Yield ``(experiment, key, path, mtime, bytes)`` per entry."""
-        if not os.path.isdir(self.root):
-            return
-        for experiment in sorted(os.listdir(self.root)):
-            exp_dir = os.path.join(self.root, experiment)
-            if not os.path.isdir(exp_dir):
-                continue
-            for filename in sorted(os.listdir(exp_dir)):
-                if not filename.endswith(".json"):
-                    continue
-                path = os.path.join(exp_dir, filename)
-                try:
-                    info = os.stat(path)
-                except OSError:
-                    continue
-                yield (experiment, filename[:-5], path,
-                       info.st_mtime, info.st_size)
-
-    def stats(self):
-        """Aggregate disk stats plus this process's hit/miss counters."""
-        per_experiment = {}
-        total_bytes = 0
-        count = 0
-        oldest = None
-        for experiment, _key, _path, mtime, size in self.entries():
-            bucket = per_experiment.setdefault(
-                experiment, {"entries": 0, "bytes": 0})
-            bucket["entries"] += 1
-            bucket["bytes"] += size
-            total_bytes += size
-            count += 1
-            oldest = mtime if oldest is None else min(oldest, mtime)
-        return {
-            "backend": "dir",
-            "root": self.root,
-            "entries": count,
-            "bytes": total_bytes,
-            "experiments": per_experiment,
-            # Clamped at zero: a backwards clock step between write and
-            # stat must not report a negative age.
-            "oldest_age_seconds": (None if oldest is None
-                                   else round(max(0.0, time.time() - oldest),
-                                              1)),
-            "session": {"hits": self.hits, "misses": self.misses},
-        }
-
-    def prune(self, older_than_seconds):
-        """Delete entries older than the cutoff; returns entries removed.
-
-        ``older_than_seconds`` must be non-negative — a negative window
-        would place the cutoff in the future and delete entries written
-        this instant.  The cutoff is additionally clamped to *now* so an
-        entry stamped in the future (clock stepped backwards since the
-        write) is treated as age zero, never as prunable.
-        """
-        if not older_than_seconds >= 0:
-            raise ValueError(
-                f"older_than_seconds must be >= 0, got {older_than_seconds!r}")
-        now = time.time()
-        cutoff = min(now - older_than_seconds, now)
-        removed = 0
-        for _experiment, _key, path, mtime, _size in list(self.entries()):
-            if mtime < cutoff:
-                try:
-                    os.remove(path)
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def clear(self):
-        """Delete every entry; returns entries removed."""
-        removed = 0
-        for _experiment, _key, path, _mtime, _size in list(self.entries()):
-            try:
-                os.remove(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed

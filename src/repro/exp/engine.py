@@ -1,41 +1,34 @@
-"""The sweep executor: fan a grid out across worker processes.
+"""The sweep executor: run a grid inline or on the persistent worker pool.
 
-One worker process per run (not a long-lived pool) so that a per-run
-timeout can be *enforced* — the scheduler terminates the process, retries
-once, and records a structured failure row instead of crashing or
-hanging the sweep.  Up to ``jobs`` workers are live at once; finished
-slots are refilled immediately, so the wall clock approaches
-``serial_time / jobs`` for uniform grids.
+``jobs=0`` runs the grid inline in this process — the reference path,
+and the one to use under a debugger.  ``jobs >= 1`` hands the grid to a
+:class:`~repro.serve.scheduler.SweepScheduler`, the same pool of
+long-lived worker processes ``repro serve`` and ``repro bench`` run on:
+``jobs`` workers, a per-attempt timeout the scheduler *enforces* by
+terminating the worker, one retry, and a structured failure row instead
+of a crashed or hung sweep.
 
 Determinism contract: records are returned in grid order, and a run's
 value depends only on its config (the :class:`Experiment` purity rule),
-so ``--jobs 1`` and ``--jobs 4`` produce identical values —
+so ``--jobs 0``, ``--jobs 1`` and ``--jobs 4`` produce identical values —
 :func:`records_payload` (without timing) is byte-identical JSON.
 
-With a :class:`~repro.exp.cache.ResultCache` attached, each config is
-looked up by content hash of (experiment, config, code-version) first;
-hits never spawn a worker.  Progress streams through a
-:class:`repro.obs.TraceBus` as ``sweep_begin`` / ``sweep_task`` /
-``sweep_end`` events.
+With a store attached (``cache=``, a
+:class:`~repro.serve.store.SqliteStore`), each config is looked up by
+content hash of (experiment, config, code-version) first; hits never
+reach a worker.  Progress streams through a :class:`repro.obs.TraceBus`
+as ``sweep_begin`` / ``sweep_task`` / ``sweep_end`` events.
 
-The timeout clock starts *before* the worker process is spawned and the
-worker reports a ``begin`` handshake when it is about to enter the run
-function, so interpreter startup and module import time count against
-the budget too; a run that times out records which phase it died in
-(``RunRecord.timeout_phase``: ``"startup"`` or ``"run"``).
-
-The retry-aware work list lives in :class:`TaskQueue` so the long-lived
-sweep service (:mod:`repro.serve.scheduler`) schedules from the same
-structure the batch engine does.
+A timeout records which phase it struck (``RunRecord.timeout_phase``):
+``"startup"`` while the worker resolves and imports the run function,
+``"run"`` once it has entered it.
 """
 
 import collections
-import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Optional
 
 from .cache import config_key, repro_fingerprint
@@ -53,12 +46,12 @@ STATUSES = ("ok", "error", "timeout", "fatal")
 FATAL_EXCEPTIONS = (KeyboardInterrupt, SystemExit, MemoryError)
 
 #: Extra attempts a failed run gets before a failure row is recorded
-#: (shared default between the batch engine and the sweep service).
+#: (shared default between the inline path and the sweep scheduler).
 DEFAULT_RETRIES = 1
 
 #: The lifecycle phases a worker attempt moves through.  ``startup``
-#: covers process spawn + interpreter/module import, ``run`` is the run
-#: function itself; a timeout records the phase it struck.
+#: covers dispatch + resolving and importing the run function, ``run``
+#: is the run function itself; a timeout records the phase it struck.
 PHASES = ("startup", "run")
 
 
@@ -78,7 +71,7 @@ class RunRecord:
     #: For ``status == "timeout"``: the phase the final attempt was in
     #: when the deadline struck (``"startup"`` or ``"run"``).
     timeout_phase: Optional[str] = None
-    #: For failed cells run under the sweep service: the tail of the
+    #: For failed cells run on the worker pool: the tail of the
     #: worker's flight recorder (a bounded list of breadcrumb dicts) so
     #: post-mortems need no re-run.  Omitted from :meth:`payload` when
     #: absent, keeping successful rows byte-identical to older runs.
@@ -128,9 +121,8 @@ class TaskQueue:
     Items are opaque tuples; the queue only orders them.  ``push`` adds
     an item ready immediately (or at ``not_before``), ``pop`` returns
     the oldest ready item or ``None``, and ``next_ready`` tells a
-    scheduler how long it may sleep before new work matures.  Both the
-    batch engine below and the long-running sweep service
-    (:mod:`repro.serve.scheduler`) drive their workers from this.
+    scheduler how long it may sleep before new work matures.  The sweep
+    scheduler (:mod:`repro.serve.scheduler`) keeps one per sweep.
     """
 
     __slots__ = ("_ready", "_delayed")
@@ -184,8 +176,8 @@ class TaskQueue:
 def experiment_code_version(experiment):
     """The code-version stamp cache keys carry for ``experiment``: the
     repro package fingerprint plus any ``code_paths`` the experiment
-    names (its benchmark module, typically).  Shared by the batch engine
-    and the sweep service so their cache keys agree."""
+    names (its benchmark module, typically).  Shared by the inline path
+    and the sweep scheduler so their cache keys agree."""
     version = repro_fingerprint()
     if experiment.code_paths:
         from .cache import code_fingerprint
@@ -193,93 +185,6 @@ def experiment_code_version(experiment):
         version += "+" + code_fingerprint(
             *[os.path.abspath(p) for p in experiment.code_paths])
     return version
-
-
-def _worker_main(conn, run, config):
-    """Child-process body: run one config, ship the outcome back.
-
-    The ``begin`` handshake marks the startup→run phase transition so
-    the parent can attribute a timeout to interpreter/import startup
-    versus the run function itself.
-    """
-    import sys
-
-    try:
-        try:
-            conn.send(("begin", None, None))
-            value = run(config)
-            conn.send(("ok", value, None))
-            return
-        except FATAL_EXCEPTIONS:
-            # Operator interrupts and resource exhaustion are not
-            # ordinary run failures: ship them as ``fatal`` so the
-            # parent records the traceback without burning retries
-            # re-raising the same condition.
-            status, failure = "fatal", traceback.format_exc()
-        except BaseException:  # noqa: BLE001 — parent turns this into a row
-            status, failure = "error", traceback.format_exc()
-        try:
-            conn.send((status, None, failure))
-        except (OSError, ValueError):
-            # The pipe is gone (parent died / timed us out) or closed —
-            # nothing structured can be shipped, but don't silently eat
-            # the diagnostic: the parent records "worker exited without a
-            # result", so leave the traceback on stderr to pair with it.
-            print(failure, file=sys.stderr)
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Task:
-    """One live worker and the run it owns."""
-
-    index: int
-    attempt: int
-    process: Any
-    conn: Any
-    started: float
-    deadline: Optional[float] = None
-    cache_key: Optional[str] = None
-    phase: str = "startup"
-
-
-def _spawn(context, experiment, index, attempt, timeout):
-    parent_conn, child_conn = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_worker_main,
-        args=(child_conn, experiment.run, experiment.grid[index]),
-        name=f"sweep-{experiment.name}-{index}",
-        daemon=True,
-    )
-    # The clock starts before the fork/exec so spawn + import time is
-    # charged against the same per-run budget as the run itself.
-    now = time.monotonic()
-    process.start()
-    child_conn.close()
-    return _Task(
-        index=index, attempt=attempt, process=process, conn=parent_conn,
-        started=now, deadline=(now + timeout) if timeout else None,
-    )
-
-
-def _recv(task):
-    """One message off the worker pipe, or None on EOF/breakage."""
-    try:
-        return task.conn.recv()
-    except (EOFError, OSError):
-        return None
-
-
-def _reap(task, message):
-    """Close and join a finished worker; diagnose a silent death."""
-    task.conn.close()
-    task.process.join()
-    if message is None:
-        code = task.process.exitcode
-        message = ("error", None,
-                   f"worker exited without a result (exit code {code})")
-    return message
 
 
 def _emit(bus, clock_start, kind, detail="", **fields):
@@ -298,154 +203,116 @@ def host_cpus():
         return os.cpu_count() or 1
 
 
+def _run_inline(experiment, pending, retries):
+    """Run the pending cells in this process, retrying failed ones in
+    place.  Anything a run raises becomes a structured failure row,
+    except the :data:`FATAL_EXCEPTIONS`, which stop the whole sweep."""
+    for index, key in pending:
+        config = experiment.grid[index]
+        for attempt in range(retries + 1):
+            started = time.monotonic()
+            try:
+                value = experiment.run(config)
+            except FATAL_EXCEPTIONS:
+                raise
+            except Exception:
+                error = traceback.format_exc()
+                continue
+            yield RunRecord(index=index, config=config, value=value,
+                            attempts=attempt + 1,
+                            wall_seconds=time.monotonic() - started,
+                            cache_key=key)
+            break
+        else:
+            yield RunRecord(index=index, config=config, status="error",
+                            error=error, attempts=retries + 1,
+                            wall_seconds=time.monotonic() - started,
+                            cache_key=key)
+
+
+def _run_on_pool(experiment, pending, jobs, timeout, retries):
+    """Run the pending cells on a :class:`~repro.serve.scheduler.
+    SweepScheduler` pool of ``jobs`` workers, one copy per cell (no
+    backups).  The request names the run function by module and
+    qualified name, so it must be module-level.  Retries, timeouts and
+    fatal rows are the scheduler's."""
+    from ..serve.scheduler import SweepScheduler
+
+    run = experiment.run
+    with SweepScheduler(workers=jobs, timeout=timeout,
+                        retries=retries) as pool:
+        sweep_id = pool.submit({
+            "experiment": experiment.name,
+            "callable": f"{run.__module__}:{run.__qualname__}",
+            "grid": [experiment.grid[index] for index, _ in pending],
+            "backup": False,
+        })
+        pool.wait(sweep_id)
+        done = pool.get(sweep_id).records
+    for position, (index, key) in enumerate(pending):
+        record = done[position]
+        record.index = index
+        record.cache_key = key
+        yield record
+
+
 def run_experiment(experiment, jobs=None, cache=None, timeout=None,
-                   retries=DEFAULT_RETRIES, bus=None, progress=None):
+                   retries=DEFAULT_RETRIES, bus=None):
     """Execute every config in ``experiment.grid``; returns RunRecords
     in grid order.
 
-    ``jobs``: worker processes (default :func:`host_cpus`); ``0`` runs
-    the grid inline in this process (no isolation, no timeout — the
-    debugging path).  ``timeout``: seconds per attempt (spawn + import
-    + run); an expired worker is terminated and the run retried up to
-    ``retries`` more times before a ``timeout`` record is written.
-    ``cache``: any content-addressed store with the
-    :class:`~repro.exp.cache.ResultCache` ``get``/``put`` interface;
-    hits skip execution entirely.  ``bus``: a :class:`repro.obs.TraceBus`
-    for progress telemetry.  ``progress``: callable invoked with each
-    finished :class:`RunRecord`.
+    ``jobs``: pool workers (default :func:`host_cpus`); ``0`` runs the
+    grid inline in this process (no isolation, no timeout — the
+    debugging path).  ``timeout``: seconds per attempt (dispatch +
+    import + run); an expired worker is terminated and the run retried
+    up to ``retries`` more times before a ``timeout`` record is written.
+    ``cache``: a store with the :class:`~repro.serve.store.SqliteStore`
+    ``get``/``put`` interface; hits skip execution entirely.  ``bus``: a
+    :class:`repro.obs.TraceBus` for progress telemetry.
     """
     if jobs is None:
         jobs = host_cpus()
     clock_start = time.monotonic()
     code_version = (experiment_code_version(experiment)
                     if cache is not None else None)
-
     records = {}
-    pending = TaskQueue()
     _emit(bus, clock_start, "sweep_begin", experiment.name,
           configs=len(experiment.grid), jobs=jobs)
 
     def finish(record):
         records[record.index] = record
+        if record.ok and not record.cached and cache is not None:
+            cache.put(experiment.name, record.cache_key, record.config,
+                      code_version, record.value)
         fields = dict(index=record.index, status=record.status,
                       attempts=record.attempts, cached=record.cached,
                       wall=round(record.wall_seconds, 4))
         if record.error:
             # Surface the failure cause on the bus (last traceback line),
-            # not just in the structured row — so a live `repro bench`
-            # progress stream shows *why* a grid point failed.
+            # not just in the structured row.
             fields["error"] = record.error.strip().splitlines()[-1][:200]
         _emit(bus, clock_start, "sweep_task",
               f"{experiment.name}[{record.index}] {record.status}",
               **fields)
-        if progress is not None:
-            progress(record)
 
-    # ------------------------------------------------------------------
-    # cache pass
+    pending = []
     for index, config in enumerate(experiment.grid):
         key = None
         if cache is not None:
             key = config_key(experiment.name, config, code_version)
             found, value = cache.get(experiment.name, key)
             if found:
-                finish(RunRecord(index=index, config=config, status="ok",
-                                 value=value, cached=True, cache_key=key))
+                finish(RunRecord(index=index, config=config, value=value,
+                                 cached=True, cache_key=key))
                 continue
-        pending.push((index, 0, key))
+        pending.append((index, key))
 
-    def record_outcome(index, attempt, key, message, wall, phase=None):
-        status, value, error = message
-        config = experiment.grid[index]
-        if status == "ok":
-            if cache is not None:
-                cache.put(experiment.name, key, config, code_version, value)
-            finish(RunRecord(index=index, config=config, status="ok",
-                             value=value, attempts=attempt + 1,
-                             wall_seconds=wall, cache_key=key))
-            return None
-        if status != "fatal" and attempt < retries:
-            return (index, attempt + 1, key)  # reschedule
-        finish(RunRecord(index=index, config=config, status=status,
-                         error=error, attempts=attempt + 1,
-                         wall_seconds=wall, cache_key=key,
-                         timeout_phase=phase if status == "timeout" else None))
-        return None
-
-    # ------------------------------------------------------------------
-    # inline path (jobs=0): no processes, no timeout enforcement
-    if jobs == 0:
-        while pending:
-            index, attempt, key = pending.pop()
-            started = time.monotonic()
-            try:
-                message = ("ok", experiment.run(experiment.grid[index]), None)
-            except FATAL_EXCEPTIONS:
-                # Operator interrupts and resource exhaustion must stop
-                # the whole sweep, not become a retried failure row.
-                raise
-            except Exception:
-                # Anything the run itself raises becomes a structured
-                # failure row (and a bus event via finish) — the inline
-                # path mirrors the worker-process path's contract.
-                message = ("error", None, traceback.format_exc())
-            retry = record_outcome(index, attempt, key, message,
-                                   time.monotonic() - started)
-            if retry is not None:
-                pending.push(retry, front=True)
-    else:
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-        running = []
-        while pending or running:
-            while pending and len(running) < jobs:
-                index, attempt, key = pending.pop()
-                task = _spawn(context, experiment, index, attempt, timeout)
-                task.cache_key = key
-                running.append(task)
-
-            now = time.monotonic()
-            deadlines = [t.deadline for t in running if t.deadline]
-            wait_for = min(deadlines) - now if deadlines else None
-            ready = _wait_connections(
-                [t.conn for t in running],
-                timeout=max(0.0, wait_for) if wait_for is not None else None,
-            )
-
-            now = time.monotonic()
-            still_running = []
-            for task in running:
-                if task.conn in ready:
-                    message = _recv(task)
-                    if message is not None and message[0] == "begin":
-                        # Startup handshake: the worker entered its run
-                        # function — not a completion, keep waiting.
-                        task.phase = "run"
-                        still_running.append(task)
-                        continue
-                    message = _reap(task, message)
-                    retry = record_outcome(task.index, task.attempt,
-                                           task.cache_key, message,
-                                           now - task.started)
-                    if retry is not None:
-                        pending.push(retry)
-                elif task.deadline is not None and now >= task.deadline:
-                    task.process.terminate()
-                    task.process.join()
-                    task.conn.close()
-                    message = ("timeout", None,
-                               f"run exceeded {timeout}s (in {task.phase} "
-                               f"phase) and was terminated")
-                    retry = record_outcome(task.index, task.attempt,
-                                           task.cache_key, message,
-                                           now - task.started,
-                                           phase=task.phase)
-                    if retry is not None:
-                        pending.push(retry)
-                else:
-                    still_running.append(task)
-            running = still_running
+    if pending:
+        outcomes = (_run_inline(experiment, pending, retries) if jobs == 0
+                    else _run_on_pool(experiment, pending, jobs, timeout,
+                                      retries))
+        for record in outcomes:
+            finish(record)
 
     ordered = [records[index] for index in sorted(records)]
     _emit(bus, clock_start, "sweep_end", experiment.name,

@@ -15,9 +15,8 @@ Three layers share the definitions here:
 * **Worker pipe messages** — :func:`pool_worker_main` is the body of a
   persistent pool worker: it loops receiving ``("task", {...})``
   messages, answers ``("begin", id)`` when it enters the run function
-  (so the parent can attribute timeouts to startup vs run, exactly like
-  the batch engine's handshake) and ``("done", id, status, value,
-  error)`` when finished.
+  (so the parent can attribute timeouts to startup vs run) and
+  ``("done", id, status, value, error)`` when finished.
 
 Fault plans split in two: *machine-level* fields (slow banks, network
 spikes, ...) change a run's value, so they are folded into the cell's

@@ -5,10 +5,16 @@ The paper's scalability argument — tolerate latency, keep many
 outstanding operations in flight, recover from stragglers — applied to
 our own experiment pipeline.  A single :class:`SweepScheduler` owns a
 pool of long-lived worker processes and any number of concurrently
-running sweeps; cells flow through the same
-:class:`~repro.exp.engine.TaskQueue` the batch engine uses, and finished
-values land in a durable content-addressed store
-(:mod:`repro.serve.store`) so repeat sweeps never simulate.
+running sweeps; cells wait in one :class:`~repro.exp.engine.TaskQueue`
+per sweep, and finished values land in a durable content-addressed
+store (:mod:`repro.serve.store`) so repeat sweeps never simulate.
+
+It is the repository's one multi-process executor: ``repro serve``
+feeds it HTTP requests, ``repro bench`` submits every selected
+experiment to one pool up front (so cells of later experiments fill
+workers an earlier one leaves idle), and
+:func:`repro.exp.engine.run_experiment` runs a ``jobs >= 1`` grid on a
+pool of its own.
 
 Failure handling (Dean & Ghemawat's three classics):
 
@@ -114,6 +120,8 @@ class SweepState:
         self.state = "queued"     # queued | running | done | aborted
         self.created = time.monotonic()
         self.created_wall = time.time()
+        self.dispatched = None    # first cell handed to a worker
+        self.finished = None
         self.wall_seconds = None
         self.records = {}         # index -> RunRecord (completed cells)
         self.queue = TaskQueue()  # (index, attempt, key) awaiting a worker
@@ -134,6 +142,13 @@ class SweepState:
     @property
     def remaining(self):
         return self.cells - len(self.records)
+
+    @property
+    def run_seconds(self):
+        """The sweep's own span once done: first dispatch to last cell,
+        so time spent queued behind other sweeps does not count (submit
+        to done when no cell reached a worker)."""
+        return self.finished - (self.dispatched or self.created)
 
     def snapshot(self, include_records=True):
         """A JSON-able status view (called under the scheduler lock)."""
@@ -556,6 +571,8 @@ class SweepScheduler:
             sweep.queue.push((index, attempt, key), front=True)
             return False
         worker.busy = assignment
+        if sweep.dispatched is None:
+            sweep.dispatched = now
         self._tasks[task_id] = (worker, assignment)
         sweep.live[index] = sweep.live.get(index, 0) + 1
         kind = "serve_backup" if backup else "serve_assign"
@@ -642,7 +659,8 @@ class SweepScheduler:
     def _check_done(self, sweep):
         if sweep.state == "running" and sweep.remaining == 0:
             sweep.state = "done"
-            sweep.wall_seconds = round(time.monotonic() - sweep.created, 4)
+            sweep.finished = time.monotonic()
+            sweep.wall_seconds = round(sweep.finished - sweep.created, 4)
             ordered = sorted(sweep.records.values(), key=lambda r: r.index)
             summary = dict(
                 ok=sum(1 for r in ordered if r.ok),

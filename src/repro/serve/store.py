@@ -1,29 +1,27 @@
-"""The durable content-addressed result store behind ``repro serve``.
+"""The durable content-addressed result store behind ``repro bench``,
+``repro serve`` and ``repro cache``.
 
-A *store* maps ``(experiment, key)`` — where ``key`` is the existing
+A *store* maps ``(experiment, key)`` — where ``key`` is the
 :func:`repro.exp.cache.config_key` content hash of (experiment, config,
-code-version) — to a finished run value.  Two backends implement one
-interface:
+code-version) — to a finished run value.  :class:`SqliteStore` keeps
+them in a single SQLite file with persistent hit counters and
+timestamps.  One writer at a time (WAL mode), safe across threads behind
+an internal lock, and safe to share between processes: a ``repro bench``
+and a ``repro serve`` may use one store at the same time.  Lookups are a
+primary-key probe, and maintenance (``stats`` / ``prune`` / ``clear``)
+runs as SQL aggregates, never a directory walk.
 
-* :class:`SqliteStore` — a single SQLite file with persistent hit
-  counters and timestamps; the service backend.  One writer at a time
-  (WAL mode), safe across threads behind an internal lock.  Designed to
-  hold millions of cached experiment cells: lookups are a primary-key
-  probe, and maintenance (``stats`` / ``prune`` / ``clear``) runs as SQL
-  aggregates, never a directory walk.
-* :class:`~repro.exp.cache.ResultCache` (re-exported as ``DirStore``) —
-  the legacy one-JSON-file-per-entry layout at ``benchmarks/.expcache``.
+The store's ``get``/``put`` pair is the ``cache=`` interface of
+:func:`repro.exp.engine.run_experiment`, and the sweep scheduler reads
+and writes through it too, so the bench and the service answer repeat
+queries from the same entries.  :func:`open_store` opens a path (a
+``*.sqlite``/``*.db`` file, or ``<dir>/store.sqlite`` for a directory),
+and :func:`default_store_path` resolves ``$REPRO_STORE`` falling back
+to ``~/.cache/repro``.
 
-Both satisfy the duck type :func:`repro.exp.engine.run_experiment`
-accepts as ``cache=``, so the batch engine and the sweep service answer
-repeat queries from the same entries.  :func:`open_store` picks the
-backend from a path (an existing legacy directory stays a ``DirStore``;
-anything else becomes SQLite), and :func:`default_store_path` resolves
-``$REPRO_STORE`` falling back to ``~/.cache/repro``.
-
-Byte-compatibility: values round-trip through the same canonical JSON
-(``sort_keys`` + ``default=repr``) the directory cache uses, so a sweep
-served from either backend assembles a byte-identical table.
+Values round-trip through canonical JSON (``sort_keys`` +
+``default=repr``), so a table assembled from stored values is
+byte-identical to one assembled from fresh runs.
 """
 
 import json
@@ -32,9 +30,7 @@ import sqlite3
 import threading
 import time
 
-from ..exp.cache import ResultCache as DirStore
-
-__all__ = ["DirStore", "SqliteStore", "default_store_path", "open_store"]
+__all__ = ["SqliteStore", "default_store_path", "open_store"]
 
 #: Name of the SQLite file created inside a store *directory*.
 STORE_FILENAME = "store.sqlite"
@@ -62,33 +58,15 @@ def default_store_path():
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-def _looks_like_dir_cache(path):
-    """True when ``path`` is an existing legacy ``.expcache`` layout:
-    per-experiment subdirectories holding ``<key>.json`` entries."""
-    if not os.path.isdir(path):
-        return False
-    if os.path.isfile(os.path.join(path, STORE_FILENAME)):
-        return False
-    for name in os.listdir(path):
-        child = os.path.join(path, name)
-        if os.path.isdir(child):
-            if any(f.endswith(".json") for f in os.listdir(child)):
-                return True
-    return False
-
-
 def open_store(path=None):
     """Open the store at ``path`` (default :func:`default_store_path`).
 
-    An existing legacy directory cache opens as a :class:`DirStore`;
-    a ``*.sqlite``/``*.db`` path, or any other directory, opens as a
-    :class:`SqliteStore` (``<dir>/store.sqlite`` for directories).
+    A ``*.sqlite``/``*.db`` path or an existing file opens as itself;
+    any other path is a directory holding ``store.sqlite``.
     """
     path = os.path.abspath(path or default_store_path())
     if path.endswith((".sqlite", ".db")) or os.path.isfile(path):
         return SqliteStore(path)
-    if _looks_like_dir_cache(path):
-        return DirStore(path)
     return SqliteStore(os.path.join(path, STORE_FILENAME))
 
 
@@ -195,34 +173,6 @@ class SqliteStore:
             cursor = self._db.execute("DELETE FROM results")
             self._db.commit()
         return cursor.rowcount
-
-    def ingest_dir(self, root):
-        """Import a legacy directory cache (``benchmarks/.expcache``
-        layout) into this store; returns entries imported.  Existing
-        keys are left untouched (the directory entry is not newer)."""
-        imported = 0
-        for experiment, key, path, _mtime, _size in DirStore(root).entries():
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    entry = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            with self._lock:
-                cursor = self._db.execute(
-                    "INSERT OR IGNORE INTO results (experiment, key, "
-                    "config, code_version, value, created) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    (experiment, key,
-                     json.dumps(entry.get("config"), sort_keys=True,
-                                default=repr),
-                     entry.get("code_version"),
-                     json.dumps(entry.get("value"), sort_keys=True,
-                                default=repr),
-                     time.time()))
-            imported += cursor.rowcount
-        with self._lock:
-            self._db.commit()
-        return imported
 
     def close(self):
         with self._lock:

@@ -3,14 +3,12 @@
 import io
 import json
 import os
-import sys
 import time
 
 import pytest
 
 from repro.exp import (
     Experiment,
-    ResultCache,
     code_fingerprint,
     grid,
     invalidate_fingerprints,
@@ -22,6 +20,7 @@ from repro.exp import (
 )
 from repro.exp.cache import config_key
 from repro.machines import registry
+from repro.serve.store import SqliteStore, default_store_path
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ class TestCache:
         return Experiment(name="sq", run=square, grid=grid(x=[1, 2, 3]))
 
     def test_second_run_is_served_from_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(str(tmp_path / "store.sqlite"))
         experiment = self._experiment()
         first = run_experiment(experiment, jobs=0, cache=cache)
         assert all(not r.cached for r in first)
@@ -181,7 +180,7 @@ class TestCache:
         assert [r.value for r in second] == [1, 4, 9]
 
     def test_config_change_invalidates_exactly_that_point(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(str(tmp_path / "store.sqlite"))
         run_experiment(self._experiment(), jobs=0, cache=cache)
         grown = Experiment(name="sq", run=square, grid=grid(x=[1, 2, 4]))
         records = run_experiment(grown, jobs=0, cache=cache)
@@ -197,7 +196,7 @@ class TestCache:
             config_key("e", {"b": 2, "a": 1}, "v"))
 
     def test_failures_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteStore(str(tmp_path / "store.sqlite"))
         experiment = Experiment(name="f", run=fail_on_three,
                                 grid=grid(x=[3]))
         run_experiment(experiment, jobs=1, cache=cache)
@@ -323,30 +322,70 @@ class TestTimeoutPhase:
         assert "timeout_phase" not in record.payload()
 
 
-class TestCacheDirResolution:
-    def test_explicit_beats_env_beats_bench_dir(self, monkeypatch, tmp_path):
-        from repro.exp import resolve_cache_dir
+class TestSuiteStore:
+    def test_run_suite_defaults_to_the_shared_store(self, monkeypatch,
+                                                     tmp_path):
+        """With no ``cache_dir``, ``repro bench`` uses the store ``repro
+        serve`` and ``repro cache`` default to ($REPRO_STORE here), and
+        inline and pooled runs answer each other's cells."""
+        from repro.exp.bench import run_suite
+        from stub_bench import slow_table, stub_bench
 
-        monkeypatch.setenv("REPRO_EXP_CACHE", str(tmp_path / "env"))
-        assert resolve_cache_dir(str(tmp_path / "arg")) == \
-            str(tmp_path / "arg")
-        assert resolve_cache_dir(None) == str(tmp_path / "env")
-        monkeypatch.delenv("REPRO_EXP_CACHE")
-        assert resolve_cache_dir(None, str(tmp_path)) == \
-            str(tmp_path / ".expcache")
-        with pytest.raises(ValueError, match="cache"):
-            resolve_cache_dir(None, None)
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        modules = {"bench_tiny": (slow_table("tiny", 0.0),
+                                  [("table", "tiny")])}
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            first = run_suite(jobs=0, bench_dir=bench_dir,
+                              err=io.StringIO())
+            second = run_suite(jobs=1, bench_dir=bench_dir,
+                               err=io.StringIO())
+        path = os.path.join(default_store_path(), "store.sqlite")
+        assert path.startswith(str(tmp_path / "store"))
+        assert first["meta"]["cache"] == {"root": path, "hits": 0,
+                                          "misses": 1}
+        assert second["meta"]["cache"] == {"root": path, "hits": 1,
+                                           "misses": 0}
+        assert second["experiments"][0]["cache_hits"] == 1
 
-    def test_env_var_redirects_engine_cache(self, monkeypatch, tmp_path):
-        from repro.exp import resolve_cache_dir
 
-        monkeypatch.setenv("REPRO_EXP_CACHE", str(tmp_path / "redirect"))
-        cache = ResultCache(resolve_cache_dir(None))
-        experiment = Experiment(name="sq", run=square, grid=grid(x=[5]))
-        first = run_experiment(experiment, jobs=0, cache=cache)
-        second = run_experiment(experiment, jobs=0, cache=cache)
-        assert not first[0].cached and second[0].cached
-        assert (tmp_path / "redirect").is_dir()
+class TestSuitePool:
+    """``repro bench`` submits every experiment to one worker pool up
+    front, and reports each experiment's own span as its wall."""
+
+    def _run(self, tmp_path, monkeypatch, sleeps, jobs, bus=None):
+        from repro.exp.bench import run_suite
+        from stub_bench import slow_table, stub_bench
+
+        modules = {f"bench_s{i}": (slow_table(f"s{i}", sleep),
+                                   [("table", f"s{i}")])
+                   for i, sleep in enumerate(sleeps)}
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            aggregate = run_suite(jobs=jobs, no_cache=True,
+                                  bench_dir=bench_dir, bus=bus,
+                                  err=io.StringIO())
+        assert not aggregate["failures"]
+        return {e["experiment"]: e for e in aggregate["experiments"]}
+
+    def test_later_experiments_fill_idle_workers(self, monkeypatch,
+                                                 tmp_path):
+        from repro.obs import TraceBus
+        from repro.obs.sinks import RingSink
+
+        sink = RingSink()
+        self._run(tmp_path, monkeypatch, [0.5, 0.5], jobs=2,
+                  bus=TraceBus(sink))
+        kinds = [(e.kind, e.detail) for e in sink.events]
+        second_assigned = next(
+            i for i, (kind, detail) in enumerate(kinds)
+            if kind == "serve_assign" and detail.startswith("s1["))
+        first_done = kinds.index(("sweep_end", "s0"))
+        assert second_assigned < first_done
+
+    def test_wall_excludes_time_queued_behind_others(self, monkeypatch,
+                                                     tmp_path):
+        walls = self._run(tmp_path, monkeypatch, [1.0, 0.0], jobs=1)
+        assert walls["s0"]["wall_seconds"] >= 1.0
+        assert walls["s1"]["wall_seconds"] < 0.5
 
 
 class TestDefaultJobs:
@@ -375,31 +414,13 @@ class TestDefaultJobs:
     def test_bench_aggregate_records_the_default(self, one_cpu, monkeypatch,
                                                  tmp_path):
         from repro.exp.bench import run_suite
+        from stub_bench import slow_table, stub_bench
 
-        (tmp_path / "run_all.py").write_text(
-            'EXPERIMENTS = [("bench_tiny", [("table", "tiny")])]\n')
-        (tmp_path / "harness.py").write_text(
-            "def write_table(table, name, meta=None):\n    pass\n")
-        (tmp_path / "bench_tiny.py").write_text(
-            "from repro.analysis import Table\n\n"
-            "def table():\n"
-            "    t = Table('tiny', ['x'])\n"
-            "    t.add_row(1)\n"
-            "    return t\n")
-        monkeypatch.syspath_prepend(str(tmp_path))
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        # run_suite imports run_all/harness by name: swap the real
-        # benchmark modules out for the stubs, and back in afterwards.
-        names = ("run_all", "harness", "bench_tiny")
-        saved = {n: sys.modules.pop(n) for n in names if n in sys.modules}
-        try:
-            aggregate = run_suite(no_cache=True, bench_dir=str(tmp_path),
+        modules = {"bench_tiny": (slow_table("tiny", 0.0),
+                                  [("table", "tiny")])}
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            aggregate = run_suite(no_cache=True, bench_dir=bench_dir,
                                   err=io.StringIO())
-        finally:
-            for name in names:
-                sys.modules.pop(name, None)
-            sys.modules.update(saved)
         assert not aggregate["failures"]
         assert aggregate["meta"]["jobs"] == 1
         assert aggregate["meta"]["host_cpus"] == 1

@@ -98,31 +98,24 @@ class TestStore:
         assert isinstance(inside, SqliteStore)
         assert inside.path.endswith("store.sqlite")
         inside.close()
-        # A legacy .expcache layout (subdirs of .json files) opens as
-        # the directory cache.
+        # An old .expcache layout (subdirs of .json files) is just a
+        # directory: the store lives in store.sqlite beside the files,
+        # which are never read.
         legacy = tmp_path / "expcache" / "e1"
         legacy.mkdir(parents=True)
         (legacy / "abc.json").write_text('{"value": 1}')
         dir_store = open_store(str(tmp_path / "expcache"))
-        assert not isinstance(dir_store, SqliteStore)
+        assert isinstance(dir_store, SqliteStore)
+        assert dir_store.path == str(tmp_path / "expcache" / "store.sqlite")
+        assert dir_store.get("e1", "abc") == (False, None)
+        assert dir_store.stats()["entries"] == 0
+        dir_store.close()
 
     def test_default_store_path_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
         assert default_store_path() == str(tmp_path / "env.sqlite")
         monkeypatch.delenv("REPRO_STORE")
         assert ".cache" in default_store_path()
-
-    def test_ingest_legacy_dir_cache(self, tmp_path):
-        from repro.exp import ResultCache
-
-        legacy = ResultCache(str(tmp_path / "expcache"))
-        legacy.put("e1", "deadbeef", {"x": 1}, "v0", {"y": 7})
-        store = SqliteStore(str(tmp_path / "s.sqlite"))
-        assert store.ingest_dir(str(tmp_path / "expcache")) == 1
-        assert store.get("e1", "deadbeef") == (True, {"y": 7})
-        # Re-ingesting never clobbers or duplicates.
-        assert store.ingest_dir(str(tmp_path / "expcache")) == 0
-        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +345,36 @@ class TestScheduler:
             assert sched.wait(simulated, timeout=WAIT)
             assert (sched.table_text(predicted)
                     == sched.table_text(simulated))
+
+
+class TestSharedStore:
+    def test_bench_and_serve_share_one_store(self, monkeypatch, tmp_path):
+        """A ``repro bench`` and a sweep service on one store at the same
+        time: identical tables, one row per cell, no lock failures."""
+        from repro.exp.bench import run_suite
+        from stub_bench import GRID, stub_bench
+
+        store_dir = str(tmp_path / "store")
+        modules = {"bench_grid": (GRID, [("table", "stub_grid")])}
+        store = open_store(store_dir)
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            with SweepScheduler(store=store, workers=1,
+                                bench_dir=bench_dir) as sched:
+                sid = sched.submit({"experiment": "stub_grid"})
+                aggregate = run_suite(jobs=2, cache_dir=store_dir,
+                                      bench_dir=bench_dir,
+                                      err=io.StringIO())
+                assert sched.wait(sid, timeout=WAIT)
+                served = sched.table_text(sid)
+        stats = store.stats()
+        store.close()
+        assert not aggregate["failures"]
+        assert aggregate["meta"]["cache"]["root"] == store.path
+        benched = (tmp_path / "benchmarks" / "results"
+                   / "stub_grid.txt").read_text()
+        assert served is not None and benched == served
+        assert stats["entries"] == 6
+        assert stats["experiments"]["stub_grid"]["entries"] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -648,20 +671,6 @@ class TestCacheCli:
         assert code == 0
         stats = json.loads(text)
         assert stats["entries"] == 0 and stats["backend"] == "sqlite"
-
-    def test_ingest_subcommand(self, tmp_path):
-        from repro.exp import ResultCache
-
-        legacy = ResultCache(str(tmp_path / "expcache"))
-        legacy.put("e1", "cafe", {"x": 1}, "v0", 41)
-        store_path = str(tmp_path / "s.sqlite")
-        code, text = self._main("cache", "ingest",
-                                str(tmp_path / "expcache"),
-                                "--store", store_path)
-        assert code == 0 and "ingested 1" in text
-        store = SqliteStore(store_path)
-        assert store.get("e1", "cafe") == (True, 41)
-        store.close()
 
     def test_duration_parsing(self):
         from repro.cli import _parse_duration
