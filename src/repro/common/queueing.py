@@ -22,6 +22,8 @@ at one instant, and of that transient only ``elapsed += now - last``,
 
 from collections import deque
 
+from .stats import time_weighted_mean
+
 __all__ = ["FifoServer"]
 
 
@@ -126,12 +128,8 @@ class FifoServer:
     def queue_mean(self, end_time=None):
         """Time-weighted mean queue depth, optionally extending the
         current depth to ``end_time``."""
-        total = self._q_area
-        elapsed = self._q_elapsed
-        if end_time is not None and end_time > self._q_last:
-            total += self._q_depth * (end_time - self._q_last)
-            elapsed += end_time - self._q_last
-        return total / elapsed if elapsed > 0 else self._q_depth
+        return time_weighted_mean(self._q_area, self._q_elapsed,
+                                  self._q_last, self._q_depth, end_time)
 
     @property
     def queue_max(self):

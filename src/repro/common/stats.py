@@ -10,11 +10,15 @@ import math
 
 __all__ = [
     "Counter",
+    "SlotCounter",
     "Histogram",
     "TimeWeighted",
+    "TimeWeightedView",
     "UtilizationTracker",
+    "UtilizationView",
     "SeriesRecorder",
     "summarize",
+    "time_weighted_mean",
 ]
 
 
@@ -37,8 +41,33 @@ class Counter:
         return self.get(name)
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
         return f"Counter({inner})"
+
+
+class SlotCounter(Counter):
+    """A Counter whose hottest counts live in their owner's own slots.
+
+    An owner on a per-event path bumps plain integer attributes instead
+    of calling :meth:`add`; ``read()`` returns those counts as a dict,
+    and they are folded in only when someone reads the counter.  Counts
+    recorded through :meth:`add` (the rare ones) are merged in after
+    them.  A hot count that is still zero stays absent, exactly as a
+    name never passed to ``add`` is absent from a plain Counter.
+    """
+
+    def __init__(self, read):
+        super().__init__()
+        self._read = read
+
+    def get(self, name, default=0):
+        return self.as_dict().get(name, default)
+
+    def as_dict(self):
+        counts = {name: value for name, value in self._read().items() if value}
+        for name, value in self._counts.items():
+            counts[name] = counts.get(name, 0) + value
+        return counts
 
 
 class Histogram:
@@ -153,12 +182,44 @@ class TimeWeighted:
     def mean(self, end_time=None):
         """Time-weighted mean, optionally extending the last value to
         ``end_time``."""
-        total = self._weighted_total
-        elapsed = self._elapsed
-        if end_time is not None and end_time > self._last_time:
-            total += self._value * (end_time - self._last_time)
-            elapsed += end_time - self._last_time
-        return total / elapsed if elapsed > 0 else self._value
+        return time_weighted_mean(self._weighted_total, self._elapsed,
+                                  self._last_time, self._value, end_time)
+
+
+def time_weighted_mean(total, elapsed, last_time, value, end_time=None):
+    """The mean :meth:`TimeWeighted.mean` reports, from its state: the
+    area under the curve, the time it covers, when the quantity last
+    changed and its ``value`` since then."""
+    if end_time is not None and end_time > last_time:
+        total += value * (end_time - last_time)
+        elapsed += end_time - last_time
+    return total / elapsed if elapsed > 0 else value
+
+
+class TimeWeightedView:
+    """Read-only :class:`TimeWeighted` over state its owner keeps in
+    its own slots and updates inline, with the same float operations in
+    the same order.  ``state()`` returns ``(area, elapsed, last_time,
+    value, max)``; ``value`` and ``max`` may be ints and are reported as
+    floats, as :class:`TimeWeighted` reports them."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state):
+        self._state = state
+
+    @property
+    def current(self):
+        return float(self._state()[3])
+
+    @property
+    def max(self):
+        return float(self._state()[4])
+
+    def mean(self, end_time=None):
+        area, elapsed, last_time, value, _max = self._state()
+        return time_weighted_mean(area, elapsed, last_time, float(value),
+                                  end_time)
 
 
 class UtilizationTracker:
@@ -206,6 +267,33 @@ class UtilizationTracker:
         if window <= 0:
             return 0.0
         return min(1.0, self.busy_time(now) / window)
+
+
+class UtilizationView:
+    """Read-only :class:`UtilizationTracker` (start 0, one operation at
+    a time) over state its owner keeps in its own slots.  ``state()``
+    returns ``(busy_total, busy_since, operations)``, with
+    ``busy_since`` None while the unit is idle."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state):
+        self._state = state
+
+    def busy_time(self, now=None):
+        total, since, _operations = self._state()
+        if since is not None and now is not None:
+            total += now - since
+        return total
+
+    @property
+    def operations(self):
+        return self._state()[2]
+
+    def utilization(self, now):
+        if now <= 0:
+            return 0.0
+        return min(1.0, self.busy_time(now) / now)
 
 
 class SeriesRecorder:

@@ -1,6 +1,7 @@
 """Operational semantics of every opcode, shared by both execution engines.
 
-:func:`execute` maps (instruction, tag, operands) to a list of *effects*.
+:func:`execute` maps (instruction, tag, operands) to a list of *effects*,
+through one handler per opcode (:data:`HANDLERS`).
 Pure, control, tag-manipulation and linkage opcodes only ever produce
 :class:`Send` effects — all tag arithmetic (the D/D⁻¹/L/L⁻¹ algebra, CALL
 context creation, RETURN continuation unpacking) is computed here, locally,
@@ -34,6 +35,7 @@ __all__ = [
     "ProgramResult",
     "assemble_operands",
     "execute",
+    "handler_of",
 ]
 
 
@@ -139,100 +141,128 @@ def execute(program, instruction, tag, operands):
     ``operands`` is the full positional operand list (see
     :func:`assemble_operands`).
     """
-    opcode = instruction.opcode
+    return handler_of(instruction.opcode)(program, instruction, tag,
+                                          operands)
 
-    if opcode in PURE_BINARY:
+
+def handler_of(opcode):
+    """The function that executes ``opcode``:
+    ``handler(program, instruction, tag, operands) -> effects``.
+
+    The timed machine looks it up once per instruction when it decodes
+    it, so a firing calls it directly, with no per-firing opcode hash.
+    """
+    return HANDLERS.get(opcode, _unimplemented)
+
+
+def _unimplemented(program, instruction, tag, operands):
+    raise MachineError(f"unimplemented opcode {instruction.opcode!r}")
+
+
+def _binary(fn):
+    def handler(program, instruction, tag, operands):
         try:
-            value = PURE_BINARY[opcode](operands[0], operands[1])
+            value = fn(operands[0], operands[1])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise MachineError(
-                f"{opcode.value} failed at {tag!r}: {exc}"
+                f"{instruction.opcode.value} failed at {tag!r}: {exc}"
             ) from exc
         return _fanout(tag, instruction.dests, value)
+    return handler
 
-    if opcode in PURE_UNARY:
+
+def _unary(fn):
+    def handler(program, instruction, tag, operands):
         try:
-            value = PURE_UNARY[opcode](operands[0])
+            value = fn(operands[0])
         except (TypeError, ValueError) as exc:
             raise MachineError(
-                f"{opcode.value} failed at {tag!r}: {exc}"
+                f"{instruction.opcode.value} failed at {tag!r}: {exc}"
             ) from exc
         return _fanout(tag, instruction.dests, value)
+    return handler
 
-    if opcode is Opcode.CONSTANT:
-        return _fanout(tag, instruction.dests, instruction.literal)
 
-    if opcode is Opcode.GATE:
-        return _fanout(tag, instruction.dests, operands[0])
+def _constant(program, instruction, tag, operands):
+    return _fanout(tag, instruction.dests, instruction.literal)
 
-    if opcode is Opcode.SINK:
-        return []
 
-    if opcode is Opcode.SWITCH:
-        control = operands[1]
-        if not isinstance(control, bool):
-            raise MachineError(
-                f"SWITCH control at {tag!r} is {control!r}, not a boolean"
-            )
-        side = instruction.dests if control else instruction.dests_false
-        return _fanout(tag, side, operands[0])
+def _gate(program, instruction, tag, operands):
+    return _fanout(tag, instruction.dests, operands[0])
 
-    if opcode is Opcode.D:
-        next_iteration = tag.next_iteration
-        return [
-            Send(next_iteration(s), p, operands[0])
-            for s, p in _dest_pairs(instruction.dests)
-        ]
 
-    if opcode is Opcode.D_INV:
-        reset_iteration = tag.reset_iteration
-        return [
-            Send(reset_iteration(s), p, operands[0])
-            for s, p in _dest_pairs(instruction.dests)
-        ]
+def _sink(program, instruction, tag, operands):
+    return []
 
-    if opcode is Opcode.L:
-        loop = program.block(instruction.target_block)
-        targets = loop.param_targets[instruction.param_index]
-        site = instruction.site
-        name = loop.name
-        return [
-            Send(tag.enter(site, name, s), p, operands[0])
-            for s, p in _dest_pairs(targets)
-        ]
 
-    if opcode is Opcode.L_INV:
-        return _loop_exit(program, instruction, tag, operands[0])
+def _switch(program, instruction, tag, operands):
+    control = operands[1]
+    if not isinstance(control, bool):
+        raise MachineError(
+            f"SWITCH control at {tag!r} is {control!r}, not a boolean"
+        )
+    side = instruction.dests if control else instruction.dests_false
+    return _fanout(tag, side, operands[0])
 
-    if opcode is Opcode.CALL:
-        return _call(program, instruction, tag, operands)
 
-    if opcode is Opcode.RETURN:
-        return _return(operands[0], operands[1], tag)
+def _d(program, instruction, tag, operands):
+    next_iteration = tag.next_iteration
+    return [
+        Send(next_iteration(s), p, operands[0])
+        for s, p in _dest_pairs(instruction.dests)
+    ]
 
-    if opcode is Opcode.I_ALLOC:
-        size = operands[0]
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise MachineError(f"I_ALLOC at {tag!r}: bad size {size!r}")
-        return [StructureAlloc(size, _reply_arcs(tag, instruction.dests))]
 
-    if opcode is Opcode.I_FETCH:
-        ref, index = operands
-        _check_ref(ref, tag)
-        ref.check_index(index)
-        return [StructureRead(ref, index, _reply_arcs(tag, instruction.dests))]
+def _d_inv(program, instruction, tag, operands):
+    reset_iteration = tag.reset_iteration
+    return [
+        Send(reset_iteration(s), p, operands[0])
+        for s, p in _dest_pairs(instruction.dests)
+    ]
 
-    if opcode is Opcode.I_STORE:
-        ref, index, value = operands
-        _check_ref(ref, tag)
-        ref.check_index(index)
-        effects = [StructureWrite(ref, index, value)]
-        # The onward arcs carry an *issue* signal (stores are one-way d=1
-        # tokens; the paper has no store acknowledgement).
-        effects.extend(_fanout(tag, instruction.dests, value))
-        return effects
 
-    raise MachineError(f"unimplemented opcode {opcode!r}")
+def _l(program, instruction, tag, operands):
+    loop = program.block(instruction.target_block)
+    targets = loop.param_targets[instruction.param_index]
+    site = instruction.site
+    name = loop.name
+    return [
+        Send(tag.enter(site, name, s), p, operands[0])
+        for s, p in _dest_pairs(targets)
+    ]
+
+
+def _l_inv(program, instruction, tag, operands):
+    return _loop_exit(program, instruction, tag, operands[0])
+
+
+def _return_op(program, instruction, tag, operands):
+    return _return(operands[0], operands[1], tag)
+
+
+def _i_alloc(program, instruction, tag, operands):
+    size = operands[0]
+    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+        raise MachineError(f"I_ALLOC at {tag!r}: bad size {size!r}")
+    return [StructureAlloc(size, _reply_arcs(tag, instruction.dests))]
+
+
+def _i_fetch(program, instruction, tag, operands):
+    ref, index = operands
+    _check_ref(ref, tag)
+    ref.check_index(index)
+    return [StructureRead(ref, index, _reply_arcs(tag, instruction.dests))]
+
+
+def _i_store(program, instruction, tag, operands):
+    ref, index, value = operands
+    _check_ref(ref, tag)
+    ref.check_index(index)
+    effects = [StructureWrite(ref, index, value)]
+    # The onward arcs carry an *issue* signal (stores are one-way d=1
+    # tokens; the paper has no store acknowledgement).
+    effects.extend(_fanout(tag, instruction.dests, value))
+    return effects
 
 
 def _check_ref(ref, tag):
@@ -314,3 +344,23 @@ def _return(value, continuation, tag):
     if continuation.halt:
         return [ProgramResult(value)]
     return [Send(t, port, value) for t, port in continuation.return_tags()]
+
+
+#: Opcode -> handler, built once at import (see :func:`handler_of`).
+HANDLERS = {
+    **{opcode: _binary(fn) for opcode, fn in PURE_BINARY.items()},
+    **{opcode: _unary(fn) for opcode, fn in PURE_UNARY.items()},
+    Opcode.CONSTANT: _constant,
+    Opcode.GATE: _gate,
+    Opcode.SINK: _sink,
+    Opcode.SWITCH: _switch,
+    Opcode.D: _d,
+    Opcode.D_INV: _d_inv,
+    Opcode.L: _l,
+    Opcode.L_INV: _l_inv,
+    Opcode.CALL: _call,
+    Opcode.RETURN: _return_op,
+    Opcode.I_ALLOC: _i_alloc,
+    Opcode.I_FETCH: _i_fetch,
+    Opcode.I_STORE: _i_store,
+}

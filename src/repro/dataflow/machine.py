@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from ..common.errors import DeadlockError, MachineError
 from ..common.simulator import Simulator
-from ..common.stats import Counter
+from ..common.stats import SlotCounter
 from ..common.topology import MachineTopology, TopologyLink, TopologyUnit
 from ..istructure.heap import StructureRef
 from ..network.ideal import IdealNetwork
@@ -175,7 +175,10 @@ class TaggedTokenMachine:
         for pe in self.pes:
             self.network.attach(pe.pe, self._network_delivery, owner=pe)
         self._configure_shards()
-        self.counters = Counter()
+        # Hot counts; structures_allocated goes through counters.add.
+        self._local = 0
+        self._network = 0
+        self.counters = SlotCounter(self._hot_counts)
         self._next_sid = 0
         self._result = None
         self._result_time = None
@@ -185,7 +188,7 @@ class TaggedTokenMachine:
     # ------------------------------------------------------------------
     # Program execution
     # ------------------------------------------------------------------
-    def run(self, *args, max_events=None, drain=True):
+    def run(self, *args, max_events=None):
         """Invoke the entry procedure on ``args``; returns MachineResult.
 
         A machine instance is single-use: its clocks, stores and counters
@@ -260,6 +263,9 @@ class TaggedTokenMachine:
             topo.shard_links(assignment),
         )
 
+    def _hot_counts(self):
+        return {"tokens_local": self._local, "tokens_network": self._network}
+
     def _decoded(self, code_block, statement):
         """The :class:`DecodedInstruction` for one statement, built on
         first use."""
@@ -273,10 +279,10 @@ class TaggedTokenMachine:
 
     def _inject(self, tag, port, value):
         entry = self._decoded(tag.code_block, tag.statement)
-        token = Token(tag, port, value, TokenKind.NORMAL, nt=entry.nt)
         pe = self.mapping.pe_of(tag)
+        token = Token(tag, port, value, TokenKind.NORMAL, nt=entry.nt, pe=pe)
         target = self.pes[pe]
-        self.sim.post_to(target, 0, target.receive, token.routed_to(pe))
+        self.sim.post_to(target, 0, target.receive, token)
 
     def _trace_event(self, pe, kind, detail, **fields):
         # Call sites guard on ``self._bus is not None and bus.enabled``
@@ -304,7 +310,7 @@ class TaggedTokenMachine:
     def _transmit(self, src_pe, token):
         bus = self._bus
         if token.pe == src_pe and self.config.local_loopback:
-            self.counters.add("tokens_local")
+            self._local += 1
             if bus is not None and bus.enabled:
                 eid = self._trace_event(src_pe, "route", "local", local=True,
                                         parent=token.cause)
@@ -312,7 +318,7 @@ class TaggedTokenMachine:
                     object.__setattr__(token, "cause", eid)
             self.pes[src_pe].receive(token)
         else:
-            self.counters.add("tokens_network")
+            self._network += 1
             cause = token.cause
             if bus is not None and bus.enabled:
                 eid = self._trace_event(src_pe, "route", f"->pe{token.pe}",
@@ -372,7 +378,7 @@ class TaggedTokenMachine:
         return self.metrics_registry().snapshot(now=self.sim.now)
 
     def instructions_executed(self):
-        return sum(pe.counters["instructions"] for pe in self.pes)
+        return sum(pe.instructions for pe in self.pes)
 
     def pending_reads(self):
         return sum(pe.istructure.pending_reads for pe in self.pes)

@@ -16,16 +16,23 @@ configurable service time:
   instruction packet");
 * **output section** — builds result tokens ("we build this output token
   by computing a new tag, using the old tag along with information stored
-  in the instruction itself"), computes the destination PE via the mapping
-  policy, and hands remote tokens to the network.
+  in the instruction itself"), each stamped with its destination PE by
+  the mapping policy as it is built, and hands remote tokens to the
+  network.
 
 Each PE also hosts an I-structure controller (d=1 traffic) and a PE
 controller (d=2 traffic — here, structure allocation).
+
+A token crosses the PE once per pipeline stage, so the PE keeps its
+counts and its match-store occupancy in its own slots, bumped inline,
+and folds them into the usual ``Counter`` names and ``TimeWeighted``
+statistics only when someone reads them (``counters``,
+``match_occupancy``).
 """
 
 from ..common.errors import MachineError
 from ..common.queueing import FifoServer
-from ..common.stats import Counter, TimeWeighted
+from ..common.stats import SlotCounter, TimeWeightedView
 from ..graph.opcodes import CLASS_COUNTER
 from ..istructure.controller import IStructureController, ReadRequest, WriteRequest
 from ..istructure.heap import interleave_home
@@ -36,25 +43,41 @@ from .exec_core import (
     StructureRead,
     StructureWrite,
     assemble_operands,
-    execute,
+    handler_of,
 )
 from .token import Token, TokenKind
 
 __all__ = ["ProcessingElement", "AllocRequest", "DecodedInstruction"]
 
+_NORMAL = TokenKind.NORMAL
+_STRUCTURE = TokenKind.STRUCTURE
+_CONTROL = TokenKind.CONTROL
+
+#: The per-class instruction counters (``class_pure``, ...), in the
+#: order of a PE's class-count list; an instruction's ``class_index``
+#: points into it.
+_CLASS_NAMES = tuple(sorted(set(CLASS_COUNTER.values())))
+
+#: Opcode name -> (class index, handler).  Keyed by the member's name,
+#: the string ``Enum.__hash__`` hashes, so a decode hashes it in C
+#: rather than calling ``Enum.__hash__`` in Python.
+_DECODE = {opcode._name_: (_CLASS_NAMES.index(name), handler_of(opcode))
+           for opcode, name in CLASS_COUNTER.items()}
+
 
 class DecodedInstruction:
     """One statement as the fetch unit hands it to the ALU, decoded once
     per machine: the instruction plus what every firing of it needs and
-    no firing can change (the program is frozen once the machine runs)."""
+    no firing can change (the program is frozen once the machine runs),
+    its opcode's handler included."""
 
-    __slots__ = ("instruction", "nt", "arity", "class_counter")
+    __slots__ = ("instruction", "nt", "arity", "class_index", "handler")
 
     def __init__(self, instruction):
         self.instruction = instruction
         self.nt = instruction.nt
         self.arity = instruction.natural_arity
-        self.class_counter = CLASS_COUNTER[instruction.opcode]
+        self.class_index, self.handler = _DECODE[instruction.opcode._name_]
 
 
 class AllocRequest:
@@ -75,9 +98,11 @@ class ProcessingElement:
         "machine", "pe", "config", "sim",
         "waiting_matching", "fetch", "alu", "output", "controller",
         "istructure", "_match_store", "_match_causes", "match_occupancy",
-        "counters", "_waiting", "_instr_cache",
+        "counters", "_waiting", "_instr_cache", "_pe_of",
         "_wm_time", "_wm_capacity", "_wm_penalty",
         "_faults", "_alu_time",
+        "_received", "_matches", "_parked", "_class_counts", "_sent",
+        "_occ_area", "_occ_elapsed", "_occ_last", "_occ_max",
     )
 
     def __init__(self, machine, pe_number, config):
@@ -107,26 +132,59 @@ class ProcessingElement:
         self._match_store = {}
         # Provenance: park eids awaiting their match, keyed by tag.
         self._match_causes = {}
-        self.match_occupancy = TimeWeighted()
-        self.counters = Counter()
         # Parked-token count, maintained incrementally (+1 on park,
         # -(nt-1) on match) so capacity checks and occupancy samples are
         # O(1) instead of a sum over the associative store.
         self._waiting = 0
+        # Its time-weighted history, as TimeWeighted.update records it:
+        # area under the curve, the time it covers, the last change, and
+        # the peak.
+        self._occ_area = 0.0
+        self._occ_elapsed = 0.0
+        self._occ_last = 0.0
+        self._occ_max = 0
+        self.match_occupancy = TimeWeightedView(self._occupancy_state)
+        # Hot counts; wm_overflows and fault_* go through counters.add.
+        self._received = 0
+        self._matches = 0
+        self._parked = 0
+        self._class_counts = [0] * len(_CLASS_NAMES)
+        self._sent = 0
+        self.counters = SlotCounter(self._hot_counts)
         # (code_block, statement) -> DecodedInstruction, shared machine-wide.
         self._instr_cache = machine._instr_cache
+        self._pe_of = machine.mapping.pe_of
         self._wm_time = config.wm_time
         self._wm_capacity = config.wm_capacity
         self._wm_penalty = config.wm_overflow_penalty
+
+    def _hot_counts(self):
+        counts = {"tokens_received": self._received,
+                  "matches": self._matches,
+                  "tokens_parked": self._parked,
+                  "instructions": self.instructions}
+        counts.update(zip(_CLASS_NAMES, self._class_counts))
+        counts["tokens_sent"] = self._sent
+        return counts
+
+    def _occupancy_state(self):
+        return (self._occ_area, self._occ_elapsed, self._occ_last,
+                self._waiting, self._occ_max)
+
+    @property
+    def instructions(self):
+        """Instructions this PE's ALU has executed."""
+        return sum(self._class_counts)
 
     # ------------------------------------------------------------------
     # Token arrival and classification (the "input" of Fig 2-4)
     # ------------------------------------------------------------------
     def receive(self, token):
         """A token arrived at this PE (from the network or locally)."""
-        self.counters.add("tokens_received")
-        if token.kind is TokenKind.NORMAL:
-            if token.needs_partner:
+        self._received += 1
+        kind = token.kind
+        if kind is _NORMAL:
+            if token.nt >= 2:
                 service = self._wm_time
                 if (
                     self._wm_capacity is not None
@@ -143,13 +201,13 @@ class ProcessingElement:
                     (token.tag, {token.port: token.data}, token.cause),
                     self._fetched,
                 )
-        elif token.kind is TokenKind.STRUCTURE:
+        elif kind is _STRUCTURE:
             if self.machine._provenance:
                 # The request predates any route/network events the token
                 # accumulated in flight; re-link it to the freshest one.
                 token.data.cause = token.cause
             self.istructure.submit(token.data)
-        elif token.kind is TokenKind.CONTROL:
+        elif kind is _CONTROL:
             if self.machine._provenance:
                 token.data.cause = token.cause
             self.controller.submit(token.data, self._control)
@@ -160,50 +218,56 @@ class ProcessingElement:
     # Waiting-matching section
     # ------------------------------------------------------------------
     def _match(self, token):
+        tag = token.tag
         store = self._match_store
-        slot = store.get(token.tag)
+        slot = store.get(tag)
         if slot is None:
-            slot = store[token.tag] = {}
+            slot = store[tag] = {}
         if token.port in slot:
             raise MachineError(
-                f"pe{self.pe}: duplicate token at {token.tag!r} "
+                f"pe{self.pe}: duplicate token at {tag!r} "
                 f"port {token.port}"
             )
         slot[token.port] = token.data
         machine = self.machine
         bus = machine._bus
+        # The waiting count changes below: close its last interval.
         now = self.sim._now
+        dt = now - self._occ_last
+        self._occ_area += self._waiting * dt
+        self._occ_elapsed += dt
+        self._occ_last = now
         if len(slot) == token.nt:
-            del store[token.tag]
-            self.counters.add("matches")
+            del store[tag]
+            self._matches += 1
             waiting = self._waiting = self._waiting - (token.nt - 1)
-            self.match_occupancy.update(now, waiting)
             cause = token.cause
             if bus is not None and bus.enabled:
                 # The match joins this token's chain (parent) with the
                 # park events of the operands that arrived earlier.
                 eid = machine._trace_event(
-                    self.pe, "match", repr(token.tag),
+                    self.pe, "match", repr(tag),
                     waiting=waiting,
                     parent=token.cause,
-                    joins=self._match_causes.pop(token.tag, None),
+                    joins=self._match_causes.pop(tag, None),
                 )
                 if eid is not None:
                     cause = eid
             elif self._match_causes:
-                self._match_causes.pop(token.tag, None)
-            self.fetch.submit((token.tag, slot, cause), self._fetched)
+                self._match_causes.pop(tag, None)
+            self.fetch.submit((tag, slot, cause), self._fetched)
         else:
-            self.counters.add("tokens_parked")
+            self._parked += 1
             waiting = self._waiting = self._waiting + 1
-            self.match_occupancy.update(now, waiting)
+            if waiting > self._occ_max:
+                self._occ_max = waiting
             if bus is not None and bus.enabled:
                 eid = machine._trace_event(
-                    self.pe, "park", f"{token.tag!r} p{token.port}",
+                    self.pe, "park", f"{tag!r} p{token.port}",
                     waiting=waiting, parent=token.cause,
                 )
                 if eid is not None:
-                    self._match_causes.setdefault(token.tag, []).append(eid)
+                    self._match_causes.setdefault(tag, []).append(eid)
 
     def _waiting_tokens(self):
         return self._waiting
@@ -259,10 +323,8 @@ class ProcessingElement:
         instruction = entry.instruction
         machine = self.machine
         operands = assemble_operands(instruction, by_port, entry.arity)
-        effects = execute(machine.program, instruction, tag, operands)
-        counters = self.counters
-        counters.add("instructions")
-        counters.add(entry.class_counter)
+        effects = entry.handler(machine.program, instruction, tag, operands)
+        self._class_counts[entry.class_index] += 1
         bus = machine._bus
         if bus is not None and bus.enabled:
             # dur = the ALU slice just finished; the Chrome exporter
@@ -284,8 +346,8 @@ class ProcessingElement:
             entry = self._instr_cache.get((etag.code_block, etag.statement))
             if entry is None:
                 entry = self.machine._decoded(etag.code_block, etag.statement)
-            token = Token(etag, effect.port, effect.value,
-                          TokenKind.NORMAL, nt=entry.nt, cause=cause)
+            token = Token(etag, effect.port, effect.value, _NORMAL,
+                          entry.nt, self._pe_of(etag), cause)
             self.output.submit(token, self._route)
         elif isinstance(effect, StructureRead):
             for reply_tag, reply_port in effect.replies:
@@ -296,7 +358,7 @@ class ProcessingElement:
                     reply=(reply_tag, reply_port),
                     cause=cause,
                 )
-                token = Token(tag, 0, request, TokenKind.STRUCTURE, pe=home,
+                token = Token(tag, 0, request, _STRUCTURE, pe=home,
                               cause=cause)
                 self.output.submit(token, self._route)
         elif isinstance(effect, StructureWrite):
@@ -305,12 +367,12 @@ class ProcessingElement:
                 key=(effect.ref.sid, effect.index), value=effect.value,
                 cause=cause,
             )
-            token = Token(tag, 0, request, TokenKind.STRUCTURE, pe=home,
+            token = Token(tag, 0, request, _STRUCTURE, pe=home,
                           cause=cause)
             self.output.submit(token, self._route)
         elif isinstance(effect, StructureAlloc):
             request = AllocRequest(effect.size, effect.replies, cause=cause)
-            token = Token(tag, 0, request, TokenKind.CONTROL, pe=self.pe,
+            token = Token(tag, 0, request, _CONTROL, pe=self.pe,
                           cause=cause)
             self.output.submit(token, self._route)
         elif isinstance(effect, ProgramResult):
@@ -319,14 +381,11 @@ class ProcessingElement:
             raise MachineError(f"unknown effect {effect!r}")
 
     # ------------------------------------------------------------------
-    # Output section: tag -> PE mapping and routing
+    # Output section: routing (every token already carries its PE)
     # ------------------------------------------------------------------
     def _route(self, token):
-        machine = self.machine
-        if token.pe is None:
-            token = token.routed_to(machine.mapping.pe_of(token.tag))
-        self.counters.add("tokens_sent")
-        machine._transmit(self.pe, token)
+        self._sent += 1
+        self.machine._transmit(self.pe, token)
 
     # ------------------------------------------------------------------
     # PE controller (d=2): structure allocation
@@ -345,8 +404,8 @@ class ProcessingElement:
                 entry = self.machine._decoded(
                     reply_tag.code_block, reply_tag.statement
                 )
-                token = Token(reply_tag, reply_port, ref, TokenKind.NORMAL,
-                              nt=entry.nt, cause=cause)
+                token = Token(reply_tag, reply_port, ref, _NORMAL, entry.nt,
+                              self._pe_of(reply_tag), cause)
                 self.output.submit(token, self._route)
         else:
             raise MachineError(f"pe{self.pe}: unknown control request {request!r}")
@@ -365,8 +424,8 @@ class ProcessingElement:
                                           reply_tag.statement)
         # The controller sets reply_cause synchronously right before each
         # deliver call, so this read is race-free under the event kernel.
-        token = Token(reply_tag, reply_port, value, TokenKind.NORMAL,
-                      nt=entry.nt, cause=self.istructure.reply_cause)
+        token = Token(reply_tag, reply_port, value, _NORMAL, entry.nt,
+                      self._pe_of(reply_tag), self.istructure.reply_cause)
         self.output.submit(token, self._route)
 
     # ------------------------------------------------------------------
@@ -376,6 +435,6 @@ class ProcessingElement:
 
     def __repr__(self):
         return (
-            f"<PE {self.pe} instructions={self.counters['instructions']} "
+            f"<PE {self.pe} instructions={self.instructions} "
             f"waiting={self._waiting_tokens()}>"
         )

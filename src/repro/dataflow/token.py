@@ -5,9 +5,10 @@ provide for the cases where an incoming token is destined for the
 I-Structure Storage (d=1), or is destined for the PE Controller (d=2)"
 (§2.2.3).  Normal data tokens are d=0.
 
-``PE`` is filled in by the output section from the tag via the machine's
-mapping policy; ``nt`` is the total operand count of the target
-instruction; ``port`` says which operand this token carries.
+``PE`` is computed from the tag via the machine's mapping policy when
+the token is built, so the output section only reads it; ``nt`` is the
+total operand count of the target instruction; ``port`` says which
+operand this token carries.
 
 Millions of tokens flow through a single experiment, so the class is a
 plain ``__slots__`` record rather than a dataclass: construction is the
@@ -44,11 +45,6 @@ class Token:
         # populated when the machine's bus runs with provenance=True;
         # excluded from repr so trace detail strings stay byte-compatible.
         self.cause = cause
-
-    def routed_to(self, pe):
-        """Copy of the token with its PE field filled in."""
-        return Token(self.tag, self.port, self.data, self.kind, self.nt, pe,
-                     self.cause)
 
     @property
     def needs_partner(self):

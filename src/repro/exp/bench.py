@@ -167,6 +167,12 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     fault-aware sweeps (e20) read it while building their grids, so each
     fault level appears as its own row.  The payload may carry a
     ``levels`` list overriding a sweep's default fault-severity grid.
+
+    Walls time cold work only: an experiment with any cell answered
+    from the store gets ``wall_seconds: null`` (and "cached" on
+    ``err``), and so does the suite ``meta`` when any experiment had
+    one.  Each experiment records its ``cold_cells`` and
+    ``cache_hits``; ``meta.cells`` sums them.
     """
     from ..serve.protocol import machine_plan
     from ..serve.store import open_store
@@ -203,6 +209,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
 
     telemetry = []
     failures = []
+    cells = {"cold": 0, "cached": 0}
     suite_start = time.time()
     outcomes = (_run_inline(selected, store, bus)
                 if jobs == 0 else
@@ -211,6 +218,8 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     try:
         for module_name, out_name, experiment, records, wall in outcomes:
             cached = sum(1 for record in records if record.cached)
+            cells["cold"] += len(records) - cached
+            cells["cached"] += cached
             failed = [record for record in records if not record.ok]
             if failed:
                 for record in failed:
@@ -224,13 +233,12 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
                 })
                 continue
             table = experiment.table([record.value for record in records])
-            harness.write_table(
-                table, out_name,
-                meta={"wall_seconds": round(wall, 3),
-                      "cache_hits": cached,
-                      "grid": len(records)},
-            )
-            print(f"[{wall:6.1f}s] {out_name} "
+            wall = None if cached else round(wall, 3)
+            counts = {"cold_cells": len(records) - cached,
+                      "cache_hits": cached, "grid": len(records)}
+            harness.write_table(table, out_name,
+                                meta={"wall_seconds": wall, **counts})
+            print(f"[{_wall_text(wall)}] {out_name} "
                   f"({cached}/{len(records)} cached)\n", file=err)
             telemetry.append({
                 "experiment": out_name,
@@ -238,9 +246,8 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
                 "title": table.title,
                 "rows": len(table.rows),
                 "columns": list(table.columns),
-                "wall_seconds": round(wall, 3),
-                "cache_hits": cached,
-                "grid": len(records),
+                "wall_seconds": wall,
+                **counts,
                 "data": table_rows(table),
             })
     finally:
@@ -258,7 +265,9 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             "cache": (None if store is None else
                       {"root": store.path, "hits": store.hits,
                        "misses": store.misses}),
-            "wall_seconds": round(time.time() - suite_start, 3),
+            "wall_seconds": (None if cells["cached"] else
+                             round(time.time() - suite_start, 3)),
+            "cells": cells,
             # Provenance: where this sweep ran.  The tables themselves
             # are host-independent (the regression gate diffs them), the
             # telemetry is not — stamp enough to explain a slow run.
@@ -273,7 +282,12 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     with open(aggregate_path, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
-    print(f"[{aggregate['meta']['wall_seconds']:6.1f}s] total -> "
+    print(f"[{_wall_text(aggregate['meta']['wall_seconds'])}] total -> "
           f"{aggregate_path}"
           + (f"  [{len(failures)} FAILED]" if failures else ""), file=err)
     return aggregate
+
+
+def _wall_text(wall):
+    """A progress line's time: the wall, or "cached" when it is null."""
+    return " cached" if wall is None else f"{wall:6.1f}s"

@@ -8,9 +8,16 @@ take twice as long, however, due to the prefetching of presence bits."
 Satisfied reads (immediate or deferred) are handed to a ``deliver``
 callback; in the dataflow machine that callback injects the d=0 result
 token into the network back toward the requesting PE.
+
+Like :class:`~repro.common.queueing.FifoServer`, the controller keeps
+its queue-depth and busy-time statistics in its own attributes, with the
+float operations a ``TimeWeighted`` and a ``UtilizationTracker`` would
+apply, in the same order; ``queue_depth`` and ``utilization`` read them.
 """
 
-from ..common.stats import Counter, TimeWeighted, UtilizationTracker
+from collections import deque
+
+from ..common.stats import Counter, TimeWeightedView, UtilizationView
 from .store import DEFERRED, IStructureModule
 
 __all__ = ["IStructureController", "ReadRequest", "WriteRequest"]
@@ -66,11 +73,28 @@ class IStructureController:
         self.write_cycles = write_cycles
         self.drain_cycles_per_deferred = drain_cycles_per_deferred
         self.module = module if module is not None else IStructureModule(name)
-        self._queue = []
+        self._queue = deque()
         self._busy = False
         self.counters = Counter()
-        self.queue_depth = TimeWeighted()
-        self.utilization = UtilizationTracker()
+        # Queue depth over time: area, time covered, last change, depth
+        # since then, peak.
+        self._q_area = 0.0
+        self._q_elapsed = 0.0
+        self._q_last = 0.0
+        self._q_depth = 0.0
+        self._q_max = 0.0
+        self.queue_depth = TimeWeightedView(
+            lambda: (self._q_area, self._q_elapsed, self._q_last,
+                     self._q_depth, self._q_max))
+        # Busy time: total over finished services, start of the current
+        # one, services started.
+        self._busy_total = 0.0
+        self._busy_since = 0.0
+        self._operations = 0
+        self.utilization = UtilizationView(
+            lambda: (self._busy_total,
+                     self._busy_since if self._busy else None,
+                     self._operations))
         #: Optional ``trace(kind, detail, **fields)`` observability hook;
         #: None (the default) keeps the controller's hot path free of any
         #: per-event work beyond this attribute check.  ``bus`` is only
@@ -88,10 +112,21 @@ class IStructureController:
         self._deferred_causes = {}
 
     # ------------------------------------------------------------------
+    def _queue_step(self, delta):
+        """The queue depth changes by ``delta`` now."""
+        now = self.sim._now
+        dt = now - self._q_last
+        self._q_area += self._q_depth * dt
+        self._q_elapsed += dt
+        self._q_last = now
+        depth = self._q_depth = self._q_depth + delta
+        if depth > self._q_max:
+            self._q_max = depth
+
     def submit(self, request):
         """Accept a read or write request (arrival of a d=1 token)."""
         self._queue.append(request)
-        self.queue_depth.update(self.sim.now, len(self._queue))
+        self._queue_step(1.0)
         self.counters.add("requests")
         if not self._busy:
             self._start_next()
@@ -99,8 +134,8 @@ class IStructureController:
     def _start_next(self):
         if not self._queue:
             return
-        request = self._queue.pop(0)
-        self.queue_depth.update(self.sim.now, len(self._queue))
+        request = self._queue.popleft()
+        self._queue_step(-1.0)
         if isinstance(request, ReadRequest):
             service = self.read_cycles
         else:
@@ -128,7 +163,8 @@ class IStructureController:
                 # This is the fault a split-phase machine can overlap.
                 request.fault_delay = cycles
         self._busy = True
-        self.utilization.begin(self.sim.now)
+        self._busy_since = self.sim._now
+        self._operations += 1
         self.sim.post(service, self._complete, request)
 
     def _complete(self, request):
@@ -198,7 +234,7 @@ class IStructureController:
         self.deliver(reply, value)
 
     def _finish_drain(self):
-        self.utilization.end(self.sim.now)
+        self._busy_total += self.sim._now - self._busy_since
         self._busy = False
         self._start_next()
 

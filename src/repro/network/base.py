@@ -8,7 +8,7 @@ back latency/hop/utilization statistics afterwards.
 """
 
 from ..common.errors import NetworkError
-from ..common.stats import Counter, Histogram
+from ..common.stats import Histogram, SlotCounter
 from .packet import Packet
 
 __all__ = ["Network"]
@@ -25,7 +25,10 @@ class Network:
         self.name = name
         self._handlers = [None] * n_ports
         self._owners = [None] * n_ports
-        self.counters = Counter()
+        # Hot counts; subclasses and faults add theirs through counters.add.
+        self._injected = 0
+        self._delivered = 0
+        self.counters = SlotCounter(self._hot_counts)
         self.latency = Histogram()
         self.hop_counts = Histogram()
         self._bus = None
@@ -33,6 +36,9 @@ class Network:
         #: Optional :class:`repro.faults.FaultInjector`; None keeps the
         #: delivery path at a single attribute check.
         self.faults = None
+
+    def _hot_counts(self):
+        return {"injected": self._injected, "delivered": self._delivered}
 
     # ------------------------------------------------------------------
     def attach_bus(self, bus, source=None):
@@ -84,7 +90,7 @@ class Network:
         self._check_port(dst)
         packet = Packet(src=src, dst=dst, payload=payload, size=size,
                         injected_at=self.sim.now)
-        self.counters.add("injected")
+        self._injected += 1
         bus = self._bus
         if bus is not None and bus.enabled:
             eid = bus.emit_id(self.sim.now, self._bus_source, "net_inject",
@@ -115,7 +121,7 @@ class Network:
             raise NetworkError(
                 f"{self.name}: no handler attached at port {packet.dst}"
             )
-        self.counters.add("delivered")
+        self._delivered += 1
         latency = self.sim.now - packet.injected_at
         self.latency.observe(latency)
         self.hop_counts.observe(packet.hops)
@@ -139,7 +145,7 @@ class Network:
     @property
     def in_flight(self):
         """Packets injected but not yet delivered."""
-        return self.counters["injected"] - self.counters["delivered"]
+        return self._injected - self._delivered
 
     def mean_latency(self):
         return self.latency.mean
@@ -147,5 +153,5 @@ class Network:
     def __repr__(self):
         return (
             f"<{type(self).__name__} {self.name!r} ports={self.n_ports} "
-            f"delivered={self.counters['delivered']}>"
+            f"delivered={self._delivered}>"
         )

@@ -4,7 +4,9 @@ Every machine model already records measurements: ``Counter`` bundles,
 ``UtilizationTracker``/``TimeWeighted`` instances from
 :mod:`repro.common.stats`, latency ``Histogram``s inside networks, and
 the served count, busy time and queue depth each ``FifoServer`` keeps
-in its own slots.  What was missing is one place that knows where they
+in its own slots.  Hot paths keep their counts and time-weighted levels
+in their owners' slots too, behind a ``SlotCounter`` or a
+``TimeWeightedView``/``UtilizationView`` that reads them when asked.  What was missing is one place that knows where they
 all live.  ``MetricsRegistry`` holds *references* to live instruments
 under hierarchical dotted names (``pe0.alu``, ``net.latency``,
 ``proc3``) and renders them all with a single
@@ -17,7 +19,9 @@ on demand; see docs/OBSERVABILITY.md for the full name catalogue.
 """
 
 from ..common.queueing import FifoServer
-from ..common.stats import Counter, Histogram, TimeWeighted, UtilizationTracker
+from ..common.stats import (Counter, Histogram, TimeWeighted,
+                            TimeWeightedView, UtilizationTracker,
+                            UtilizationView)
 
 __all__ = ["MetricsRegistry"]
 
@@ -76,11 +80,11 @@ class MetricsRegistry:
             flat[f"{name}.mean"] = instrument.mean
             flat[f"{name}.min"] = instrument.min
             flat[f"{name}.max"] = instrument.max
-        elif isinstance(instrument, TimeWeighted):
+        elif isinstance(instrument, (TimeWeighted, TimeWeightedView)):
             flat[f"{name}.mean"] = instrument.mean(end_time=now)
             flat[f"{name}.max"] = instrument.max
             flat[f"{name}.current"] = instrument.current
-        elif isinstance(instrument, UtilizationTracker):
+        elif isinstance(instrument, (UtilizationTracker, UtilizationView)):
             flat[f"{name}.operations"] = instrument.operations
             flat[f"{name}.busy"] = instrument.busy_time(now)
             if now is not None:

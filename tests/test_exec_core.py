@@ -10,8 +10,10 @@ from repro.dataflow.exec_core import (
     StructureAlloc,
     StructureRead,
     StructureWrite,
+    HANDLERS,
     assemble_operands,
     execute,
+    handler_of,
 )
 from repro.dataflow.values import Continuation, FunctionRef, StructureRef
 from repro.graph import Destination, Instruction, Opcode, ProgramBuilder
@@ -47,6 +49,21 @@ class TestAssembleOperands:
         inst = Instruction(Opcode.ADD)
         with pytest.raises(MachineError, match="without operand"):
             assemble_operands(inst, {0: 2})
+
+
+class TestDispatch:
+    def test_every_opcode_has_a_handler(self):
+        assert set(HANDLERS) == set(Opcode)
+
+    def test_unknown_opcode_raises_at_execution(self):
+        class Stray:
+            opcode = "no-such-opcode"
+
+        handler = handler_of(Stray.opcode)  # looking it up never fails
+        with pytest.raises(MachineError, match="unimplemented opcode"):
+            handler(minimal_program(), Stray(), ROOT, [])
+        with pytest.raises(MachineError, match="unimplemented opcode"):
+            execute(minimal_program(), Stray(), ROOT, [])
 
 
 class TestPureExecution:

@@ -348,6 +348,41 @@ class TestSuiteStore:
         assert second["experiments"][0]["cache_hits"] == 1
 
 
+class TestSuiteWalls:
+    """A wall times cold work only: any store hit nulls the experiment's
+    ``wall_seconds`` and the suite's, and the cell counts say why."""
+
+    def test_warm_rerun_reports_null_walls(self, monkeypatch, tmp_path):
+        from repro.exp.bench import run_suite
+        from stub_bench import GRID, slow_table, stub_bench
+
+        modules = {"bench_tiny": (slow_table("tiny", 0.0),
+                                  [("table", "tiny")]),
+                   "bench_grid": (GRID, [("table", "stub_grid")])}
+        store = str(tmp_path / "store")
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            cold = run_suite(jobs=0, bench_dir=bench_dir, cache_dir=store,
+                             err=io.StringIO())
+            err = io.StringIO()
+            warm = run_suite(jobs=0, bench_dir=bench_dir, cache_dir=store,
+                             err=err)
+        for entry in cold["experiments"]:
+            assert isinstance(entry["wall_seconds"], float)
+            assert entry["cold_cells"] == entry["grid"]
+            assert entry["cache_hits"] == 0
+        assert isinstance(cold["meta"]["wall_seconds"], float)
+        assert cold["meta"]["cells"] == {"cold": 7, "cached": 0}
+        for entry in warm["experiments"]:
+            assert entry["wall_seconds"] is None
+            assert entry["cold_cells"] == 0
+            assert entry["cache_hits"] == entry["grid"]
+        assert warm["meta"]["wall_seconds"] is None
+        assert warm["meta"]["cells"] == {"cold": 0, "cached": 7}
+        lines = err.getvalue().splitlines()
+        assert "[ cached] stub_grid (6/6 cached)" in lines
+        assert any(line.startswith("[ cached] total -> ") for line in lines)
+
+
 class TestSuitePool:
     """``repro bench`` submits every experiment to one worker pool up
     front, and reports each experiment's own span as its wall."""

@@ -31,15 +31,6 @@ class TestTokenClassification:
         assert not Token(tag, 0, 1, TokenKind.NORMAL, nt=1).needs_partner
         assert not Token(tag, 0, 1, TokenKind.STRUCTURE, nt=2).needs_partner
 
-    def test_routed_to_preserves_fields(self):
-        tag = Tag(None, "diamond", 0, 1)
-        token = Token(tag, 1, "v", TokenKind.NORMAL, nt=2)
-        routed = token.routed_to(3)
-        assert routed.pe == 3
-        assert (routed.tag, routed.port, routed.data, routed.nt) == (
-            tag, 1, "v", 2
-        )
-
     def test_unknown_control_request_raises(self):
         machine = diamond_machine()
         pe = machine.pes[0]
