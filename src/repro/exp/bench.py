@@ -29,7 +29,8 @@ from .engine import host_cpus, run_experiment
 from .experiment import Experiment
 from .tables import payload_to_table, table_rows, table_to_payload
 
-__all__ = ["build_experiment", "find_bench_dir", "host_cpus", "run_suite"]
+__all__ = ["build_experiment", "find_bench_dir", "host_cpus", "run_suite",
+           "wall_text"]
 
 #: Seconds one benchmark run may take before it is terminated + retried.
 DEFAULT_TIMEOUT = 300.0
@@ -238,7 +239,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
                       "cache_hits": cached, "grid": len(records)}
             harness.write_table(table, out_name,
                                 meta={"wall_seconds": wall, **counts})
-            print(f"[{_wall_text(wall)}] {out_name} "
+            print(f"[{wall_text(wall)}] {out_name} "
                   f"({cached}/{len(records)} cached)\n", file=err)
             telemetry.append({
                 "experiment": out_name,
@@ -282,12 +283,12 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     with open(aggregate_path, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
-    print(f"[{_wall_text(aggregate['meta']['wall_seconds'])}] total -> "
+    print(f"[{wall_text(aggregate['meta']['wall_seconds'])}] total -> "
           f"{aggregate_path}"
           + (f"  [{len(failures)} FAILED]" if failures else ""), file=err)
     return aggregate
 
 
-def _wall_text(wall):
+def wall_text(wall):
     """A progress line's time: the wall, or "cached" when it is null."""
     return " cached" if wall is None else f"{wall:6.1f}s"

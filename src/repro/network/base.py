@@ -86,18 +86,19 @@ class Network:
         payload; the injection event links to it and the packet carries
         the chain forward to delivery.
         """
-        self._check_port(src)
-        self._check_port(dst)
-        packet = Packet(src=src, dst=dst, payload=payload, size=size,
-                        injected_at=self.sim.now)
+        n_ports = self.n_ports
+        if not (0 <= src < n_ports and 0 <= dst < n_ports):
+            self._check_port(src)
+            self._check_port(dst)
+        now = self.sim._now
+        packet = Packet(src, dst, payload, size, now, cause=cause)
         self._injected += 1
         bus = self._bus
         if bus is not None and bus.enabled:
-            eid = bus.emit_id(self.sim.now, self._bus_source, "net_inject",
+            eid = bus.emit_id(now, self._bus_source, "net_inject",
                               f"{src}->{dst}", size=size, parent=cause)
-            packet.cause = eid if eid is not None else cause
-        else:
-            packet.cause = cause
+            if eid is not None:
+                packet.cause = eid
         self._route(packet)
         return packet
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..common.errors import NetworkError
-from ..common.stats import Counter, Histogram, UtilizationTracker
+from ..common.stats import Histogram, SlotCounter, UtilizationTracker
 
 __all__ = ["CombiningOmegaNetwork", "FetchAddRequest", "MemoryRequest"]
 
@@ -145,7 +145,12 @@ class CombiningOmegaNetwork:
         self._wait_buffers = {}
         self._memory_handlers = [None] * self.n_ports
         self._processor_handlers = [None] * self.n_ports
-        self.counters = Counter()
+        # Per-request counts live in slots; combines and splits go
+        # through ``counters.add``.
+        self._requests = 0
+        self._memory_arrivals = 0
+        self._replies = 0
+        self.counters = SlotCounter(self._hot_counts)
         self.round_trip_latency = Histogram()
         self._bus = None
         self._bus_source = name
@@ -153,6 +158,11 @@ class CombiningOmegaNetwork:
         #: land on the switch rails (the synchronous network's clock is
         #: exactly what a glitch would slip).
         self.faults = None
+
+    def _hot_counts(self):
+        return {"requests": self._requests,
+                "memory_arrivals": self._memory_arrivals,
+                "replies": self._replies}
 
     # ------------------------------------------------------------------
     def attach_bus(self, bus, source=None):
@@ -190,7 +200,7 @@ class CombiningOmegaNetwork:
         if not 0 <= src < self.n_ports:
             raise NetworkError(f"{self.name}: bad source port {src}")
         record = _FlightRecord(src, payload, self.sim.now)
-        self.counters.add("requests")
+        self._requests += 1
         self._forward(record, 0, src)
         return record
 
@@ -200,7 +210,7 @@ class CombiningOmegaNetwork:
             handler = self._memory_handlers[port]
             if handler is None:
                 raise NetworkError(f"{self.name}: no memory at port {port}")
-            self.counters.add("memory_arrivals")
+            self._memory_arrivals += 1
             handler(record, record.payload)
             return
         dst = self.memory_port_of(record.payload.address)
@@ -252,7 +262,7 @@ class CombiningOmegaNetwork:
         handler = self._processor_handlers[record.src]
         if handler is None:
             raise NetworkError(f"{self.name}: no processor at port {record.src}")
-        self.counters.add("replies")
+        self._replies += 1
         self.round_trip_latency.observe(self.sim.now - record.injected_at)
         handler(record.payload, value)
 

@@ -18,7 +18,7 @@ import sys
 import time
 import urllib.parse
 
-from ..exp.bench import build_experiment, find_bench_dir
+from ..exp.bench import build_experiment, find_bench_dir, wall_text
 from .protocol import ProtocolError
 
 __all__ = ["ServeClient", "ServeError", "remote_suite"]
@@ -176,6 +176,12 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
     ``BENCH_results.json`` come out exactly as an in-process
     ``repro bench`` run would produce them.  Returns the aggregate
     telemetry dict (same shape as :func:`repro.exp.bench.run_suite`).
+
+    Walls time cold work only, as in ``run_suite``: an experiment with
+    any cell answered from the server's store gets ``wall_seconds:
+    null`` (and "cached" on ``err``), and so does the suite ``meta``
+    when any experiment had one.  Each experiment records its
+    ``cold_cells`` and ``cache_hits``; ``meta.cells`` sums them.
     """
     err = err if err is not None else sys.stderr
     client = ServeClient(url)
@@ -193,6 +199,7 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
 
     telemetry = []
     failures = []
+    cells = {"cold": 0, "cached": 0}
     suite_start = time.time()
     for module_name, runners in run_all.EXPERIMENTS:
         for fn_name, out_name in runners:
@@ -237,13 +244,15 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
                                                      out_name)
             table = experiment.table([r["value"] for r in records])
             cached = status.get("cached", 0)
+            cells["cold"] += len(records) - cached
+            cells["cached"] += cached
+            wall = None if cached else round(wall, 3)
+            counts = {"cold_cells": len(records) - cached,
+                      "cache_hits": cached, "grid": len(records)}
             harness.write_table(
                 table, out_name,
-                meta={"wall_seconds": round(wall, 3),
-                      "cache_hits": cached,
-                      "grid": len(records),
-                      "remote": url})
-            print(f"[{wall:6.1f}s] {out_name} "
+                meta={"wall_seconds": wall, **counts, "remote": url})
+            print(f"[{wall_text(wall)}] {out_name} "
                   f"({cached}/{len(records)} store hits, remote)\n",
                   file=err)
             telemetry.append({
@@ -252,9 +261,8 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
                 "title": table.title,
                 "rows": len(table.rows),
                 "columns": list(table.columns),
-                "wall_seconds": round(wall, 3),
-                "cache_hits": cached,
-                "grid": len(records),
+                "wall_seconds": wall,
+                **counts,
                 "data": table_rows(table),
             })
 
@@ -263,7 +271,9 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
         "failures": failures,
         "meta": {
             "remote": url,
-            "wall_seconds": round(time.time() - suite_start, 3),
+            "wall_seconds": (None if cells["cached"] else
+                             round(time.time() - suite_start, 3)),
+            "cells": cells,
         },
     }
     aggregate_path = os.path.join(os.path.dirname(bench_dir),
@@ -271,7 +281,7 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
     with open(aggregate_path, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
-    total = sum(entry["wall_seconds"] for entry in telemetry)
-    print(f"[{total:6.1f}s] total -> {aggregate_path}"
+    print(f"[{wall_text(aggregate['meta']['wall_seconds'])}] total -> "
+          f"{aggregate_path}"
           + (f"  [{len(failures)} FAILED]" if failures else ""), file=err)
     return aggregate

@@ -16,7 +16,7 @@ from .isa import ALU_OPS, BRANCH_OPS, Instr, MEMORY_OPS, Op
 from .machine import VNMachine, VNResult
 from .memory import DancehallMemorySystem, MemRequest, MemoryModule, RETRY
 from .multithreaded import HardwareContext, MultithreadedProcessor
-from .processor import Processor
+from .processor import Processor, decode
 from . import programs, sync
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "VNResult",
     "assemble",
     "compile_to_assembly",
+    "decode",
     "run_sequential",
     "programs",
     "sync",

@@ -21,12 +21,15 @@ coherence problem."
 """
 
 from ..common.queueing import FifoServer
-from ..common.stats import Counter
+from ..common.stats import SlotCounter
 from .cache import Cache, CacheState
 from .isa import Op
 from .memory import MemoryModule, MemRequest, RETRY  # noqa: F401 (re-export)
 
 __all__ = ["SnoopyBusSystem"]
+
+_LOAD, _STORE = Op.LOAD, Op.STORE
+_INVALID, _MODIFIED = CacheState.INVALID, CacheState.MODIFIED
 
 
 class SnoopyBusSystem:
@@ -53,7 +56,16 @@ class SnoopyBusSystem:
             self.caches = [
                 Cache(cache_config, name=f"{name}.c{i}") for i in range(n_procs)
             ]
-        self.counters = Counter()
+        # Per-access counts live in slots; the transaction kinds and the
+        # coherence traffic go through ``counters.add``.
+        self._accesses = 0
+        self._load_hits = 0
+        self._store_hits = 0
+        self.counters = SlotCounter(self._hot_counts)
+
+    def _hot_counts(self):
+        return {"accesses": self._accesses, "load_hits": self._load_hits,
+                "store_hits": self._store_hits}
 
     # ------------------------------------------------------------------
     def attach_processor(self, proc):
@@ -61,32 +73,34 @@ class SnoopyBusSystem:
         symmetry with the dancehall system."""
 
     def access(self, proc, request, on_complete):
-        self.counters.add("accesses")
+        self._accesses += 1
         op = request.op
-        if self.caches is None or op not in (Op.LOAD, Op.STORE):
+        is_load = op is _LOAD
+        is_store = op is _STORE
+        if self.caches is None or not (is_load or is_store):
             # Uncached access / atomic: a full bus + memory transaction.
             self._bus_transaction(proc, request, on_complete,
-                                  kind="atomic" if op not in (Op.LOAD, Op.STORE)
-                                  else "uncached")
+                                  kind="uncached" if is_load or is_store
+                                  else "atomic")
             return
         cache = self.caches[proc]
         state = cache.lookup(request.address)
-        if op is Op.LOAD and state is not CacheState.INVALID:
-            self.counters.add("load_hits")
+        if is_load and state is not _INVALID:
+            self._load_hits += 1
             value = self.memory.data.get(request.address, 0)
             self.sim.post(cache.config.hit_time, on_complete, value)
             return
-        if op is Op.STORE and self.write_policy == "write_through":
+        if is_store and self.write_policy == "write_through":
             # Every store goes to memory over the bus, hit or not.
             self._bus_transaction(proc, request, on_complete,
                                   kind="write_through")
             return
-        if op is Op.STORE and state is CacheState.MODIFIED:
-            self.counters.add("store_hits")
+        if is_store and state is _MODIFIED:
+            self._store_hits += 1
             self.memory.data[request.address] = request.value
             self.sim.post(cache.config.hit_time, on_complete, None)
             return
-        kind = "read_miss" if op is Op.LOAD else (
+        kind = "read_miss" if is_load else (
             "upgrade" if state is CacheState.SHARED else "write_miss"
         )
         self._bus_transaction(proc, request, on_complete, kind=kind)

@@ -19,7 +19,7 @@ from typing import Optional
 
 from ..common.errors import MachineError
 from ..common.queueing import FifoServer
-from ..common.stats import Counter
+from ..common.stats import SlotCounter
 from ..network.ideal import IdealNetwork
 from .isa import Op
 
@@ -27,6 +27,9 @@ __all__ = ["MemRequest", "MemoryModule", "DancehallMemorySystem", "RETRY"]
 
 #: Response meaning "condition not met, try again" (full/empty busy-wait).
 RETRY = object()
+
+_LOAD, _STORE, _TESTSET, _FAA, _READF, _WRITEF = (
+    Op.LOAD, Op.STORE, Op.TESTSET, Op.FAA, Op.READF, Op.WRITEF)
 
 
 @dataclass
@@ -51,10 +54,23 @@ class MemoryModule:
         self.server = FifoServer(sim, service_time, name=name)
         self.data = {}
         self.full_bits = set()
-        self.counters = Counter()
+        # Per-op counts live in slots; ``counters`` reads them under the
+        # ops' mnemonics, next to the rare counts recorded by ``add``.
+        self._loads = 0
+        self._stores = 0
+        self._testsets = 0
+        self._faas = 0
+        self._readfs = 0
+        self._writefs = 0
+        self.counters = SlotCounter(self._hot_counts)
         #: Optional :class:`repro.faults.FaultInjector`; None keeps the
         #: serve path at one attribute check.
         self.faults = None
+
+    def _hot_counts(self):
+        return {"load": self._loads, "store": self._stores,
+                "testset": self._testsets, "faa": self._faas,
+                "readf": self._readfs, "writef": self._writefs}
 
     def submit(self, request, on_done):
         """Serve ``request``; call ``on_done(response)`` when finished."""
@@ -88,26 +104,31 @@ class MemoryModule:
         """The untimed semantics of one operation (shared with the bus
         system, which does its own timing)."""
         op, address = request.op, request.address
-        self.counters.add(op.value)
-        if op is Op.LOAD:
+        if op is _LOAD:
+            self._loads += 1
             return self.data.get(address, 0)
-        if op is Op.STORE:
+        if op is _STORE:
+            self._stores += 1
             self.data[address] = request.value
             return None
-        if op is Op.TESTSET:
+        if op is _TESTSET:
+            self._testsets += 1
             old = self.data.get(address, 0)
             self.data[address] = 1
             return old
-        if op is Op.FAA:
+        if op is _FAA:
+            self._faas += 1
             old = self.data.get(address, 0)
             self.data[address] = old + request.value
             return old
-        if op is Op.READF:
+        if op is _READF:
+            self._readfs += 1
             if address in self.full_bits:
                 return self.data.get(address, 0)
             self.counters.add("readf_retries")
             return RETRY
-        if op is Op.WRITEF:
+        if op is _WRITEF:
+            self._writefs += 1
             if address in self.full_bits:
                 self.counters.add("writef_overwrites")
             self.data[address] = request.value
@@ -154,8 +175,9 @@ class DancehallMemorySystem:
         for index in range(self.n_modules):
             port = n_procs + index
             self.network.attach(port, self._module_arrival)
-        self._proc_handlers = {}
-        self.counters = Counter()
+        self._accesses = 0
+        self.counters = SlotCounter(
+            lambda: {"accesses": self._accesses})
 
     # ------------------------------------------------------------------
     def module_of(self, address):
@@ -172,7 +194,7 @@ class DancehallMemorySystem:
 
     def access(self, proc, request, on_complete):
         """Issue ``request`` from processor ``proc``."""
-        self.counters.add("accesses")
+        self._accesses += 1
         self.network.send(
             proc, self.module_port(request.address), ("req", request, on_complete)
         )

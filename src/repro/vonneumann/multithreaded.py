@@ -18,10 +18,9 @@ the latency.
 """
 
 from ..common.errors import MachineError
-from ..common.stats import Counter
-from .isa import ALU_OPS, BRANCH_OPS, MEMORY_OPS, Op
+from ..common.stats import SlotCounter
 from .memory import RETRY
-from .processor import Processor
+from .processor import ALU, BRANCH, HALT, MEMORY, decode, memory_request
 
 __all__ = ["MultithreadedProcessor", "HardwareContext"]
 
@@ -36,29 +35,20 @@ class HardwareContext:
     def __init__(self, index, program, n_regs=32):
         self.index = index
         self.program = program
+        self.decoded = decode(program)
         self.regs = [0] * n_regs
         self.pc = 0
         self.state = self.READY
         self.instructions = 0
         self.last_eid = None  # provenance: previous event of this context
+        # The outstanding memory reference: its decoded entry and request.
+        self.mem_entry = None
+        self.mem_request = None
+        self.on_response = None  # set by the owning processor
 
     def set_regs(self, values):
         for reg, value in values.items():
             self.regs[reg] = value
-
-
-class _ContextView(Processor):
-    """Adapter: reuse Processor's ALU/branch/request semantics on a
-    context's register file without its event-loop machinery."""
-
-    def __init__(self, owner, context):
-        # Deliberately not calling super().__init__: this is a stateless
-        # view that borrows Processor._alu/_branch_taken/_memory_request.
-        self.sim = owner.sim
-        self.proc_id = owner.proc_id
-        self.memory = owner.memory
-        self.regs = context.regs
-        self.counters = owner.counters
 
 
 class MultithreadedProcessor:
@@ -90,16 +80,28 @@ class MultithreadedProcessor:
         self._retry_during_idle = False
         self.start_time = None
         self.finish_time = None
-        self.counters = Counter()
+        # Hot counts live in slots; ``counters`` reads them by name.
+        self._instructions = 0
+        self._memory_ops = 0
+        self._context_switches = 0
+        self._retries = 0
+        self.counters = SlotCounter(self._hot_counts)
         self._last_context = None
         self.bus = None  # optional repro.obs.TraceBus (set by VNMachine)
         self._src = f"proc{proc_id}"  # trace track name
+
+    def _hot_counts(self):
+        return {"instructions": self._instructions,
+                "context_switches": self._context_switches,
+                "memory_ops": self._memory_ops, "retries": self._retries}
 
     # ------------------------------------------------------------------
     def add_context(self, program, regs=None, n_regs=32):
         context = HardwareContext(len(self.contexts), program, n_regs=n_regs)
         if regs:
             context.set_regs(regs)
+        context.on_response = (
+            lambda response: self._memory_done(context, response))
         self.contexts.append(context)
         return context
 
@@ -140,7 +142,7 @@ class MultithreadedProcessor:
         if self._last_context is not context and self._last_context is not None:
             overhead = self.switch_time
             self.switch_cycles += overhead
-            self.counters.add("context_switches")
+            self._context_switches += 1
             bus = self.bus
             if bus is not None and bus.enabled:
                 eid = bus.emit_id(self.sim.now, self._src, "vn_switch",
@@ -152,76 +154,78 @@ class MultithreadedProcessor:
         self.sim.post(overhead, self._execute, context)
 
     def _execute(self, context):
-        if not 0 <= context.pc < len(context.program):
+        pc = context.pc
+        decoded = context.decoded
+        if not 0 <= pc < len(decoded):
             context.state = HardwareContext.HALTED
             self._dispatch()
             return
         sim = self.sim
-        instr = context.program[context.pc]
-        op = instr.op
-        self.counters.add("instructions")
+        entry = decoded[pc]
+        kind, handler, instr = entry
+        self._instructions += 1
         context.instructions += 1
         cpu_time = self.cpu_time
         self.busy_cycles += cpu_time
         bus = self.bus
         if bus is not None and bus.enabled:
-            eid = bus.emit_id(sim._now, self._src, "vn_exec", op.name,
-                              op=op.name, ctx=context.index, pc=context.pc,
+            name = instr.op.name
+            eid = bus.emit_id(sim._now, self._src, "vn_exec", name,
+                              op=name, ctx=context.index, pc=pc,
                               parent=context.last_eid)
             if eid is not None:
                 context.last_eid = eid
-        view = _ContextView(self, context)
 
-        if op in ALU_OPS:
-            value = view._alu(instr)
-            if instr.rd is not None:  # NOP has no destination
-                context.regs[instr.rd] = value
-            context.pc += 1
+        if kind == ALU:
+            regs = context.regs
+            value = handler(regs, instr, self.proc_id)
+            rd = instr.rd
+            if rd is not None:  # NOP has no destination
+                regs[rd] = value
+            context.pc = pc + 1
             sim.post(cpu_time, self._dispatch)
-        elif op in BRANCH_OPS:
-            context.pc = (
-                instr.target if view._branch_taken(instr) else context.pc + 1
-            )
+        elif kind == BRANCH:
+            context.pc = instr.target if handler(context.regs, instr) else pc + 1
             sim.post(cpu_time, self._dispatch)
-        elif op in MEMORY_OPS:
-            self.counters.add("memory_ops")
+        elif kind == MEMORY:
+            self._memory_ops += 1
             context.state = HardwareContext.STALLED
-            request = view._memory_request(instr)
-            sim.post(cpu_time, self._issue, context, instr, request)
+            context.mem_entry = entry
+            context.mem_request = memory_request(context.regs, instr,
+                                                 self.proc_id)
+            sim.post(cpu_time, self._issue, context)
             sim.post(cpu_time, self._dispatch)
-        elif op is Op.HALT:
+        elif kind == HALT:
             # HALT charged cpu_time to busy above but consumes no
             # simulated time; remember the overcount for exact accounting.
-            self.halt_overcount += self.cpu_time
+            self.halt_overcount += cpu_time
             context.state = HardwareContext.HALTED
             self._dispatch()
         else:
             raise MachineError(f"proc {self.proc_id}: cannot execute {instr!r}")
 
-    def _issue(self, context, instr, request):
-        self.memory.access(
-            self.proc_id,
-            request,
-            lambda response: self._memory_done(context, instr, request, response),
-        )
+    def _issue(self, context):
+        self.memory.access(self.proc_id, context.mem_request,
+                           context.on_response)
 
-    def _memory_done(self, context, instr, request, response):
+    def _memory_done(self, context, response):
         bus = self.bus
+        _kind, dest, instr = context.mem_entry
         if response is RETRY:
-            self.counters.add("retries")
+            self._retries += 1
             if self._idle:
                 self._retry_during_idle = True
             if bus is not None and bus.enabled:
                 eid = bus.emit_id(self.sim.now, self._src, "vn_retry",
                                   instr.op.name, ctx=context.index,
-                                  address=request.address,
+                                  address=context.mem_request.address,
                                   parent=context.last_eid)
                 if eid is not None:
                     context.last_eid = eid
-            self.sim.post(self.retry_backoff, self._issue, context, instr, request)
+            self.sim.post(self.retry_backoff, self._issue, context)
             return
-        if instr.op in (Op.LOAD, Op.TESTSET, Op.FAA, Op.READF):
-            context.regs[instr.rd] = response
+        if dest is not None:
+            context.regs[dest] = response
         context.pc += 1
         context.state = HardwareContext.READY
         if self._idle:
@@ -241,7 +245,7 @@ class MultithreadedProcessor:
         bus = self.bus
         if bus is not None and bus.enabled:
             bus.emit(self.sim.now, self._src, "vn_halt", "",
-                     instructions=self.counters["instructions"])
+                     instructions=self._instructions)
         if self.on_halt is not None:
             self.on_halt(self)
 

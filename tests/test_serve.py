@@ -377,6 +377,46 @@ class TestSharedStore:
         assert stats["experiments"]["stub_grid"]["entries"] == 6
 
 
+class TestRemoteSuiteWalls:
+    """``repro bench --remote`` times cold work only, like ``run_suite``:
+    a store hit nulls the experiment's wall and the suite's."""
+
+    def test_warm_remote_rerun_reports_null_walls(self, monkeypatch,
+                                                  tmp_path):
+        from repro.serve.client import remote_suite
+        from stub_bench import GRID, slow_table, stub_bench
+
+        modules = {"bench_tiny": (slow_table("tiny", 0.0),
+                                  [("table", "tiny")]),
+                   "bench_grid": (GRID, [("table", "stub_grid")])}
+        store = str(tmp_path / "store.sqlite")
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            with ServerThread(store_path=store, workers=2,
+                              bench_dir=bench_dir,
+                              err=io.StringIO()) as handle:
+                cold = remote_suite(handle.url, bench_dir=bench_dir,
+                                    err=io.StringIO())
+                err = io.StringIO()
+                warm = remote_suite(handle.url, bench_dir=bench_dir,
+                                    err=err)
+        assert not cold["failures"] and not warm["failures"]
+        for entry in cold["experiments"]:
+            assert isinstance(entry["wall_seconds"], float)
+            assert entry["cold_cells"] == entry["grid"]
+            assert entry["cache_hits"] == 0
+        assert isinstance(cold["meta"]["wall_seconds"], float)
+        assert cold["meta"]["cells"] == {"cold": 7, "cached": 0}
+        for entry in warm["experiments"]:
+            assert entry["wall_seconds"] is None
+            assert entry["cold_cells"] == 0
+            assert entry["cache_hits"] == entry["grid"]
+        assert warm["meta"]["wall_seconds"] is None
+        assert warm["meta"]["cells"] == {"cold": 0, "cached": 7}
+        lines = err.getvalue().splitlines()
+        assert "[ cached] stub_grid (6/6 store hits, remote)" in lines
+        assert any(line.startswith("[ cached] total -> ") for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # the HTTP server + client (one server for the whole class)
 # ---------------------------------------------------------------------------

@@ -5,14 +5,22 @@ import pytest
 
 from repro.common import CompileError, MachineError, SimulationError
 from repro.vonneumann import (
+    ALU_OPS,
+    BRANCH_OPS,
     Cache,
     CacheConfig,
     CacheState,
+    Instr,
+    MEMORY_OPS,
     Op,
     VNMachine,
     assemble,
+    decode,
     programs,
 )
+from repro.vonneumann.processor import (ALU, ALU_HANDLERS, BRANCH,
+                                        BRANCH_HANDLERS, HALT, INVALID,
+                                        MEMORY)
 
 
 class TestAssembler:
@@ -329,6 +337,72 @@ class TestMultithreaded:
         proc = machine.processors[0]
         assert proc.counters["context_switches"] > 0
         assert proc.switch_cycles > 0
+
+
+class TestDecode:
+    def test_every_op_is_in_exactly_one_class(self):
+        classes = [ALU_OPS, BRANCH_OPS, MEMORY_OPS, {Op.HALT}]
+        for op in Op:
+            assert sum(op in group for group in classes) == 1, op
+
+    def test_handler_tables_cover_alu_and_branch_ops(self):
+        assert set(ALU_HANDLERS) == ALU_OPS
+        assert set(BRANCH_HANDLERS) == BRANCH_OPS
+
+    def test_decode_gives_each_op_its_kind_and_handler(self):
+        program = [Instr(op=op, rd=1, ra=2, rb=3, imm=4, target=0)
+                   for op in Op]
+        kinds = {ALU: ALU_OPS, BRANCH: BRANCH_OPS, MEMORY: MEMORY_OPS,
+                 HALT: {Op.HALT}}
+        for (kind, handler, instr), given in zip(decode(program), program):
+            op = given.op
+            assert instr is given
+            assert op in kinds[kind]
+            if kind == ALU:
+                assert handler is ALU_HANDLERS[op]
+            elif kind == BRANCH:
+                assert handler is BRANCH_HANDLERS[op]
+            elif kind == MEMORY:
+                # The register the response lands in, if any.
+                writes = op in (Op.LOAD, Op.TESTSET, Op.FAA, Op.READF)
+                assert handler == (1 if writes else None)
+
+    class _Bogus:
+        """An op outside every class (it still prints like an Op)."""
+
+        name = "BOGUS"
+        value = "bogus"
+
+    def test_unknown_op_decodes_invalid_and_raises_when_executed(self):
+        bogus = Instr(op=self._Bogus())
+        (kind, _handler, instr), = decode([bogus])
+        assert kind == INVALID and instr is bogus
+        machine = VNMachine(1, memory="dancehall")
+        machine.add_processor([Instr(op=Op.MOVI, rd=1, imm=0), bogus])
+        with pytest.raises(MachineError, match="proc 0: cannot execute bogus"):
+            machine.run()
+
+    def test_unknown_op_raises_on_a_hardware_context(self):
+        machine = VNMachine(1, memory="dancehall")
+        machine.add_multithreaded_processor(
+            [([Instr(op=self._Bogus())], {})])
+        with pytest.raises(MachineError, match="proc 0: cannot execute bogus"):
+            machine.run()
+
+    @pytest.mark.parametrize("multithreaded", [False, True])
+    def test_division_by_zero_names_the_processor(self, multithreaded):
+        machine = VNMachine(2, memory="dancehall")
+        source = "movi r2, 1\nmovi r3, 0\nhalt"
+        failing = "movi r2, 1\nmovi r3, 0\ndiv r4, r2, r3\nhalt"
+        machine.add_processor(source)
+        if multithreaded:
+            machine.add_multithreaded_processor([(source, {}),
+                                                 (failing, {})])
+        else:
+            machine.add_processor(failing)
+        with pytest.raises(MachineError,
+                           match="proc 1: division by zero"):
+            machine.run()
 
 
 class TestMachineErrors:
