@@ -27,6 +27,11 @@ The sharded kernel dispatches in the serial order, so it pays for its
 channel bookkeeping and buys no parallelism: speedups below 1.0 are the
 expected result.
 
+The ``e2e.cold_start`` section times fresh interpreters: a bare ``python
+-c pass``, ``import repro.cli`` and ``registry.names()`` (min and median
+wall of 9 runs each), and lists the non-stdlib top-level modules that
+``registry.names()`` loads, which should be none.
+
 Usage::
 
     python benchmarks/bench_micro_kernel.py                # both kernels
@@ -298,6 +303,59 @@ def run_predict_bench(repeat, queries=2000):
     }
 
 
+#: Fresh-interpreter start-up probes: (name, code run with ``-c``).
+COLD_START_PROBES = (
+    ("python_pass", "pass"),
+    ("import_repro_cli", "import repro.cli"),
+    ("registry_names",
+     "from repro.machines import registry; registry.names()"),
+)
+COLD_START_RUNS = 9
+
+_FOREIGN_MODULES_PROBE = """
+import json, sys
+before = set(sys.modules)
+from repro.machines import registry
+registry.names()
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(
+    name for name in loaded
+    if name != "repro" and name not in sys.stdlib_module_names
+)))
+"""
+
+
+def run_cold_start_bench():
+    """Start-up wall of fresh interpreters, and what they import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+
+    def python(code, **kwargs):
+        return subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
+                              env=env, check=True, **kwargs)
+
+    probes = {}
+    for name, code in COLD_START_PROBES:
+        walls = []
+        for _ in range(COLD_START_RUNS):
+            t0 = time.perf_counter()
+            python(code)
+            walls.append(time.perf_counter() - t0)
+        walls.sort()
+        probes[name] = {
+            "min_seconds": round(walls[0], 4),
+            "median_seconds": round(walls[len(walls) // 2], 4),
+        }
+    foreign = python(_FOREIGN_MODULES_PROBE, capture_output=True, text=True)
+    return {
+        "runs": COLD_START_RUNS,
+        "probes": probes,
+        "registry_names_foreign_modules": json.loads(foreign.stdout),
+        "python": sys.version.split()[0],
+        "host_cpus": host_cpus(),
+    }
+
+
 def _time_scenario(fn, sim_class, n_events, repeat):
     """Best-of-``repeat`` events/sec (best-of defeats scheduler noise)."""
     best = 0.0
@@ -428,6 +486,16 @@ def main(argv=None):
         print(f"  warm query: {predict['seconds_per_query'] * 1e6:.1f} us "
               f"({predict['queries_per_sec']} queries/s); gate "
               f"<{gate['target_seconds'] * 1e3:.0f}ms {verdict}")
+
+    print(f"\ntiming cold start ({COLD_START_RUNS} fresh interpreters "
+          f"per probe)...")
+    cold = run_cold_start_bench()
+    payload["e2e"] = {"cold_start": cold}
+    for name, row in cold["probes"].items():
+        print(f"  {name:<16}: min {row['min_seconds']:.3f}s, "
+              f"median {row['median_seconds']:.3f}s")
+    print(f"  non-stdlib modules under registry.names(): "
+          f"{cold['registry_names_foreign_modules']}")
 
     if args.experiments:
         print("\ntiming gated experiments (subprocess, cache off)...")

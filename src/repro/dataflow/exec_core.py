@@ -17,8 +17,7 @@ the timed TTDA, and is exactly the part the paper leaves to the machine
 organization.
 """
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from ..common.errors import MachineError
 from ..graph.codeblock import CodeBlock
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Send:
+class Send(NamedTuple):
     """Deliver ``value`` as a token to (``tag``, ``port``)."""
 
     tag: Tag
@@ -48,8 +46,7 @@ class Send:
     value: object
 
 
-@dataclass(frozen=True, slots=True)
-class StructureRead:
+class StructureRead(NamedTuple):
     """A SELECT turned FETCH: read ``ref[index]``, reply to ``replies``."""
 
     ref: StructureRef
@@ -57,8 +54,7 @@ class StructureRead:
     replies: Tuple[Tuple[Tag, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class StructureWrite:
+class StructureWrite(NamedTuple):
     """An APPEND turned STORE: write ``ref[index] = value``."""
 
     ref: StructureRef
@@ -66,16 +62,14 @@ class StructureWrite:
     value: object
 
 
-@dataclass(frozen=True, slots=True)
-class StructureAlloc:
+class StructureAlloc(NamedTuple):
     """Allocate a structure of ``size`` cells; send the ref to ``replies``."""
 
     size: int
     replies: Tuple[Tuple[Tag, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ProgramResult:
+class ProgramResult(NamedTuple):
     """A RETURN consumed the HALT continuation: the program's answer."""
 
     value: object

@@ -5,10 +5,9 @@ are data arcs, including cross-block linkage: loop entry (L to the loop's
 param targets), loop exit (L⁻¹ to the parent's consumers), procedure
 argument and return arcs for statically-bound CALLs.  Useful for eyeball
 comparison with the paper's figures and for structural analysis
-(fan-out distributions, depth, connectivity) with networkx.
+(fan-out distributions, depth, connectivity) with networkx, which is
+imported on first use so that nothing else in the package pays for it.
 """
-
-import networkx as nx
 
 from .codeblock import CodeBlock
 from .opcodes import OPCODE_CLASS, Opcode
@@ -29,6 +28,8 @@ def _node(block_name, statement):
 
 def to_networkx(program):
     """Build a :class:`networkx.MultiDiGraph` of the whole program."""
+    import networkx as nx
+
     graph = nx.MultiDiGraph()
     for block in program.blocks.values():
         for instruction in block:
@@ -130,6 +131,8 @@ def graph_statistics(program):
     the compile-time counterpart of the interpreter's dynamic critical
     path.
     """
+    import networkx as nx
+
     graph = to_networkx(program)
     by_class = {}
     for _, attrs in graph.nodes(data=True):

@@ -4,10 +4,9 @@ The emulation facility's switches hold "a routing table which allows the
 experimenter to specify any *emulated* topology which can be mapped onto
 the hypercube" (§3).  These helpers build such tables: Gray-code ring and
 grid embeddings, and a generic shortest-path table over the live links of
-a (possibly faulty) cube, computed with networkx.
+a (possibly faulty) cube, computed by breadth-first search from each
+destination.
 """
-
-import networkx as nx
 
 from ..common.errors import NetworkError
 
@@ -47,13 +46,34 @@ def grid_embedding(rows_log2, cols_log2):
     }
 
 
-def _live_cube_graph(network):
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(network.n_ports))
+def _live_predecessors(network):
+    """Per-node lists of live in-neighbors, in ``network.links`` order."""
+    preds = [[] for _ in range(network.n_ports)]
     for (a, b) in network.links:
         if network.link_alive(a, b):
-            graph.add_edge(a, b)
-    return graph
+            preds[b].append(a)
+    return preds
+
+
+def _next_hops_to(preds, dst):
+    """Map every node that can reach ``dst`` to its next hop toward it.
+
+    A level-by-level breadth-first search back from ``dst``: each node is
+    claimed by the first node of the previous level that lists it as a
+    predecessor, so ties between equal-length routes go to the earlier
+    level entry and then the earlier link.
+    """
+    next_hop = {dst: None}
+    level = [dst]
+    while level:
+        following = []
+        for node in level:
+            for pred in preds[node]:
+                if pred not in next_hop:
+                    next_hop[pred] = node
+                    following.append(pred)
+        level = following
+    return next_hop
 
 
 def build_shortest_path_table(network, pairs=None):
@@ -64,7 +84,7 @@ def build_shortest_path_table(network, pairs=None):
     requested destination is unreachable (the cube is partitioned by
     faults).
     """
-    graph = _live_cube_graph(network)
+    preds = _live_predecessors(network)
     table = {}
     if pairs is None:
         pairs = [
@@ -73,20 +93,18 @@ def build_shortest_path_table(network, pairs=None):
             for dst in range(network.n_ports)
             if src != dst
         ]
-    wanted_dsts = {dst for _, dst in pairs}
-    paths_to = {}
-    for dst in wanted_dsts:
-        # Predecessor search on the reversed graph gives next-hops to dst.
-        paths_to[dst] = nx.shortest_path(graph.reverse(copy=False), source=dst)
+    hops_to = {dst: _next_hops_to(preds, dst) for dst in {d for _, d in pairs}}
     for src, dst in pairs:
         if src == dst:
             continue
-        path = paths_to[dst].get(src)
-        if path is None:
+        next_hop = hops_to[dst]
+        if src not in next_hop:
             raise NetworkError(f"no live route from {src} to {dst}")
-        # path is dst -> ... -> src on the reversed graph.
-        for i in range(len(path) - 1, 0, -1):
-            table[(path[i], dst)] = path[i - 1]
+        node = src
+        while node != dst:
+            hop = next_hop[node]
+            table[(node, dst)] = hop
+            node = hop
     return table
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the interconnection networks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import NetworkError, Simulator
 from repro.network import (
@@ -171,6 +172,74 @@ class TestRoutingHelpers:
         net.send(0, 1, "x")
         sim.run()
         assert inbox[0].hops == 3  # one-bit distance becomes a 3-hop detour
+
+
+def _networkx_path_table(network, pairs=None):
+    """Reference routing table: the networkx construction it replaced."""
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(network.n_ports))
+    for (a, b) in network.links:
+        if network.link_alive(a, b):
+            graph.add_edge(a, b)
+    table = {}
+    if pairs is None:
+        pairs = [
+            (src, dst)
+            for src in range(network.n_ports)
+            for dst in range(network.n_ports)
+            if src != dst
+        ]
+    paths_to = {
+        dst: nx.shortest_path(graph.reverse(copy=False), source=dst)
+        for dst in {dst for _, dst in pairs}
+    }
+    for src, dst in pairs:
+        if src == dst:
+            continue
+        path = paths_to[dst].get(src)
+        if path is None:
+            raise NetworkError(f"no live route from {src} to {dst}")
+        for i in range(len(path) - 1, 0, -1):
+            table[(path[i], dst)] = path[i - 1]
+    return table
+
+
+@st.composite
+def _faulty_cubes(draw):
+    dimensions = draw(st.integers(min_value=1, max_value=5))
+    links = [
+        (node, node ^ (1 << dim))
+        for node in range(2**dimensions)
+        for dim in range(dimensions)
+    ]
+    failures = draw(st.lists(
+        st.tuples(st.sampled_from(links), st.booleans()), max_size=12,
+    ))
+    nodes = st.integers(min_value=0, max_value=2**dimensions - 1)
+    pairs = draw(st.none() | st.lists(st.tuples(nodes, nodes), max_size=20))
+    return dimensions, failures, pairs
+
+
+class TestShortestPathTableDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(_faulty_cubes())
+    def test_matches_networkx_reference(self, case):
+        dimensions, failures, pairs = case
+        net = HypercubeNetwork(Simulator(), dimensions)
+        for (a, b), bidirectional in failures:
+            net.fail_link(a, b, bidirectional=bidirectional)
+        try:
+            expected = _networkx_path_table(net, pairs)
+        except NetworkError as exc:
+            with pytest.raises(NetworkError) as raised:
+                build_shortest_path_table(net, pairs)
+            assert str(raised.value) == str(exc)
+            return
+        table = build_shortest_path_table(net, pairs)
+        assert table == expected
+        assert list(table) == list(expected)
 
 
 class TestHierarchical:
