@@ -11,7 +11,6 @@ processor for the low-level context-switching discussion of §1.1.
 from .assembler import assemble
 from .cache import Cache, CacheConfig, CacheState
 from .coherence import SnoopyBusSystem
-from .idl_compiler import RESULT_ADDR, compile_to_assembly, run_sequential
 from .isa import ALU_OPS, BRANCH_OPS, Instr, MEMORY_OPS, Op
 from .machine import VNMachine, VNResult
 from .memory import DancehallMemorySystem, MemRequest, MemoryModule, RETRY
@@ -46,3 +45,15 @@ __all__ = [
     "programs",
     "sync",
 ]
+
+#: Served on first access, so that importing the machines does not load
+#: the Id compiler (``repro.lang``) with them.
+_LAZY = frozenset({"RESULT_ADDR", "compile_to_assembly", "run_sequential"})
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import idl_compiler
+
+        return getattr(idl_compiler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

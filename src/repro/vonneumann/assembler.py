@@ -43,8 +43,41 @@ _SIGNATURES = {
 }
 
 
+#: source text -> tuple of Instrs, for texts assembled at least twice.
+_ASSEMBLED = {}
+_ASSEMBLED_MAX = 1 << 9
+#: hash(text) of texts assembled once so far.  It decides admission only:
+#: a collision admits one text early, it never returns the wrong program.
+_SEEN_ONCE = set()
+_SEEN_ONCE_MAX = 1 << 12
+
+
 def assemble(source):
-    """Assemble ``source`` text into a list of :class:`Instr`."""
+    """Assemble ``source`` text into a list of :class:`Instr`.
+
+    A text is assembled in full once per process; from its second
+    assembly on, its instructions come from a memo.  Single-use texts
+    (the unrolled Cm*-style programs) are not kept.  Every call returns
+    a fresh list, which the caller may mutate.
+    """
+    program = _ASSEMBLED.get(source)
+    if program is not None:
+        return list(program)
+    program = _assemble(source)
+    seen = hash(source)
+    if seen in _SEEN_ONCE:
+        _SEEN_ONCE.discard(seen)
+        if len(_ASSEMBLED) >= _ASSEMBLED_MAX:
+            _ASSEMBLED.clear()
+        _ASSEMBLED[source] = tuple(program)
+    else:
+        if len(_SEEN_ONCE) >= _SEEN_ONCE_MAX:
+            _SEEN_ONCE.clear()
+        _SEEN_ONCE.add(seen)
+    return program
+
+
+def _assemble(source):
     lines = source.splitlines()
     statements = []  # (line_no, op, operand_strings)
     labels = {}

@@ -314,7 +314,22 @@ WORKLOADS = {
 }
 
 
+#: (source, entry) -> compiled Program.  Unbounded: the keys are the
+#: named WORKLOADS sources.
+_COMPILED = {}
+
+
 def compile_workload(name):
-    """Compile a named workload; returns (program, reference, default_args)."""
+    """Compile a named workload; returns (program, reference, default_args).
+
+    Each workload is compiled once per process and every caller shares
+    the one ``Program``, so treat it as read-only: the machines, the
+    interpreter and graph export only read it, and ``optimize_program``
+    works on a clone.  ``default_args()`` is called afresh each time.
+    """
     source, entry, reference, default_args = WORKLOADS[name]
-    return compile_source(source, entry=entry), reference, default_args()
+    key = (source, entry)
+    program = _COMPILED.get(key)
+    if program is None:
+        program = _COMPILED[key] = compile_source(source, entry=entry)
+    return program, reference, default_args()

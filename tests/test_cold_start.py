@@ -3,7 +3,9 @@
 Every process the reproduction starts (the CLI, each ``repro bench`` run,
 the ``repro serve`` pool) loads the same modules, so one third-party import
 at module top is paid everywhere.  networkx is needed only for graph
-export, which imports it on first use.
+export, which imports it on first use; the Id compiler is needed by the
+machines only for the sequential von Neumann backend, which
+``repro.vonneumann`` loads on first access.
 """
 
 import json
@@ -45,6 +47,28 @@ def test_startup_loads_only_stdlib_modules():
     report = _run(_PROBE)
     assert report["foreign"] == []
     assert report["heavy"] == []
+
+
+def test_machines_load_without_the_id_compiler():
+    code = """
+import json, sys
+from repro.machines import registry
+registry.names()
+before = sorted(m for m in ("repro.lang", "repro.vonneumann.idl_compiler")
+                if m in sys.modules)
+import repro.vonneumann
+exported = sorted(repro.vonneumann.__all__)
+from repro.vonneumann import RESULT_ADDR, compile_to_assembly, run_sequential
+from repro.vonneumann.idl_compiler import run_sequential as direct
+print(json.dumps({"before": before, "same": run_sequential is direct,
+                  "exported": exported,
+                  "loaded": "repro.lang" in sys.modules}))
+"""
+    report = _run(code)
+    assert report["before"] == []
+    assert report["same"] and report["loaded"]
+    assert {"RESULT_ADDR", "compile_to_assembly",
+            "run_sequential"} <= set(report["exported"])
 
 
 def test_graph_statistics_imports_networkx_on_demand():

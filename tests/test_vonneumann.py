@@ -15,6 +15,7 @@ from repro.vonneumann import (
     Op,
     VNMachine,
     assemble,
+    assembler,
     decode,
     programs,
 )
@@ -68,6 +69,79 @@ class TestAssembler:
     def test_bad_register(self):
         with pytest.raises(CompileError, match="expected register"):
             assemble("mov r1, 42")
+
+
+class TestAssemblerMemo:
+    SOURCE = """
+        movi r2, 4
+    top:
+        subi r2, r2, 1
+        faa  r3, r4, r5
+        bnez r2, top
+        halt
+    """
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(assembler, "_ASSEMBLED", {})
+        monkeypatch.setattr(assembler, "_SEEN_ONCE", set())
+
+    def test_repeat_calls_return_fresh_equal_lists(self):
+        calls = [assemble(self.SOURCE) for _ in range(3)]
+        assert calls[0] == calls[1] == calls[2]
+        assert len({id(program) for program in calls}) == 3
+        calls[2].append(Instr(Op.NOP))
+        calls[2][0] = Instr(Op.HALT)
+        assert assemble(self.SOURCE) == calls[0]
+        assert len(calls[0]) == 5 and calls[0][0].op is Op.MOVI
+
+    def test_a_text_is_kept_from_its_second_assembly(self):
+        assemble(self.SOURCE)
+        assert self.SOURCE not in assembler._ASSEMBLED
+        assemble(self.SOURCE)
+        assert assembler._ASSEMBLED[self.SOURCE] == tuple(
+            assemble(self.SOURCE))
+
+    def test_memo_and_seen_set_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(assembler, "_ASSEMBLED_MAX", 2)
+        monkeypatch.setattr(assembler, "_SEEN_ONCE_MAX", 3)
+        texts = [f"movi r1, {k}\nhalt" for k in range(5)]
+        for text in texts:
+            assemble(text)
+            assert len(assembler._SEEN_ONCE) <= 3
+        for text in texts:
+            assemble(text)
+            assemble(text)
+            assert len(assembler._ASSEMBLED) <= 2
+        assert [assemble(t)[0].imm for t in texts] == list(range(5))
+
+    @pytest.mark.parametrize("source, match", [
+        ("frobnicate r1", "unknown mnemonic"),
+        ("jmp nowhere", "undefined label"),
+        ("add r1, r2", "expects"),
+    ])
+    def test_malformed_source_raises_every_time(self, source, match):
+        for _ in range(3):
+            with pytest.raises(CompileError, match=match):
+                assemble(source)
+        assert source not in assembler._ASSEMBLED
+
+    def test_load_spmd_results_unchanged(self):
+        source = programs.shared_counter_faa(1, 4)
+
+        def run(program):
+            machine = VNMachine(3, memory="dancehall", latency=3)
+            machine.load_spmd(program)
+            result = machine.run()
+            programs_seen = [p.program for p in machine.processors]
+            assert len({id(p) for p in programs_seen}) == 3
+            return (result.time, result.instructions, result.counters,
+                    machine.peek(1), programs_seen)
+
+        expected = run(assembler._assemble(source))
+        for _ in range(3):
+            assert run(source) == expected
+        assert source in assembler._ASSEMBLED
 
 
 class TestSingleProcessor:

@@ -1,8 +1,13 @@
 """The Id workload library: both engines vs. the Python references."""
 
+import hashlib
+
 import pytest
 
-from repro.dataflow import Interpreter, MachineConfig, TaggedTokenMachine
+from repro.dataflow import (ByContextMapping, Interpreter, MachineConfig,
+                            TaggedTokenMachine)
+from repro.graph import format_program, optimize_program
+from repro.lang import compile_source
 from repro.workloads import WORKLOADS, compile_workload
 
 
@@ -82,3 +87,47 @@ class TestJacobi:
         interp.run(8, 3, 4)
         # One fresh structure per step plus the initial vector.
         assert interp.allocator.allocated == 4
+
+
+class TestSharedProgram:
+    """``compile_workload`` hands every caller the same ``Program``: no
+    engine, mapping, fault plan or optimizer pass may change it."""
+
+    FAULTS = {"seed": 3, "mem_slow_rate": 0.5, "mem_slow_cycles": 16.0,
+              "pe_stall_rate": 0.1, "pe_stall_cycles": 2.0,
+              "net_delay_rate": 0.2, "net_delay_cycles": 8.0}
+
+    @staticmethod
+    def _digest(program):
+        parts = [repr(program.entry), sorted(vars(program)),
+                 format_program(program)]
+        for name in sorted(program.blocks):
+            block = program.blocks[name]
+            parts.append((name, sorted(vars(block)), block.kind,
+                          block.parent_block, block.param_targets,
+                          block.exit_dests, block.return_statement))
+            parts.extend((repr(i), sorted(vars(i))) for i in block)
+        return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+    def _runs(self, program, args):
+        runs = [Interpreter(program).run(*args)]
+        for mapping in (None, ByContextMapping):
+            for faults in (None, self.FAULTS):
+                config = MachineConfig(n_pes=4, mapping_factory=mapping,
+                                       fault_plan=faults)
+                result = TaggedTokenMachine(program, config).run(*args)
+                runs.append((result.value, result.time, result.counters))
+        runs.append(format_program(optimize_program(program)))
+        return runs
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_runs_leave_the_shared_program_unchanged(self, name):
+        program, _, args = compile_workload(name)
+        before = self._digest(program)
+        got = self._runs(program, args)
+        assert self._digest(program) == before
+        assert compile_workload(name)[0] is program
+        source, entry, _, _ = WORKLOADS[name]
+        fresh = compile_source(source, entry=entry)
+        assert self._digest(fresh) == before
+        assert got == self._runs(fresh, args)
