@@ -178,10 +178,6 @@ def build_parser():
                        help="fault-plan JSON file; fault-aware sweeps "
                             "(e20) read it (and its optional 'levels' "
                             "list) while building their grids")
-    bench.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="run every simulation on the sharded parallel "
-                            "kernel with N shards (sets REPRO_SIM_SHARDS; "
-                            "tables stay byte-identical to serial runs)")
     bench.add_argument("--cache-dir", default=None, metavar="PATH",
                        help="result store, shared with repro serve and "
                             "repro cache (default: $REPRO_STORE or "
@@ -342,12 +338,6 @@ def build_parser():
     machine.add_argument("--faults", metavar="PLAN", default=None,
                          help="fault-plan JSON file passed to the model "
                               "as faults=...")
-    machine.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="pass shards=N to the model (sharded "
-                              "parallel kernel)")
-    machine.add_argument("--topology", action="store_true",
-                         help="print the machine's partition graph "
-                              "(registry.describe) instead of running it")
     machine.add_argument("--json", action="store_true",
                          help="emit the SimResult as JSON")
 
@@ -616,21 +606,17 @@ def _cmd_profile(options, out):
         "result": value,
         "time_cycles": result.time,
         "instructions": result.instructions,
+        "kernel_stats": machine.sim.kernel_stats(),
     }
-    kernel_stats = getattr(getattr(machine, "sim", None),
-                           "kernel_stats", None)
-    if kernel_stats is not None:
-        meta["kernel_stats"] = kernel_stats()
     report = build_profile(ring.events, accounting, meta=meta)
     if options.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True,
                          default=repr), file=out)
     else:
         print(report.format(max_path_nodes=options.path_nodes), file=out)
-        if "kernel_stats" in meta:
-            print("event kernel:", file=out)
-            for key, stat in sorted(meta["kernel_stats"].items()):
-                print(f"  {key}: {stat}", file=out)
+        print("event kernel:", file=out)
+        for key, stat in sorted(meta["kernel_stats"].items()):
+            print(f"  {key}: {stat}", file=out)
     if options.out:
         with open(options.out, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(), fh, indent=2, sort_keys=True,
@@ -686,15 +672,6 @@ def _cmd_bench(options, out):
     from .exp.bench import run_suite
     from .obs import JsonlSink, TraceBus
 
-    if options.shards is not None:
-        import os
-
-        from .common.simulator import resolve_shards
-
-        # The env route (not per-spec config) keeps specs, cache keys,
-        # and config echoes byte-identical to serial runs — which is the
-        # whole point: the psim-smoke CI job diffs the tables.
-        os.environ["REPRO_SIM_SHARDS"] = str(resolve_shards(options.shards))
     bus = None
     sink = None
     if options.trace:
@@ -1098,6 +1075,8 @@ def _cmd_cache(options, out):
 
 def _cmd_machine(options, out):
     """Uniformly construct and run any registered machine model."""
+    import inspect
+
     from .machines import registry
 
     if options.name is None:
@@ -1111,20 +1090,19 @@ def _cmd_machine(options, out):
         from .faults import coerce_plan
 
         config["faults"] = coerce_plan(options.faults).as_dict()
-    if options.shards is not None:
-        from .common.simulator import resolve_shards
-
-        config["shards"] = resolve_shards(options.shards)
-    if options.topology:
-        print(json.dumps(registry.describe(options.name, **config),
-                         indent=2, sort_keys=True), file=out)
-        return 0
+    accepted = inspect.signature(registry.get(options.name)).parameters
+    unknown = sorted(set(config) - set(accepted))
+    if unknown:
+        print(f"repro machine {options.name}: unknown config key"
+              f"{'s' if len(unknown) > 1 else ''} {', '.join(unknown)} "
+              f"(accepted: {', '.join(accepted)})", file=sys.stderr)
+        return 2
     model = registry.create(options.name, **config)
     result = model.run(**_parse_kv(options.workload, "--workload"))
     if options.json:
         payload = result.as_dict()
         # Kernel telemetry rides the CLI report, not the cacheable
-        # payload (as_dict stays byte-identical across kernels).
+        # payload.
         if result.kernel_stats is not None:
             payload["kernel_stats"] = result.kernel_stats
         print(json.dumps(payload, indent=2, sort_keys=True,

@@ -18,22 +18,18 @@ multiprocessors — runs on this kernel.  The design goals are:
   termination ("a program terminates when no enabled instructions are
   left", §2.2.2) and deadlock.
 * **Speed.**  The models cluster events heavily on a small set of
-  instants (nearly every delay is a small whole number of cycles).  The
-  default :class:`Simulator` exploits that with a *calendar queue*: a
-  dict maps each occupied instant (its exact float time) to a FIFO bucket
-  of callbacks, and only the set of occupied instants lives in a heap of
+  instants (nearly every delay is a small whole number of cycles).
+  :class:`Simulator` exploits that with a *calendar queue*: a dict maps
+  each occupied instant (its exact float time) to a FIFO bucket of
+  callbacks, and only the set of occupied instants lives in a heap of
   plain floats, so every heap comparison is a C-level float comparison —
   never a Python ``__lt__`` call.  Fire-and-forget
-  :meth:`~CalendarSimulator.post` entries are bare ``(fn, args)`` tuples:
-  no :class:`Event` record exists at any point on the dominant path.
+  :meth:`~Simulator.post` entries are bare ``(fn, args)`` tuples: no
+  :class:`Event` record exists at any point on the dominant path.
   Ordering within a bucket is exactly arrival order, which is what the
   determinism contract requires; ordering across buckets is float order.
   Cancellation is lazy and O(1) (an :class:`Event` flag), and the queue
   compacts cancelled debris away when it would otherwise dominate.
-  :class:`LegacySimulator` keeps the original single-``heapq``
-  Event-object kernel for A/B comparison
-  (``benchmarks/bench_micro_kernel.py --legacy``, or
-  ``REPRO_SIM_KERNEL=legacy`` to swap it in globally).
 
 Time is a float measured in *cycles*; each model documents its own cycle
 convention.  An "instant" is an exact float value: all arithmetic that
@@ -42,15 +38,12 @@ events share one bucket.
 """
 
 import heapq
-import itertools
 import math
-import os
 import time
 
 from .errors import SimulationError
 
-__all__ = ["Event", "Simulator", "CalendarSimulator", "LegacySimulator",
-           "KERNELS", "resolve_kernel", "resolve_shards"]
+__all__ = ["Event", "Simulator"]
 
 #: Lazily-cancelled events tolerated before the queue is compacted.
 _COMPACT_MIN = 512
@@ -60,17 +53,15 @@ class Event:
     """A scheduled callback.
 
     Instances are created by :meth:`Simulator.schedule`; user code normally
-    only keeps them to call :meth:`cancel`.  The calendar kernel's
-    fire-and-forget :meth:`Simulator.post` path does not build Events at
-    all — a posted entry is a bare ``(fn, args)`` tuple in its instant's
-    bucket.
+    only keeps them to call :meth:`cancel`.  The fire-and-forget
+    :meth:`Simulator.post` path does not build Events at all — a posted
+    entry is a bare ``(fn, args)`` tuple in its instant's bucket.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "sim")
 
-    def __init__(self, time, seq, fn, args, sim=None):
+    def __init__(self, time, fn, args, sim):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -82,26 +73,15 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
-        sim = self.sim
-        if sim is not None:
-            sim._note_cancel()
-
-    def __lt__(self, other):
-        # Hand-rolled (time, seq) comparison: avoids building two tuples
-        # per heap sift step, which dominated the legacy kernel's profile.
-        st = self.time
-        ot = other.time
-        if st != ot:
-            return st < ot
-        return self.seq < other.seq
+        self.sim._note_cancel()
 
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<Event t={self.time} #{self.seq} {name} [{state}]>"
+        return f"<Event t={self.time} {name} [{state}]>"
 
 
-class CalendarSimulator:
+class Simulator:
     """The event queue and clock shared by all components of one model.
 
     Calendar scheduler: per-instant FIFO buckets (``dict`` keyed by the
@@ -113,7 +93,7 @@ class CalendarSimulator:
     """
 
     __slots__ = (
-        "_buckets", "_keys", "_seq", "_now", "_events_fired", "_live",
+        "_buckets", "_keys", "_now", "_events_fired", "_live",
         "_ncancelled", "_needs_compact", "_dispatching",
         "_quiescence_hooks", "bus", "wall_seconds",
     )
@@ -121,7 +101,6 @@ class CalendarSimulator:
     def __init__(self):
         self._buckets = {}  # float instant -> [(fn, args) | Event, ...] FIFO
         self._keys = []  # heap of the occupied instants (plain floats)
-        self._seq = itertools.count()
         self._now = 0.0
         self._events_fired = 0
         self._live = 0  # scheduled, not yet fired or cancelled
@@ -198,7 +177,7 @@ class CalendarSimulator:
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
         time = float(time)
-        event = Event(time, next(self._seq), fn, args, sim=self)
+        event = Event(time, fn, args, self)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
@@ -232,14 +211,6 @@ class CalendarSimulator:
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
         self.post(time - self._now, fn, *args)
-
-    def post_to(self, owner, delay, fn, *args):
-        """Owner-routed :meth:`post`.  The serial kernel has one queue, so
-        the owner is irrelevant here; the sharded kernel
-        (:mod:`repro.common.psim`) routes the event to ``owner``'s shard.
-        Components use this for cross-unit communication so the same code
-        runs on every kernel."""
-        self.post(delay, fn, *args)
 
     def attach_bus(self, bus):
         """Publish kernel lifecycle events (run begin/end, quiescence) to
@@ -407,8 +378,7 @@ class CalendarSimulator:
                 self._live -= nfired
                 self._ncancelled -= ncancelled
                 if nfired == 0:
-                    # Cancelled-only instant: the clock never advances
-                    # (parity with the legacy kernel).
+                    # Cancelled-only instant: the clock never advances.
                     self._now = prev_now
                 if idx < len(bucket):
                     # Interrupted mid-instant (budget/exception): keep
@@ -429,11 +399,8 @@ class CalendarSimulator:
     def kernel_stats(self):
         """Deterministic kernel-level counters for this run.
 
-        The shape mirrors :meth:`repro.common.psim.ShardedSimulator.
-        kernel_stats` where the concepts overlap (``kernel``,
-        ``events_fired``) so callers can surface either kernel's stats
-        without case analysis.  Wall-clock time is deliberately absent —
-        these values feed byte-stable result payloads."""
+        Wall-clock time is deliberately absent — these values feed
+        byte-stable result payloads."""
         return {
             "kernel": "calendar",
             "events_fired": self._events_fired,
@@ -446,245 +413,3 @@ class CalendarSimulator:
             f"<Simulator t={self._now} pending={self.pending} "
             f"fired={self._events_fired}>"
         )
-
-
-class LegacySimulator:
-    """The original single-``heapq`` kernel, kept verbatim for A/B
-    benchmarking (``bench_micro_kernel.py --legacy``) and as a refuge if a
-    model ever needs the simpler scheduler (``REPRO_SIM_KERNEL=legacy``)."""
-
-    def __init__(self):
-        self._queue = []
-        self._seq = itertools.count()
-        self._now = 0.0
-        self._events_fired = 0
-        self._quiescence_hooks = []
-        self.bus = None  # optional repro.obs.TraceBus
-        self.wall_seconds = 0.0  # host time spent inside run()
-
-    # ------------------------------------------------------------------
-    @property
-    def now(self):
-        """Current simulated time in cycles."""
-        return self._now
-
-    @property
-    def events_fired(self):
-        """Total number of events executed so far."""
-        return self._events_fired
-
-    @property
-    def pending(self):
-        """Number of not-yet-cancelled events still in the queue."""
-        return sum(1 for event in self._queue if not event.cancelled)
-
-    # ------------------------------------------------------------------
-    def schedule(self, delay, fn, *args):
-        """Schedule ``fn(*args)`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
-
-    def schedule_at(self, time, fn, *args):
-        """Schedule ``fn(*args)`` at an absolute simulated time."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
-            )
-        event = Event(float(time), next(self._seq), fn, args)
-        heapq.heappush(self._queue, event)
-        return event
-
-    def post(self, delay, fn, *args):
-        """API-compatible alias for :meth:`schedule` (no tuple path here)."""
-        self.schedule(delay, fn, *args)
-
-    def post_at(self, time, fn, *args):
-        """API-compatible alias for :meth:`schedule_at`."""
-        self.schedule_at(time, fn, *args)
-
-    def post_to(self, owner, delay, fn, *args):
-        """Owner-routed :meth:`post` (owner ignored on a serial kernel)."""
-        self.schedule(delay, fn, *args)
-
-    def attach_bus(self, bus):
-        """Publish kernel lifecycle events to ``bus``."""
-        self.bus = bus
-        return bus
-
-    def add_quiescence_hook(self, hook):
-        """Register ``hook()`` to run when the event queue drains."""
-        self._quiescence_hooks.append(hook)
-
-    # ------------------------------------------------------------------
-    def step(self):
-        """Execute the single next event.  Returns False if none remain."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._events_fired += 1
-            event.fn(*event.args)
-            return True
-        return False
-
-    def run(self, until=None, max_events=None):
-        """Run until the queue drains, ``until`` cycles pass, or the event
-        budget ``max_events`` is exhausted."""
-        bus = self.bus
-        if bus is not None and bus.enabled:
-            bus.emit(self._now, "sim", "run_begin", "", pending=self.pending)
-        wall_start = time.perf_counter()
-        try:
-            return self._run(until, max_events)
-        finally:
-            self.wall_seconds += time.perf_counter() - wall_start
-            if bus is not None and bus.enabled:
-                bus.emit(self._now, "sim", "run_end", "",
-                         events=self._events_fired)
-
-    def _run(self, until, max_events):
-        bus = self.bus
-        fired = 0
-        while True:
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted ({max_events} events) at t={self._now}; "
-                    "possible livelock"
-                )
-            next_event = self._peek()
-            if next_event is None:
-                if bus is not None and bus.enabled:
-                    bus.emit(self._now, "sim", "quiescent", "",
-                             events=self._events_fired)
-                if self._run_quiescence_hooks():
-                    continue
-                return self._now
-            if until is not None and next_event.time > until:
-                self._now = float(until)
-                return self._now
-            self.step()
-            fired += 1
-
-    def _peek(self):
-        while self._queue:
-            event = self._queue[0]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            return event
-        return None
-
-    def _run_quiescence_hooks(self):
-        """Run hooks until one of them schedules work.  True if any did."""
-        for hook in self._quiescence_hooks:
-            hook()
-            if self._peek() is not None:
-                return True
-        return False
-
-    def kernel_stats(self):
-        """Deterministic kernel-level counters (see
-        :meth:`CalendarSimulator.kernel_stats`)."""
-        return {
-            "kernel": "legacy",
-            "events_fired": self._events_fired,
-            "pending": self.pending,
-            "cancelled_queued": 0,
-        }
-
-    def __repr__(self):
-        return (
-            f"<Simulator t={self._now} pending={self.pending} "
-            f"fired={self._events_fired}>"
-        )
-
-
-#: Kernel name -> class; the ``Simulator`` factory and the ``kernel=``
-#: kwarg both resolve through this table.  The ``parallel`` entry is a
-#: lazy placeholder — :mod:`repro.common.psim` imports this module, so
-#: the class is loaded on first resolution rather than at import time.
-KERNELS = {
-    "calendar": CalendarSimulator,
-    "legacy": LegacySimulator,
-    "parallel": None,
-}
-
-
-def resolve_shards(shards=None):
-    """Validated shard count from ``shards`` or ``$REPRO_SIM_SHARDS``.
-
-    Returns 1 when nothing was requested.  Rejects non-integers (bools
-    included) and counts below 1 with :class:`SimulationError` instead of
-    letting a bad value crash deep inside a run.
-    """
-    if shards is None:
-        raw = os.environ.get("REPRO_SIM_SHARDS", "")
-        if not raw:
-            return 1
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise SimulationError(
-                f"REPRO_SIM_SHARDS={raw!r} is not an integer"
-            ) from None
-    if isinstance(shards, bool) or not isinstance(shards, int):
-        raise SimulationError(
-            f"shards must be a positive integer, got {shards!r}"
-        )
-    if shards < 1:
-        raise SimulationError(
-            f"shards must be a positive integer, got {shards!r}"
-        )
-    return shards
-
-
-def resolve_kernel(kernel=None, shards=None):
-    """The kernel class for ``kernel`` (or ``$REPRO_SIM_KERNEL``).
-
-    Resolution happens per call — *not* at import time — so setting the
-    environment variable after ``import repro`` works, as does passing
-    ``kernel="legacy"`` explicitly.  Asking for more than one shard
-    implies the parallel kernel when no kernel was named; naming a
-    *serial* kernel while asking for shards is a contradiction and
-    raises rather than silently running on one queue.
-    """
-    name = kernel or os.environ.get("REPRO_SIM_KERNEL", "") or ""
-    shards = resolve_shards(shards)
-    if not name:
-        name = "parallel" if shards > 1 else "calendar"
-    name = name.lower()
-    if name not in KERNELS:
-        raise SimulationError(
-            f"unknown simulator kernel {name!r} "
-            f"(expected one of {sorted(KERNELS)})"
-        )
-    if shards > 1 and name != "parallel":
-        raise SimulationError(
-            f"kernel {name!r} is serial and cannot honour shards={shards}; "
-            "use kernel='parallel' (or unset REPRO_SIM_KERNEL)"
-        )
-    cls = KERNELS[name]
-    if cls is None:  # lazy-load the parallel kernel
-        from .psim import ShardedSimulator
-        KERNELS["parallel"] = cls = ShardedSimulator
-    return cls
-
-
-def Simulator(kernel=None, shards=None, **kwargs):  # noqa: N802 — class-like factory
-    """Construct a simulator on the selected kernel.
-
-    Historically ``Simulator`` was a module-level alias bound at import
-    time, which silently ignored ``REPRO_SIM_KERNEL`` set afterwards.
-    It is now a factory resolving the choice at construction; every
-    call site (``Simulator()``) is source-compatible, and
-    ``isinstance`` checks should name a concrete kernel class.
-
-    ``shards`` (or ``$REPRO_SIM_SHARDS``) above 1 selects the sharded
-    parallel kernel; serial kernels reject an explicit shard count.
-    """
-    cls = resolve_kernel(kernel, shards)
-    if getattr(cls, "__name__", "") == "ShardedSimulator":
-        kwargs.setdefault("shards", resolve_shards(shards))
-    return cls(**kwargs)

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 from ..common.errors import DeadlockError, MachineError
 from ..common.simulator import Simulator
 from ..common.stats import SlotCounter
-from ..common.topology import MachineTopology, TopologyLink, TopologyUnit
 from ..istructure.heap import StructureRef
 from ..network.ideal import IdealNetwork
 from ..faults import coerce_plan
@@ -31,25 +30,7 @@ from .trace import TraceLog
 from .token import Token, TokenKind
 from .values import Continuation
 
-__all__ = ["MachineConfig", "TaggedTokenMachine", "MachineResult",
-           "ttda_topology"]
-
-
-def ttda_topology(n_pes, network_latency=4.0):
-    """The TTDA's partition graph: one unit per PE (its pipeline, match
-    store, and I-structure bank all live PE-locally), fully connected
-    through the packet network.  The network's fixed latency is every
-    link's minimum delivery delay — the Chandy–Misra lookahead.  With a
-    zero-latency network the links contract and the machine honestly
-    refuses to shard."""
-    if n_pes < 1:
-        return None
-    units = [TopologyUnit(name=f"pe{i}", kind="pe") for i in range(n_pes)]
-    links = [
-        TopologyLink(src=f"pe{i}", dst=f"pe{j}", lookahead=network_latency)
-        for i in range(n_pes) for j in range(n_pes) if i != j
-    ]
-    return MachineTopology(units, links)
+__all__ = ["MachineConfig", "TaggedTokenMachine", "MachineResult"]
 
 
 @dataclass
@@ -83,11 +64,6 @@ class MachineConfig:
     #: A repro.faults.FaultPlan (or dict / JSON path); None (default)
     #: keeps every hot path at a single attribute check.
     fault_plan: object = None
-    #: Kernel selection (None defers to ``REPRO_SIM_KERNEL`` /
-    #: ``REPRO_SIM_SHARDS``); ``sim_shards`` > 1 partitions the PEs
-    #: across the sharded parallel kernel using :func:`ttda_topology`.
-    sim_kernel: Optional[str] = None
-    sim_shards: Optional[int] = None
 
     def make_network(self, sim):
         if self.network_factory is not None:
@@ -132,8 +108,7 @@ class TaggedTokenMachine:
     def __init__(self, program, config=None):
         self.program = program
         self.config = config if config is not None else MachineConfig()
-        self.sim = Simulator(kernel=self.config.sim_kernel,
-                             shards=self.config.sim_shards)
+        self.sim = Simulator()
         self.n_pes = self.config.n_pes
         if self.n_pes < 1:
             raise MachineError("machine needs at least one PE")
@@ -173,8 +148,7 @@ class TaggedTokenMachine:
         self._instr_cache = {}
         self.pes = [ProcessingElement(self, i, self.config) for i in range(self.n_pes)]
         for pe in self.pes:
-            self.network.attach(pe.pe, self._network_delivery, owner=pe)
-        self._configure_shards()
+            self.network.attach(pe.pe, self._network_delivery)
         # Hot counts; structures_allocated goes through counters.add.
         self._local = 0
         self._network = 0
@@ -243,26 +217,6 @@ class TaggedTokenMachine:
             counters=merged,
         )
 
-    def _configure_shards(self):
-        """Install the PE partition on a sharded kernel (no-op on serial
-        kernels and single-shard runs)."""
-        configure = getattr(self.sim, "configure_shards", None)
-        if configure is None or getattr(self.sim, "shards", 1) < 2:
-            return
-        if self.config.network_factory is not None:
-            raise MachineError(
-                "the parallel kernel derives its lookahead from the "
-                "default IdealNetwork's fixed latency; a custom "
-                "network_factory has no declared minimum latency — run "
-                "it on the serial kernel"
-            )
-        topo = ttda_topology(self.n_pes, self.config.network_latency)
-        assignment = topo.partition(self.sim.shards)
-        configure(
-            [(self.pes[i], assignment[i]) for i in range(self.n_pes)],
-            topo.shard_links(assignment),
-        )
-
     def _hot_counts(self):
         return {"tokens_local": self._local, "tokens_network": self._network}
 
@@ -281,8 +235,7 @@ class TaggedTokenMachine:
         entry = self._decoded(tag.code_block, tag.statement)
         pe = self.mapping.pe_of(tag)
         token = Token(tag, port, value, TokenKind.NORMAL, nt=entry.nt, pe=pe)
-        target = self.pes[pe]
-        self.sim.post_to(target, 0, target.receive, token)
+        self.sim.post(0, self.pes[pe].receive, token)
 
     def _trace_event(self, pe, kind, detail, **fields):
         # Call sites guard on ``self._bus is not None and bus.enabled``

@@ -256,8 +256,6 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
         if store is not None:
             store.close()
 
-    from ..common.simulator import resolve_shards
-
     aggregate = {
         "experiments": telemetry,
         "failures": failures,
@@ -273,8 +271,6 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             # are host-independent (the regression gate diffs them), the
             # telemetry is not — stamp enough to explain a slow run.
             "host_cpus": host_cpus(),
-            "kernel": os.environ.get("REPRO_SIM_KERNEL") or "calendar",
-            "shards": resolve_shards(),
             "python": sys.version.split()[0],
         },
     }

@@ -22,12 +22,6 @@ measurement the paper's critique of its machine rests on:
 * :mod:`ttda` — the tagged-token dataflow machine of §2, adapted to the
   same API.
 
-Models that can run on the sharded parallel kernel expose ``topology()``
-(the partition graph; see :mod:`repro.common.topology`), and
-``registry.describe(name)`` reports it — along with the honest
-``max_shards: 1`` for the machines whose zero-slack couplings forbid
-partitioning.
-
 The pre-registry free functions (``build_cmmp``, ``run_hotspot``,
 ``locality_sweep``, ...) went through one release of
 ``DeprecationWarning`` shims and are now gone; importing one raises

@@ -16,16 +16,8 @@ per-machine glue.  Now there is one contract:
 sweep engine in :mod:`repro.exp` can cache and ship results across
 process boundaries without machine-specific code.
 
-Models may additionally implement the optional **topology hook**::
-
-    def topology(self) -> Optional[MachineTopology]: ...
-
-returning the machine's partition graph (:mod:`repro.common.topology`):
-the units simulation state decomposes into, the directed links between
-them, and each link's minimum message latency — the lookahead the
-sharded parallel kernel (:mod:`repro.common.psim`) synchronizes on.
-Machines without the hook (or returning None) simply run on one shard;
-``registry.describe`` reports either form uniformly.
+Every model runs on the one event kernel,
+:class:`repro.common.simulator.Simulator`.
 
 (The PR 2 ``DeprecationWarning`` shims that used to live here —
 ``deprecated_call`` / ``suppress_deprecation`` — are gone along with
@@ -64,12 +56,10 @@ class SimResult:
     #: their cycles; read it through :meth:`profile`.
     accounting: Optional[Dict[str, Any]] = None
     #: Optional event-kernel counters (``Simulator.kernel_stats()``):
-    #: which kernel ran, events fired, and — on the sharded parallel
-    #: kernel — channel traffic and per-shard balance.
+    #: events fired, still pending, and cancelled-but-queued.
     #: Telemetry about *this* run's engine, not part of the result:
-    #: excluded from ``as_dict`` so payloads stay byte-identical across
-    #: kernels (the byte-identity gate) and store-cached values never
-    #: claim the kernel that happened to populate them.
+    #: excluded from ``as_dict`` so a store-cached value never claims
+    #: the engine run that happened to populate it.
     kernel_stats: Optional[Dict[str, Any]] = None
 
     def metric(self, name):

@@ -16,7 +16,6 @@ behavior of Cm* if micro-tasking processors had been used", §1.2.2).
 """
 
 from ..analysis.metrics import von_neumann_utilization
-from ..common.topology import MachineTopology, TopologyLink, TopologyUnit
 from ..network.hierarchy import HierarchicalNetwork
 from ..vonneumann.machine import VNMachine
 from .api import SimResult
@@ -30,7 +29,7 @@ LOCAL_BLOCK = 1024
 
 def _build_cmstar(n_clusters=4, cluster_size=4, kmap_time=3.0,
                   intercluster_time=9.0, local_time=1.0, memory_time=2.0,
-                  faults=None, shards=None):
+                  faults=None):
     """A Cm*-shaped machine: one memory module co-located with each
     processor, clusters joined by Kmaps and an intercluster bus."""
     n = n_clusters * cluster_size
@@ -48,7 +47,7 @@ def _build_cmstar(n_clusters=4, cluster_size=4, kmap_time=3.0,
     return VNMachine(
         n, memory="dancehall", n_modules=n, memory_time=memory_time,
         network_factory=network_factory, placement="blocked",
-        block_size=LOCAL_BLOCK, faults=faults, sim_shards=shards,
+        block_size=LOCAL_BLOCK, faults=faults,
     )
 
 
@@ -94,7 +93,7 @@ class CmstarModel:
 
     def __init__(self, n_clusters=4, cluster_size=4, kmap_time=3.0,
                  intercluster_time=9.0, local_time=1.0, memory_time=2.0,
-                 faults=None, shards=None):
+                 faults=None):
         from ..faults import coerce_plan
 
         plan = coerce_plan(faults)
@@ -110,39 +109,6 @@ class CmstarModel:
         # and every existing baseline row stay byte-identical.
         if plan is not None:
             self.config["faults"] = plan.as_dict()
-        if shards is not None:
-            self.config["shards"] = shards
-
-    def topology(self):
-        """Cm*'s partition graph — and the paper's point made concrete.
-
-        Every computer module couples to its cluster's Kmap, and the
-        Kmaps to the intercluster bus, through *inline* queue handoffs
-        with no minimum latency: the lookahead on every link is 0, so
-        :meth:`MachineTopology.partition` contracts the whole machine to
-        one shard.  Shared-bus synchronization leaves no slack for
-        parallel simulation, exactly as it leaves none for the machine
-        itself.
-        """
-        config = self.config
-        units = [
-            TopologyUnit(name=f"cm{m}", kind="module")
-            for m in range(config["n_clusters"] * config["cluster_size"])
-        ]
-        units += [
-            TopologyUnit(name=f"kmap{c}", kind="kmap")
-            for c in range(config["n_clusters"])
-        ]
-        units.append(TopologyUnit(name="bus", kind="bus"))
-        links = []
-        for m in range(config["n_clusters"] * config["cluster_size"]):
-            kmap = f"kmap{m // config['cluster_size']}"
-            links.append(TopologyLink(src=f"cm{m}", dst=kmap, lookahead=0.0))
-            links.append(TopologyLink(src=kmap, dst=f"cm{m}", lookahead=0.0))
-        for c in range(config["n_clusters"]):
-            links.append(TopologyLink(src=f"kmap{c}", dst="bus", lookahead=0.0))
-            links.append(TopologyLink(src="bus", dst=f"kmap{c}", lookahead=0.0))
-        return MachineTopology(units, links)
 
     def build(self):
         """The underlying (empty) :class:`VNMachine`."""

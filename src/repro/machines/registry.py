@@ -21,7 +21,7 @@ processes; :func:`run_spec` turns one into a finished ``SimResult``.
 
 from .api import SimResult
 
-__all__ = ["register", "create", "describe", "get", "names", "run_spec"]
+__all__ = ["register", "create", "get", "names", "run_spec"]
 
 _MODELS = {}
 
@@ -58,31 +58,6 @@ def create(name, **config):
 def names():
     """Registered model names, sorted."""
     return sorted(_MODELS)
-
-
-def describe(name, **config):
-    """A JSON-friendly description of ``name``'s partition surface.
-
-    Returns ``{"machine", "config", "topology", "max_shards"}``:
-    ``topology`` is the machine's partition graph
-    (:meth:`~repro.common.topology.MachineTopology.as_dict`) when the
-    model implements the optional ``topology()`` hook, else None; and
-    ``max_shards`` is how far the sharded parallel kernel may legally
-    split it (1 for machines without a topology — they run whole, not
-    raise).
-    """
-    model = create(name, **config)
-    topology = None
-    hook = getattr(model, "topology", None)
-    if callable(hook):
-        topology = hook()
-    payload = {
-        "machine": name,
-        "config": dict(model.config),
-        "topology": topology.as_dict() if topology is not None else None,
-        "max_shards": topology.max_shards if topology is not None else 1,
-    }
-    return payload
 
 
 def run_spec(spec):

@@ -20,11 +20,10 @@ class TtdaModel:
     ``n_pes`` is 0 — the unbounded-parallelism idealization)."""
 
     def __init__(self, n_pes=4, network_latency=4.0, mapping="hash",
-                 wm_capacity=None, faults=None, shards=None):
+                 wm_capacity=None, faults=None):
         from ..faults import coerce_plan
 
         self._fault_plan = coerce_plan(faults)
-        self._shards = shards
         self.config = {
             "n_pes": n_pes,
             "network_latency": network_latency,
@@ -35,18 +34,6 @@ class TtdaModel:
         # hence every existing baseline row) stay byte-identical.
         if self._fault_plan is not None:
             self.config["faults"] = self._fault_plan.as_dict()
-        if shards is not None:
-            self.config["shards"] = shards
-
-    def topology(self):
-        """The PE partition graph (:func:`repro.dataflow.ttda_topology`):
-        one unit per PE, fully connected with the network latency as
-        every link's lookahead.  None for the interpreter idealization
-        (``n_pes == 0``)."""
-        from ..dataflow.machine import ttda_topology
-
-        return ttda_topology(self.config["n_pes"],
-                             self.config["network_latency"])
 
     def _machine_config(self):
         from ..dataflow import ByContextMapping, MachineConfig
@@ -56,7 +43,6 @@ class TtdaModel:
             network_latency=self.config["network_latency"],
             wm_capacity=self.config["wm_capacity"],
             fault_plan=self._fault_plan,
-            sim_shards=self._shards,
         )
         if self.config["mapping"] == "context":
             config.mapping_factory = lambda n: ByContextMapping(n)

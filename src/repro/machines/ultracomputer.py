@@ -20,7 +20,6 @@ from typing import Any, Optional
 
 from ..common.queueing import FifoServer
 from ..common.simulator import Simulator
-from ..common.topology import MachineTopology, TopologyLink, TopologyUnit
 from ..network.omega import CombiningOmegaNetwork, FetchAddRequest
 from .api import SimResult
 from .registry import register
@@ -56,7 +55,7 @@ class UltraResult:
 
 def _run_hotspot(stages, combining=True, requests_per_proc=1,
                  switch_time=1.0, memory_time=2.0, spacing=0.0,
-                 faults=None, shards=None):
+                 faults=None):
     """All 2**stages processors FETCH-AND-ADD address 0.
 
     ``spacing`` staggers injections (0 = the worst-case synchronous burst
@@ -66,7 +65,7 @@ def _run_hotspot(stages, combining=True, requests_per_proc=1,
 
     plan = coerce_plan(faults)
     injector = plan.injector() if plan is not None and plan.enabled else None
-    sim = Simulator(shards=shards)
+    sim = Simulator()
     net = CombiningOmegaNetwork(sim, stages, switch_time=switch_time,
                                 combining=combining)
     net.faults = injector
@@ -140,7 +139,7 @@ class UltracomputerModel:
     """Registry model: a 2**stages-port combining omega hot-spot machine."""
 
     def __init__(self, stages=4, combining=True, switch_time=1.0,
-                 memory_time=2.0, faults=None, shards=None):
+                 memory_time=2.0, faults=None):
         from ..faults import coerce_plan
 
         plan = coerce_plan(faults)
@@ -154,38 +153,6 @@ class UltracomputerModel:
         # and every existing baseline row stay byte-identical.
         if plan is not None:
             self.config["faults"] = plan.as_dict()
-        if shards is not None:
-            self.config["shards"] = shards
-
-    def topology(self):
-        """The combining network's partition graph.
-
-        Processor ports, switch stages, and memory ports hand requests to
-        each other through inline queue submissions — a request can reach
-        the hot memory port within the same instant it enters the last
-        switch rank — so every link's minimum latency (lookahead) is 0
-        and the machine contracts to a single shard.  The synchronous
-        omega network is one tightly-coupled unit; combining reduces hot
-        traffic but adds no slack the simulator could exploit.
-        """
-        n = 2 ** self.config["stages"]
-        units = [TopologyUnit(name=f"proc{i}", kind="proc")
-                 for i in range(n)]
-        units.append(TopologyUnit(name="omega", kind="network",
-                                  weight=float(n)))
-        units += [TopologyUnit(name=f"mem{i}", kind="memory")
-                  for i in range(n)]
-        links = []
-        for i in range(n):
-            links.append(TopologyLink(src=f"proc{i}", dst="omega",
-                                      lookahead=0.0))
-            links.append(TopologyLink(src="omega", dst=f"proc{i}",
-                                      lookahead=0.0))
-            links.append(TopologyLink(src="omega", dst=f"mem{i}",
-                                      lookahead=0.0))
-            links.append(TopologyLink(src=f"mem{i}", dst="omega",
-                                      lookahead=0.0))
-        return MachineTopology(units, links)
 
     def hotspot(self, requests_per_proc=1, spacing=0.0):
         """The raw :class:`UltraResult` of one hot-spot run."""
@@ -197,7 +164,6 @@ class UltracomputerModel:
             memory_time=self.config["memory_time"],
             spacing=spacing,
             faults=self.config.get("faults"),
-            shards=self.config.get("shards"),
         )
 
     def run(self, requests_per_proc=1, spacing=0.0):

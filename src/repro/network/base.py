@@ -24,7 +24,6 @@ class Network:
         self.n_ports = n_ports
         self.name = name
         self._handlers = [None] * n_ports
-        self._owners = [None] * n_ports
         # Hot counts; subclasses and faults add theirs through counters.add.
         self._injected = 0
         self._delivered = 0
@@ -58,26 +57,10 @@ class Network:
         return registry
 
     # ------------------------------------------------------------------
-    def attach(self, port, handler, owner=None):
-        """Register ``handler(packet)`` to receive deliveries at ``port``.
-
-        ``owner`` names the simulation object that owns the port for the
-        sharded kernel's routing (see :meth:`ShardedSimulator.post_to`);
-        delivery events then execute on the owner's shard.  Serial
-        kernels ignore it.
-        """
+    def attach(self, port, handler):
+        """Register ``handler(packet)`` to receive deliveries at ``port``."""
         self._check_port(port)
         self._handlers[port] = handler
-        self._owners[port] = owner
-
-    def _post_delivery(self, packet, delay):
-        """Schedule ``_deliver`` on the destination port's owner shard
-        (a plain local post when no owner was declared)."""
-        owner = self._owners[packet.dst]
-        if owner is None:
-            self.sim.post(delay, self._deliver, packet)
-        else:
-            self.sim.post_to(owner, delay, self._deliver, packet)
 
     def send(self, src, dst, payload, size=1, cause=None):
         """Inject a packet; returns the :class:`Packet` for tracing.
@@ -112,7 +95,7 @@ class Network:
             # arrived.  A hit re-queues delivery, which also reorders
             # the packet against anything injected in the meantime.
             packet.fault_checked = True
-            extra = faults.net_delay(self.sim, self._bus_source, packet)
+            extra = faults.net_delay(self.sim, self.name, packet)
             if extra > 0.0:
                 self.counters.add("fault_delays")
                 self.sim.post(extra, self._deliver, packet)

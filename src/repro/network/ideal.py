@@ -19,4 +19,4 @@ class IdealNetwork(Network):
 
     def _route(self, packet):
         packet.hops = 0 if packet.src == packet.dst else 1
-        self._post_delivery(packet, self.latency_cycles)
+        self.sim.post(self.latency_cycles, self._deliver, packet)

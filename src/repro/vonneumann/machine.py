@@ -55,8 +55,8 @@ class VNMachine:
                  network_factory=None, cpu_time=1.0, retry_backoff=0.0,
                  contexts=None, switch_time=0.0, placement="interleaved",
                  block_size=1024, write_policy="write_back", trace_bus=None,
-                 faults=None, sim_kernel=None, sim_shards=None):
-        self.sim = Simulator(kernel=sim_kernel, shards=sim_shards)
+                 faults=None):
+        self.sim = Simulator()
         self.bus = trace_bus
         if trace_bus is not None:
             self.sim.attach_bus(trace_bus)

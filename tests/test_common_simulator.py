@@ -1,14 +1,113 @@
-"""Unit tests for the discrete-event kernel."""
+"""Unit tests for the discrete-event kernel.
+
+:class:`ReferenceKernel` below is the oracle: the simplest kernel that
+meets the determinism contract, one ``heapq`` of ``(time, seq)``-ordered
+records.  The calendar-queue :class:`Simulator` must fire the same
+events in the same order at the same times, with the same ``now``,
+``events_fired`` and ``pending``, on fixed workloads and on random
+programs.
+"""
+
+import heapq
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import SimulationError, Simulator
-from repro.common.simulator import CalendarSimulator, LegacySimulator
 
-BOTH_KERNELS = pytest.mark.parametrize(
-    "sim_class", [CalendarSimulator, LegacySimulator],
-    ids=["calendar", "legacy"],
-)
+
+class _RefEvent:
+    __slots__ = ("sim", "fn", "args", "done")
+
+    def __init__(self, sim, fn, args):
+        self.sim = sim
+        self.fn = fn
+        self.args = args
+        self.done = False  # fired or cancelled
+
+    def cancel(self):
+        if not self.done:
+            self.done = True
+            self.sim._live -= 1
+
+
+class ReferenceKernel:
+    """Single-``heapq`` event kernel with the :class:`Simulator` API."""
+
+    def __init__(self):
+        self._queue = []  # (time, seq, _RefEvent)
+        self._seq = itertools.count()
+        self._live = 0
+        self._hooks = []
+        self.now = 0.0
+        self.events_fired = 0
+
+    @property
+    def pending(self):
+        return self._live
+
+    def schedule_at(self, time, fn, *args):
+        if time < self.now:
+            raise SimulationError(f"t={time} is before t={self.now}")
+        event = _RefEvent(self, fn, args)
+        heapq.heappush(self._queue, (float(time), next(self._seq), event))
+        self._live += 1
+        return event
+
+    def schedule(self, delay, fn, *args):
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    post = schedule
+    post_at = schedule_at
+
+    def add_quiescence_hook(self, hook):
+        self._hooks.append(hook)
+
+    def _peek(self):
+        queue = self._queue
+        while queue and queue[0][2].done:
+            heapq.heappop(queue)
+        return queue[0] if queue else None
+
+    def _fire(self):
+        time, _, event = heapq.heappop(self._queue)
+        self.now = time
+        event.done = True
+        self._live -= 1
+        self.events_fired += 1
+        event.fn(*event.args)
+
+    def step(self):
+        if self._peek() is None:
+            return False
+        self._fire()
+        return True
+
+    def _run_hooks(self):
+        for hook in self._hooks:
+            hook()
+            if self._live:
+                return True
+        return False
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while True:
+            head = self._peek()
+            if head is None:
+                if self._run_hooks():
+                    continue
+                return self.now
+            if until is not None and head[0] > until:
+                self.now = float(until)
+                return self.now
+            if max_events is not None and fired >= max_events:
+                raise SimulationError(f"event budget exhausted ({max_events})")
+            self._fire()
+            fired += 1
 
 
 def test_events_fire_in_time_order():
@@ -131,13 +230,11 @@ def test_step_returns_false_when_empty():
 
 
 # ----------------------------------------------------------------------
-# Kernel edge cases, run against both the calendar and legacy kernels so
-# the two stay behaviourally interchangeable.
+# Kernel edge cases
 # ----------------------------------------------------------------------
 
-@BOTH_KERNELS
-def test_post_fires_and_counts(sim_class):
-    sim = sim_class()
+def test_post_fires_and_counts():
+    sim = Simulator()
     fired = []
     sim.post(2, fired.append, "a")
     sim.post(1, fired.append, "b")
@@ -148,11 +245,10 @@ def test_post_fires_and_counts(sim_class):
     assert sim.events_fired == 2
 
 
-@BOTH_KERNELS
-def test_event_exactly_at_until_boundary_fires(sim_class):
+def test_event_exactly_at_until_boundary_fires():
     # `until` is inclusive: an event AT the bound fires and the clock
     # lands on the bound, not past it.
-    sim = sim_class()
+    sim = Simulator()
     fired = []
     sim.schedule(5, fired.append, "edge")
     sim.schedule(5.5, fired.append, "past")
@@ -162,11 +258,10 @@ def test_event_exactly_at_until_boundary_fires(sim_class):
     assert sim.now == 5.0
 
 
-@BOTH_KERNELS
-def test_cancel_during_same_instant_dispatch(sim_class):
+def test_cancel_during_same_instant_dispatch():
     # An event cancels a later event at the SAME instant while the
     # instant is being dispatched: the victim must not fire.
-    sim = sim_class()
+    sim = Simulator()
     fired = []
     victim = []
 
@@ -182,9 +277,8 @@ def test_cancel_during_same_instant_dispatch(sim_class):
     assert sim.pending == 0
 
 
-@BOTH_KERNELS
-def test_cancel_during_step(sim_class):
-    sim = sim_class()
+def test_cancel_during_step():
+    sim = Simulator()
     fired = []
     later = sim.schedule(2, fired.append, "later")
     sim.schedule(1, later.cancel)
@@ -193,9 +287,8 @@ def test_cancel_during_step(sim_class):
     assert fired == []
 
 
-@BOTH_KERNELS
-def test_quiescence_hook_can_schedule_at_current_instant(sim_class):
-    sim = sim_class()
+def test_quiescence_hook_can_schedule_at_current_instant():
+    sim = Simulator()
     fired = []
     refilled = []
 
@@ -211,11 +304,10 @@ def test_quiescence_hook_can_schedule_at_current_instant(sim_class):
     assert sim.now == 3.0
 
 
-@BOTH_KERNELS
-def test_int_and_float_times_share_an_instant(sim_class):
+def test_int_and_float_times_share_an_instant():
     # post(1) and post(1.0) are the same instant; FIFO holds across the
     # int/float spelling and across post()/schedule() entries.
-    sim = sim_class()
+    sim = Simulator()
     fired = []
     sim.post(1, fired.append, "a")
     sim.schedule(1.0, fired.append, "b")
@@ -225,9 +317,8 @@ def test_int_and_float_times_share_an_instant(sim_class):
     assert sim.now == 1.0
 
 
-@BOTH_KERNELS
-def test_fifo_across_integer_and_fractional_instants(sim_class):
-    sim = sim_class()
+def test_fifo_across_integer_and_fractional_instants():
+    sim = Simulator()
     fired = []
     sim.post(1, fired.append, "t1-first")
     sim.post(0.5, fired.append, "t0.5")
@@ -238,10 +329,9 @@ def test_fifo_across_integer_and_fractional_instants(sim_class):
     assert fired == ["t0.5", "t1-first", "t1-second", "t1-third", "t1.5"]
 
 
-@BOTH_KERNELS
-def test_same_instant_posts_from_within_dispatch_fire_same_instant(sim_class):
+def test_same_instant_posts_from_within_dispatch_fire_same_instant():
     # A callback posting at delay 0 extends the current instant's batch.
-    sim = sim_class()
+    sim = Simulator()
     fired = []
 
     def first():
@@ -256,9 +346,8 @@ def test_same_instant_posts_from_within_dispatch_fire_same_instant(sim_class):
     assert fired == [("first", 2.0), ("second", 2.0)]
 
 
-@BOTH_KERNELS
-def test_cancelled_only_instant_does_not_advance_clock(sim_class):
-    sim = sim_class()
+def test_cancelled_only_instant_does_not_advance_clock():
+    sim = Simulator()
     fired = []
     decoy = sim.schedule(7, fired.append, "decoy")
     sim.schedule(1, fired.append, "real")
@@ -268,10 +357,9 @@ def test_cancelled_only_instant_does_not_advance_clock(sim_class):
     assert sim.now == 1.0  # never advanced to the cancelled instant
 
 
-@BOTH_KERNELS
-def test_budget_exhaustion_keeps_unfired_events(sim_class):
+def test_budget_exhaustion_keeps_unfired_events():
     # Hitting the budget mid-instant must not lose the unfired tail.
-    sim = sim_class()
+    sim = Simulator()
     fired = []
     for name in "abcd":
         sim.post(1, fired.append, name)
@@ -282,9 +370,8 @@ def test_budget_exhaustion_keeps_unfired_events(sim_class):
     assert fired == ["a", "b", "c", "d"]
 
 
-@BOTH_KERNELS
-def test_double_cancel_is_idempotent(sim_class):
-    sim = sim_class()
+def test_double_cancel_is_idempotent():
+    sim = Simulator()
     event = sim.schedule(1, lambda: None)
     event.cancel()
     event.cancel()
@@ -306,9 +393,9 @@ def test_cancel_after_fire_is_noop():
 
 def test_mass_cancellation_keeps_queue_bounded():
     # Regression: 10k schedule-then-cancel cycles used to leave 10k dead
-    # Event records in the heap.  The calendar kernel compacts lazily;
-    # the debris must stay bounded and the final state clean.
-    sim = CalendarSimulator()
+    # Event records in the heap.  The kernel compacts lazily; the debris
+    # must stay bounded and the final state clean.
+    sim = Simulator()
     fired = []
     for i in range(10_000):
         event = sim.schedule(1_000_000 + i, fired.append, i)
@@ -325,9 +412,13 @@ def test_mass_cancellation_keeps_queue_bounded():
     assert not sim._keys
 
 
-def test_calendar_and_legacy_fire_identical_order():
-    # Determinism contract: both kernels produce the same total order
-    # on a workload mixing posts, schedules, cancels, and re-posts.
+# ----------------------------------------------------------------------
+# Differential: Simulator against the reference kernel
+# ----------------------------------------------------------------------
+
+def test_simulator_matches_reference_kernel():
+    # A workload mixing posts, schedules, cancels and re-posts fires in
+    # the same total order on both kernels.
     def workload(sim):
         order = []
 
@@ -342,38 +433,90 @@ def test_calendar_and_legacy_fire_identical_order():
         for i in range(3):
             sim.post(i, spawn, f"root{i}", 3)
         sim.run()
-        return order, sim.now, sim.events_fired
+        return order, sim.now, sim.events_fired, sim.pending
 
-    calendar = workload(CalendarSimulator())
-    legacy = workload(LegacySimulator())
-    assert calendar == legacy
+    assert workload(Simulator()) == workload(ReferenceKernel())
 
 
-# ---------------------------------------------------------------------------
-# Kernel selection: resolved at construction time, not import time
-# ---------------------------------------------------------------------------
+_DELAYS = st.sampled_from([0, 0.5, 1, 1.0, 2, 3.25])
 
-def test_env_kernel_honored_after_import(monkeypatch):
-    # Historically the choice was frozen at `import repro` — setting
-    # REPRO_SIM_KERNEL afterwards was silently ignored.  The factory
-    # resolves per construction.
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "legacy")
-    assert isinstance(Simulator(), LegacySimulator)
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "calendar")
-    assert isinstance(Simulator(), CalendarSimulator)
-    monkeypatch.delenv("REPRO_SIM_KERNEL")
-    assert isinstance(Simulator(), CalendarSimulator)  # the default
+#: One kernel call: (kind, delay, n).  A scheduled callback's label is
+#: the caller's label plus n, so labels only grow and every program
+#: ends; a cancel picks the n-th handle (mod the handles made).
+_CALL = st.tuples(st.sampled_from(["post", "post_at", "schedule", "cancel"]),
+                  _DELAYS, st.integers(min_value=1, max_value=3))
+_CALLS = st.lists(_CALL, max_size=2)
+
+#: Random programs over the whole kernel surface: ``reactions[label]``
+#: lists the calls an event with that label makes when it fires (labels
+#: past the end make none); each hook lists the calls it makes on its
+#: first invocations; the top level interleaves calls with
+#: ``run(until=, max_events=)`` and ``step()``.
+kernel_programs = st.tuples(
+    st.lists(_CALLS, max_size=10),
+    st.lists(st.lists(_CALLS, max_size=2), max_size=2),
+    st.lists(st.one_of(
+        _CALL,
+        st.tuples(st.just("run"), st.one_of(st.none(), _DELAYS),
+                  st.one_of(st.none(), st.integers(min_value=0, max_value=12))),
+        st.tuples(st.just("step"), st.none(), st.none()),
+    ), min_size=1, max_size=12),
+)
 
 
-def test_kernel_kwarg_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "legacy")
-    assert isinstance(Simulator(kernel="calendar"), CalendarSimulator)
-    assert isinstance(Simulator(kernel="legacy"), LegacySimulator)
+def _execute(sim, program):
+    """Run ``program`` on ``sim``; returns everything observable."""
+    reactions, hooks, top = program
+    log = []
+    handles = []
+
+    def fire(label):
+        log.append(("fire", label, sim.now))
+        for op in reactions[label] if label < len(reactions) else ():
+            apply(op, label)
+
+    def apply(op, label=0):
+        kind = op[0]
+        if kind == "post":
+            sim.post(op[1], fire, label + op[2])
+        elif kind == "post_at":
+            sim.post_at(sim.now + op[1], fire, label + op[2])
+        elif kind == "schedule":
+            handles.append(sim.schedule(op[1], fire, label + op[2]))
+        elif kind == "cancel":
+            if handles:
+                handles[op[2] % len(handles)].cancel()
+        elif kind == "run":
+            until = None if op[1] is None else sim.now + op[1]
+            try:
+                log.append(("run", sim.run(until=until, max_events=op[2])))
+            except SimulationError:
+                log.append(("budget", sim.now))
+        else:
+            log.append(("step", sim.step()))
+
+    def make_hook(index, rounds):
+        def hook():
+            log.append(("quiescent", index, sim.now))
+            if rounds:
+                for op in rounds.pop(0):
+                    apply(op)
+        return hook
+
+    for index, rounds in enumerate(hooks):
+        sim.add_quiescence_hook(make_hook(index, list(rounds)))
+    # The kernel flushes its counters once per instant, so they are
+    # compared between top-level calls, never from inside a callback.
+    for op in top:
+        apply(op)
+        log.append(("state", sim.now, sim.events_fired, sim.pending))
+    sim.run()
+    log.append(("final", sim.now, sim.events_fired, sim.pending))
+    return log
 
 
-def test_unknown_kernel_rejected(monkeypatch):
-    with pytest.raises(SimulationError, match="quantum"):
-        Simulator(kernel="quantum")
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "bogus")
-    with pytest.raises(SimulationError, match="bogus"):
-        Simulator()
+@settings(max_examples=300, deadline=None)
+@given(program=kernel_programs)
+def test_random_programs_match_reference_kernel(program):
+    assert _execute(Simulator(), program) == _execute(ReferenceKernel(),
+                                                      program)

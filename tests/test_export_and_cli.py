@@ -132,6 +132,15 @@ class TestCli:
         assert payload["instructions"] > 20
         assert "by_class" in payload
 
+    def test_machine_unknown_config_key_is_one_line_exit_2(self, capsys):
+        code, output = self._run(["machine", "ttda", "--set", "bogus=1"])
+        assert code == 2
+        assert output == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "bogus" in err
+        assert "n_pes" in err  # the accepted keys are listed
+
     def test_argument_parsing_types(self):
         from repro.cli import _parse_value
 

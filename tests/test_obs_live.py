@@ -141,48 +141,23 @@ class TestLiveMetrics:
 # ---------------------------------------------------------------------------
 
 class TestKernelStats:
-    def test_calendar_and_legacy_expose_stats(self):
-        from repro.common.simulator import (CalendarSimulator,
-                                            LegacySimulator)
+    def test_simulator_exposes_stats(self):
+        from repro.common.simulator import Simulator
 
-        for cls, kernel in ((CalendarSimulator, "calendar"),
-                            (LegacySimulator, "legacy")):
-            sim = cls()
-            fired = []
-            sim.post(1, lambda: fired.append(1))
-            sim.post(2, lambda: fired.append(2))
-            sim.run()
-            stats = sim.kernel_stats()
-            assert stats["kernel"] == kernel
-            assert stats["events_fired"] == 2
-            assert stats["pending"] == 0
-
-    def test_sharded_stats_carry_channel_traffic_and_balance(self):
-        from repro.common.psim import ShardedSimulator
-
-        sim = ShardedSimulator(shards=2)
-        a, b = object(), object()
-        sim.configure_shards([(a, 0), (b, 1)],
-                             {(0, 1): 1.0, (1, 0): 1.0})
-
-        def hop(owner, other, n):
-            if n > 0:
-                sim.post_to(other, 1.0, hop, other, owner, n - 1)
-
-        sim.post_to(a, 0, hop, a, b, 20)
+        sim = Simulator()
+        fired = []
+        sim.post(1, lambda: fired.append(1))
+        sim.post(2, lambda: fired.append(2))
         sim.run()
         stats = sim.kernel_stats()
-        assert stats["kernel"] == "parallel"
-        assert stats["shards"] == 2
-        assert stats["channel_messages"] == 20
-        assert len(stats["shard_events"]) == 2
-        assert stats["shard_imbalance"] >= 1.0
+        assert stats["kernel"] == "calendar"
+        assert stats["events_fired"] == 2
+        assert stats["pending"] == 0
 
     def test_sim_result_payload_excludes_kernel_telemetry(self):
-        # kernel_stats describes the engine that ran, not the result:
-        # it must never reach the cacheable payload, or serial and
-        # sharded runs would stop being byte-identical and store-cached
-        # values would claim the kernel that populated them.
+        # kernel_stats describes the engine run, not the result: it must
+        # never reach the cacheable payload, or store-cached values
+        # would claim the run that populated them.
         from repro.machines.api import SimResult
 
         stats = {"kernel": "calendar", "events_fired": 7}
@@ -199,15 +174,6 @@ class TestKernelStats:
         stats = json.loads(text)["kernel_stats"]
         assert stats["kernel"] == "calendar"
         assert stats["events_fired"] > 0
-
-    def test_cli_machine_sharded_json_has_shard_stats(self):
-        code, text = _cli("machine", "ttda", "--shards", "2", "--json")
-        assert code == 0
-        stats = json.loads(text)["kernel_stats"]
-        assert stats["kernel"] == "parallel"
-        assert stats["shards"] == 2
-        assert stats["channel_messages"] > 0
-        assert len(stats["shard_events"]) == 2
 
     def test_cli_machine_text_renders_kernel_stats(self):
         code, text = _cli("machine", "ttda")
