@@ -4,28 +4,27 @@ The paper compiles its ID program "which integrates a function f from a to
 b over n intervals of size h by the trapezoidal rule" into the loop schema
 of Figure 2-2 (D, D⁻¹, L, L⁻¹, switches, a reentrant graph).  This
 experiment compiles the same program with our front end, checks the
-numeric answer against scipy, and reports the graph's dynamic behaviour:
+numeric answer against scipy's, and reports the graph's dynamic behaviour:
 instructions, critical path, and average parallelism as the interval
 count grows — the loop unfolding in tag space that justifies "given that
 the program being executed is sufficiently parallel" (§2.3).
 
 Ported to the sweep engine: each interval count is one pure run (compile,
 interpret, scipy cross-check) so ``repro bench`` fans the grid out across
-workers and caches converged points.
+workers and caches converged points.  The "scipy" column is
+``scipy.integrate.trapezoid`` over ``numpy.linspace`` points, computed bit
+for bit by :func:`repro.workloads.linspace_trapezoid`, so the experiment
+needs neither package.
 """
 
 import math
-
-# numpy loads once, with the module: the sweep workers ``repro bench``
-# forks inherit it instead of each cell paying for the import.
-import numpy as np
 
 from repro.analysis import Table
 from repro.dataflow import Interpreter
 from repro.exp import Experiment
 from repro.lang import compile_source
 from repro.machines import registry
-from repro.workloads import TRAPEZOID
+from repro.workloads import TRAPEZOID, linspace_trapezoid
 
 INTERVALS = [4, 8, 16, 32, 64, 128]
 
@@ -38,18 +37,11 @@ def integrate(n, a=0.0, b=1.0):
     return value, interp
 
 
-def scipy_reference(n, a=0.0, b=1.0):
-    from scipy.integrate import trapezoid
-
-    xs = np.linspace(a, b, n + 1)
-    return float(trapezoid(1 / (1 + xs * xs), xs))
-
-
 def run_point(config):
     """One interval count: integrate, cross-check, report graph dynamics."""
     n = config["intervals"]
     value, interp = integrate(n)
-    reference = scipy_reference(n)
+    reference = linspace_trapezoid(0.0, 1.0, n)
     assert abs(value - reference) < 1e-12, "engine disagrees with scipy"
     return [
         n, value, reference, abs(value - math.pi / 4),
@@ -112,7 +104,8 @@ def test_e07_shape(benchmark):
 
 def test_e07_timed_machine(benchmark):
     result = benchmark.pedantic(run_on_machine, rounds=1, iterations=1)
-    assert abs(result.metric("value") - scipy_reference(32)) < 1e-12
+    reference = linspace_trapezoid(0.0, 1.0, 32)
+    assert abs(result.metric("value") - reference) < 1e-12
     assert result.metric("time") > 0
 
 

@@ -22,9 +22,9 @@ def test_event_kernel_throughput(benchmark):
         def tick():
             count[0] += 1
             if count[0] < 5000:
-                sim.schedule(1, tick)
+                sim.post(1, tick)
 
-        sim.schedule(0, tick)
+        sim.post(0, tick)
         sim.run()
         return count[0]
 

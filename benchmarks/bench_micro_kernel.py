@@ -1,6 +1,6 @@
 """Event-kernel microbenchmark: calendar-queue throughput.
 
-Measures raw schedule/fire/cancel throughput (events per second) of
+Measures raw post/fire throughput (events per second) of
 :class:`repro.common.simulator.Simulator` on synthetic workloads shaped
 like the hot paths of the real machine models:
 
@@ -10,9 +10,7 @@ like the hot paths of the real machine models:
   integer delays: token fanout under the calendar queue;
 * ``post_fractional``    — fractional delays, so sub-cycle instants are
   measured, not assumed (the calendar keys buckets by the exact float
-  instant, so these share the fast path);
-* ``schedule_cancel``    — ``schedule()`` + ``cancel()`` churn with a
-  live chain running alongside: lazy cancellation and compaction.
+  instant, so these share the fast path).
 
 Run directly to write ``BENCH_perf.json`` at the repo root.  Each
 scenario records absolute events/s, and ``kernel.trajectory`` keeps one
@@ -122,35 +120,10 @@ def post_fractional(n_events, chains=512):
     return sim.events_fired
 
 
-def schedule_cancel(n_events, chains=64):
-    """schedule() + cancel() churn: every firing schedules a far-future
-    decoy timer and cancels the previous one, across many concurrent
-    chains (lazy-cancel, debris compaction, bounded queues)."""
-    sim = Simulator()
-    budget = [n_events]
-
-    def tick(decoy):
-        budget[0] -= 1
-        if decoy[0] is not None:
-            decoy[0].cancel()
-        if budget[0] > 0:
-            decoy[0] = sim.schedule(10_000_000, noop)
-            sim.post(1, tick, decoy)
-
-    def noop():
-        pass
-
-    for _ in range(min(chains, n_events)):
-        sim.post(1, tick, [None])
-    sim.run()
-    return sim.events_fired
-
-
 SCENARIOS = [
     ("post_chain_int", post_chain_int),
     ("post_fanout_burst", post_fanout_burst),
     ("post_fractional", post_fractional),
-    ("schedule_cancel", schedule_cancel),
 ]
 
 

@@ -11,7 +11,7 @@ from .errors import (
     SimulationError,
 )
 from .rng import DeterministicRng, substream
-from .simulator import Event, Simulator
+from .simulator import Simulator
 from .stats import (
     Counter,
     Histogram,
@@ -26,7 +26,6 @@ __all__ = [
     "Counter",
     "DeadlockError",
     "DeterministicRng",
-    "Event",
     "GraphError",
     "Histogram",
     "IStructureError",

@@ -56,7 +56,7 @@ class SimResult:
     #: their cycles; read it through :meth:`profile`.
     accounting: Optional[Dict[str, Any]] = None
     #: Optional event-kernel counters (``Simulator.kernel_stats()``):
-    #: events fired, still pending, and cancelled-but-queued.
+    #: events fired and still pending.
     #: Telemetry about *this* run's engine, not part of the result:
     #: excluded from ``as_dict`` so a store-cached value never claims
     #: the engine run that happened to populate it.

@@ -43,7 +43,7 @@ KINDS = (
     "vn_halt",     # processor halted
     # Kernel
     "run_begin",   # Simulator.run() entered (fields: pending)
-    "quiescent",   # event queue drained; quiescence hooks consulted
+    "quiescent",   # event queue drained (fields: events)
     "run_end",     # Simulator.run() returned (fields: events)
     # Fault injector (repro.faults; source = "faults")
     "fault_net_delay",  # packet delivery delayed (fields: dur)

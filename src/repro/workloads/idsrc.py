@@ -27,7 +27,7 @@ __all__ = [
     "TRAPEZOID", "MATMUL", "WAVEFRONT", "JACOBI", "FIB", "PIPELINE",
     "PRIMES", "REDUCTION",
     "compile_workload", "WORKLOADS",
-    "trapezoid_reference", "matmul_checksum_reference",
+    "trapezoid_reference", "linspace_trapezoid", "matmul_checksum_reference",
     "wavefront_reference", "jacobi_reference", "fib_reference",
     "pipeline_reference", "primes_reference", "reduction_reference",
 ]
@@ -54,6 +54,49 @@ def trapezoid_reference(a, b, n):
         s += f(x)
         x += h
     return s * h
+
+
+def linspace_trapezoid(a, b, n):
+    """``scipy.integrate.trapezoid(f(xs), xs)`` over ``xs =
+    numpy.linspace(a, b, n + 1)``, reproduced bit for bit in pure Python.
+
+    The points are ``a + i*step`` with the last one set to ``b``, as
+    ``linspace`` builds them, and the per-interval terms are summed in
+    numpy's pairwise order (see :func:`_pairwise_sum`).
+    """
+    step = (b - a) / n
+    xs = [i * step + a for i in range(n + 1)]
+    xs[-1] = b
+    ys = [1 / (1 + x * x) for x in xs]
+    return _pairwise_sum([(xs[i + 1] - xs[i]) * (ys[i + 1] + ys[i]) / 2.0
+                          for i in range(n)])
+
+
+def _pairwise_sum(terms):
+    """``numpy.sum`` of a float64 vector: below 8 terms a plain loop;
+    up to 128, eight strided accumulators combined as a tree, then the
+    remainder; above 128, the two halves (split at a multiple of 8)
+    summed recursively."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0  # not sum(): from Python 3.12 it compensates
+        for term in terms:
+            total += term
+        return total
+    if n <= 128:
+        acc = terms[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                acc[j] += terms[i + j]
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        for term in terms[end:]:
+            total += term
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 MATMUL = """

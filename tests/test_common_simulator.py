@@ -2,7 +2,7 @@
 
 :class:`ReferenceKernel` below is the oracle: the simplest kernel that
 meets the determinism contract, one ``heapq`` of ``(time, seq)``-ordered
-records.  The calendar-queue :class:`Simulator` must fire the same
+entries.  The calendar-queue :class:`Simulator` must fire the same
 events in the same order at the same times, with the same ``now``,
 ``events_fired`` and ``pending``, on fixed workloads and on random
 programs.
@@ -17,105 +17,46 @@ from hypothesis import given, settings, strategies as st
 from repro.common import SimulationError, Simulator
 
 
-class _RefEvent:
-    __slots__ = ("sim", "fn", "args", "done")
-
-    def __init__(self, sim, fn, args):
-        self.sim = sim
-        self.fn = fn
-        self.args = args
-        self.done = False  # fired or cancelled
-
-    def cancel(self):
-        if not self.done:
-            self.done = True
-            self.sim._live -= 1
-
-
 class ReferenceKernel:
     """Single-``heapq`` event kernel with the :class:`Simulator` API."""
 
     def __init__(self):
-        self._queue = []  # (time, seq, _RefEvent)
+        self._queue = []  # (time, seq, fn, args)
         self._seq = itertools.count()
-        self._live = 0
-        self._hooks = []
         self.now = 0.0
         self.events_fired = 0
 
     @property
     def pending(self):
-        return self._live
+        return len(self._queue)
 
-    def schedule_at(self, time, fn, *args):
-        if time < self.now:
-            raise SimulationError(f"t={time} is before t={self.now}")
-        event = _RefEvent(self, fn, args)
-        heapq.heappush(self._queue, (float(time), next(self._seq), event))
-        self._live += 1
-        return event
-
-    def schedule(self, delay, fn, *args):
+    def post(self, delay, fn, *args):
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self.now + delay, fn, *args)
+        heapq.heappush(self._queue,
+                       (self.now + delay, next(self._seq), fn, args))
 
-    post = schedule
-    post_at = schedule_at
-
-    def add_quiescence_hook(self, hook):
-        self._hooks.append(hook)
-
-    def _peek(self):
-        queue = self._queue
-        while queue and queue[0][2].done:
-            heapq.heappop(queue)
-        return queue[0] if queue else None
-
-    def _fire(self):
-        time, _, event = heapq.heappop(self._queue)
-        self.now = time
-        event.done = True
-        self._live -= 1
-        self.events_fired += 1
-        event.fn(*event.args)
-
-    def step(self):
-        if self._peek() is None:
-            return False
-        self._fire()
-        return True
-
-    def _run_hooks(self):
-        for hook in self._hooks:
-            hook()
-            if self._live:
-                return True
-        return False
-
-    def run(self, until=None, max_events=None):
+    def run(self, max_events=None):
         fired = 0
-        while True:
-            head = self._peek()
-            if head is None:
-                if self._run_hooks():
-                    continue
-                return self.now
-            if until is not None and head[0] > until:
-                self.now = float(until)
-                return self.now
+        while self._queue:
             if max_events is not None and fired >= max_events:
                 raise SimulationError(f"event budget exhausted ({max_events})")
-            self._fire()
+            self.now, _, fn, args = heapq.heappop(self._queue)
+            self.events_fired += 1
             fired += 1
+            fn(*args)
+
+
+class _Boom(Exception):
+    """Raised by a callback to interrupt an instant."""
 
 
 def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
-    sim.schedule(5, fired.append, "b")
-    sim.schedule(1, fired.append, "a")
-    sim.schedule(9, fired.append, "c")
+    sim.post(5, fired.append, "b")
+    sim.post(1, fired.append, "a")
+    sim.post(9, fired.append, "c")
     sim.run()
     assert fired == ["a", "b", "c"]
     assert sim.now == 9
@@ -125,7 +66,7 @@ def test_same_time_events_fire_fifo():
     sim = Simulator()
     fired = []
     for name in "abcde":
-        sim.schedule(3, fired.append, name)
+        sim.post(3, fired.append, name)
     sim.run()
     assert fired == list("abcde")
 
@@ -136,97 +77,42 @@ def test_schedule_from_within_event():
 
     def first():
         trace.append(("first", sim.now))
-        sim.schedule(2, second)
+        sim.post(2, second)
 
     def second():
         trace.append(("second", sim.now))
 
-    sim.schedule(1, first)
+    sim.post(1, first)
     sim.run()
     assert trace == [("first", 1.0), ("second", 3.0)]
-
-
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(1, fired.append, "x")
-    sim.schedule(2, fired.append, "y")
-    event.cancel()
-    sim.run()
-    assert fired == ["y"]
-
-
-def test_run_until_stops_clock_at_bound():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1, fired.append, "a")
-    sim.schedule(10, fired.append, "b")
-    stopped = sim.run(until=5)
-    assert fired == ["a"]
-    assert stopped == 5
-    sim.run()
-    assert fired == ["a", "b"]
 
 
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule(-1, lambda: None)
-
-
-def test_schedule_at_in_past_rejected():
-    sim = Simulator()
-    sim.schedule(5, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(1, lambda: None)
+        sim.post(-1, lambda: None)
 
 
 def test_event_budget_detects_livelock():
     sim = Simulator()
 
     def forever():
-        sim.schedule(1, forever)
+        sim.post(1, forever)
 
-    sim.schedule(0, forever)
+    sim.post(0, forever)
     with pytest.raises(SimulationError, match="budget"):
         sim.run(max_events=100)
 
 
-def test_quiescence_hook_refills_queue_once():
-    sim = Simulator()
-    fired = []
-    refills = []
-
-    def hook():
-        if not refills:
-            refills.append(True)
-            sim.schedule(4, fired.append, "late")
-
-    sim.add_quiescence_hook(hook)
-    sim.schedule(1, fired.append, "early")
-    sim.run()
-    assert fired == ["early", "late"]
-    assert sim.now == 5
-
-
 def test_pending_and_counters():
     sim = Simulator()
-    sim.schedule(1, lambda: None)
-    sim.schedule(2, lambda: None)
+    sim.post(1, lambda: None)
+    sim.post(2, lambda: None)
     assert sim.pending == 2
     assert sim.events_fired == 0
     sim.run()
     assert sim.pending == 0
     assert sim.events_fired == 2
-
-
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert sim.step() is False
-    sim.schedule(1, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
 
 
 # ----------------------------------------------------------------------
@@ -245,73 +131,14 @@ def test_post_fires_and_counts():
     assert sim.events_fired == 2
 
 
-def test_event_exactly_at_until_boundary_fires():
-    # `until` is inclusive: an event AT the bound fires and the clock
-    # lands on the bound, not past it.
-    sim = Simulator()
-    fired = []
-    sim.schedule(5, fired.append, "edge")
-    sim.schedule(5.5, fired.append, "past")
-    stopped = sim.run(until=5)
-    assert fired == ["edge"]
-    assert stopped == 5.0
-    assert sim.now == 5.0
-
-
-def test_cancel_during_same_instant_dispatch():
-    # An event cancels a later event at the SAME instant while the
-    # instant is being dispatched: the victim must not fire.
-    sim = Simulator()
-    fired = []
-    victim = []
-
-    def killer():
-        fired.append("killer")
-        victim[0].cancel()
-
-    sim.schedule(1, killer)
-    victim.append(sim.schedule(1, fired.append, "victim"))
-    sim.schedule(1, fired.append, "after")
-    sim.run()
-    assert fired == ["killer", "after"]
-    assert sim.pending == 0
-
-
-def test_cancel_during_step():
-    sim = Simulator()
-    fired = []
-    later = sim.schedule(2, fired.append, "later")
-    sim.schedule(1, later.cancel)
-    assert sim.step() is True  # runs the cancel
-    assert sim.step() is False  # nothing live remains
-    assert fired == []
-
-
-def test_quiescence_hook_can_schedule_at_current_instant():
-    sim = Simulator()
-    fired = []
-    refilled = []
-
-    def hook():
-        if not refilled:
-            refilled.append(True)
-            sim.post(0, fired.append, "now")
-
-    sim.add_quiescence_hook(hook)
-    sim.post(3, fired.append, "first")
-    sim.run()
-    assert fired == ["first", "now"]
-    assert sim.now == 3.0
-
-
 def test_int_and_float_times_share_an_instant():
     # post(1) and post(1.0) are the same instant; FIFO holds across the
-    # int/float spelling and across post()/schedule() entries.
+    # int/float spelling.
     sim = Simulator()
     fired = []
     sim.post(1, fired.append, "a")
-    sim.schedule(1.0, fired.append, "b")
-    sim.post(1.0, fired.append, "c")
+    sim.post(1.0, fired.append, "b")
+    sim.post(1, fired.append, "c")
     sim.run()
     assert fired == ["a", "b", "c"]
     assert sim.now == 1.0
@@ -322,7 +149,7 @@ def test_fifo_across_integer_and_fractional_instants():
     fired = []
     sim.post(1, fired.append, "t1-first")
     sim.post(0.5, fired.append, "t0.5")
-    sim.schedule(1, fired.append, "t1-second")
+    sim.post(1, fired.append, "t1-second")
     sim.post(1.5, fired.append, "t1.5")
     sim.post(1, fired.append, "t1-third")
     sim.run()
@@ -346,70 +173,50 @@ def test_same_instant_posts_from_within_dispatch_fire_same_instant():
     assert fired == [("first", 2.0), ("second", 2.0)]
 
 
-def test_cancelled_only_instant_does_not_advance_clock():
-    sim = Simulator()
-    fired = []
-    decoy = sim.schedule(7, fired.append, "decoy")
-    sim.schedule(1, fired.append, "real")
-    decoy.cancel()
-    sim.run()
-    assert fired == ["real"]
-    assert sim.now == 1.0  # never advanced to the cancelled instant
-
-
 def test_budget_exhaustion_keeps_unfired_events():
     # Hitting the budget mid-instant must not lose the unfired tail.
     sim = Simulator()
     fired = []
     for name in "abcd":
         sim.post(1, fired.append, name)
+    sim.post(2, fired.append, "e")
     with pytest.raises(SimulationError, match="budget"):
         sim.run(max_events=2)
     assert fired == ["a", "b"]
+    # A budget that runs out at an instant boundary leaves the clock on
+    # the last instant that fired, not on the next one.
+    with pytest.raises(SimulationError, match=r"at t=2\.0"):
+        sim.run(max_events=2)
+    assert (fired, sim.now, sim.pending) == (list("abcd"), 1.0, 1)
     sim.run()
-    assert fired == ["a", "b", "c", "d"]
+    assert fired == list("abcde")
 
 
-def test_double_cancel_is_idempotent():
-    sim = Simulator()
-    event = sim.schedule(1, lambda: None)
-    event.cancel()
-    event.cancel()
-    assert sim.pending == 0
-    sim.run()
-    assert sim.events_fired == 0
+def test_exception_mid_instant_keeps_the_tail():
+    # A callback that raises ends run(); the events after it at the same
+    # instant fire, in order, on the next run().
+    def program(sim):
+        fired = []
 
+        def boom():
+            fired.append("boom")
+            raise _Boom
 
-def test_cancel_after_fire_is_noop():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(1, fired.append, "x")
-    sim.run()
-    event.cancel()  # already consumed; must not corrupt counters
-    assert fired == ["x"]
-    assert sim.pending == 0
-    assert sim.events_fired == 1
+        sim.post(1, fired.append, "a")
+        sim.post(1, boom)
+        sim.post(1, fired.append, "b")
+        sim.post(1, fired.append, "c")
+        sim.post(2, fired.append, "d")
+        with pytest.raises(_Boom):
+            sim.run()
+        interrupted = (list(fired), sim.now, sim.events_fired, sim.pending)
+        sim.run()
+        return interrupted, (fired, sim.now, sim.events_fired, sim.pending)
 
-
-def test_mass_cancellation_keeps_queue_bounded():
-    # Regression: 10k schedule-then-cancel cycles used to leave 10k dead
-    # Event records in the heap.  The kernel compacts lazily; the debris
-    # must stay bounded and the final state clean.
-    sim = Simulator()
-    fired = []
-    for i in range(10_000):
-        event = sim.schedule(1_000_000 + i, fired.append, i)
-        event.cancel()
-        # Debris never exceeds the compaction threshold by more than one
-        # pending sweep's worth.
-        assert sim._ncancelled <= 1024
-    sim.schedule(1, fired.append, "live")
-    assert sim.pending == 1
-    sim.run()
-    assert fired == ["live"]
-    assert sim._ncancelled == 0
-    assert not sim._buckets
-    assert not sim._keys
+    got = program(Simulator())
+    assert got == program(ReferenceKernel())
+    assert got == ((["a", "boom"], 1.0, 2, 3),
+                   (["a", "boom", "b", "c", "d"], 2.0, 5, 0))
 
 
 # ----------------------------------------------------------------------
@@ -417,8 +224,9 @@ def test_mass_cancellation_keeps_queue_bounded():
 # ----------------------------------------------------------------------
 
 def test_simulator_matches_reference_kernel():
-    # A workload mixing posts, schedules, cancels and re-posts fires in
-    # the same total order on both kernels.
+    # A fan-out workload with same-instant, fractional and integer
+    # posts fires in the same total order on both kernels, across a
+    # budget interruption and the drain that follows it.
     def workload(sim):
         order = []
 
@@ -427,48 +235,46 @@ def test_simulator_matches_reference_kernel():
             if depth > 0:
                 sim.post(1, spawn, f"{name}.a", depth - 1)
                 sim.post(0.5, spawn, f"{name}.b", depth - 1)
-                doomed = sim.schedule(2, order.append, ("doomed", name))
-                sim.post(0, doomed.cancel)
+                sim.post(0, order.append, ("same-instant", name))
 
         for i in range(3):
             sim.post(i, spawn, f"root{i}", 3)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=40)
+        states = [(sim.now, sim.events_fired, sim.pending)]
         sim.run()
-        return order, sim.now, sim.events_fired, sim.pending
+        states.append((sim.now, sim.events_fired, sim.pending))
+        return order, states
 
     assert workload(Simulator()) == workload(ReferenceKernel())
 
 
 _DELAYS = st.sampled_from([0, 0.5, 1, 1.0, 2, 3.25])
 
-#: One kernel call: (kind, delay, n).  A scheduled callback's label is
-#: the caller's label plus n, so labels only grow and every program
-#: ends; a cancel picks the n-th handle (mod the handles made).
-_CALL = st.tuples(st.sampled_from(["post", "post_at", "schedule", "cancel"]),
+#: One callback action: (kind, delay, n).  A ``post`` labels its event
+#: with the caller's label plus n, so labels only grow and every
+#: program ends; a ``raise`` aborts the callback (and its run()) there.
+_CALL = st.tuples(st.sampled_from(["post", "post", "post", "raise"]),
                   _DELAYS, st.integers(min_value=1, max_value=3))
-_CALLS = st.lists(_CALL, max_size=2)
 
 #: Random programs over the whole kernel surface: ``reactions[label]``
-#: lists the calls an event with that label makes when it fires (labels
-#: past the end make none); each hook lists the calls it makes on its
-#: first invocations; the top level interleaves calls with
-#: ``run(until=, max_events=)`` and ``step()``.
+#: lists the actions an event with that label takes when it fires
+#: (labels past the end take none); the top level interleaves posts
+#: with ``run(max_events=)``.
 kernel_programs = st.tuples(
-    st.lists(_CALLS, max_size=10),
-    st.lists(st.lists(_CALLS, max_size=2), max_size=2),
+    st.lists(st.lists(_CALL, max_size=2), max_size=10),
     st.lists(st.one_of(
-        _CALL,
-        st.tuples(st.just("run"), st.one_of(st.none(), _DELAYS),
+        _CALL.filter(lambda op: op[0] == "post"),
+        st.tuples(st.just("run"), st.none(),
                   st.one_of(st.none(), st.integers(min_value=0, max_value=12))),
-        st.tuples(st.just("step"), st.none(), st.none()),
     ), min_size=1, max_size=12),
 )
 
 
 def _execute(sim, program):
     """Run ``program`` on ``sim``; returns everything observable."""
-    reactions, hooks, top = program
+    reactions, top = program
     log = []
-    handles = []
 
     def fire(label):
         log.append(("fire", label, sim.now))
@@ -479,38 +285,29 @@ def _execute(sim, program):
         kind = op[0]
         if kind == "post":
             sim.post(op[1], fire, label + op[2])
-        elif kind == "post_at":
-            sim.post_at(sim.now + op[1], fire, label + op[2])
-        elif kind == "schedule":
-            handles.append(sim.schedule(op[1], fire, label + op[2]))
-        elif kind == "cancel":
-            if handles:
-                handles[op[2] % len(handles)].cancel()
-        elif kind == "run":
-            until = None if op[1] is None else sim.now + op[1]
-            try:
-                log.append(("run", sim.run(until=until, max_events=op[2])))
-            except SimulationError:
-                log.append(("budget", sim.now))
+        elif kind == "raise":
+            raise _Boom(label)
         else:
-            log.append(("step", sim.step()))
+            run(op[2])
 
-    def make_hook(index, rounds):
-        def hook():
-            log.append(("quiescent", index, sim.now))
-            if rounds:
-                for op in rounds.pop(0):
-                    apply(op)
-        return hook
+    def run(max_events=None):
+        try:
+            sim.run(max_events=max_events)
+            log.append(("drained",))
+        except SimulationError:
+            log.append(("budget",))
+        except _Boom as exc:
+            log.append(("raised", exc.args))
 
-    for index, rounds in enumerate(hooks):
-        sim.add_quiescence_hook(make_hook(index, list(rounds)))
     # The kernel flushes its counters once per instant, so they are
     # compared between top-level calls, never from inside a callback.
     for op in top:
         apply(op)
         log.append(("state", sim.now, sim.events_fired, sim.pending))
-    sim.run()
+    for _ in range(1000):  # each raise ends one run(); bounded drain
+        if not sim.pending:
+            break
+        run()
     log.append(("final", sim.now, sim.events_fired, sim.pending))
     return log
 

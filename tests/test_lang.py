@@ -19,6 +19,7 @@ from repro.lang import (
     parse_expression,
     tokenize,
 )
+from repro.workloads import linspace_trapezoid
 
 
 class TestLexer:
@@ -300,15 +301,28 @@ class TestTrapezoid:
         assert result == pytest.approx(math.pi / 4, abs=1e-3)
 
     def test_matches_reference_trapezoid(self):
-        import numpy as np
-
         program = compile_source(self.SOURCE, entry="trapezoid")
         a, b, n = 0.0, 2.0, 64
         h = (b - a) / n
         result = run_program(program, a, b, n, h)
-        xs = np.linspace(a, b, n + 1)
-        expected = np.trapezoid(1 / (1 + xs * xs), xs)
+        expected = linspace_trapezoid(a, b, n)
         assert result == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b, n, scipy_value", [
+        # scipy.integrate.trapezoid(1/(1+xs*xs), xs) with
+        # xs = numpy.linspace(a, b, n + 1), scipy 1.17.1 / numpy 2.4.6:
+        # one term, under 8 terms, one block, and two-level pairwise sums.
+        (0.0, 1.0, 1, 0.75),
+        (0.0, 2.0, 5, 1.1050240020225928),
+        (0.0, 1.0, 4, 0.782794117647059),
+        (0.0, 2.0, 64, 1.1071356972659223),
+        (0.0, 1.0, 100, 0.7853939967307823),
+        (0.0, 2.0, 200, 1.1071473844639572),
+        (0.0, 1.0, 299, 0.7853976973325647),
+    ])
+    def test_linspace_trapezoid_is_scipy_bit_for_bit(self, a, b, n,
+                                                      scipy_value):
+        assert linspace_trapezoid(a, b, n) == scipy_value
 
     def test_graph_has_fig_2_2_shape(self):
         from repro.graph import Opcode, format_program

@@ -164,14 +164,14 @@ def _replay(make_server, stats, service_time, arrivals, probe_every):
                       service_time=override)
         record(("arrive", index))
 
-    at = 0
+    at = 0  # the clock is at 0, so each delay is an absolute time
     for index, (gap, override, resubmits) in enumerate(arrivals):
         at += gap
-        sim.post_at(at, arrive, index, override, resubmits)
+        sim.post(at, arrive, index, override, resubmits)
     horizon = at + 40
     probe = probe_every
     while probe < horizon:  # mid-service readings
-        sim.post_at(probe, record, ("probe",))
+        sim.post(probe, record, ("probe",))
         probe += probe_every
     sim.run()
     return log
