@@ -23,7 +23,7 @@ from ..common.errors import MachineError
 from ..graph.codeblock import CodeBlock
 from ..graph.opcodes import Opcode, PURE_BINARY, PURE_UNARY
 from ..istructure.heap import StructureRef
-from .tags import Tag, intern_tag
+from .tags import Tag
 from .values import Continuation, FunctionRef
 
 __all__ = [
@@ -272,7 +272,7 @@ def _loop_exit(program, instruction, tag, value):
         raise MachineError(f"L⁻¹ at {tag!r} has no enclosing context to restore")
     block = program.block(tag.code_block)
     dests = block.exit_dests[instruction.param_index]
-    restored_base = intern_tag(
+    restored_base = Tag(
         invocation.context,
         invocation.code_block,
         0,

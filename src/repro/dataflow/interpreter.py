@@ -32,7 +32,7 @@ from .exec_core import (
     assemble_operands,
     execute,
 )
-from .tags import Tag, reset_intern_table
+from .tags import Tag
 from .values import Continuation
 
 __all__ = ["Interpreter", "run_program"]
@@ -68,7 +68,6 @@ class Interpreter:
                 "Interpreter instances are single-use; create a new one"
             )
         self._started = True
-        reset_intern_table()  # run-boundary eviction, never mid-run
         entry = self.program.entry_block()
         if len(args) != entry.num_params:
             raise MachineError(

@@ -25,7 +25,7 @@ from ..faults import coerce_plan
 from ..obs import MetricsRegistry, TraceBus
 from .mapping import HashMapping
 from .pe import DecodedInstruction, ProcessingElement
-from .tags import intern_tag, reset_intern_table
+from .tags import Tag
 from .trace import TraceLog
 from .token import Token, TokenKind
 from .values import Continuation
@@ -149,7 +149,8 @@ class TaggedTokenMachine:
         self.pes = [ProcessingElement(self, i, self.config) for i in range(self.n_pes)]
         for pe in self.pes:
             self.network.attach(pe.pe, self._network_delivery)
-        # Hot counts; structures_allocated goes through counters.add.
+        # Hot counts, bumped by each PE's output section (PE._route);
+        # structures_allocated goes through counters.add.
         self._local = 0
         self._network = 0
         self.counters = SlotCounter(self._hot_counts)
@@ -173,9 +174,6 @@ class TaggedTokenMachine:
                 "TaggedTokenMachine instances are single-use; create a new one"
             )
         self._started = True
-        # Run-boundary eviction point for the tag intern table: never
-        # clear it mid-run (token identity would silently fork).
-        reset_intern_table()
         entry = self.program.entry_block()
         if len(args) != entry.num_params:
             raise MachineError(
@@ -184,9 +182,9 @@ class TaggedTokenMachine:
             )
         for index, arg in enumerate(args):
             for dest in entry.param_targets[index]:
-                tag = intern_tag(None, entry.name, dest.statement, 1)
+                tag = Tag(None, entry.name, dest.statement, 1)
                 self._inject(tag, dest.port, arg)
-        halt_tag = intern_tag(None, entry.name, entry.return_statement, 1)
+        halt_tag = Tag(None, entry.name, entry.return_statement, 1)
         self._inject(halt_tag, 1, Continuation.HALT)
 
         self.sim.run(max_events=max_events)
@@ -258,28 +256,8 @@ class TaggedTokenMachine:
             self._trace_event("-", "result", repr(value), parent=cause)
 
     # ------------------------------------------------------------------
-    # Interconnect
+    # Interconnect (a PE's output section routes; see PE._route)
     # ------------------------------------------------------------------
-    def _transmit(self, src_pe, token):
-        bus = self._bus
-        if token.pe == src_pe and self.config.local_loopback:
-            self._local += 1
-            if bus is not None and bus.enabled:
-                eid = self._trace_event(src_pe, "route", "local", local=True,
-                                        parent=token.cause)
-                if eid is not None:
-                    object.__setattr__(token, "cause", eid)
-            self.pes[src_pe].receive(token)
-        else:
-            self._network += 1
-            cause = token.cause
-            if bus is not None and bus.enabled:
-                eid = self._trace_event(src_pe, "route", f"->pe{token.pe}",
-                                        local=False, parent=token.cause)
-                if eid is not None:
-                    cause = eid
-            self.network.send(src_pe, token.pe, token, cause=cause)
-
     def _network_delivery(self, packet):
         token = packet.payload
         if self._provenance and packet.cause is not None:

@@ -35,32 +35,20 @@ def stable_tag_key(tag):
 
     Each chain node folds (crc32 of its code block, statement, iteration)
     into the key with ``h = (h * 1000003 ^ value) & 0xFFFFFFFF``.  The key
-    is a pure function of the tag's structure, so it is memoized on the
-    tag itself (``Tag._map_key``) — with interned tags the mapping policy
-    pays the chain walk once per distinct activity name instead of once
-    per routed token.
+    is a pure function of the tag's structure.
     """
-    try:
-        cached = tag._map_key
-    except AttributeError:  # a non-Tag stand-in without the cache slot
-        cached = None
-    if cached is not None:
-        return cached
     crcs = _BLOCK_CRC
     h = 0x811C9DC5
     node = tag
     while node is not None:
-        crc = crcs.get(node.code_block)
+        context, code_block, statement, iteration = node
+        crc = crcs.get(code_block)
         if crc is None:
-            crc = _block_crc(node.code_block)
+            crc = _block_crc(code_block)
         h = (h * 1000003 ^ crc) & 0xFFFFFFFF
-        h = (h * 1000003 ^ node.statement) & 0xFFFFFFFF
-        h = (h * 1000003 ^ node.iteration) & 0xFFFFFFFF
-        node = node.context
-    try:
-        object.__setattr__(tag, "_map_key", h)
-    except AttributeError:  # a non-Tag stand-in without the cache slot
-        pass
+        h = (h * 1000003 ^ statement) & 0xFFFFFFFF
+        h = (h * 1000003 ^ iteration) & 0xFFFFFFFF
+        node = context
     return h
 
 
@@ -95,13 +83,14 @@ class ByContextMapping:
         self.spread_iterations = spread_iterations
 
     def pe_of(self, tag):
-        context_key = stable_tag_key(tag.context) if tag.context else 0
-        crc = _BLOCK_CRC.get(tag.code_block)
+        context, code_block, _statement, iteration = tag
+        context_key = 0 if context is None else stable_tag_key(context)
+        crc = _BLOCK_CRC.get(code_block)
         if crc is None:
-            crc = _block_crc(tag.code_block)
+            crc = _block_crc(code_block)
         h = (context_key * 1000003 ^ crc) & 0xFFFFFFFF
         if self.spread_iterations:
-            h = (h * 1000003 ^ tag.iteration) & 0xFFFFFFFF
+            h = (h * 1000003 ^ iteration) & 0xFFFFFFFF
         return h % self.n_pes
 
     def __repr__(self):

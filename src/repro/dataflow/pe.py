@@ -100,7 +100,7 @@ class ProcessingElement:
         "istructure", "_match_store", "_match_causes", "match_occupancy",
         "counters", "_waiting", "_instr_cache", "_pe_of",
         "_wm_time", "_wm_capacity", "_wm_penalty",
-        "_faults", "_alu_time",
+        "_faults", "_alu_time", "_loopback",
         "_received", "_matches", "_parked", "_class_counts", "_sent",
         "_occ_area", "_occ_elapsed", "_occ_last", "_occ_max",
     )
@@ -129,6 +129,7 @@ class ProcessingElement:
         )
         self._faults = machine.faults
         self._alu_time = config.alu_time
+        self._loopback = config.local_loopback
         self._match_store = {}
         # Provenance: park eids awaiting their match, keyed by tag.
         self._match_causes = {}
@@ -194,8 +195,7 @@ class ProcessingElement:
                     # spill to the (slow) overflow store.
                     service += self._wm_penalty
                     self.counters.add("wm_overflows")
-                self.waiting_matching.submit(token, self._match,
-                                             service_time=service)
+                self.waiting_matching.submit(token, self._match, service)
             else:
                 self.fetch.submit(
                     (token.tag, {token.port: token.data}, token.cause),
@@ -336,20 +336,24 @@ class ProcessingElement:
             )
             if eid is not None:
                 cause = eid
-        emit = self._emit
+        # The output section: a Send (nearly every effect) becomes its
+        # result token here, stamped with its destination PE.
         for effect in effects:
-            emit(effect, tag, cause)
+            if type(effect) is Send:
+                etag, port, value = effect
+                dest = self._instr_cache.get((etag.code_block, etag.statement))
+                if dest is None:
+                    dest = machine._decoded(etag.code_block, etag.statement)
+                self.output.submit(
+                    Token(etag, port, value, _NORMAL, dest.nt,
+                          self._pe_of(etag), cause),
+                    self._route)
+            else:
+                self._emit(effect, tag, cause)
 
     def _emit(self, effect, tag, cause=None):
-        if isinstance(effect, Send):
-            etag = effect.tag
-            entry = self._instr_cache.get((etag.code_block, etag.statement))
-            if entry is None:
-                entry = self.machine._decoded(etag.code_block, etag.statement)
-            token = Token(etag, effect.port, effect.value, _NORMAL,
-                          entry.nt, self._pe_of(etag), cause)
-            self.output.submit(token, self._route)
-        elif isinstance(effect, StructureRead):
+        """The output section for the effects other than ``Send``."""
+        if isinstance(effect, StructureRead):
             for reply_tag, reply_port in effect.replies:
                 home = interleave_home(effect.ref, effect.index,
                                        self.machine.n_pes)
@@ -384,8 +388,29 @@ class ProcessingElement:
     # Output section: routing (every token already carries its PE)
     # ------------------------------------------------------------------
     def _route(self, token):
+        """Loop a token for this PE straight back to its input, or hand
+        it to the network."""
         self._sent += 1
-        self.machine._transmit(self.pe, token)
+        machine = self.machine
+        bus = machine._bus
+        pe = self.pe
+        if token.pe == pe and self._loopback:
+            machine._local += 1
+            if bus is not None and bus.enabled:
+                eid = machine._trace_event(pe, "route", "local", local=True,
+                                           parent=token.cause)
+                if eid is not None:
+                    token.cause = eid
+            self.receive(token)
+        else:
+            machine._network += 1
+            cause = token.cause
+            if bus is not None and bus.enabled:
+                eid = machine._trace_event(pe, "route", f"->pe{token.pe}",
+                                           local=False, parent=token.cause)
+                if eid is not None:
+                    cause = eid
+            machine.network.send(pe, token.pe, token, cause=cause)
 
     # ------------------------------------------------------------------
     # PE controller (d=2): structure allocation

@@ -21,7 +21,7 @@ __all__ = ["Continuation", "FunctionRef", "StructureRef"]
 
 from ..istructure.heap import StructureRef  # noqa: F401  (re-export)
 from ..graph.instruction import Destination
-from .tags import Tag, intern_tag
+from .tags import Tag
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class Continuation:
     def return_tags(self):
         """The (tag, port) pairs the result token(s) must be sent to."""
         return [
-            (intern_tag(self.context, self.code_block, d.statement,
-                        self.iteration), d.port)
+            (Tag(self.context, self.code_block, d.statement,
+                 self.iteration), d.port)
             for d in self.dests
         ]
 

@@ -13,11 +13,13 @@ Like :class:`~repro.common.queueing.FifoServer`, the controller keeps
 its queue-depth and busy-time statistics in its own attributes, with the
 float operations a ``TimeWeighted`` and a ``UtilizationTracker`` would
 apply, in the same order; ``queue_depth`` and ``utilization`` read them.
+Its per-request counts live in attributes too, and ``counters`` (a
+``SlotCounter``) reads them under their usual names.
 """
 
 from collections import deque
 
-from ..common.stats import Counter, TimeWeightedView, UtilizationView
+from ..common.stats import SlotCounter, TimeWeightedView, UtilizationView
 from .store import DEFERRED, IStructureModule
 
 __all__ = ["IStructureController", "ReadRequest", "WriteRequest"]
@@ -75,7 +77,13 @@ class IStructureController:
         self.module = module if module is not None else IStructureModule(name)
         self._queue = deque()
         self._busy = False
-        self.counters = Counter()
+        # Per-request counts; fault_retries goes through counters.add.
+        self._requests = 0
+        self._reads = 0
+        self._writes = 0
+        self._reads_deferred = 0
+        self._reads_drained = 0
+        self.counters = SlotCounter(self._hot_counts)
         # Queue depth over time: area, time covered, last change, depth
         # since then, peak.
         self._q_area = 0.0
@@ -111,6 +119,12 @@ class IStructureController:
         self.reply_cause = None
         self._deferred_causes = {}
 
+    def _hot_counts(self):
+        return {"requests": self._requests, "reads": self._reads,
+                "writes": self._writes,
+                "reads_deferred": self._reads_deferred,
+                "reads_drained": self._reads_drained}
+
     # ------------------------------------------------------------------
     def _queue_step(self, delta):
         """The queue depth changes by ``delta`` now."""
@@ -127,7 +141,7 @@ class IStructureController:
         """Accept a read or write request (arrival of a d=1 token)."""
         self._queue.append(request)
         self._queue_step(1.0)
-        self.counters.add("requests")
+        self._requests += 1
         if not self._busy:
             self._start_next()
 
@@ -177,14 +191,14 @@ class IStructureController:
             # processing cycle when the write drains the list.
             value = self.module.read(request.key, request.reply)
             if value is DEFERRED:
-                self.counters.add("reads_deferred")
+                self._reads_deferred += 1
                 if tracing:
                     eid = self._trace("is_defer", repr(request.key),
                                       parent=request.cause)
                     if eid is not None:
                         self._deferred_causes[request.reply] = eid
             else:
-                self.counters.add("reads")
+                self._reads += 1
                 self.reply_cause = None
                 if tracing:
                     self.reply_cause = self._trace(
@@ -199,9 +213,8 @@ class IStructureController:
         else:
             drained = self.module.write(request.key, request.value)
             extra = self.drain_cycles_per_deferred * len(drained)
-            self.counters.add("writes")
-            if drained:
-                self.counters.add("reads_drained", len(drained))
+            self._writes += 1
+            self._reads_drained += len(drained)
             eid = None
             if tracing:
                 # The write joins the deferred reads it drains, so the

@@ -106,12 +106,13 @@ class Network:
                 f"{self.name}: no handler attached at port {packet.dst}"
             )
         self._delivered += 1
-        latency = self.sim.now - packet.injected_at
+        now = self.sim._now
+        latency = now - packet.injected_at
         self.latency.observe(latency)
         self.hop_counts.observe(packet.hops)
         bus = self._bus
         if bus is not None and bus.enabled:
-            eid = bus.emit_id(self.sim.now, self._bus_source, "net_deliver",
+            eid = bus.emit_id(now, self._bus_source, "net_deliver",
                               f"{packet.src}->{packet.dst}", latency=latency,
                               hops=packet.hops, parent=packet.cause,
                               dur=latency)

@@ -238,39 +238,3 @@ class TestSweepDeterminism:
                               default=repr))
         assert [_digest(record.value) for record in inline] == \
             REGISTRY_DIGESTS
-
-
-# ---------------------------------------------------------------------------
-# Long-run correctness companions: tag interning across the capacity
-# boundary (run-boundary-only eviction)
-# ---------------------------------------------------------------------------
-
-class TestInternBoundary:
-    def test_capacity_crossing_preserves_identity(self, monkeypatch):
-        from repro.dataflow import tags as tags_mod
-
-        tags_mod.reset_intern_table()
-        monkeypatch.setattr(tags_mod, "_INTERN_MAX", 4)
-        first = tags_mod.intern_tag("c", "blk", 0)
-        for statement in range(16):  # cross the capacity boundary
-            tags_mod.intern_tag("c", "blk", statement)
-        # The table was NOT cleared mid-run: early tags keep their
-        # canonical identity, overflow tags degrade to structural
-        # equality, and the table never exceeds its bound.
-        assert tags_mod.intern_tag("c", "blk", 0) is first
-        overflow = tags_mod.intern_tag("c", "other", 99)
-        assert overflow == tags_mod.intern_tag("c", "other", 99)
-        assert len(tags_mod._INTERN) <= 4
-        tags_mod.reset_intern_table()
-        assert len(tags_mod._INTERN) == 0
-
-    def test_machine_result_unchanged_when_capacity_crossed_midrun(
-            self, monkeypatch):
-        from repro.dataflow import tags as tags_mod
-
-        expected = registry.create("ttda").run(workload="matmul")
-        monkeypatch.setattr(tags_mod, "_INTERN_MAX", 8)
-        capped = registry.create("ttda").run(workload="matmul")
-        # Interning is a pure identity optimization: forfeiting it
-        # mid-run (capacity) must not change a single measurement.
-        assert _payload(capped) == _payload(expected)

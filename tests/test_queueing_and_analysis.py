@@ -17,7 +17,7 @@ from repro.analysis import (
     sweep,
     von_neumann_utilization,
 )
-from repro.common import Simulator
+from repro.common import SimulationError, Simulator
 from repro.common.queueing import FifoServer
 from repro.common.stats import TimeWeighted, UtilizationTracker
 
@@ -199,6 +199,23 @@ class TestFifoServerMatchesTrackers:
                                arrivals, 0.7)
         done = [entry[0][1] for entry in ours if entry[0][0] == "done"]
         assert done == ["0", "1", "0'"]
+
+
+class TestFifoServerServiceTime:
+    def test_negative_service_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            FifoServer(sim, -1).submit("a", lambda _: None)
+        server = FifoServer(Simulator(), 1)
+        with pytest.raises(SimulationError):
+            server.submit("b", lambda _: None, -0.5)
+        # A queued item's override is checked when its service starts.
+        sim = Simulator()
+        server = FifoServer(sim, 1)
+        server.submit("c", lambda _: None)
+        server.submit("d", lambda _: None, -2)
+        with pytest.raises(SimulationError):
+            sim.run()
 
 
 class TestTable:
