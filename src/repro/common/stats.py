@@ -71,7 +71,18 @@ class SlotCounter(Counter):
 
 
 class Histogram:
-    """An exact histogram over discrete (or binned) observations."""
+    """An exact histogram over discrete (or binned) observations.
+
+    A recorder on a per-event path appends unit-weight observations to
+    ``pending`` instead of calling :meth:`observe`, and calls
+    :meth:`fold` at least every :attr:`PENDING_MAX` appends.  Every read
+    and every :meth:`observe` folds them in first, in arrival order and
+    with :meth:`observe`'s own arithmetic, so the histogram reports
+    exactly what eager ``observe(value)`` calls would have.
+    """
+
+    #: The most values a recorder leaves in ``pending`` between folds.
+    PENDING_MAX = 128
 
     def __init__(self):
         self._bins = {}
@@ -80,8 +91,10 @@ class Histogram:
         self._total_sq = 0.0
         self._min = None
         self._max = None
+        self.pending = []
 
     def observe(self, value, weight=1):
+        self.fold()
         self._bins[value] = self._bins.get(value, 0) + weight
         self._count += weight
         self._total += value * weight
@@ -91,19 +104,54 @@ class Histogram:
         if self._max is None or value > self._max:
             self._max = value
 
+    def fold(self):
+        """Fold ``pending`` in as ``observe(value)`` calls, in order.
+
+        The values are ints and floats, for which ``value * 1`` is
+        ``value`` exactly, so each running sum sees the same additions
+        on the same floats in the same order as eager calls would make.
+        """
+        pending = self.pending
+        if not pending:
+            return
+        bins = self._bins
+        get = bins.get
+        count = self._count
+        total = self._total
+        total_sq = self._total_sq
+        low = self._min
+        high = self._max
+        for value in pending:
+            bins[value] = get(value, 0) + 1
+            count += 1
+            total += value
+            total_sq += value * value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+        self._count = count
+        self._total = total
+        self._total_sq = total_sq
+        self._min = low
+        self._max = high
+        pending.clear()
+
     @property
     def count(self):
+        self.fold()
         return self._count
 
     @property
     def mean(self):
+        self.fold()
         return self._total / self._count if self._count else 0.0
 
     @property
     def variance(self):
+        mean = self.mean
         if not self._count:
             return 0.0
-        mean = self.mean
         return max(0.0, self._total_sq / self._count - mean * mean)
 
     @property
@@ -112,14 +160,17 @@ class Histogram:
 
     @property
     def min(self):
+        self.fold()
         return self._min
 
     @property
     def max(self):
+        self.fold()
         return self._max
 
     def percentile(self, q):
         """Exact q-th percentile (0 <= q <= 100) of the observed values."""
+        self.fold()
         if not self._count:
             return None
         target = q / 100.0 * self._count
@@ -131,11 +182,12 @@ class Histogram:
         return self._max
 
     def items(self):
+        self.fold()
         return sorted(self._bins.items())
 
     def __repr__(self):
         return (
-            f"Histogram(n={self._count}, mean={self.mean:.3f}, "
+            f"Histogram(n={self.count}, mean={self.mean:.3f}, "
             f"min={self._min}, max={self._max})"
         )
 

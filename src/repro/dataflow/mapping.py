@@ -69,6 +69,11 @@ class HashMapping:
         return f"HashMapping(n_pes={self.n_pes})"
 
 
+#: Most contexts one ByContextMapping remembers the key of before it
+#: forgets them all.
+_CONTEXT_KEYS_MAX = 1 << 12
+
+
 class ByContextMapping:
     """Keep each invocation context on one PE.
 
@@ -76,15 +81,25 @@ class ByContextMapping:
     same PE, so only linkage (CALL/L) and structure traffic cross the
     network.  Loop iterations are spread by folding the iteration number
     in, giving the classic "unfold loops across PEs" behaviour.
+
+    Every token of a context needs that context's key, so each instance
+    remembers ``stable_tag_key(context)`` per context (equal contexts
+    share an entry); bounded, and cleared wholesale on overflow.
     """
 
     def __init__(self, n_pes, spread_iterations=True):
         self.n_pes = n_pes
         self.spread_iterations = spread_iterations
+        self._context_keys = {}
 
     def pe_of(self, tag):
         context, code_block, _statement, iteration = tag
-        context_key = 0 if context is None else stable_tag_key(context)
+        if context is None:
+            context_key = 0
+        else:
+            context_key = self._context_keys.get(context)
+            if context_key is None:
+                context_key = self._context_key(context)
         crc = _BLOCK_CRC.get(code_block)
         if crc is None:
             crc = _block_crc(code_block)
@@ -92,6 +107,13 @@ class ByContextMapping:
         if self.spread_iterations:
             h = (h * 1000003 ^ iteration) & 0xFFFFFFFF
         return h % self.n_pes
+
+    def _context_key(self, context):
+        keys = self._context_keys
+        if len(keys) >= _CONTEXT_KEYS_MAX:
+            keys.clear()
+        key = keys[context] = stable_tag_key(context)
+        return key
 
     def __repr__(self):
         return (

@@ -69,14 +69,19 @@ class DecodedInstruction:
     """One statement as the fetch unit hands it to the ALU, decoded once
     per machine: the instruction plus what every firing of it needs and
     no firing can change (the program is frozen once the machine runs),
-    its opcode's handler included."""
+    its opcode's handler included.  ``inline_arity`` is the operand
+    count (1 or 2) of a statement whose every operand comes by token,
+    which the ALU then gathers inline; it is 0 for the rest."""
 
-    __slots__ = ("instruction", "nt", "arity", "class_index", "handler")
+    __slots__ = ("instruction", "nt", "arity", "inline_arity", "class_index",
+                 "handler")
 
     def __init__(self, instruction):
         self.instruction = instruction
         self.nt = instruction.nt
-        self.arity = instruction.natural_arity
+        self.arity = arity = instruction.natural_arity
+        plain = instruction.constant_port is None and arity in (1, 2)
+        self.inline_arity = arity if plain else 0
         self.class_index, self.handler = _DECODE[instruction.opcode._name_]
 
 
@@ -322,7 +327,17 @@ class ProcessingElement:
         entry, tag, by_port, cause = work
         instruction = entry.instruction
         machine = self.machine
-        operands = assemble_operands(instruction, by_port, entry.arity)
+        inline = entry.inline_arity
+        try:
+            if inline == 2:
+                operands = [by_port[0], by_port[1]]
+            elif inline == 1:
+                operands = [by_port[0]]
+            else:
+                operands = assemble_operands(instruction, by_port, entry.arity)
+        except KeyError:
+            # A missing operand: assemble_operands names it.
+            operands = assemble_operands(instruction, by_port, entry.arity)
         effects = entry.handler(machine.program, instruction, tag, operands)
         self._class_counts[entry.class_index] += 1
         bus = machine._bus

@@ -13,6 +13,8 @@ from .packet import Packet
 
 __all__ = ["Network"]
 
+_FOLD_EVERY = Histogram.PENDING_MAX
+
 
 class Network:
     """Base class: port bookkeeping plus delivery statistics."""
@@ -30,6 +32,10 @@ class Network:
         self.counters = SlotCounter(self._hot_counts)
         self.latency = Histogram()
         self.hop_counts = Histogram()
+        # Each delivery appends to these, and _deliver folds both every
+        # _FOLD_EVERY deliveries; any read of a histogram folds its own.
+        self._latencies = self.latency.pending
+        self._hops = self.hop_counts.pending
         self._bus = None
         self._bus_source = name
         #: Optional :class:`repro.faults.FaultInjector`; None keeps the
@@ -105,11 +111,14 @@ class Network:
             raise NetworkError(
                 f"{self.name}: no handler attached at port {packet.dst}"
             )
-        self._delivered += 1
+        delivered = self._delivered = self._delivered + 1
         now = self.sim._now
         latency = now - packet.injected_at
-        self.latency.observe(latency)
-        self.hop_counts.observe(packet.hops)
+        self._latencies.append(latency)
+        self._hops.append(packet.hops)
+        if not delivered % _FOLD_EVERY:
+            self.latency.fold()
+            self.hop_counts.fold()
         bus = self._bus
         if bus is not None and bus.enabled:
             eid = bus.emit_id(now, self._bus_source, "net_deliver",

@@ -82,6 +82,10 @@ class SqliteStore:
         self._db = sqlite3.connect(self.path, check_same_thread=False)
         with self._lock:
             self._db.execute("PRAGMA journal_mode=WAL")
+            # With WAL, NORMAL syncs at checkpoints rather than on every
+            # commit: the file never corrupts, and a power loss can drop
+            # only the last commits of values that can be recomputed.
+            self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute(_SCHEMA)
             self._db.commit()
 

@@ -11,6 +11,7 @@ from repro.dataflow import (
     Token,
     TokenKind,
 )
+from repro.dataflow.exec_core import assemble_operands
 from repro.dataflow.pe import AllocRequest
 from repro.graph import Opcode, ProgramBuilder
 from repro.istructure import ReadRequest, WriteRequest
@@ -63,6 +64,51 @@ class TestMatchingHazards:
         # MUL fired and its result now parks at RETURN awaiting the
         # continuation (which this hand-driven test never injected).
         assert pe._waiting_tokens() == 1
+
+
+class TestOperandAssembly:
+    def test_missing_port_keeps_the_machine_error(self):
+        machine = diamond_machine(n_pes=1)
+        pe = machine.pes[0]
+        tag = Tag(None, "diamond", 0, 1)  # ADD: two token-fed ports
+        entry = machine._decoded("diamond", 0)
+        assert entry.inline_arity == 2
+        for by_port, port in (({0: 2}, 1), ({1: 3}, 0)):
+            with pytest.raises(MachineError) as expected:
+                assemble_operands(entry.instruction, by_port)
+            with pytest.raises(MachineError) as raised:
+                pe._executed((entry, tag, by_port, None))
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value).endswith(
+                f"fired without operand port {port}")
+
+    def test_constant_ports_assemble_as_before(self):
+        pb = ProgramBuilder()
+        b = pb.procedure("f")
+        flip = b.emit(Opcode.SUB, constant=100, constant_port=0)
+        less = b.emit(Opcode.SUB, constant=1, constant_port=1)
+        both = b.emit(Opcode.MUL)
+        ret = b.emit(Opcode.RETURN)
+        b.wire(flip, less, 0)
+        b.wire(less, both, 0)
+        b.wire(flip, both, 1)
+        b.wire(both, ret, 0)
+        b.param((flip, 1))
+        machine = TaggedTokenMachine(pb.build(), MachineConfig(n_pes=2))
+        seen = []
+        for statement in (flip, less, both):
+            entry = machine._decoded("f", statement)
+            real = entry.handler
+
+            def spy(program, instruction, tag, operands, real=real):
+                seen.append((instruction.statement, operands))
+                return real(program, instruction, tag, operands)
+            entry.handler = spy
+        assert [machine._decoded("f", s).inline_arity
+                for s in (flip, less, both)] == [0, 0, 2]
+        assert machine.run(7).value == 93 * 92
+        assert sorted(seen) == [(flip, [100, 7]), (less, [93, 1]),
+                                (both, [92, 93])]
 
 
 class TestStructureHoming:

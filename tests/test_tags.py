@@ -106,3 +106,34 @@ class TestMappingKeys:
             GRID_CONTEXT_PES
         flat = ByContextMapping(7, spread_iterations=False)
         assert [flat.pe_of(tag) for tag in GRID] == GRID_CONTEXT_PES_FLAT
+
+
+class TestContextKeyMemo:
+    def test_equal_contexts_share_one_entry(self):
+        mapping = ByContextMapping(7)
+        first = Tag(Tag(None, "main", 3, 1), "f", 7, 2)
+        second = Tag(None, "main", 9, 1).enter(3, "f", 0).at_statement(7)
+        second = second.next_iteration(7)
+        assert first == second and first is not second
+        pes = [mapping.pe_of(Tag(first, "loop", 12, 3)),
+               mapping.pe_of(Tag(second, "loop", 12, 3))]
+        assert len(mapping._context_keys) == 1
+        assert pes[0] == pes[1] == ByContextMapping(7).pe_of(
+            Tag(INNER, "loop", 12, 3))
+
+    def test_overflow_clears_without_moving_any_pe(self, monkeypatch):
+        from repro.dataflow import mapping as mapping_module
+        monkeypatch.setattr(mapping_module, "_CONTEXT_KEYS_MAX", 2)
+        mapping = ByContextMapping(7)
+        contexts = [OUTER, INNER, Tag(INNER, "g", 1, 5), Tag(OUTER, "h", 2, 1)]
+        tags = [Tag(context, "loop", 12, iteration)
+                for context in contexts for iteration in (1, 2)] + GRID
+        sizes = []
+        for _ in range(2):
+            assert [mapping.pe_of(tag) for tag in GRID] == GRID_CONTEXT_PES
+            for tag in tags:
+                pe = mapping.pe_of(tag)
+                sizes.append(len(mapping._context_keys))
+                assert pe == ByContextMapping(7).pe_of(tag)
+        assert max(sizes) == 2
+        assert 1 in sizes[1:]  # cleared at least once after filling
