@@ -211,10 +211,6 @@ def build_parser():
                             "startup and the run itself)")
     serve.add_argument("--retries", type=int, default=None, metavar="N",
                        help="default retry budget per cell")
-    serve.add_argument("--backup-fraction", type=float, default=0.2,
-                       metavar="F",
-                       help="straggler backup budget as a fraction of "
-                            "the grid (0 disables backups)")
     serve.add_argument("--bench-dir", default=None, metavar="DIR",
                        help="benchmarks directory (default: auto-detect)")
     serve.add_argument("--trace", metavar="FILE", default=None,
@@ -242,8 +238,6 @@ def build_parser():
     submit.add_argument("--no-store", action="store_true",
                         help="skip store lookups; every cell is freshly "
                              "simulated (results still stored)")
-    submit.add_argument("--no-backup", action="store_true",
-                        help="disable straggler backup copies")
     submit.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS", help="per-attempt timeout")
     submit.add_argument("--retries", type=int, default=None, metavar="N",
@@ -760,10 +754,12 @@ def _cmd_serve(options, out):
     from .serve.server import run_server
 
     bus = None
-    sink = None
+    trace = None
     if options.trace:
+        # Line-buffered: the trace can be read while the server runs.
+        trace = open(options.trace, "w", encoding="utf-8", buffering=1)
         bus = TraceBus()
-        sink = bus.add_sink(JsonlSink(options.trace))
+        bus.add_sink(JsonlSink(trace))
     try:
         return run_server(
             host=options.host,
@@ -774,13 +770,12 @@ def _cmd_serve(options, out):
             no_store=options.no_store,
             timeout=options.timeout,
             retries=options.retries,
-            backup_fraction=options.backup_fraction,
             bench_dir=options.bench_dir,
             bus=bus,
         )
     finally:
-        if sink is not None:
-            sink.close()
+        if trace is not None:
+            trace.close()
 
 
 def _submit_request(options):
@@ -797,8 +792,6 @@ def _submit_request(options):
             request["faults"] = json.load(fh)
     if options.no_store:
         request["no_store"] = True
-    if options.no_backup:
-        request["backup"] = False
     if options.timeout is not None:
         request["timeout"] = options.timeout
     if options.retries is not None:
@@ -1001,10 +994,6 @@ def _cmd_top(options, out):
                       f"requeued, "
                       f"{_metric(parsed, 'cell_timeouts_total'):g} "
                       f"timeouts{rate}", file=out)
-                print(f"  backups: "
-                      f"{_metric(parsed, 'backup_tasks_total'):g} issued, "
-                      f"{_metric(parsed, 'backup_wins_total'):g} won",
-                      file=out)
                 print(f"  predict: "
                       f"{_metric(parsed, 'predict_cells_total'):g} "
                       "cell(s) from surrogate, "

@@ -120,10 +120,7 @@ def _run_inline(selected, store, bus):
 def _run_pooled(selected, bench_dir, jobs, store, timeout, bus, faults):
     """``--jobs N``: every experiment submitted up front to one pool of
     N workers, then awaited in suite order.  An experiment's wall is its
-    own span (first dispatch to last cell), not its time in the queue.
-
-    No backup copies: cells are deterministic, so a copy only duplicates
-    work while holding a worker a later experiment's cell could use."""
+    own span (first dispatch to last cell), not its time in the queue."""
     from ..serve.scheduler import SweepScheduler
 
     pool = SweepScheduler(store=store, workers=jobs, timeout=timeout,
@@ -134,8 +131,7 @@ def _run_pooled(selected, bench_dir, jobs, store, timeout, bus, faults):
         # an import inherits that module's lock held, and deadlocks on
         # its first import of the module.
         sweep_ids = [pool.submit({"experiment": out_name,
-                                  "bench_dir": bench_dir, "faults": faults,
-                                  "backup": False})
+                                  "bench_dir": bench_dir, "faults": faults})
                      for _module, _fn, out_name in selected]
         pool.start()
         for (module_name, _fn, out_name), sweep_id in zip(selected,

@@ -232,8 +232,8 @@ def _run_inline(experiment, pending, retries):
 
 def _run_on_pool(experiment, pending, jobs, timeout, retries):
     """Run the pending cells on a :class:`~repro.serve.scheduler.
-    SweepScheduler` pool of ``jobs`` workers, one copy per cell (no
-    backups).  The request names the run function by module and
+    SweepScheduler` pool of ``jobs`` workers, one copy per cell.  The
+    request names the run function by module and
     qualified name, so it must be module-level.  Retries, timeouts and
     fatal rows are the scheduler's."""
     from ..serve.scheduler import SweepScheduler
@@ -245,7 +245,6 @@ def _run_on_pool(experiment, pending, jobs, timeout, retries):
             "experiment": experiment.name,
             "callable": f"{run.__module__}:{run.__qualname__}",
             "grid": [experiment.grid[index] for index, _ in pending],
-            "backup": False,
         })
         pool.wait(sweep_id)
         done = pool.get(sweep_id).records

@@ -67,9 +67,7 @@ KINDS = (
     "serve_predict_hit",  # a cell was answered by the analytic surrogate
                           # (repro.predict; fields: sweep, index)
     "serve_assign",       # a cell was handed to a worker (fields: sweep,
-                          # index, worker, attempt, backup)
-    "serve_backup",       # a straggler cell was re-issued to an idle
-                          # worker (fields: sweep, index, worker)
+                          # index, worker, attempt)
     "serve_requeue",      # an in-flight cell went back on the queue
                           # (fields: sweep, index, attempt, reason)
     "serve_worker_spawn", # a pool worker process started (fields: worker)
@@ -81,7 +79,7 @@ KINDS = (
     # "worker<N>", time = wall seconds since the task began; every
     # event carries the sweep's trace id)
     "flight_begin",    # a task arrived (fields: trace, sweep, index,
-                       # attempt, backup task flag when set)
+                       # attempt)
     "flight_resolve",  # the run function resolved (import/memo)
     "flight_run",      # the run function was entered
     "flight_done",     # the run returned a value

@@ -3,7 +3,7 @@
 ``repro serve`` turns the experiment engine into a long-running
 service — the paper's latency-tolerance argument applied to our own
 pipeline.  A persistent worker pool (:mod:`~repro.serve.scheduler`)
-executes sweep cells with straggler backup tasks and worker-failure
+executes sweep cells, one copy each, with timeout and worker-failure
 recovery; a content-addressed SQLite store (:mod:`~repro.serve.store`)
 answers repeat sweeps without simulating; a stdlib asyncio HTTP front
 end (:mod:`~repro.serve.server`) and client (:mod:`~repro.serve.client`)

@@ -77,8 +77,6 @@ class SweepRequest:
     retries: Optional[int] = None
     #: Per-attempt timeout override in seconds.
     timeout: Optional[float] = None
-    #: Allow straggler backup copies for this sweep.
-    backup: bool = True
     #: Free-form client label echoed in status output.
     label: Optional[str] = None
     #: Benchmarks directory override (tests; defaults to auto-detect).
@@ -90,8 +88,7 @@ class SweepRequest:
     predict: bool = False
 
     _FIELDS = ("experiment", "callable", "grid", "faults", "no_store",
-               "retries", "timeout", "backup", "label", "bench_dir",
-               "predict")
+               "retries", "timeout", "label", "bench_dir", "predict")
 
     @classmethod
     def from_dict(cls, payload):
@@ -319,12 +316,9 @@ class FlightRecorder:
                 self._fh = open(self.path, "w", encoding="utf-8")
             except OSError:
                 self._fh = None
-        fields = {"attempt": task.get("attempt", 0)}
-        if task.get("backup"):
-            fields["backup"] = True
         self.note("flight_begin",
                   f"{task.get('experiment', '?')}[{task.get('index')}]",
-                  **fields)
+                  attempt=task.get("attempt", 0))
 
     def note(self, kind, detail="", **fields):
         t = round(self._time.monotonic() - self._t0, 6)

@@ -16,7 +16,7 @@ workers an earlier one leaves idle), and
 :func:`repro.exp.engine.run_experiment` runs a ``jobs >= 1`` grid on a
 pool of its own.
 
-Failure handling (Dean & Ghemawat's three classics):
+Failure handling (two of Dean & Ghemawat's three classics):
 
 * **Worker death** — a worker whose pipe hits EOF (crash, OOM kill,
   ``worker_crash_rate`` chaos) has its in-flight cell re-queued with the
@@ -26,12 +26,11 @@ Failure handling (Dean & Ghemawat's three classics):
   dispatch + module import + run, with a ``begin`` handshake splitting
   startup from run) is terminated and the cell retried; the final
   failure row records ``timeout_phase``.
-* **Backup tasks** — when a sweep's unfinished-cell count drops to the
-  straggler threshold and workers sit idle, the scheduler re-issues the
-  longest-running cells to them, bounded at ``backup_fraction`` of the
-  grid.  The first completion wins; this is safe *because results are
-  deterministic* — both copies compute byte-identical values, so
-  first-wins cannot change the table, only the wall clock.
+
+The third, backup copies of straggling cells, is left out on purpose:
+cells are deterministic and the workers identical, so a second copy
+only races its original to the same value while holding a worker and a
+CPU.  Each cell has exactly one attempt in flight at a time.
 
 Threading: one background scheduler thread owns all worker pipes and
 the store; HTTP/CLI threads call :meth:`submit` / :meth:`status` /
@@ -41,7 +40,6 @@ scheduler lock and wake the thread through a self-pipe.
 
 import itertools
 import json
-import math
 import multiprocessing
 import os
 import shutil
@@ -81,7 +79,6 @@ class _Assignment:
     index: int
     attempt: int
     key: Optional[str]
-    backup: bool
     started: float
     deadline: Optional[float]
     phase: str = "startup"
@@ -125,14 +122,14 @@ class SweepState:
         self.wall_seconds = None
         self.records = {}         # index -> RunRecord (completed cells)
         self.queue = TaskQueue()  # (index, attempt, key) awaiting a worker
-        self.live = {}            # index -> live assignment count
-        self.backups_issued = 0
         self.events = []          # [{seq, t, kind, detail, ...}]
         self.done = threading.Event()
         self.stats = {
             "store_hits": 0, "predict_hits": 0, "executed": 0,
             "requeued": 0, "timeouts": 0, "worker_deaths": 0,
-            "backups": 0, "backup_wins": 0, "duplicates_ignored": 0,
+            # No backup copies are issued; both keys stay, always 0,
+            # for status readers that report them.
+            "backups": 0, "backup_wins": 0,
         }
 
     @property
@@ -180,8 +177,7 @@ class SweepScheduler:
     """Master of the persistent worker pool; see the module docstring."""
 
     def __init__(self, store=None, workers=None, timeout=None,
-                 retries=DEFAULT_RETRIES, backup_fraction=0.2,
-                 backup_threshold=None, bus=None, bench_dir=None,
+                 retries=DEFAULT_RETRIES, bus=None, bench_dir=None,
                  metrics=None, predict=None):
         self.store = store
         #: The analytic-surrogate query surface (fit artifacts are loaded
@@ -192,10 +188,6 @@ class SweepScheduler:
                         else host_cpus())
         self.timeout = timeout
         self.retries = retries
-        self.backup_fraction = backup_fraction
-        #: Backups start once a sweep's unfinished cells fit in the pool.
-        self.backup_threshold = (backup_threshold if backup_threshold
-                                 is not None else self.size)
         self.bus = bus
         self.bench_dir = bench_dir
         self.metrics = metrics if metrics is not None else LiveMetrics()
@@ -245,9 +237,6 @@ class SweepScheduler:
         m.counter("worker_deaths_total",
                   "Worker processes that died mid-task")
         m.counter("workers_spawned_total", "Worker processes started")
-        m.counter("backup_tasks_total",
-                  "Backup (straggler) copies issued")
-        m.counter("backup_wins_total", "Cells won by a backup copy")
         m.counter("predict_requests_total",
                   "Analytic surrogate queries (POST /predict)")
         m.counter("predict_cells_total",
@@ -541,12 +530,12 @@ class SweepScheduler:
             return self._spawn_worker()
         return None
 
-    def _dispatch(self, worker, sweep, index, attempt, key, backup, now):
+    def _dispatch(self, worker, sweep, index, attempt, key, now):
         task_id = next(self._next_task)
         timeout = sweep.timeout
         assignment = _Assignment(
             sweep_id=sweep.id, index=index, attempt=attempt, key=key,
-            backup=backup, started=now,
+            started=now,
             deadline=(now + timeout) if timeout else None)
         message = ("task", {
             "task_id": task_id,
@@ -560,7 +549,6 @@ class SweepScheduler:
             # worker's flight-recorder events carry it end to end.
             "sweep": sweep.id,
             "trace": sweep.trace_id,
-            "backup": backup,
             "experiment": sweep.experiment.name,
         })
         try:
@@ -569,23 +557,15 @@ class SweepScheduler:
             # The worker died between completions; reap it and requeue.
             self._worker_died(worker, "send failed")
             sweep.queue.push((index, attempt, key), front=True)
-            return False
+            return
         worker.busy = assignment
         if sweep.dispatched is None:
             sweep.dispatched = now
         self._tasks[task_id] = (worker, assignment)
-        sweep.live[index] = sweep.live.get(index, 0) + 1
-        kind = "serve_backup" if backup else "serve_assign"
-        self._event(sweep, kind,
+        self._event(sweep, "serve_assign",
                     f"{sweep.experiment.name}[{index}] -> worker "
                     f"{worker.wid}",
-                    index=index, worker=worker.wid, attempt=attempt,
-                    backup=backup)
-        if backup:
-            sweep.backups_issued += 1
-            sweep.stats["backups"] += 1
-            self.metrics.inc("backup_tasks_total")
-        return True
+                    index=index, worker=worker.wid, attempt=attempt)
 
     def _assign_pass(self, now):
         for sid in self._order:
@@ -596,49 +576,12 @@ class SweepScheduler:
                 item = sweep.queue.pop(now)
                 if item is None:
                     break
-                index, attempt, key = item
-                if index in sweep.records:
-                    continue  # a backup copy won while this waited
                 worker = self._idle_worker()
                 if worker is None:
                     sweep.queue.push(item, front=True)
                     return
-                self._dispatch(worker, sweep, index, attempt, key,
-                               backup=False, now=now)
-        self._backup_pass(now)
-
-    def _backup_pass(self, now):
-        """Re-issue straggler cells to idle workers (first-wins)."""
-        if self.backup_fraction <= 0.0:
-            return
-        for sid in self._order:
-            sweep = self._sweeps[sid]
-            if (sweep.state != "running" or not sweep.request.backup
-                    or sweep.queue or sweep.remaining == 0
-                    or sweep.remaining > self.backup_threshold):
-                continue
-            budget = (max(1, math.ceil(self.backup_fraction * sweep.cells))
-                      - sweep.backups_issued)
-            if budget <= 0:
-                continue
-            # The slowest cells: single-copy in-flight work, oldest first.
-            candidates = sorted(
-                (assignment.started, assignment.index, assignment.attempt,
-                 assignment.key)
-                for _w, assignment in self._tasks.values()
-                if assignment.sweep_id == sid
-                and not assignment.backup
-                and assignment.index not in sweep.records
-                and sweep.live.get(assignment.index, 0) == 1)
-            for started, index, attempt, key in candidates:
-                if budget <= 0:
-                    break
-                worker = self._idle_worker()
-                if worker is None:
-                    return
-                if self._dispatch(worker, sweep, index, attempt, key,
-                                  backup=True, now=now):
-                    budget -= 1
+                index, attempt, key = item
+                self._dispatch(worker, sweep, index, attempt, key, now)
 
     def _finish_cell(self, sweep, record, worker=None):
         sweep.records[record.index] = record
@@ -681,12 +624,6 @@ class SweepScheduler:
         if sweep is None:
             return
         index = assignment.index
-        sweep.live[index] = max(0, sweep.live.get(index, 0) - 1)
-        if index in sweep.records:
-            # A sibling copy already won this cell; results are
-            # byte-identical by determinism, so drop this one.
-            sweep.stats["duplicates_ignored"] += 1
-            return
         if status == "ok":
             if assignment.key is not None and self.store is not None:
                 self.store.put(sweep.experiment.name, assignment.key,
@@ -695,9 +632,6 @@ class SweepScheduler:
                                sweep.code_version, value)
             sweep.stats["executed"] += 1
             self.metrics.inc("cells_executed_total")
-            if assignment.backup:
-                sweep.stats["backup_wins"] += 1
-                self.metrics.inc("backup_wins_total")
             self._finish_cell(sweep, RunRecord(
                 index=index, config=sweep.experiment.grid[index],
                 status="ok", value=value, attempts=assignment.attempt + 1,
@@ -707,15 +641,6 @@ class SweepScheduler:
         # Failure path.  ``fatal`` (operator interrupt / resource
         # exhaustion in the worker) is never retried: the row lands
         # immediately with its traceback instead of burning attempts.
-        if status != "fatal" and sweep.live.get(index, 0) > 0:
-            self._event(sweep, "serve_requeue",
-                        f"{sweep.experiment.name}[{index}] copy failed; "
-                        "sibling still running",
-                        index=index, attempt=assignment.attempt,
-                        reason="sibling_live", **(
-                            {"worker": worker} if worker is not None
-                            else {}))
-            return
         if status != "fatal" and assignment.attempt < sweep.retries:
             delay = min(RETRY_BACKOFF_CAP,
                         RETRY_BACKOFF * (2 ** assignment.attempt))

@@ -314,8 +314,8 @@ class ServeApp:
 
 def run_server(host="127.0.0.1", port=DEFAULT_PORT, workers=None,
                store_path=None, no_store=False, timeout=None,
-               retries=None, backup_fraction=0.2, bench_dir=None,
-               bus=None, err=None, ready=None):
+               retries=None, bench_dir=None, bus=None, err=None,
+               ready=None):
     """Blocking entry point behind ``repro serve``.
 
     Builds the store and scheduler, serves until SIGINT or a POST to
@@ -331,7 +331,7 @@ def run_server(host="127.0.0.1", port=DEFAULT_PORT, workers=None,
     scheduler = SweepScheduler(
         store=store, workers=workers, timeout=timeout,
         retries=DEFAULT_RETRIES if retries is None else retries,
-        backup_fraction=backup_fraction, bench_dir=bench_dir, bus=bus)
+        bench_dir=bench_dir, bus=bus)
     app = ServeApp(scheduler, store=store)
 
     def banner(bound):

@@ -10,10 +10,10 @@ ChromeTraceSink` emits for machine runs), one track per pool worker plus
 a scheduler track:
 
 * a **duration slice** (``ph: X``) per cell attempt, opened by its
-  ``serve_assign``/``serve_backup`` event and closed by the matching
-  ``sweep_task`` completion or ``serve_requeue`` (failure/timeout/crash
-  recovery) — backup copies and crash retries appear as distinct slices
-  racing on different worker tracks;
+  ``serve_assign`` event and closed by the matching ``sweep_task``
+  completion or ``serve_requeue`` (failure/timeout/crash recovery) —
+  a cell has one attempt in flight at a time, so crash retries appear
+  as consecutive slices, possibly on different worker tracks;
 * an **instant** (``ph: i``) per store/predict hit, worker spawn/exit, sweep
   begin/end, and flight-recorder breadcrumb attached to a failure row;
 * **metadata** (``ph: M``) naming the process after the sweep and each
@@ -83,49 +83,38 @@ def sweep_trace(scheduler, sweep_id):
             event["args"] = args
         trace_events.append(event)
 
-    # index -> {worker: open assign event} (attempts on one worker are
-    # sequential, so (index, worker) is unique among open slices).
+    # index -> its open assign event (one attempt in flight per cell).
     open_slices = {}
 
-    def close_slice(index, worker, t_end, name_suffix, args):
-        opens = open_slices.get(index)
-        if not opens:
-            return False
-        if worker is None or worker not in opens:
-            # Old-format closure without a worker stamp: close the
-            # oldest open copy.
-            worker = min(opens, key=lambda w: opens[w]["t"])
-        start = opens.pop(worker)
-        if not opens:
-            open_slices.pop(index, None)
+    def close_slice(index, t_end, name_suffix, args):
+        start = open_slices.pop(index, None)
+        if start is None:
+            return
         slice_args = {"attempt": start.get("attempt", 0),
                       "trace": trace_id}
-        if start.get("backup"):
-            slice_args["backup"] = True
         slice_args.update(args)
         trace_events.append({
             "ph": "X",
             "name": f"{experiment}[{index}]{name_suffix}",
-            "pid": pid, "tid": worker_tid(worker),
+            "pid": pid, "tid": worker_tid(start["worker"]),
             "ts": _us(base + start["t"]),
             "dur": max(1, _us(t_end - start["t"])),
             "args": slice_args,
         })
-        return True
 
     for event in events:
         kind = event["kind"]
         t = event["t"]
         index = event.get("index")
-        if kind in ("serve_assign", "serve_backup"):
-            open_slices.setdefault(index, {})[event["worker"]] = event
+        if kind == "serve_assign":
+            open_slices[index] = event
         elif kind == "sweep_task":
             if event.get("cached") or event.get("predicted"):
                 continue  # the store/predict hit instant covers it
             args = {"status": event.get("status")}
             suffix = ("" if event.get("status") == "ok"
                       else f" {event.get('status')}")
-            close_slice(index, event.get("worker"), t, suffix, args)
+            close_slice(index, t, suffix, args)
             for crumb in flights.get(index) or []:
                 instant(f"flight:{crumb.get('kind', '?')}", t,
                         worker_tid(event["worker"])
@@ -133,8 +122,7 @@ def sweep_trace(scheduler, sweep_id):
                         args={k: v for k, v in crumb.items()
                               if k not in ("t",)})
         elif kind == "serve_requeue":
-            close_slice(index, event.get("worker"), t,
-                        f" requeue:{event.get('reason')}",
+            close_slice(index, t, f" requeue:{event.get('reason')}",
                         {"reason": event.get("reason")})
         elif kind == "serve_store_hit":
             instant(f"{experiment}[{index}] store_hit", t, 0)
@@ -148,11 +136,10 @@ def sweep_trace(scheduler, sweep_id):
 
     # Anything still open (running cells, or a worker death whose
     # retry is pending) shows as an instant at its start.
-    for index, opens in open_slices.items():
-        for worker, start in opens.items():
-            instant(f"{experiment}[{index}] in-flight", start["t"],
-                    worker_tid(worker),
-                    args={"attempt": start.get("attempt", 0)})
+    for index, start in open_slices.items():
+        instant(f"{experiment}[{index}] in-flight", start["t"],
+                worker_tid(start["worker"]),
+                args={"attempt": start.get("attempt", 0)})
 
     # Pool lifecycle inside (a pad around) the sweep's window.
     lo = base - POOL_WINDOW_PAD

@@ -6,7 +6,6 @@ and the worker imports this module — exactly how a real client names an
 inline callable.
 """
 
-import os
 import time
 
 
@@ -27,17 +26,3 @@ def raise_memory_error(config):
 def sleep_forever(config):
     time.sleep(config.get("sleep", 60.0))
     return "done"
-
-
-def slow_first_copy(config):
-    """Sleep only on the first execution of each cell (a sentinel file
-    marks later copies): the original copy straggles, a backup copy
-    returns instantly.  The value never depends on which copy ran."""
-    sentinel = os.path.join(config["dir"], f"cell{config['x']}.seen")
-    try:
-        fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-        time.sleep(config.get("delay", 1.0))
-    except FileExistsError:
-        pass
-    return {"x": config["x"], "y": config["x"] * config["x"]}

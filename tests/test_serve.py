@@ -15,6 +15,7 @@ from repro.serve import (
     SweepScheduler,
     open_store,
 )
+from repro.obs import KINDS
 from repro.serve.protocol import key_config, machine_plan, scheduling_plan
 from repro.serve.store import default_store_path
 
@@ -131,6 +132,10 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="unknown"):
             SweepRequest.from_dict({"experiment": "e07", "bogus": 1})
 
+    def test_backup_field_is_unknown(self):
+        with pytest.raises(ProtocolError, match="unknown.*backup"):
+            SweepRequest.from_dict({"experiment": "e07", "backup": False})
+
     def test_callable_needs_grid(self):
         with pytest.raises(ProtocolError, match="grid"):
             SweepRequest.from_dict({"callable": "serve_jobs:square"})
@@ -194,44 +199,32 @@ class TestScheduler:
                 == [r["value"] for r in s2["records"]]
                 == [{"x": i, "y": i * i} for i in range(5)])
 
-    def test_backup_first_wins_is_byte_identical(self, tmp_path):
-        # One cell's original copy straggles (sentinel-file trick); the
-        # backup copy returns instantly and must win without changing
-        # a byte of the records.
-        def run(backup, subdir):
-            work = tmp_path / subdir
-            work.mkdir()
-            grid = [{"x": 0, "dir": str(work), "delay": 3.0},
-                    {"x": 1, "dir": str(work), "delay": 0.0},
-                    {"x": 2, "dir": str(work), "delay": 0.0},
-                    {"x": 3, "dir": str(work), "delay": 0.0}]
-            with SweepScheduler(store=None, workers=2,
-                                backup_fraction=0.5) as sched:
-                sid = sched.submit(
-                    {"callable": "serve_jobs:slow_first_copy",
-                     "grid": grid, "backup": backup})
-                assert sched.wait(sid, timeout=WAIT)
-                return sched.status(sid)
-
-        backed = run(True, "a")
-        assert backed["stats"]["backups"] >= 1
-        # First completion won: the straggling copy (3s) never held up
-        # the sweep, whichever copy drew the short straw.
-        assert backed["wall_seconds"] < 3.0
-        plain = run(False, "b")
-        assert plain["stats"]["backups"] == 0
-        assert plain["wall_seconds"] >= 3.0  # rode the straggler out
-
-        def canonical(status):
-            rows = []
-            for row in status["records"]:
-                row = dict(row)
-                row["config"] = {k: v for k, v in row["config"].items()
-                                 if k not in ("dir",)}
-                rows.append(row)
-            return json.dumps(rows, sort_keys=True)
-
-        assert canonical(backed) == canonical(plain)
+    def test_one_copy_per_cell(self):
+        # Cell 0 runs 0.3 s and cell 1 returns at once, so one worker
+        # sits idle while cell 0 finishes: it must stay idle, with no
+        # second copy of cell 0 still running when the sweep ends.
+        request = {"callable": "serve_jobs:sleep_forever",
+                   "grid": [{"sleep": 0.3}, {"sleep": 0.0}]}
+        with SweepScheduler(store=None, workers=2) as sched:
+            sid = sched.submit(request)
+            assert sched.wait(sid, timeout=WAIT)
+            busy = sched.pool_stats()["busy"]
+            events, state = sched.events_after(sid)
+            status = sched.status(sid)
+        assert state == "done"
+        assert busy == 0
+        assigned = [e["index"] for e in events
+                    if e["kind"] == "serve_assign"]
+        assert sorted(assigned) == [0, 1]
+        assert {e["kind"] for e in events} <= set(KINDS)
+        stats = status["stats"]
+        assert stats["executed"] == 2
+        # The status contract: the backup counters stay, pinned at 0,
+        # and no other key rides along.
+        assert stats["backups"] == stats["backup_wins"] == 0
+        assert set(stats) == {"store_hits", "predict_hits", "executed",
+                              "requeued", "timeouts", "worker_deaths",
+                              "backups", "backup_wins"}
 
     def test_crashed_workers_recovered(self, tmp_path):
         grid = [{"x": i} for i in range(8)]
