@@ -18,7 +18,7 @@ computed at assembly time.
 """
 
 from repro.analysis import Table, von_neumann_utilization
-from repro.exp import Experiment
+from repro.exp import Experiment, row_at
 from repro.machines import registry
 from repro.vonneumann import VNMachine, programs
 
@@ -69,39 +69,31 @@ def _assemble(experiment, values):
     return table
 
 
-def build_sweep(latencies=LATENCIES):
-    return Experiment(
-        name="e01_latency_tolerance",
-        run=run_point,
-        grid=[{"latency": latency} for latency in latencies],
-        assemble=_assemble,
-    )
+SWEEPS = {"e01_latency_tolerance": Experiment(
+    name="e01_latency_tolerance",
+    run=run_point,
+    grid=[{"latency": latency} for latency in LATENCIES],
+    assemble=_assemble,
+)}
 
+_at = row_at("latency")
 
-SWEEPS = {"e01_latency_tolerance": build_sweep()}
-
-
-def run_experiment(latencies=LATENCIES):
-    experiment = build_sweep(latencies)
-    return experiment.table(experiment.run_inline())
-
-
-# ---------------------------------------------------------------------------
-# pytest-benchmark entry points
-# ---------------------------------------------------------------------------
-
-def test_e01_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([1, 10, 50],),
-                               rounds=1, iterations=1)
-    vn_slow = [float(x) for x in table.column("vN slowdown")]
-    df_slow = [float(x) for x in table.column("dataflow slowdown")]
-    vn_util = [float(x) for x in table.column("vN util")]
-    # von Neumann: utilization collapses, time grows ~linearly with latency.
-    assert vn_util[0] > 0.5 and vn_util[-1] < 0.1
-    assert vn_slow[-1] > 5
+#: The paper's claims, read off the table (latency 1 against 50).
+CLAIMS = {"e01_latency_tolerance": {
+    # von Neumann: utilization collapses, time grows ~linearly.
+    "vn_util_collapses": lambda rows: (_at(rows, 1)["vN util"] > 0.5
+                                       and _at(rows, 50)["vN util"] < 0.1),
+    "vn_slows_down": lambda rows: _at(rows, 50)["vN slowdown"] > 5,
     # dataflow: an order of magnitude less sensitive to the same latency.
-    assert df_slow[-1] < vn_slow[-1] / 3
-    assert df_slow[-1] < 2.5
+    "dataflow_tolerates_latency": lambda rows: (
+        _at(rows, 50)["dataflow slowdown"] < _at(rows, 50)["vN slowdown"] / 3
+        and _at(rows, 50)["dataflow slowdown"] < 2.5),
+}}
+
+
+def run_experiment():
+    experiment = SWEEPS["e01_latency_tolerance"]
+    return experiment.table(experiment.run_inline())
 
 
 if __name__ == "__main__":

@@ -24,8 +24,16 @@ sum of producer-alone and consumer-alone times on the same machine
 
 from repro.analysis import Table
 from repro.dataflow import MachineConfig, TaggedTokenMachine
+from repro.exp import row_at
 from repro.vonneumann import VNMachine, programs
 from repro.workloads import compile_workload
+
+#: Array length of the producer/consumer pipeline.
+N = 24
+#: The three disciplines, as the table's rows name them.
+WHOLE = "whole-array flag"
+HEP = "per-element full/empty (HEP)"
+ISTRUCTURE = "per-element I-structure"
 
 
 def _vn_machine(retry_backoff=4):
@@ -124,7 +132,7 @@ def _compile_single(which):
     return compile_source(source, entry="main"), None, None
 
 
-def run_experiment(n=24):
+def run_experiment():
     table = Table(
         "E2  Synchronization granularity on a producer/consumer array "
         "(paper §1.1 Issue 2, §2.3)",
@@ -132,34 +140,33 @@ def run_experiment(n=24):
         notes=[
             "overlap factor = time(both) / (time(producer) + time(consumer))",
             "1.0 = serialized; 0.5 = perfect overlap",
-            f"array of {n} elements",
+            f"array of {N} elements",
         ],
     )
-    t, overlap, retries = run_whole_array(n)
-    table.add_row("whole-array flag", "von Neumann", t, overlap, retries)
-    t, overlap, retries = run_per_element(n)
-    table.add_row("per-element full/empty (HEP)", "von Neumann", t, overlap,
-                  retries)
-    t, overlap, retries = run_istructure(n)
-    table.add_row("per-element I-structure", "tagged-token", t, overlap,
-                  retries)
+    t, overlap, retries = run_whole_array(N)
+    table.add_row(WHOLE, "von Neumann", t, overlap, retries)
+    t, overlap, retries = run_per_element(N)
+    table.add_row(HEP, "von Neumann", t, overlap, retries)
+    t, overlap, retries = run_istructure(N)
+    table.add_row(ISTRUCTURE, "tagged-token", t, overlap, retries)
     return table
 
 
-def test_e02_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=(16,), rounds=1,
-                               iterations=1)
-    overlaps = [float(x) for x in table.column("overlap factor")]
-    retries = [int(x) for x in table.column("retry traffic")]
-    whole, hep, istruct = overlaps
-    # Whole-array barrier serializes; both per-element schemes overlap.
-    assert whole > 0.9
-    assert hep < 0.85
-    assert istruct < 0.85
+_at = row_at("discipline")
+
+#: The paper's claims, read off the table.
+CLAIMS = {"e02_sync_granularity": {
+    # The whole-array barrier serializes; both per-element schemes overlap.
+    "whole_array_serializes":
+        lambda rows: _at(rows, WHOLE)["overlap factor"] > 0.9,
+    "per_element_overlaps": lambda rows: all(
+        _at(rows, d)["overlap factor"] < 0.85 for d in (HEP, ISTRUCTURE)),
     # Busy-waiting pays in retry traffic; I-structures never retry.
-    assert retries[0] > 0  # the whole-array consumer spins on the flag
-    assert retries[1] > 0
-    assert retries[2] == 0
+    "busy_waiting_retries": lambda rows: all(
+        _at(rows, d)["retry traffic"] > 0 for d in (WHOLE, HEP)),
+    "istructure_never_retries":
+        lambda rows: _at(rows, ISTRUCTURE)["retry traffic"] == 0,
+}}
 
 
 if __name__ == "__main__":

@@ -16,7 +16,10 @@ Two measurements on the snoopy-bus machine:
 """
 
 from repro.analysis import Table
+from repro.exp import row_at
 from repro.vonneumann import CacheConfig, VNMachine, programs
+
+PROCS = (1, 2, 4, 8, 16)
 
 
 def _private_kernel(pid, passes, words=8):
@@ -75,7 +78,7 @@ def run_scaling(proc_counts, sharing, iterations=24,
     return rows
 
 
-def run_experiment(proc_counts=(1, 2, 4, 8, 16)):
+def run_experiment():
     table = Table(
         "E3  Cache coherence overhead under scaling (paper §1.1)",
         ["procs", "pattern", "time", "relative throughput", "invalidations",
@@ -85,10 +88,10 @@ def run_experiment(proc_counts=(1, 2, 4, 8, 16)):
             "private pattern: disjoint lines; shared: one lock + one counter",
         ],
     )
-    for row in run_scaling(proc_counts, sharing=False):
+    for row in run_scaling(PROCS, sharing=False):
         table.add_row(row["n"], "private", row["time"], row["throughput"],
                       row["invalidations"], row["bus_util"])
-    for row in run_scaling(proc_counts, sharing=True):
+    for row in run_scaling(PROCS, sharing=True):
         table.add_row(row["n"], "shared", row["time"], row["throughput"],
                       row["invalidations"], row["bus_util"])
     return table
@@ -135,35 +138,41 @@ def write_policy_table(n_procs=4, iterations=24):
     return table
 
 
-def test_e03_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=((1, 2, 4, 8),),
-                               rounds=1, iterations=1)
-    private = table.rows[:4]
-    shared = table.rows[4:]
-    private_tp = [float(r[3]) for r in private]
-    shared_tp = [float(r[3]) for r in shared]
-    private_inv = [int(r[4]) for r in private]
-    shared_inv = [int(r[4]) for r in shared]
-    # Private data scales; shared data does not.
-    assert private_tp[-1] > 5.0  # near-linear at 8 procs
-    assert shared_tp[-1] < private_tp[-1] / 2
-    # Sharing generates invalidation storms; private data nearly none.
-    assert shared_inv[-1] > 20 * max(1, private_inv[-1])
-    # The shared bus ends up saturated.
-    shared_bus = [float(r[5]) for r in shared]
-    assert shared_bus[-1] > 0.8
+_at = row_at("procs", "pattern")
+_policy = row_at("policy")
 
-
-def test_e03b_write_through(benchmark):
-    table = benchmark.pedantic(write_policy_table, rounds=1, iterations=1)
-    wb, wt = table.rows
-    # Store-through makes *every* store a bus transaction (96 = 4 procs x
-    # 24 stores); write-back pays only for the false-sharing ping-pong.
-    assert int(wt[2]) == 96
-    assert int(wt[2]) > 3 * int(wb[2])
-    # And it still needs the invalidation mechanism the paper requires.
-    assert int(wt[3]) >= int(wb[3])
-    assert float(wt[1]) > float(wb[1])  # and it is slower here
+#: The paper's claims, read off the tables (scaling at 8 processors).
+CLAIMS = {
+    "e03_cache_coherence": {
+        # Private data scales near-linearly; shared data does not.
+        "private_scales": lambda rows: _at(
+            rows, 8, "private")["relative throughput"] > 5.0,
+        "shared_does_not_scale": lambda rows: (
+            _at(rows, 8, "shared")["relative throughput"]
+            < _at(rows, 8, "private")["relative throughput"] / 2),
+        # Sharing generates invalidation storms; private data nearly none.
+        "sharing_invalidates": lambda rows: (
+            _at(rows, 8, "shared")["invalidations"]
+            > 20 * max(1, _at(rows, 8, "private")["invalidations"])),
+        "shared_bus_saturates": lambda rows: _at(
+            rows, 8, "shared")["bus utilization"] > 0.8,
+    },
+    "e03b_write_policy": {
+        # Store-through makes *every* store a bus transaction (96 = 4
+        # procs x 24 stores); write-back pays only for false sharing.
+        "every_store_on_bus": lambda rows: 96 == _policy(
+            rows, "write_through")["store bus transactions"] > 3 * _policy(
+            rows, "write_back")["store bus transactions"],
+        # It still needs the invalidations the paper requires, and it is
+        # slower here.
+        "still_invalidates": lambda rows: _policy(
+            rows, "write_through")["invalidations"] >= _policy(
+            rows, "write_back")["invalidations"],
+        "write_through_slower": lambda rows: _policy(
+            rows, "write_through")["time"] > _policy(
+            rows, "write_back")["time"],
+    },
+}
 
 
 if __name__ == "__main__":

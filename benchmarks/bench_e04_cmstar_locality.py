@@ -13,7 +13,7 @@ both victim distances on a freshly built Cm* via the machine registry.
 """
 
 from repro.analysis import Table
-from repro.exp import Experiment
+from repro.exp import Experiment, row_at
 from repro.machines import registry
 
 FRACTIONS = [0.0, 0.05, 0.1, 0.2, 0.35, 0.5]
@@ -52,39 +52,35 @@ def _assemble(experiment, values):
     return table
 
 
-def build_sweep(fractions=FRACTIONS, n_clusters=4, cluster_size=4):
-    return Experiment(
-        name="e04_cmstar_locality",
-        run=run_point,
-        grid=[{"fraction": fraction, "n_clusters": n_clusters,
-               "cluster_size": cluster_size} for fraction in fractions],
-        assemble=_assemble,
-    )
+SWEEPS = {"e04_cmstar_locality": Experiment(
+    name="e04_cmstar_locality",
+    run=run_point,
+    grid=[{"fraction": fraction, "n_clusters": 4, "cluster_size": 4}
+          for fraction in FRACTIONS],
+    assemble=_assemble,
+)}
 
+_at = row_at("remote fraction")
 
-SWEEPS = {"e04_cmstar_locality": build_sweep()}
-
-
-def run_experiment(fractions=FRACTIONS, n_clusters=4, cluster_size=4):
-    experiment = build_sweep(fractions, n_clusters=n_clusters,
-                             cluster_size=cluster_size)
-    return experiment.table(experiment.run_inline())
-
-
-def test_e04_shape(benchmark):
-    table = benchmark.pedantic(
-        run_experiment, args=([0.0, 0.1, 0.35],),
-        kwargs={"n_clusters": 2, "cluster_size": 2}, rounds=1, iterations=1,
-    )
-    intra = [float(x) for x in table.column("util (intra-cluster)")]
-    inter = [float(x) for x in table.column("util (inter-cluster)")]
-    # Utilization falls monotonically with the remote fraction...
-    assert intra[0] > intra[-1]
-    assert inter[0] > inter[-1]
-    # ...and distance makes it worse: inter-cluster always below intra.
-    assert all(i <= a + 1e-9 for a, i in zip(intra[1:], inter[1:]))
+#: The paper's claims, read off the table (remote fractions 0, 0.1, 0.35).
+CLAIMS = {"e04_cmstar_locality": {
+    # Utilization falls with the remote fraction ...
+    "utilization_falls": lambda rows: all(
+        _at(rows, 0.0)[column] > _at(rows, 0.35)[column]
+        for column in ("util (intra-cluster)", "util (inter-cluster)")),
+    # ... and distance makes it worse: inter-cluster below intra.
+    "distance_hurts": lambda rows: all(
+        _at(rows, f)["util (inter-cluster)"]
+        <= _at(rows, f)["util (intra-cluster)"] + 1e-9 for f in (0.1, 0.35)),
     # Even a 35% inter-cluster mix cripples the processor.
-    assert inter[-1] < 0.45
+    "remote_mix_cripples": lambda rows: _at(
+        rows, 0.35)["util (inter-cluster)"] < 0.45,
+}}
+
+
+def run_experiment():
+    experiment = SWEEPS["e04_cmstar_locality"]
+    return experiment.table(experiment.run_inline())
 
 
 if __name__ == "__main__":

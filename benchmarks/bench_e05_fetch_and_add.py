@@ -15,7 +15,7 @@ run, so ``repro bench`` executes the grid across workers and caches it.
 """
 
 from repro.analysis import Table
-from repro.exp import Experiment
+from repro.exp import Experiment, row_at
 from repro.machines import registry
 
 STAGES = [2, 3, 4, 5, 6]
@@ -77,20 +77,30 @@ def run_experiment(stage_counts=STAGES):
     return experiment.table(experiment.run_inline())
 
 
-def test_e05_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([3, 5],), rounds=1,
-                               iterations=1)
-    # Rows alternate (no combining, combining) per size.
-    n8_plain, n8_comb, n32_plain, n32_comb = table.rows
-    assert int(n8_plain[2]) == 8 and int(n32_plain[2]) == 32
-    assert int(n8_comb[2]) < 8 and int(n32_comb[2]) < 8  # tree collapse
-    # Latency growth from n=8 to n=32: ~4x without combining, far less with.
-    growth_plain = float(n32_plain[3]) / float(n8_plain[3])
-    growth_comb = float(n32_comb[3]) / float(n8_comb[3])
-    assert growth_plain > 2.5
-    assert growth_comb < growth_plain / 1.5
-    # Combining did real switch work.
-    assert int(n32_comb[5]) > 0
+_at = row_at("n procs", "combining")
+
+
+def _growth(rows, combining):
+    """Max round-trip growth from 8 to 32 processors."""
+    return (_at(rows, 32, combining)["max round trip"]
+            / _at(rows, 8, combining)["max round trip"])
+
+
+#: The paper's claims, read off the table (8 and 32 processors).
+CLAIMS = {"e05_fetch_and_add": {
+    # Without combining the hot port sees every request; with it the
+    # switches collapse them into a tree.
+    "plain_serializes": lambda rows: all(
+        _at(rows, n, "no")["hot-port arrivals"] == n for n in (8, 32)),
+    "combining_collapses": lambda rows: all(
+        _at(rows, n, "yes")["hot-port arrivals"] < 8 for n in (8, 32)),
+    # Latency grows ~4x from n=8 to n=32 without combining, far less with.
+    "combining_flattens_latency": lambda rows: (
+        _growth(rows, "no") > 2.5
+        and _growth(rows, "yes") < _growth(rows, "no") / 1.5),
+    "switches_combine": lambda rows: _at(
+        rows, 32, "yes")["switch combines"] > 0,
+}}
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ answered once, so traffic per element is constant regardless of timing.
 
 from repro.analysis import Table
 from repro.dataflow import Interpreter
+from repro.exp import row_at
 from repro.lang import compile_source
 from repro.vonneumann import VNMachine, programs
 
@@ -69,7 +70,7 @@ def run_istructure(n, producer_work):
     return deferred, requests_per_element
 
 
-def run_experiment(slowness=SLOWNESS, n=16):
+def run_experiment(n=16):
     table = Table(
         "E6  Busy-waiting (HEP full/empty) vs I-structure deferred reads "
         "(paper footnote 2, §2.1)",
@@ -81,25 +82,28 @@ def run_experiment(slowness=SLOWNESS, n=16):
             "stay at exactly (1 read + 1 write)/element",
         ],
     )
-    for work in slowness:
+    for work in SLOWNESS:
         _, retries, hep_reqs = run_hep(n, work)
         deferred, is_reqs = run_istructure(n, work)
         table.add_row(work, retries, hep_reqs, deferred, is_reqs)
     return table
 
 
-def test_e06_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([0, 32, 96],),
-                               rounds=1, iterations=1)
-    retries = [int(x) for x in table.column("HEP retries")]
-    hep_reqs = [float(x) for x in table.column("HEP mem reqs/elem")]
-    is_reqs = [float(x) for x in table.column("I-structure mem reqs/elem")]
+_at = row_at("producer work/elem")
+
+#: The paper's claims, read off the table (producer work 0, 32, 96).
+CLAIMS = {"e06_busywait_vs_istructure": {
     # HEP retry traffic grows with producer slowness.
-    assert retries[-1] > retries[0]
-    assert retries[-1] > 50
-    assert hep_reqs[-1] > 2 * hep_reqs[0]
+    "hep_retries_grow": lambda rows: (
+        _at(rows, 0)["HEP retries"] < _at(rows, 96)["HEP retries"]
+        and _at(rows, 96)["HEP retries"] > 50
+        and _at(rows, 96)["HEP mem reqs/elem"]
+        > 2 * _at(rows, 0)["HEP mem reqs/elem"]),
     # I-structure traffic is flat at 2 requests per element.
-    assert all(abs(r - 2.0) < 1e-9 for r in is_reqs)
+    "istructure_traffic_flat": lambda rows: all(
+        abs(_at(rows, work)["I-structure mem reqs/elem"] - 2.0) < 1e-9
+        for work in (0, 32, 96)),
+}}
 
 
 if __name__ == "__main__":

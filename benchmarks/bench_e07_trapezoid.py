@@ -21,9 +21,8 @@ import math
 
 from repro.analysis import Table
 from repro.dataflow import Interpreter
-from repro.exp import Experiment
+from repro.exp import Experiment, row_at
 from repro.lang import compile_source
-from repro.machines import registry
 from repro.workloads import TRAPEZOID, linspace_trapezoid
 
 INTERVALS = [4, 8, 16, 32, 64, 128]
@@ -66,47 +65,31 @@ def _assemble(experiment, values):
     return table
 
 
-def build_sweep(interval_counts=INTERVALS):
-    return Experiment(
-        name="e07_trapezoid",
-        run=run_point,
-        grid=[{"intervals": n} for n in interval_counts],
-        assemble=_assemble,
-    )
+SWEEPS = {"e07_trapezoid": Experiment(
+    name="e07_trapezoid",
+    run=run_point,
+    grid=[{"intervals": n} for n in INTERVALS],
+    assemble=_assemble,
+)}
+
+_at = row_at("intervals")
+
+#: The paper's claims, read off the table (4, 16 and 64 intervals).
+CLAIMS = {"e07_trapezoid": {
+    # Quadrature converges as n grows ...
+    "converges": lambda rows: (
+        _at(rows, 4)["error vs pi/4"] > _at(rows, 64)["error vs pi/4"]
+        and _at(rows, 64)["error vs pi/4"] < 1e-4),
+    # ... and parallelism grows with the loop unfolding in tag space.
+    "parallelism_grows": lambda rows: (
+        _at(rows, 64)["avg parallelism"] > _at(rows, 4)["avg parallelism"]
+        and _at(rows, 64)["avg parallelism"] > 2.0),
+}}
 
 
-SWEEPS = {"e07_trapezoid": build_sweep()}
-
-
-def run_experiment(interval_counts=INTERVALS):
-    experiment = build_sweep(interval_counts)
+def run_experiment():
+    experiment = SWEEPS["e07_trapezoid"]
     return experiment.table(experiment.run_inline())
-
-
-def run_on_machine(n=32, n_pes=4):
-    """The same program on the timed multi-PE machine (via the registry)."""
-    h = 1.0 / n
-    model = registry.create("ttda", n_pes=n_pes)
-    return model.run(workload="trapezoid", args=(0.0, 1.0, n, h))
-
-
-def test_e07_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([4, 16, 64],),
-                               rounds=1, iterations=1)
-    errors = [float(x) for x in table.column("error vs pi/4")]
-    par = [float(x) for x in table.column("avg parallelism")]
-    # Quadrature converges as n grows; parallelism grows with the loop.
-    assert errors[0] > errors[-1]
-    assert errors[-1] < 1e-4
-    assert par[-1] > par[0]
-    assert par[-1] > 2.0
-
-
-def test_e07_timed_machine(benchmark):
-    result = benchmark.pedantic(run_on_machine, rounds=1, iterations=1)
-    reference = linspace_trapezoid(0.0, 1.0, 32)
-    assert abs(result.metric("value") - reference) < 1e-12
-    assert result.metric("time") > 0
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ friendly nearest-neighbour pattern, and a 32x faster ALU, barely move it.
 """
 
 from repro.analysis import Table
+from repro.exp import row_at
 from repro.machines import IlliacIV, registry
 
 
-def run_experiment(groups_log2=10, rounds=6):
+def run_experiment(rounds=6):
     table = Table(
         "E8  Connection Machine: fraction of time spent communicating "
         "(paper §1.2.5)",
@@ -30,7 +31,7 @@ def run_experiment(groups_log2=10, rounds=6):
     for pattern in ("neighbor", "random"):
         for word_bits in (32, 1):
             model = registry.create("connection_machine",
-                                    groups_log2=groups_log2,
+                                    groups_log2=10,
                                     word_bits=word_bits)
             result = model.run_graph_workload(rounds=rounds, pattern=pattern)
             table.add_row(pattern, word_bits, model.cm_config.n_groups,
@@ -55,26 +56,31 @@ def illiac_table():
     return table
 
 
-def test_e08_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, kwargs={"groups_log2": 8},
-                               rounds=1, iterations=1)
-    fractions = {
-        (row[0], row[1]): float(row[3]) for row in table.rows
-    }
-    # Random graph traffic: inside the paper's 90-99% band.
-    assert fractions[("random", "32")] > 0.9
-    # A 32x faster ALU is irrelevant: fraction stays within a few percent.
-    assert fractions[("random", "1")] > 0.95
-    # Even neighbour traffic is communication-heavy on bit-serial links.
-    assert fractions[("neighbor", "32")] > 0.4
+_comm = row_at("pattern", "ALU bits/op")
+_shifts = row_at("transfer pattern")
 
-
-def test_e08b_illiac(benchmark):
-    table = benchmark.pedantic(illiac_table, rounds=1, iterations=1)
-    shifts = [int(x) for x in table.column("shift instructions")]
-    assert shifts[0] == 1  # uniform shift is one instruction
-    assert shifts[1] == 2  # east+west serialize
-    assert shifts[2] == 14  # everyone waits out the long transfer
+#: The paper's claims, read off the tables.
+CLAIMS = {
+    "e08_connection_machine": {
+        # Random graph traffic: inside the paper's 90-99% band.
+        "random_traffic_in_band": lambda rows: _comm(
+            rows, "random", 32)["comm fraction"] > 0.9,
+        # A 32x faster ALU is irrelevant: the fraction barely moves.
+        "alu_speed_irrelevant": lambda rows: _comm(
+            rows, "random", 1)["comm fraction"] > 0.95,
+        # Even neighbour traffic is communication-heavy on bit-serial links.
+        "neighbor_traffic_heavy": lambda rows: _comm(
+            rows, "neighbor", 32)["comm fraction"] > 0.4,
+    },
+    "e08b_illiac_iv": {
+        # A uniform shift is one instruction, east+west serialize, and
+        # everyone waits out the long transfer.
+        "shifts_serialize": lambda rows: [
+            _shifts(rows, pattern)["shift instructions"]
+            for pattern in ("all east by 1", "half east, half west",
+                            "one corner-to-corner (7,7)")] == [1, 2, 14],
+    },
+}
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ no *fixed*-context processor survives scaling.
 """
 
 from repro.analysis import Table, contexts_needed
+from repro.exp import row_at
 from repro.vonneumann import VNMachine, programs
 
 LATENCIES = [2, 5, 10, 20, 40]
@@ -30,12 +31,11 @@ def run_point(n_contexts, latency, iterations=12):
     return machine.processors[0].utilization()
 
 
-def run_experiment(latencies=LATENCIES, context_counts=CONTEXTS,
-                   target=0.9):
+def run_experiment(target=0.9):
     table = Table(
         "E9  Hardware contexts needed to cover memory latency "
         "(paper §1.1, Issue 1)",
-        ["latency"] + [f"K={k}" for k in context_counts]
+        ["latency"] + [f"K={k}" for k in CONTEXTS]
         + ["K needed (measured)", "K needed (model)"],
         notes=[
             f"cell = pipeline utilization; 'needed' = smallest K with "
@@ -43,34 +43,34 @@ def run_experiment(latencies=LATENCIES, context_counts=CONTEXTS,
             "kernel: 1 load + ~4 other cycles per iteration",
         ],
     )
-    for latency in latencies:
-        utils = [run_point(k, latency) for k in context_counts]
+    for latency in LATENCIES:
+        utils = [run_point(k, latency) for k in CONTEXTS]
         measured = next(
-            (k for k, u in zip(context_counts, utils) if u >= target), None
+            (k for k, u in zip(CONTEXTS, utils) if u >= target), None
         )
         model = contexts_needed(5, 2 * latency + 1, target)
         table.add_row(latency, *utils,
-                      measured if measured is not None else f">{context_counts[-1]}",
+                      measured if measured is not None else f">{CONTEXTS[-1]}",
                       model)
     return table
 
 
-def test_e09_shape(benchmark):
-    table = benchmark.pedantic(
-        run_experiment, args=([2, 10, 40], [1, 4, 16, 32]), rounds=1,
-        iterations=1,
-    )
+_at = row_at("latency")
+
+#: The paper's claims, read off the table (latencies 2, 10, 40 and
+#: K = 1, 4, 16, 32).
+CLAIMS = {"e09_context_depth": {
     # Utilization grows with K at fixed latency.
-    for row in table.rows:
-        utils = [float(x) for x in row[1:5]]
-        assert utils == sorted(utils)
-    # The K needed to stay saturated grows with latency: the K that covers
-    # latency 2 no longer covers latency 40.
-    k1_util_low_latency = float(table.rows[0][1])
-    k1_util_high_latency = float(table.rows[2][1])
-    assert k1_util_low_latency > 3 * k1_util_high_latency
-    k32_high = float(table.rows[2][4])
-    assert k32_high > 0.8  # enough contexts always recovers utilization
+    "contexts_help": lambda rows: all(
+        utils == sorted(utils) for utils in (
+            [_at(rows, latency)[f"K={k}"] for k in (1, 4, 16, 32)]
+            for latency in (2, 10, 40))),
+    # The K that covers latency 2 no longer covers latency 40 ...
+    "fixed_k_stops_covering": lambda rows: _at(rows, 2)["K=1"]
+    > 3 * _at(rows, 40)["K=1"],
+    # ... while enough contexts always recover utilization.
+    "enough_contexts_recover": lambda rows: _at(rows, 40)["K=32"] > 0.8,
+}}
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ workload's smallest PE count) is computed at assembly time.
 """
 
 from repro.analysis import Table, speedup
-from repro.exp import Experiment
+from repro.exp import Experiment, one_row, row_at
 from repro.machines import registry
 
 PE_COUNTS = [1, 2, 4, 8, 16]
@@ -59,15 +59,6 @@ def _assemble_scaling(experiment, values):
     return table
 
 
-def build_sweep(pe_counts=PE_COUNTS, matmul_n=5, wavefront_n=7):
-    return Experiment(
-        name="e10_ttda_scaling",
-        run=run_point,
-        grid=_scaling_grid(pe_counts, matmul_n, wavefront_n),
-        assemble=_assemble_scaling,
-    )
-
-
 def _assemble_ablation(experiment, values):
     table = Table(
         "E10b  Mapping policy ablation: hash vs by-context (paper §2.2.2)",
@@ -80,55 +71,59 @@ def _assemble_ablation(experiment, values):
     return table
 
 
-def build_ablation(n_pes=8, matmul_n=5):
-    return Experiment(
+SWEEPS = {
+    "e10_ttda_scaling": Experiment(
+        name="e10_ttda_scaling",
+        run=run_point,
+        grid=_scaling_grid(PE_COUNTS, matmul_n=5, wavefront_n=7),
+        assemble=_assemble_scaling,
+    ),
+    "e10b_mapping_ablation": Experiment(
         name="e10b_mapping_ablation",
         run=run_point,
-        grid=[{"workload": "matmul", "args": [matmul_n], "n_pes": n_pes,
+        grid=[{"workload": "matmul", "args": [5], "n_pes": 8,
                "mapping": policy} for policy in ("hash", "context")],
         assemble=_assemble_ablation,
-    )
-
-
-SWEEPS = {
-    "e10_ttda_scaling": build_sweep(),
-    "e10b_mapping_ablation": build_ablation(),
+    ),
 }
 
 
-def run_experiment(pe_counts=PE_COUNTS, matmul_n=5, wavefront_n=7):
-    experiment = build_sweep(pe_counts, matmul_n, wavefront_n)
+def run_experiment():
+    experiment = SWEEPS["e10_ttda_scaling"]
     return experiment.table(experiment.run_inline())
 
 
-def mapping_ablation(n_pes=8, matmul_n=5):
-    experiment = build_ablation(n_pes, matmul_n)
+def mapping_ablation():
+    experiment = SWEEPS["e10b_mapping_ablation"]
     return experiment.table(experiment.run_inline())
 
 
-def test_e10_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([1, 4, 8],),
-                               kwargs={"matmul_n": 4, "wavefront_n": 6},
-                               rounds=1, iterations=1)
-    matmul_rows = [r for r in table.rows if r[1] == "matmul"]
-    speedups = [float(r[3]) for r in matmul_rows]
-    assert speedups[0] == 1.0
-    assert speedups[1] > 1.5  # 4 PEs
-    assert speedups[2] > speedups[1]  # 8 PEs keeps helping
-    wavefront_rows = [r for r in table.rows if r[1] == "wavefront"]
-    assert float(wavefront_rows[-1][3]) > 1.3
+_speedup = row_at("workload", "PEs")
 
 
-def test_e10b_mapping(benchmark):
-    table = benchmark.pedantic(mapping_ablation, kwargs={"matmul_n": 4},
-                               rounds=1, iterations=1)
-    hash_row, context_row = table.rows
-    # By-context keeps more tokens local than pure hashing.
-    hash_local_share = int(hash_row[3]) / (int(hash_row[2]) + int(hash_row[3]))
-    ctx_local_share = int(context_row[3]) / (
-        int(context_row[2]) + int(context_row[3])
-    )
-    assert ctx_local_share > hash_local_share
+def _local_share(rows, policy):
+    row = one_row(rows, {"policy": policy})
+    return row["local tokens"] / (row["network tokens"] + row["local tokens"])
+
+
+#: The paper's claims, read off the tables (1, 4 and 8 PEs).
+CLAIMS = {
+    "e10_ttda_scaling": {
+        # More PEs speed the same program up without reprogramming.
+        "matmul_scales": lambda rows: (
+            _speedup(rows, "matmul", 1)["speedup"] == 1.0
+            and _speedup(rows, "matmul", 4)["speedup"] > 1.5
+            and _speedup(rows, "matmul", 8)["speedup"]
+            > _speedup(rows, "matmul", 4)["speedup"]),
+        "wavefront_scales": lambda rows: _speedup(
+            rows, "wavefront", 8)["speedup"] > 1.3,
+    },
+    "e10b_mapping_ablation": {
+        # By-context keeps more tokens local than pure hashing.
+        "context_mapping_keeps_tokens_local": lambda rows: (
+            _local_share(rows, "context") > _local_share(rows, "hash")),
+    },
+}
 
 
 if __name__ == "__main__":

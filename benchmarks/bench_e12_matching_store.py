@@ -10,6 +10,7 @@ peak occupancy.
 
 from repro.analysis import Table
 from repro.dataflow import MachineConfig, TaggedTokenMachine
+from repro.exp import row_at
 from repro.workloads import compile_workload
 
 
@@ -21,7 +22,7 @@ def run_point(workload, args, n_pes=4):
     return result, mean_occ, peak_occ
 
 
-def run_experiment(sizes=(3, 4, 5, 6), n_pes=4):
+def run_experiment(n_pes=4):
     table = Table(
         "E12  Waiting-matching store occupancy vs exposed parallelism "
         "(paper §2.2.3)",
@@ -29,44 +30,46 @@ def run_experiment(sizes=(3, 4, 5, 6), n_pes=4):
          "peak waiting tokens", "tokens parked"],
         notes=[f"{n_pes} PEs; occupancy summed over the machine"],
     )
-    for n in sizes:
+    for n in (3, 4, 5, 6):
         result, mean_occ, peak_occ = run_point("matmul", (n,), n_pes)
         table.add_row(n, result.instructions, result.time, mean_occ, peak_occ,
                       result.counters.get("tokens_parked", 0))
     return table
 
 
-def pe_sweep(n=5, pe_counts=(1, 2, 4, 8)):
+def pe_sweep():
     table = Table(
         "E12b  Occupancy concentration vs PE count",
         ["PEs", "mean waiting tokens (machine)", "peak waiting tokens (one PE)"],
         notes=["total exposed parallelism is a program property; per-PE "
                "associative stores share the load as PEs are added"],
     )
-    for n_pes in pe_counts:
-        _, mean_occ, peak_occ = run_point("matmul", (n,), n_pes)
+    for n_pes in (1, 2, 4, 8):
+        _, mean_occ, peak_occ = run_point("matmul", (5,), n_pes)
         table.add_row(n_pes, mean_occ, peak_occ)
     return table
 
 
-def test_e12_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=((3, 5),), rounds=1,
-                               iterations=1)
-    means = [float(x) for x in table.column("mean waiting tokens")]
-    peaks = [float(x) for x in table.column("peak waiting tokens")]
-    # Bigger problems expose more parallelism => more parked tokens.
-    assert means[-1] > means[0]
-    assert peaks[-1] >= peaks[0]
+_size = row_at("matmul n")
+_pes = row_at("PEs")
 
-
-def test_e12b_shape(benchmark):
-    table = benchmark.pedantic(pe_sweep, kwargs={"n": 4,
-                                                 "pe_counts": (1, 8)},
-                               rounds=1, iterations=1)
-    peaks = [float(x) for x in
-             table.column("peak waiting tokens (one PE)")]
-    # Spreading activities over 8 PEs lowers the worst single store.
-    assert peaks[1] < peaks[0]
+#: The paper's claims, read off the tables.
+CLAIMS = {
+    "e12_matching_store": {
+        # Bigger problems expose more parallelism => more parked tokens.
+        "occupancy_tracks_parallelism": lambda rows: (
+            _size(rows, 5)["mean waiting tokens"]
+            > _size(rows, 3)["mean waiting tokens"]
+            and _size(rows, 5)["peak waiting tokens"]
+            >= _size(rows, 3)["peak waiting tokens"]),
+    },
+    "e12b_matching_store_pes": {
+        # Spreading activities over 8 PEs lowers the worst single store.
+        "pes_share_the_store": lambda rows: (
+            _pes(rows, 8)["peak waiting tokens (one PE)"]
+            < _pes(rows, 1)["peak waiting tokens (one PE)"]),
+    },
+}
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ computed at assembly time.  The semaphore costing is a one-point sweep.
 """
 
 from repro.analysis import Table
-from repro.exp import Experiment
+from repro.exp import Experiment, one_row, row_at
 from repro.machines import registry
 
 PORTS = [2, 4, 8, 16, 32]
@@ -51,15 +51,6 @@ def _assemble(experiment, values):
     return table
 
 
-def build_sweep(port_counts=PORTS):
-    return Experiment(
-        name="e13_cmmp_crossbar",
-        run=run_point,
-        grid=[{"ports": ports, "iterations": 40} for ports in port_counts],
-        assemble=_assemble,
-    )
-
-
 def run_semaphore_point(config):
     """One Hydra-style semaphore costing run."""
     model = registry.create("cmmp", n_procs=config["n_procs"])
@@ -84,46 +75,49 @@ def _assemble_semaphore(experiment, values):
     return table
 
 
-def build_semaphore(n_procs=8):
-    return Experiment(
+SWEEPS = {
+    "e13_cmmp_crossbar": Experiment(
+        name="e13_cmmp_crossbar",
+        run=run_point,
+        grid=[{"ports": ports, "iterations": 40} for ports in PORTS],
+        assemble=_assemble,
+    ),
+    "e13b_semaphore_cost": Experiment(
         name="e13b_semaphore_cost",
         run=run_semaphore_point,
-        grid=[{"n_procs": n_procs, "increments": 16}],
+        grid=[{"n_procs": 8, "increments": 16}],
         assemble=_assemble_semaphore,
-    )
-
-
-SWEEPS = {
-    "e13_cmmp_crossbar": build_sweep(),
-    "e13b_semaphore_cost": build_semaphore(),
+    ),
 }
 
 
-def run_experiment(port_counts=PORTS):
-    experiment = build_sweep(port_counts)
+def run_experiment():
+    experiment = SWEEPS["e13_cmmp_crossbar"]
     return experiment.table(experiment.run_inline())
 
 
-def semaphore_table(n_procs=8):
-    experiment = build_semaphore(n_procs)
+def semaphore_table():
+    experiment = SWEEPS["e13b_semaphore_cost"]
     return experiment.table(experiment.run_inline())
 
 
-def test_e13_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([2, 8, 32],), rounds=1,
-                               iterations=1)
-    cost_growth = [float(x) for x in table.column("cost growth")]
-    latency_growth = [float(x) for x in table.column("latency growth")]
-    # 16x the ports -> 256x the crosspoints, but latency within ~3x.
-    assert cost_growth[-1] == 256.0
-    assert latency_growth[-1] < 4.0
+_at = row_at("ports")
 
-
-def test_e13b_shape(benchmark):
-    table = benchmark.pedantic(semaphore_table, kwargs={"n_procs": 4},
-                               rounds=1, iterations=1)
-    ratio = float(table.rows[-1][1])
-    assert ratio > 10
+#: The paper's claims, read off the tables (2 against 32 ports).
+CLAIMS = {
+    "e13_cmmp_crossbar": {
+        # 16x the ports -> 256x the crosspoints, but latency within ~3x.
+        "cost_grows_quadratically": lambda rows: _at(
+            rows, 32)["cost growth"] == 256.0,
+        "latency_held_flat": lambda rows: _at(
+            rows, 32)["latency growth"] < 4.0,
+    },
+    "e13b_semaphore_cost": {
+        # A semaphore costs far more than an ALU operation.
+        "semaphore_dwarfs_alu": lambda rows: one_row(
+            rows, {"measurement": "ratio"})["value"] > 10,
+    },
+}
 
 
 if __name__ == "__main__":

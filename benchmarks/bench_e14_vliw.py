@@ -16,6 +16,7 @@ true dependence graph — more than any real compiler gets):
 
 from repro.analysis import Table
 from repro.dataflow import Interpreter, MachineConfig, TaggedTokenMachine
+from repro.exp import row_at
 from repro.machines import registry
 from repro.workloads import compile_workload
 
@@ -44,8 +45,8 @@ def run_width_sweep(widths=WIDTHS, workload="trapezoid"):
     return table
 
 
-def run_latency_surprise(latencies=(1, 5, 10, 20, 50), workload="matmul",
-                         n_pes=8, issue_width=8):
+def run_latency_surprise(workload="matmul", n_pes=8, issue_width=8):
+    latencies = (1, 5, 10, 20, 50)
     program, _, args = compile_workload(workload)
     interp = Interpreter(program)
     interp.run(*args)
@@ -78,29 +79,31 @@ def run_latency_surprise(latencies=(1, 5, 10, 20, 50), workload="matmul",
     return table
 
 
-def test_e14_width_plateau(benchmark):
-    table = benchmark.pedantic(run_width_sweep, rounds=1, iterations=1)
-    speedups = [float(x) for x in table.column("speedup vs width 1")]
-    widths = [int(x) for x in table.column("issue width")]
-    by_width = dict(zip(widths, speedups))
-    # Useful gains at small widths; a hard ceiling just beyond the paper's
-    # "4 to 8" (the workload's average parallelism is ~6.5).
-    assert by_width[4] > 2.0
-    assert by_width[64] == by_width[16]  # flat: no gain past the ceiling
-    assert by_width[64] < 8.0  # small-scale parallelism ceiling
-    marginal = [float(x) for x in table.column("marginal gain")]
-    assert marginal[-1] < 1.05  # the plateau
+_width = row_at("issue width")
+_latency = row_at("actual latency")
 
-
-def test_e14b_latency_surprise(benchmark):
-    table = benchmark.pedantic(
-        run_latency_surprise, kwargs={"latencies": (1, 20)}, rounds=1,
-        iterations=1,
-    )
-    vliw_slow = [float(x) for x in table.column("VLIW slowdown")]
-    df_slow = [float(x) for x in table.column("dataflow slowdown")]
-    assert vliw_slow[-1] > 2.0
-    assert df_slow[-1] < vliw_slow[-1]
+#: The paper's claims, read off the tables.
+CLAIMS = {
+    "e14_vliw_width": {
+        # Useful gains at small widths; a hard ceiling just beyond the
+        # paper's "4 to 8" (the workload's average parallelism is ~6.5).
+        "small_widths_pay": lambda rows: _width(
+            rows, 4)["speedup vs width 1"] > 2.0,
+        "plateau_past_ceiling": lambda rows: (
+            _width(rows, 64)["speedup vs width 1"]
+            == _width(rows, 16)["speedup vs width 1"] < 8.0
+            and _width(rows, 64)["marginal gain"] < 1.05),
+    },
+    "e14b_vliw_latency_surprise": {
+        # Latency 20 against a schedule that assumed 1: the lockstep
+        # machine stalls, the tagged-token machine keeps overlapping.
+        "vliw_eats_the_surprise": lambda rows: _latency(
+            rows, 20)["VLIW slowdown"] > 2.0,
+        "dataflow_overlaps": lambda rows: _latency(
+            rows, 20)["dataflow slowdown"] < _latency(
+            rows, 20)["VLIW slowdown"],
+    },
+}
 
 
 if __name__ == "__main__":

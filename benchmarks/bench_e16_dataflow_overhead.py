@@ -14,6 +14,7 @@ dataflow" viewed from the cost side; it keeps the reproduction honest.
 
 from repro.analysis import Table
 from repro.dataflow import Interpreter
+from repro.exp import row_at
 from repro.workloads import WORKLOADS, compile_workload
 
 
@@ -30,8 +31,7 @@ def instruction_mix(name):
     return total, classes
 
 
-def run_experiment(names=None):
-    names = sorted(WORKLOADS) if names is None else names
+def run_experiment():
     table = Table(
         "E16  Dynamic instruction mix: the overhead of dataflow sequencing",
         ["workload", "total", "pure %", "control %", "tag %", "linkage %",
@@ -43,7 +43,7 @@ def run_experiment(names=None):
             "overhead too: branches, address arithmetic)",
         ],
     )
-    for name in names:
+    for name in sorted(WORKLOADS):
         total, classes = instruction_mix(name)
         def pct(key):
             return 100.0 * classes.get(key, 0) / total
@@ -56,24 +56,21 @@ def run_experiment(names=None):
     return table
 
 
-def test_e16_shape(benchmark):
-    table = benchmark.pedantic(
-        run_experiment, args=(["trapezoid", "matmul", "fib", "pipeline"],),
-        rounds=1, iterations=1,
-    )
-    useful = [float(x) for x in table.column("useful fraction")]
-    tag_pct = [float(x) for x in table.column("tag %")]
-    # The overhead is real: no workload is all-arithmetic, and loop-heavy
-    # code pays double-digit tag-manipulation percentages.
-    assert all(0.1 < u < 0.8 for u in useful)
-    loop_heavy = dict(zip(table.column("workload"), tag_pct))
-    assert float(loop_heavy["pipeline"]) > 10.0
-    # Recursion pays in linkage instead of tags.
-    mixes = dict(zip(table.column("workload"),
-                     zip(tag_pct, [float(x) for x in
-                                   table.column("linkage %")])))
-    fib_tag, fib_linkage = mixes["fib"]
-    assert fib_linkage > fib_tag
+_mix = row_at("workload")
+
+#: The paper's claims, read off the table (trapezoid, matmul, fib and
+#: pipeline).
+CLAIMS = {"e16_dataflow_overhead": {
+    # The overhead is real: no workload is all-arithmetic ...
+    "overhead_is_real": lambda rows: all(
+        0.1 < _mix(rows, name)["useful fraction"] < 0.8
+        for name in ("trapezoid", "matmul", "fib", "pipeline")),
+    # ... loop-heavy code pays double-digit tag-manipulation percentages
+    "loops_pay_in_tags": lambda rows: _mix(rows, "pipeline")["tag %"] > 10.0,
+    # ... and recursion pays in linkage instead.
+    "recursion_pays_in_linkage": lambda rows: _mix(rows, "fib")["linkage %"]
+    > _mix(rows, "fib")["tag %"],
+}}
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ actually needs for a given workload.
 
 from repro.analysis import Table
 from repro.dataflow import MachineConfig, TaggedTokenMachine
+from repro.exp import row_at
 from repro.workloads import compile_workload
 
 CAPACITIES = [None, 128, 64, 32, 16, 8, 4]
@@ -27,7 +28,7 @@ def run_point(capacity, n=5, n_pes=4, penalty=16.0):
     return result, machine
 
 
-def run_experiment(capacities=CAPACITIES, n=5, n_pes=4):
+def run_experiment(n=5, n_pes=4):
     table = Table(
         "E17  Finite waiting-matching store: capacity ablation "
         "(paper §2.2.3)",
@@ -40,7 +41,7 @@ def run_experiment(capacities=CAPACITIES, n=5, n_pes=4):
         ],
     )
     base_time = None
-    for capacity in capacities:
+    for capacity in CAPACITIES:
         result, machine = run_point(capacity, n=n, n_pes=n_pes)
         if base_time is None:
             base_time = result.time
@@ -53,17 +54,20 @@ def run_experiment(capacities=CAPACITIES, n=5, n_pes=4):
     return table
 
 
-def test_e17_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([None, 64, 8],),
-                               kwargs={"n": 4}, rounds=1, iterations=1)
-    slowdowns = [float(x) for x in table.column("slowdown")]
-    overflows = [int(x) for x in table.column("overflow probes")]
-    assert slowdowns[0] == 1.0
-    assert overflows[0] == 0
+_at = row_at("capacity/PE")
+
+#: The paper's claims, read off the table (unbounded, 64 and 8 per PE).
+CLAIMS = {"e17_wm_capacity": {
+    "unbounded_never_overflows": lambda rows: (
+        _at(rows, "unbounded")["slowdown"] == 1.0
+        and _at(rows, "unbounded")["overflow probes"] == 0),
     # A capacity above the working set is free; a tiny store is not.
-    assert slowdowns[-1] > slowdowns[1]
-    assert slowdowns[-1] > 1.15
-    assert overflows[-1] > overflows[1]
+    "tiny_store_pays": lambda rows: (
+        _at(rows, 8)["slowdown"] > _at(rows, 64)["slowdown"]
+        and _at(rows, 8)["slowdown"] > 1.15
+        and _at(rows, 8)["overflow probes"]
+        > _at(rows, 64)["overflow probes"]),
+}}
 
 
 if __name__ == "__main__":

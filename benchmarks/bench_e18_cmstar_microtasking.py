@@ -16,17 +16,17 @@ Kmaps/intercluster bus instead.
 """
 
 from repro.analysis import Table
+from repro.exp import row_at
 from repro.machines import registry
 
 FRACTIONS = [0.0, 0.1, 0.2, 0.35, 0.5]
 CONTEXTS = [1, 2, 4, 8]
 
 
-def run_experiment(fractions=FRACTIONS, context_counts=CONTEXTS,
-                   n_clusters=2, cluster_size=2, n_refs=40):
+def run_experiment(n_clusters=2, cluster_size=2, n_refs=40):
     table = Table(
         "E18  Cm* with micro-tasking processors (the §1.2.2 speculation)",
-        ["remote fraction"] + [f"util K={k}" for k in context_counts],
+        ["remote fraction"] + [f"util K={k}" for k in CONTEXTS],
         notes=[
             f"{n_clusters} clusters x {cluster_size} modules, "
             "inter-cluster victims",
@@ -36,32 +36,32 @@ def run_experiment(fractions=FRACTIONS, context_counts=CONTEXTS,
     model = registry.create("cmstar", n_clusters=n_clusters,
                             cluster_size=cluster_size)
     columns = []
-    for k in context_counts:
+    for k in CONTEXTS:
         columns.append([
             model.run(remote_fraction=fraction, n_refs=n_refs,
                       remote_kind="intercluster",
                       contexts=k).metric("utilization")
-            for fraction in fractions
+            for fraction in FRACTIONS
         ])
-    for i, fraction in enumerate(fractions):
+    for i, fraction in enumerate(FRACTIONS):
         table.add_row(fraction, *[col[i] for col in columns])
     return table
 
 
-def test_e18_shape(benchmark):
-    table = benchmark.pedantic(
-        run_experiment, args=([0.0, 0.1, 0.5], [1, 4]), rounds=1,
-        iterations=1,
-    )
-    k1 = [float(x) for x in table.column("util K=1")]
-    k4 = [float(x) for x in table.column("util K=4")]
-    # Micro-tasking recovers utilization while latency is the problem...
-    assert k4[0] > 1.5 * k1[0]
-    assert k4[1] > 1.5 * k1[1]
-    # ...but once remote traffic saturates the shared Kmaps/intercluster
+_at = row_at("remote fraction")
+
+#: The paper's claims, read off the table (fractions 0, 0.1, 0.5; K=1, 4).
+CLAIMS = {"e18_cmstar_microtasking": {
+    # Micro-tasking recovers utilization while latency is the problem ...
+    "contexts_recover_latency": lambda rows: all(
+        _at(rows, f)["util K=4"] > 1.5 * _at(rows, f)["util K=1"]
+        for f in (0.0, 0.1)),
+    # ... but once remote traffic saturates the shared Kmaps/intercluster
     # bus, extra contexts buy nothing: the bottleneck has moved.
-    assert k4[2] < 1.2 * k1[2]
-    assert k4[2] < k4[0]
+    "bottleneck_moves_to_bus": lambda rows: (
+        _at(rows, 0.5)["util K=4"] < 1.2 * _at(rows, 0.5)["util K=1"]
+        and _at(rows, 0.5)["util K=4"] < _at(rows, 0.0)["util K=4"]),
+}}
 
 
 if __name__ == "__main__":

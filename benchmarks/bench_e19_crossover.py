@@ -22,6 +22,7 @@ processor cannot extract parallelism from a tree.
 
 from repro.analysis import Table, crossover_point
 from repro.dataflow import MachineConfig, TaggedTokenMachine
+from repro.exp import row_at
 from repro.lang import compile_source
 from repro.vonneumann import run_sequential
 
@@ -128,7 +129,7 @@ def run_dataflow(source, latency, n, n_pes=8):
     return result.time
 
 
-def run_experiment(latencies=LATENCIES, n=32, n_pes=8):
+def run_experiment(n=32, n_pes=8):
     table = Table(
         "E19  Head-to-head: stalling uniprocessor vs tagged-token machine, "
         "serial chain vs tree reduction",
@@ -143,7 +144,7 @@ def run_experiment(latencies=LATENCIES, n=32, n_pes=8):
     )
     hand_series = []
     tree_series = []
-    for latency in latencies:
+    for latency in LATENCIES:
         hand_time = run_von_neumann_hand(latency, n)
         compiled_time = run_von_neumann_compiled(latency, n)
         serial_time = run_dataflow(_SERIAL_SOURCE, latency, n, n_pes)
@@ -166,27 +167,38 @@ def run_experiment(latencies=LATENCIES, n=32, n_pes=8):
     return table
 
 
-def test_e19_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([1, 16, 64],),
-                               rounds=1, iterations=1)
-    hand = [float(x) for x in table.column("vN hand")]
-    compiled = [float(x) for x in table.column("vN compiled")]
-    serial = [float(x) for x in table.column("df serial")]
-    tree = [float(x) for x in table.column("df tree")]
-    wins = table.column("tree wins")
+_at = row_at("latency")
+
+
+def _series(rows, column):
+    return [_at(rows, latency)[column] for latency in (1, 16, 64)]
+
+
+def _growth(rows, column):
+    return _at(rows, 64)[column] / _at(rows, 1)[column]
+
+
+#: The paper's claims, read off the table (latencies 1, 16 and 64).
+CLAIMS = {"e19_crossover": {
     # Serial-chain dataflow never beats hand-tuned sequential code.
-    assert all(s > h for s, h in zip(serial, hand))
+    "serial_chain_never_wins": lambda rows: all(
+        s > h for s, h in zip(_series(rows, "df serial"),
+                              _series(rows, "vN hand"))),
     # The tree version starts behind the hand-tuned code (overhead) and
     # crosses over as latency grows.
-    assert wins[0] == "no"
-    assert wins[-1] == "yes"
-    # Latency sensitivity: both vN variants linear, tree sub-linear.
-    assert hand[-1] / hand[0] > 5
-    assert tree[-1] / tree[0] < 0.5 * hand[-1] / hand[0]
+    "tree_crosses_over": lambda rows: (_at(rows, 1)["tree wins"] == "no"
+                                       and _at(rows, 64)["tree wins"] == "yes"),
+    # Both vN variants grow linearly with latency, the tree sub-linearly.
+    "tree_sublinear_in_latency": lambda rows: (
+        _growth(rows, "vN hand") > 5
+        and _growth(rows, "df tree") < 0.5 * _growth(rows, "vN hand")),
     # The compiled comparator is honest: same source, modest code-quality
     # penalty relative to hand assembly.
-    assert all(c >= h for c, h in zip(compiled, hand))
-    assert compiled[0] < 2 * hand[0]
+    "compiled_comparator_honest": lambda rows: (
+        all(c >= h for c, h in zip(_series(rows, "vN compiled"),
+                                   _series(rows, "vN hand")))
+        and _at(rows, 1)["vN compiled"] < 2 * _at(rows, 1)["vN hand"]),
+}}
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ import json
 import os
 
 from repro.analysis import Table
-from repro.exp import Experiment
+from repro.exp import Experiment, one_row
 from repro.machines import registry
 
 #: Injected extra cycles per slow memory response (0 = faults disabled).
@@ -103,11 +103,8 @@ def _assemble(experiment, values):
     return table
 
 
-def build_sweep(levels=None, rate=None, seed=None):
-    plan_seed, plan_rate, plan_levels = _plan_overrides()
-    levels = plan_levels if levels is None else levels
-    rate = plan_rate if rate is None else rate
-    seed = plan_seed if seed is None else seed
+def build_sweep():
+    seed, rate, levels = _plan_overrides()
     return Experiment(
         name="e20_fault_tolerance",
         run=run_point,
@@ -120,26 +117,30 @@ def build_sweep(levels=None, rate=None, seed=None):
 SWEEPS = {"e20_fault_tolerance": build_sweep()}
 
 
-def run_experiment(levels=None, rate=None, seed=None):
-    experiment = build_sweep(levels, rate, seed)
+def run_experiment():
+    experiment = build_sweep()
     return experiment.table(experiment.run_inline())
 
 
-# ---------------------------------------------------------------------------
-# pytest-benchmark entry points
-# ---------------------------------------------------------------------------
+def _slowdowns(rows, machine):
+    return [one_row(rows, {"slow cycles": level})[f"{machine} slowdown"]
+            for level in (0, 64, 256)]
 
-def test_e20_shape(benchmark):
-    table = benchmark.pedantic(run_experiment, args=([0, 64, 256],),
-                               rounds=1, iterations=1)
-    hep_slow = [float(x) for x in table.column("HEP slowdown")]
-    ttda_slow = [float(x) for x in table.column("TTDA slowdown")]
+
+#: The paper's claims, read off the table (slow cycles 0, 64 and 256).
+CLAIMS = {"e20_fault_tolerance": {
     # Both machines degrade monotonically with fault severity ...
-    assert all(a < b for a, b in zip(hep_slow, hep_slow[1:]))
-    assert all(a < b for a, b in zip(ttda_slow, ttda_slow[1:]))
+    "both_degrade_monotonically": lambda rows: all(
+        a < b for machine in ("HEP", "TTDA")
+        for a, b in zip(_slowdowns(rows, machine),
+                        _slowdowns(rows, machine)[1:])),
     # ... but the split-phase machine degrades strictly more slowly.
-    assert all(t < h for h, t in zip(hep_slow[1:], ttda_slow[1:]))
-    assert ttda_slow[-1] < 1.2 < hep_slow[-1]
+    "split_phase_degrades_less": lambda rows: (
+        all(t < h for h, t in zip(_slowdowns(rows, "HEP")[1:],
+                                  _slowdowns(rows, "TTDA")[1:]))
+        and _slowdowns(rows, "TTDA")[-1] < 1.2
+        < _slowdowns(rows, "HEP")[-1]),
+}}
 
 
 if __name__ == "__main__":

@@ -1,28 +1,29 @@
 """Shared plumbing for the experiment benchmarks.
 
-Every experiment module exposes ``run_experiment(...) -> Table`` (or a
+Every experiment module exposes ``run_experiment() -> Table`` (or a
 small set of named runners), and the parallel-sweep ones additionally
 declare ``SWEEPS = {table_name: repro.exp.Experiment}`` so ``repro
-bench`` / ``run_all.py`` can fan their grids out across workers.  The
-pytest-benchmark wrappers time a representative configuration and assert
-the *shape* of the result — who wins, by roughly what factor, where the
-crossover falls — mirroring the claim-by-claim records in EXPERIMENTS.md.
+bench`` / ``run_all.py`` can fan their grids out across workers.  Every
+module declares ``CLAIMS = {table_name: {claim_name: predicate}}``: the
+*shape* of the result the paper states — who wins, by roughly what
+factor, where the crossover falls — as predicates over the table's rows
+(:mod:`repro.exp.claims`), mirroring the claim-by-claim records in
+EXPERIMENTS.md.  Every ``repro bench`` run records their verdicts, and
+``repro bench --check`` fails on a false one.
 
 Run any module directly (``python benchmarks/bench_e01_....py``) to print
 its full table and write it under ``benchmarks/results/`` — a ``.txt``
 rendering for humans and a ``.json`` telemetry file for tooling.
 
-Cell parsing is the canonical :func:`repro.exp.tables.parse_cell`
-(re-exported here as ``_parse_cell``): numeric-looking cells — including
-``"inf"``, ``"nan"``, the ``"-"`` NaN rendering, and ``"1e3x"``-style
-speedups — round-trip to floats instead of leaking into the JSON
-telemetry as strings.
+Cells are parsed by :func:`repro.exp.tables.parse_cell`: numeric-looking
+cells — including ``"inf"``, ``"nan"``, the ``"-"`` NaN rendering, and
+``"1e3x"``-style speedups — round-trip to floats instead of leaking into
+the JSON telemetry as strings.
 """
 
 import json
 import os
 
-from repro.exp.tables import parse_cell as _parse_cell
 from repro.exp.tables import table_rows
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")

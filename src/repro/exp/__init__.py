@@ -14,6 +14,8 @@ of a parallelism paper being itself embarrassingly sequential:
   (experiment, config, code-version) that results are stored under in
   the SQLite store of :mod:`repro.serve.store`, so re-runs are
   incremental (:mod:`repro.exp.cache`);
+* :mod:`repro.exp.claims` — the paper's claims as predicates over a
+  table's rows, checked on every ``repro bench`` run;
 * :mod:`repro.exp.bench` — the benchmark-suite orchestration behind
   ``repro bench`` and ``benchmarks/run_all.py``.
 
@@ -23,6 +25,7 @@ See docs/EXPERIMENT_ENGINE.md.
 """
 
 from .cache import code_fingerprint, invalidate_fingerprints
+from .claims import one_row, row_at
 from .engine import RunRecord, TaskQueue, records_payload, run_experiment
 from .experiment import Experiment, grid
 from .tables import parse_cell, payload_to_table, table_to_payload
@@ -34,9 +37,11 @@ __all__ = [
     "code_fingerprint",
     "grid",
     "invalidate_fingerprints",
+    "one_row",
     "parse_cell",
     "payload_to_table",
     "records_payload",
+    "row_at",
     "run_experiment",
     "table_to_payload",
 ]

@@ -2,11 +2,14 @@
 ``benchmarks/run_all.py``.
 
 The suite definition (which modules, which table-producing functions)
-lives in ``benchmarks/run_all.py`` as the ``EXPERIMENTS`` list.  A bench
-module may additionally publish ``SWEEPS = {table_name: Experiment}``;
-those tables are executed *grid-parallel* — one task per grid point —
-while the rest run as single-config experiments (the whole table in one
-task).  With ``jobs >= 1`` every selected table is submitted up front to
+lives in ``benchmarks/run_all.py`` as the ``EXPERIMENTS`` list, walked
+only by :func:`suite_tables`.  A bench module may additionally publish
+``SWEEPS = {table_name: Experiment}``; those tables are executed
+*grid-parallel* — one task per grid point — while the rest run as
+single-config experiments (the whole table in one task).  The module's
+``CLAIMS`` (:mod:`repro.exp.claims`) are evaluated in this process once
+a table is assembled, by :func:`table_entry`.  With ``jobs >= 1`` every
+selected table is submitted up front to
 one :class:`~repro.serve.scheduler.SweepScheduler` pool, so cells of
 later experiments keep workers busy that a single-cell experiment would
 leave idle; ``jobs=0`` runs them one after another inline.  Either way
@@ -25,12 +28,13 @@ import sys
 import time
 
 from .cache import invalidate_fingerprints
+from .claims import evaluate_claims, table_claims
 from .engine import host_cpus, run_experiment
 from .experiment import Experiment
 from .tables import payload_to_table, table_rows, table_to_payload
 
 __all__ = ["build_experiment", "find_bench_dir", "host_cpus", "run_suite",
-           "wall_text"]
+           "suite_tables", "table_entry", "wall_text", "write_aggregate"]
 
 #: Seconds one benchmark run may take before it is terminated + retried.
 DEFAULT_TIMEOUT = 300.0
@@ -72,14 +76,40 @@ def _run_legacy_table(config):
     return table_to_payload(table)
 
 
-def _select(experiments, only):
-    """The (module_name, fn_name, out_name) triples matching ``only``."""
-    selected = []
-    for module_name, runners in experiments:
-        for fn_name, out_name in runners:
-            if (only is None or only in module_name or only in out_name):
-                selected.append((module_name, fn_name, out_name))
-    return selected
+def suite_tables(bench_dir, only=None):
+    """Yield ``(module_name, fn_name, table_name)`` for every table of
+    the suite registry (``run_all.EXPERIMENTS`` in ``bench_dir``) whose
+    module or table name contains ``only``."""
+    if bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
+    run_all = importlib.import_module("run_all")
+    for module_name, runners in run_all.EXPERIMENTS:
+        for fn_name, table_name in runners:
+            if only is None or only in module_name or only in table_name:
+                yield module_name, fn_name, table_name
+
+
+def table_entry(module_name, out_name, table, wall, counts, err):
+    """One assembled table's ``BENCH_results.json`` entry, with the
+    verdict of each claim its module declares (``claims``) and why each
+    false one failed (``claim_failures``, also printed to ``err``)."""
+    rows = table_rows(table)
+    verdicts, failures = evaluate_claims(
+        table_claims(importlib.import_module(module_name), out_name), rows)
+    for name, error in failures.items():
+        print(f"[CLAIM FAILED] {out_name}.{name}: {error}", file=err)
+    return {
+        "experiment": out_name,
+        "module": module_name,
+        "title": table.title,
+        "rows": len(table.rows),
+        "columns": list(table.columns),
+        "wall_seconds": wall,
+        **counts,
+        "data": rows,
+        "claims": verdicts,
+        "claim_failures": failures,
+    }
 
 
 def build_experiment(module, fn_name, out_name):
@@ -194,15 +224,12 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
         os.environ.pop("REPRO_FAULT_PLAN", None)
     bench_dir = find_bench_dir(bench_dir)
     os.environ["REPRO_BENCH_DIR"] = bench_dir
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    run_all = importlib.import_module("run_all")
+    selected = list(suite_tables(bench_dir, only))
     harness = importlib.import_module("harness")
 
     store = None if no_cache else open_store(cache_dir)
     timeout = DEFAULT_TIMEOUT if timeout is None else timeout
     jobs = host_cpus() if jobs is None else jobs
-    selected = _select(run_all.EXPERIMENTS, only)
 
     telemetry = []
     failures = []
@@ -237,16 +264,8 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
                                 meta={"wall_seconds": wall, **counts})
             print(f"[{wall_text(wall)}] {out_name} "
                   f"({cached}/{len(records)} cached)\n", file=err)
-            telemetry.append({
-                "experiment": out_name,
-                "module": module_name,
-                "title": table.title,
-                "rows": len(table.rows),
-                "columns": list(table.columns),
-                "wall_seconds": wall,
-                **counts,
-                "data": table_rows(table),
-            })
+            telemetry.append(table_entry(module_name, out_name, table, wall,
+                                         counts, err))
     finally:
         outcomes.close()  # stops the pool even if a table write failed
         if store is not None:
@@ -270,14 +289,19 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             "python": sys.version.split()[0],
         },
     }
-    aggregate_path = os.path.join(os.path.dirname(bench_dir),
-                                  "BENCH_results.json")
-    with open(aggregate_path, "w", encoding="utf-8") as fh:
+    return write_aggregate(aggregate, bench_dir, err)
+
+
+def write_aggregate(aggregate, bench_dir, err):
+    """Write ``BENCH_results.json`` beside ``bench_dir`` and print the
+    suite's total line to ``err``; returns ``aggregate``."""
+    path = os.path.join(os.path.dirname(bench_dir), "BENCH_results.json")
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True, default=repr)
         fh.write("\n")
-    print(f"[{wall_text(aggregate['meta']['wall_seconds'])}] total -> "
-          f"{aggregate_path}"
-          + (f"  [{len(failures)} FAILED]" if failures else ""), file=err)
+    failed = len(aggregate["failures"])
+    print(f"[{wall_text(aggregate['meta']['wall_seconds'])}] total -> {path}"
+          + (f"  [{failed} FAILED]" if failed else ""), file=err)
     return aggregate
 
 

@@ -56,13 +56,14 @@ class Experiment:
         if not self.grid:
             raise ValueError(f"experiment {self.name!r} has an empty grid")
 
-    def run_inline(self, configs=None):
+    def run_inline(self):
         """Run the grid serially in-process; returns values in grid order.
 
-        The engine-free path: used by the pytest-benchmark entry points
-        and anywhere a sweep is small enough not to warrant workers.
+        The engine-free path: a bench module's ``run_experiment()`` (its
+        ``python benchmarks/bench_*.py`` entry point) and the examples
+        use it; ``repro bench`` runs the same grid through the engine.
         """
-        return [self.run(config) for config in (configs or self.grid)]
+        return [self.run(config) for config in self.grid]
 
     def table(self, values):
         """Assemble ``values`` (grid order) into the experiment's table."""

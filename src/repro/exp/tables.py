@@ -3,9 +3,8 @@ benchmark harness.
 
 A :class:`~repro.analysis.report.Table` renders cells as formatted
 strings; the telemetry JSON wants the numbers back.  :func:`parse_cell`
-is the single inverse of ``Table._format`` — the benchmark harness's
-``_parse_cell`` re-exports it — and it round-trips every numeric
-rendering the formatter can produce:
+is the single inverse of ``Table._format``, and it round-trips every
+numeric rendering the formatter can produce:
 
 * plain ints and floats, including scientific notation (``"1e+03"``);
 * non-finite values: ``"inf"``, ``"-inf"``, ``"nan"``, and the ``"-"``

@@ -9,7 +9,8 @@ entirely (they measure the host, not the machines).
 
 ``check_suite`` returns a structured result the CLI renders and turns
 into an exit code, so CI fails loudly on any drift — a changed cycle
-count, a lost row, a renamed column.
+count, a lost row, a renamed column — and on any paper claim
+(:mod:`repro.exp.claims`) the fresh table no longer supports.
 """
 
 import json
@@ -145,16 +146,28 @@ def compare_entry(entry, baseline, rel_tol=None, abs_tol=None):
 
 
 def check_suite(aggregate, baseline_dir, rel_tol=None, abs_tol=None):
-    """Check every entry with a committed baseline.
+    """Check every entry's claims, and its table against its committed
+    baseline.
 
-    Returns ``{"checked", "missing", "diffs", "ok"}`` — ``missing``
-    lists experiments that ran but have no baseline file (not a
-    failure: new experiments land before their baselines do).
+    Returns ``{"checked", "missing", "diffs", "claims", "ok"}`` —
+    ``missing`` lists experiments that ran but have no baseline file
+    (not a failure: new experiments land before their baselines do);
+    ``claims`` maps ``experiment.claim`` to its verdict, and each false
+    one is also a diff of kind ``"claim"``.
     """
     checked = []
     missing = []
     diffs = []
+    claims = {}
     for entry in aggregate:
+        failures = entry.get("claim_failures", {})
+        for name, holds in entry.get("claims", {}).items():
+            claim = f"{entry['experiment']}.{name}"
+            claims[claim] = holds
+            if not holds:
+                diffs.append({"experiment": entry["experiment"],
+                              "kind": "claim", "claim": claim,
+                              "error": failures.get(name)})
         path = baseline_path(baseline_dir, entry["experiment"])
         if not os.path.exists(path):
             missing.append(entry["experiment"])
@@ -164,7 +177,7 @@ def check_suite(aggregate, baseline_dir, rel_tol=None, abs_tol=None):
         checked.append(entry["experiment"])
         diffs.extend(compare_entry(entry, baseline, rel_tol, abs_tol))
     return {"checked": checked, "missing": missing, "diffs": diffs,
-            "ok": not diffs}
+            "claims": claims, "ok": not diffs}
 
 
 def format_report(result):
@@ -174,7 +187,9 @@ def format_report(result):
     lines.append(
         f"bench check: {status} — {len(result['checked'])} experiment(s) "
         f"checked, {len(result['missing'])} without baselines, "
-        f"{len(result['diffs'])} diff(s)"
+        f"{len(result['diffs'])} diff(s), "
+        f"{sum(result['claims'].values())}/{len(result['claims'])} "
+        "claim(s) hold"
     )
     for name in result["missing"]:
         lines.append(f"  [no baseline] {name}")
@@ -185,6 +200,9 @@ def format_report(result):
                 f"{diff['column']!r}: fresh {diff['fresh']!r} != "
                 f"baseline {diff['baseline']!r}"
             )
+        elif diff["kind"] == "claim":
+            lines.append(f"  [claim] {diff['claim']} failed: "
+                         f"{diff['error']}")
         elif diff["kind"] == "rows":
             lines.append(
                 f"  [diff] {diff['experiment']}: {diff['fresh']} row(s), "

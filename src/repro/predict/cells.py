@@ -29,7 +29,6 @@ refuses to write an artifact that violates it.
 import importlib
 import json
 import os
-import sys
 
 from .model import least_squares, round_sig
 
@@ -65,23 +64,18 @@ def cells_path(fits_dir, experiment):
 def resolve_benchmark(name, bench_dir=None):
     """The registered sweep :class:`~repro.exp.Experiment` for a
     ``run_all.EXPERIMENTS`` table name (the path ``repro bench`` uses)."""
-    from ..exp.bench import build_experiment, find_bench_dir
+    from ..exp.bench import build_experiment, find_bench_dir, suite_tables
 
-    bench_dir = find_bench_dir(bench_dir)
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    run_all = importlib.import_module("run_all")
-    for module_name, runners in run_all.EXPERIMENTS:
-        for fn_name, out_name in runners:
-            if out_name == name:
-                module = importlib.import_module(module_name)
-                experiment, is_sweep = build_experiment(
-                    module, fn_name, out_name)
-                if not is_sweep:
-                    raise ValueError(
-                        f"experiment {name!r} is not a sweep — no grid "
-                        "axis to fit a cell surrogate over")
-                return experiment
+    for module_name, fn_name, out_name in suite_tables(
+            find_bench_dir(bench_dir)):
+        if out_name == name:
+            module = importlib.import_module(module_name)
+            experiment, is_sweep = build_experiment(module, fn_name, out_name)
+            if not is_sweep:
+                raise ValueError(
+                    f"experiment {name!r} is not a sweep — no grid "
+                    "axis to fit a cell surrogate over")
+            return experiment
     raise ValueError(f"no benchmark table named {name!r} in run_all")
 
 

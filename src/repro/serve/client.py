@@ -18,7 +18,8 @@ import sys
 import time
 import urllib.parse
 
-from ..exp.bench import build_experiment, find_bench_dir, wall_text
+from ..exp.bench import (build_experiment, find_bench_dir, suite_tables,
+                         table_entry, wall_text, write_aggregate)
 from .protocol import ProtocolError
 
 __all__ = ["ServeClient", "ServeError", "remote_suite"]
@@ -187,11 +188,8 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
     client = ServeClient(url)
     bench_dir = find_bench_dir(bench_dir)
     os.environ["REPRO_BENCH_DIR"] = bench_dir
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    run_all = importlib.import_module("run_all")
+    selected = list(suite_tables(bench_dir, only))
     harness = importlib.import_module("harness")
-    from ..exp.tables import table_rows
 
     if isinstance(faults, str):
         with open(faults, "r", encoding="utf-8") as fh:
@@ -201,70 +199,56 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
     failures = []
     cells = {"cold": 0, "cached": 0}
     suite_start = time.time()
-    for module_name, runners in run_all.EXPERIMENTS:
-        for fn_name, out_name in runners:
-            if only is not None and (only not in module_name
-                                     and only not in out_name):
-                continue
-            request = {"experiment": out_name}
-            if faults:
-                request["faults"] = faults
-            if no_store:
-                request["no_store"] = True
-            if timeout is not None:
-                request["timeout"] = timeout
-            start = time.time()
-            try:
-                status = client.run(
-                    request,
-                    on_event=(_progress_printer(out_name, err)
-                              if verbose else None))
-            except (ProtocolError, ServeError) as exc:
-                print(f"[FAILED] {out_name}: {exc}", file=err)
-                failures.append({"experiment": out_name,
-                                 "module": module_name,
-                                 "rows": [{"error": str(exc)}]})
-                continue
-            wall = time.time() - start
-            records = status.get("records", [])
-            failed = [r for r in records if r["status"] != "ok"]
-            if status["state"] != "done" or failed:
-                for row in failed:
-                    print(f"[FAILED] {out_name}[{row['index']}] "
-                          f"{row['status']} after {row['attempts']} "
-                          f"attempt(s):\n{row['error']}", file=err)
-                failures.append({"experiment": out_name,
-                                 "module": module_name,
-                                 "rows": failed or records})
-                continue
-            # Assemble locally through the experiment's own table
-            # builder; values came over the wire, the layout is ours.
-            module = importlib.import_module(module_name)
-            experiment, _is_sweep = build_experiment(module, fn_name,
-                                                     out_name)
-            table = experiment.table([r["value"] for r in records])
-            cached = status.get("cached", 0)
-            cells["cold"] += len(records) - cached
-            cells["cached"] += cached
-            wall = None if cached else round(wall, 3)
-            counts = {"cold_cells": len(records) - cached,
-                      "cache_hits": cached, "grid": len(records)}
-            harness.write_table(
-                table, out_name,
-                meta={"wall_seconds": wall, **counts, "remote": url})
-            print(f"[{wall_text(wall)}] {out_name} "
-                  f"({cached}/{len(records)} store hits, remote)\n",
-                  file=err)
-            telemetry.append({
-                "experiment": out_name,
-                "module": module_name,
-                "title": table.title,
-                "rows": len(table.rows),
-                "columns": list(table.columns),
-                "wall_seconds": wall,
-                **counts,
-                "data": table_rows(table),
-            })
+    for module_name, fn_name, out_name in selected:
+        request = {"experiment": out_name}
+        if faults:
+            request["faults"] = faults
+        if no_store:
+            request["no_store"] = True
+        if timeout is not None:
+            request["timeout"] = timeout
+        start = time.time()
+        try:
+            status = client.run(
+                request,
+                on_event=(_progress_printer(out_name, err)
+                          if verbose else None))
+        except (ProtocolError, ServeError) as exc:
+            print(f"[FAILED] {out_name}: {exc}", file=err)
+            failures.append({"experiment": out_name,
+                             "module": module_name,
+                             "rows": [{"error": str(exc)}]})
+            continue
+        wall = time.time() - start
+        records = status.get("records", [])
+        failed = [r for r in records if r["status"] != "ok"]
+        if status["state"] != "done" or failed:
+            for row in failed:
+                print(f"[FAILED] {out_name}[{row['index']}] "
+                      f"{row['status']} after {row['attempts']} "
+                      f"attempt(s):\n{row['error']}", file=err)
+            failures.append({"experiment": out_name,
+                             "module": module_name,
+                             "rows": failed or records})
+            continue
+        # Assemble locally through the experiment's own table builder;
+        # values came over the wire, the layout is ours.
+        module = importlib.import_module(module_name)
+        experiment, _is_sweep = build_experiment(module, fn_name, out_name)
+        table = experiment.table([r["value"] for r in records])
+        cached = status.get("cached", 0)
+        cells["cold"] += len(records) - cached
+        cells["cached"] += cached
+        wall = None if cached else round(wall, 3)
+        counts = {"cold_cells": len(records) - cached,
+                  "cache_hits": cached, "grid": len(records)}
+        harness.write_table(
+            table, out_name,
+            meta={"wall_seconds": wall, **counts, "remote": url})
+        print(f"[{wall_text(wall)}] {out_name} "
+              f"({cached}/{len(records)} store hits, remote)\n", file=err)
+        telemetry.append(table_entry(module_name, out_name, table, wall,
+                                     counts, err))
 
     aggregate = {
         "experiments": telemetry,
@@ -276,12 +260,4 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
             "cells": cells,
         },
     }
-    aggregate_path = os.path.join(os.path.dirname(bench_dir),
-                                  "BENCH_results.json")
-    with open(aggregate_path, "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True, default=repr)
-        fh.write("\n")
-    print(f"[{wall_text(aggregate['meta']['wall_seconds'])}] total -> "
-          f"{aggregate_path}"
-          + (f"  [{len(failures)} FAILED]" if failures else ""), file=err)
-    return aggregate
+    return write_aggregate(aggregate, bench_dir, err)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..common.rng import substream
-from ..exp.bench import build_experiment, find_bench_dir
+from ..exp.bench import build_experiment, find_bench_dir, suite_tables
 from ..exp.engine import FATAL_EXCEPTIONS
 from ..exp.experiment import Experiment
 from ..faults import SCHEDULING_FIELDS, FaultPlan
@@ -228,34 +228,29 @@ def resolve_experiment(spec, grid=None, plan=None):
     name = spec.get("experiment")
     bench_dir = find_bench_dir(spec.get("bench_dir"))
     os.environ["REPRO_BENCH_DIR"] = bench_dir
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    run_all = importlib.import_module("run_all")
-    for module_name, runners in run_all.EXPERIMENTS:
-        for fn_name, out_name in runners:
-            if out_name != name:
-                continue
-            already = module_name in sys.modules
-            module = importlib.import_module(module_name)
-            if already and _MODULE_PLAN.get(module_name) != plan_json:
-                module = importlib.reload(module)
-            _MODULE_PLAN[module_name] = plan_json
-            experiment, is_sweep = build_experiment(module, fn_name,
-                                                    out_name)
-            if grid is not None:
-                if not is_sweep:
-                    raise ProtocolError(
-                        f"experiment {name!r} is a legacy whole-table "
-                        "run; it does not accept an inline grid")
-                experiment = Experiment(
-                    name=experiment.name, run=experiment.run,
-                    grid=[dict(config) for config in grid],
-                    title=experiment.title,
-                    assemble=experiment.assemble,
-                    code_paths=list(experiment.code_paths),
-                    notes=list(experiment.notes),
-                )
-            return experiment
+    for module_name, fn_name, out_name in suite_tables(bench_dir):
+        if out_name != name:
+            continue
+        already = module_name in sys.modules
+        module = importlib.import_module(module_name)
+        if already and _MODULE_PLAN.get(module_name) != plan_json:
+            module = importlib.reload(module)
+        _MODULE_PLAN[module_name] = plan_json
+        experiment, is_sweep = build_experiment(module, fn_name, out_name)
+        if grid is not None:
+            if not is_sweep:
+                raise ProtocolError(
+                    f"experiment {name!r} is a legacy whole-table "
+                    "run; it does not accept an inline grid")
+            experiment = Experiment(
+                name=experiment.name, run=experiment.run,
+                grid=[dict(config) for config in grid],
+                title=experiment.title,
+                assemble=experiment.assemble,
+                code_paths=list(experiment.code_paths),
+                notes=list(experiment.notes),
+            )
+        return experiment
     raise ProtocolError(
         f"unknown experiment {name!r} (not a run_all.EXPERIMENTS table)")
 

@@ -47,7 +47,7 @@ class TestRecursion:
 
 
 class TestLoops:
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 25])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 25, 100])
     def test_sum_loop(self, n):
         assert run_program(build_sum_loop(), n) == n * (n + 1) // 2
 

@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro.dataflow import Interpreter
 from repro.machines import IlliacIV, registry, schedule_length
+from repro.workloads import linspace_trapezoid
 from repro.workloads.handbuilt import build_array_pipeline, build_sum_loop
 
 
@@ -43,6 +44,16 @@ class TestRegistry:
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestTtda:
+    def test_trapezoid_on_the_timed_machine(self):
+        # Fig 2-2's program on 4 timed PEs, through the registry.
+        result = registry.create("ttda", n_pes=4).run(
+            workload="trapezoid", args=(0.0, 1.0, 32, 1.0 / 32))
+        assert abs(result.metric("value")
+                   - linspace_trapezoid(0.0, 1.0, 32)) < 1e-12
+        assert result.metric("time") > 0
 
 
 class TestCmmp:

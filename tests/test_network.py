@@ -300,18 +300,20 @@ class TestOmega:
         sim.run()
         return net, memory, replies
 
-    @pytest.mark.parametrize("combining,rpp", [
-        pytest.param(c, rpp, id=str(c) if rpp == 1 else f"{c}-rpp{rpp}")
-        for rpp in (1, 2, 3) for c in (True, False)])
-    def test_fetch_and_add_is_serializable(self, combining, rpp):
+    @pytest.mark.parametrize("combining,rpp,stages", [
+        pytest.param(c, rpp, 3, id=str(c) if rpp == 1 else f"{c}-rpp{rpp}")
+        for rpp in (1, 2, 3) for c in (True, False)]
+        + [pytest.param(True, 1, 5, id="True-32procs")])
+    def test_fetch_and_add_is_serializable(self, combining, rpp, stages):
         # rpp >= 2 queues combined packets behind each other, so a
         # combined packet can combine again at the same switch output.
         net, memory, replies = self._run_hotspot(
-            3, combining, requests_per_port=rpp)
+            stages, combining, requests_per_port=rpp)
         # Sum is preserved and the returned values are a permutation of
         # 0..n*rpp-1
-        assert memory[0] == 8 * rpp
-        assert sorted(replies) == list(range(8 * rpp))
+        n = 2 ** stages * rpp
+        assert memory[0] == n
+        assert sorted(replies) == list(range(n))
         assert net.counters["combines"] == net.counters["splits"]
 
     def test_combining_happens_on_hot_spot(self):

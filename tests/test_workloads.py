@@ -11,16 +11,24 @@ from repro.lang import compile_source
 from repro.workloads import WORKLOADS, compile_workload
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_interpreter_matches_reference(name):
-    program, reference, args = compile_workload(name)
+#: Every workload at its default arguments (``args`` None).
+DEFAULT_ARGS = [pytest.param(name, None, id=name) for name in sorted(WORKLOADS)]
+
+
+@pytest.mark.parametrize("name,args", DEFAULT_ARGS + [
+    pytest.param("matmul", (5,), id="matmul-5")])
+def test_interpreter_matches_reference(name, args):
+    program, reference, default = compile_workload(name)
+    args = default if args is None else args
     interp = Interpreter(program)
     assert interp.run(*args) == pytest.approx(reference(*args))
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_machine_matches_reference(name):
-    program, reference, args = compile_workload(name)
+@pytest.mark.parametrize("name,args", DEFAULT_ARGS + [
+    pytest.param("pipeline", (12,), id="pipeline-12")])
+def test_machine_matches_reference(name, args):
+    program, reference, default = compile_workload(name)
+    args = default if args is None else args
     machine = TaggedTokenMachine(program, MachineConfig(n_pes=4))
     assert machine.run(*args).value == pytest.approx(reference(*args))
 
