@@ -94,9 +94,3 @@ CLAIMS = {"e01_latency_tolerance": {
 def run_experiment():
     experiment = SWEEPS["e01_latency_tolerance"]
     return experiment.table(experiment.run_inline())
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e01_latency_tolerance")

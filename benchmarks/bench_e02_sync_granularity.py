@@ -167,9 +167,3 @@ CLAIMS = {"e02_sync_granularity": {
     "istructure_never_retries":
         lambda rows: _at(rows, ISTRUCTURE)["retry traffic"] == 0,
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e02_sync_granularity")

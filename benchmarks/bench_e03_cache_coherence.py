@@ -173,10 +173,3 @@ CLAIMS = {
             rows, "write_back")["time"],
     },
 }
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e03_cache_coherence")
-    write_table(write_policy_table(), "e03b_write_policy")

@@ -81,9 +81,3 @@ CLAIMS = {"e04_cmstar_locality": {
 def run_experiment():
     experiment = SWEEPS["e04_cmstar_locality"]
     return experiment.table(experiment.run_inline())
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e04_cmstar_locality")

@@ -101,9 +101,3 @@ CLAIMS = {"e05_fetch_and_add": {
     "switches_combine": lambda rows: _at(
         rows, 32, "yes")["switch combines"] > 0,
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e05_fetch_and_add")

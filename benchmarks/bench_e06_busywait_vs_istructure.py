@@ -104,9 +104,3 @@ CLAIMS = {"e06_busywait_vs_istructure": {
         abs(_at(rows, work)["I-structure mem reqs/elem"] - 2.0) < 1e-9
         for work in (0, 32, 96)),
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e06_busywait_vs_istructure")

@@ -90,9 +90,3 @@ CLAIMS = {"e07_trapezoid": {
 def run_experiment():
     experiment = SWEEPS["e07_trapezoid"]
     return experiment.table(experiment.run_inline())
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e07_trapezoid")

@@ -81,10 +81,3 @@ CLAIMS = {
                             "one corner-to-corner (7,7)")] == [1, 2, 14],
     },
 }
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e08_connection_machine")
-    write_table(illiac_table(), "e08b_illiac_iv")

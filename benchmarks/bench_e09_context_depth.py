@@ -71,9 +71,3 @@ CLAIMS = {"e09_context_depth": {
     # ... while enough contexts always recover utilization.
     "enough_contexts_recover": lambda rows: _at(rows, 40)["K=32"] > 0.8,
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e09_context_depth")

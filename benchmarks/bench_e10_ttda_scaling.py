@@ -124,10 +124,3 @@ CLAIMS = {
             _local_share(rows, "context") > _local_share(rows, "hash")),
     },
 }
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e10_ttda_scaling")
-    write_table(mapping_ablation(), "e10b_mapping_ablation")

@@ -111,9 +111,3 @@ CLAIMS = {"e11_istructure_cost": {
         _value(rows, "adversarial: max deferred-list length") == 3.0
         and _value(rows, "adversarial: immediate reads") == 0),
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e11_istructure_cost")

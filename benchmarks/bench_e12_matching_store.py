@@ -70,10 +70,3 @@ CLAIMS = {
             < _pes(rows, 1)["peak waiting tokens (one PE)"]),
     },
 }
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e12_matching_store")
-    write_table(pe_sweep(), "e12b_matching_store_pes")

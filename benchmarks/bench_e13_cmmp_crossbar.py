@@ -118,10 +118,3 @@ CLAIMS = {
             rows, {"measurement": "ratio"})["value"] > 10,
     },
 }
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e13_cmmp_crossbar")
-    write_table(semaphore_table(), "e13b_semaphore_cost")

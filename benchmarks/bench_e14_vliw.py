@@ -104,10 +104,3 @@ CLAIMS = {
             rows, 20)["VLIW slowdown"],
     },
 }
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_width_sweep(), "e14_vliw_width")
-    write_table(run_latency_surprise(), "e14b_vliw_latency_surprise")

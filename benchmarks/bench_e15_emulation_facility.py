@@ -139,9 +139,3 @@ CLAIMS = {"e15_emulation_facility": {
     "partitions_isolated": lambda rows: _result(
         rows, "partitioned halves: cross-partition sends blocked") == 1,
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e15_emulation_facility")

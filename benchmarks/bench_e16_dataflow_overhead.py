@@ -71,9 +71,3 @@ CLAIMS = {"e16_dataflow_overhead": {
     "recursion_pays_in_linkage": lambda rows: _mix(rows, "fib")["linkage %"]
     > _mix(rows, "fib")["tag %"],
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e16_dataflow_overhead")

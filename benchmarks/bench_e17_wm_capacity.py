@@ -16,19 +16,23 @@ from repro.exp import row_at
 from repro.workloads import compile_workload
 
 CAPACITIES = [None, 128, 64, 32, 16, 8, 4]
+#: matmul size, PE count and overflow penalty (cycles) of every point.
+N = 5
+N_PES = 4
+PENALTY = 16.0
 
 
-def run_point(capacity, n=5, n_pes=4, penalty=16.0):
+def run_point(capacity):
     program, reference, _ = compile_workload("matmul")
-    config = MachineConfig(n_pes=n_pes, wm_capacity=capacity,
-                           wm_overflow_penalty=penalty)
+    config = MachineConfig(n_pes=N_PES, wm_capacity=capacity,
+                           wm_overflow_penalty=PENALTY)
     machine = TaggedTokenMachine(program, config)
-    result = machine.run(n)
-    assert result.value == reference(n)
+    result = machine.run(N)
+    assert result.value == reference(N)
     return result, machine
 
 
-def run_experiment(n=5, n_pes=4):
+def run_experiment():
     table = Table(
         "E17  Finite waiting-matching store: capacity ablation "
         "(paper §2.2.3)",
@@ -37,12 +41,12 @@ def run_experiment(n=5, n_pes=4):
         notes=[
             "overflow probe = a match attempt while the store is over "
             "capacity (pays the spill penalty)",
-            f"matmul n={n} on {n_pes} PEs; penalty 16 cycles",
+            f"matmul n={N} on {N_PES} PEs; penalty 16 cycles",
         ],
     )
     base_time = None
     for capacity in CAPACITIES:
-        result, machine = run_point(capacity, n=n, n_pes=n_pes)
+        result, machine = run_point(capacity)
         if base_time is None:
             base_time = result.time
         _, peak = machine.matching_store_occupancy()
@@ -68,9 +72,3 @@ CLAIMS = {"e17_wm_capacity": {
         and _at(rows, 8)["overflow probes"]
         > _at(rows, 64)["overflow probes"]),
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e17_wm_capacity")

@@ -62,9 +62,3 @@ CLAIMS = {"e18_cmstar_microtasking": {
         _at(rows, 0.5)["util K=4"] < 1.2 * _at(rows, 0.5)["util K=1"]
         and _at(rows, 0.5)["util K=4"] < _at(rows, 0.0)["util K=4"]),
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e18_cmstar_microtasking")

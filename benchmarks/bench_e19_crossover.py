@@ -199,9 +199,3 @@ CLAIMS = {"e19_crossover": {
                                    _series(rows, "vN hand")))
         and _at(rows, 1)["vN compiled"] < 2 * _at(rows, 1)["vN hand"]),
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e19_crossover")

@@ -141,9 +141,3 @@ CLAIMS = {"e20_fault_tolerance": {
         and _slowdowns(rows, "TTDA")[-1] < 1.2
         < _slowdowns(rows, "HEP")[-1]),
 }}
-
-
-if __name__ == "__main__":
-    from harness import write_table
-
-    write_table(run_experiment(), "e20_fault_tolerance")

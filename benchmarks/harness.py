@@ -11,9 +11,9 @@ factor, where the crossover falls — as predicates over the table's rows
 EXPERIMENTS.md.  Every ``repro bench`` run records their verdicts, and
 ``repro bench --check`` fails on a false one.
 
-Run any module directly (``python benchmarks/bench_e01_....py``) to print
-its full table and write it under ``benchmarks/results/`` — a ``.txt``
-rendering for humans and a ``.json`` telemetry file for tooling.
+``repro bench --only eNN`` regenerates one module's tables under
+``benchmarks/results/`` — a ``.txt`` rendering for humans and a
+``.json`` telemetry file for tooling — through :func:`write_table`.
 
 Cells are parsed by :func:`repro.exp.tables.parse_cell`: numeric-looking
 cells — including ``"inf"``, ``"nan"``, the ``"-"`` NaN rendering, and
@@ -28,35 +28,25 @@ from repro.exp.tables import table_rows
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-__all__ = ["RESULTS_DIR", "table_rows", "write_json", "write_table"]
-
-
-def write_json(rows, name, meta=None):
-    """Persist telemetry rows under benchmarks/results/<name>.json.
-
-    ``rows`` is a list of dicts; ``meta`` (title, notes, timing, ...) is
-    stored alongside them, never merged into the rows.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
-    payload = {"name": name, "meta": meta or {}, "rows": rows}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=repr)
-        fh.write("\n")
-    return path
+__all__ = ["RESULTS_DIR", "write_table"]
 
 
 def write_table(table, name, meta=None):
     """Print a table and persist it under benchmarks/results/ as both
-    <name>.txt (the rendering) and <name>.json (rows + metadata)."""
+    <name>.txt (the rendering, whose path is returned) and <name>.json
+    (its rows, with title, notes and ``meta`` beside them, never in
+    them)."""
     text = str(table)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    full_meta = {"title": table.title, "notes": list(table.notes)}
-    if meta:
-        full_meta.update(meta)
-    write_json(table_rows(table), name, meta=full_meta)
+    payload = {"name": name, "rows": table_rows(table),
+               "meta": {"title": table.title, "notes": list(table.notes),
+                        **(meta or {})}}
+    with open(os.path.join(RESULTS_DIR, f"{name}.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=repr)
+        fh.write("\n")
     print(text)
     return path

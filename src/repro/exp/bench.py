@@ -28,7 +28,7 @@ import sys
 import time
 
 from .cache import invalidate_fingerprints
-from .claims import evaluate_claims, table_claims
+from .claims import evaluate_claims
 from .engine import host_cpus, run_experiment
 from .experiment import Experiment
 from .tables import payload_to_table, table_rows, table_to_payload
@@ -89,15 +89,19 @@ def suite_tables(bench_dir, only=None):
                 yield module_name, fn_name, table_name
 
 
-def table_entry(module_name, out_name, table, wall, counts, err):
-    """One assembled table's ``BENCH_results.json`` entry, with the
-    verdict of each claim its module declares (``claims``) and why each
-    false one failed (``claim_failures``, also printed to ``err``)."""
+def table_entry(module_name, out_name, table, wall, counts, err,
+                plan=None):
+    """One assembled table's ``BENCH_results.json`` entry.  Its
+    ``claims`` maps each claim the module declares to ``True`` or to why
+    it failed (also printed to ``err``).  The claims describe the
+    fault-free tables, so a run under a machine-level fault ``plan``
+    records none."""
     rows = table_rows(table)
-    verdicts, failures = evaluate_claims(
-        table_claims(importlib.import_module(module_name), out_name), rows)
-    for name, error in failures.items():
-        print(f"[CLAIM FAILED] {out_name}.{name}: {error}", file=err)
+    claims = {} if plan else evaluate_claims(
+        importlib.import_module(module_name), out_name, rows)
+    for name, verdict in claims.items():
+        if verdict is not True:
+            print(f"[CLAIM FAILED] {out_name}.{name}: {verdict}", file=err)
     return {
         "experiment": out_name,
         "module": module_name,
@@ -107,8 +111,7 @@ def table_entry(module_name, out_name, table, wall, counts, err):
         "wall_seconds": wall,
         **counts,
         "data": rows,
-        "claims": verdicts,
-        "claim_failures": failures,
+        "claims": claims,
     }
 
 
@@ -265,7 +268,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             print(f"[{wall_text(wall)}] {out_name} "
                   f"({cached}/{len(records)} cached)\n", file=err)
             telemetry.append(table_entry(module_name, out_name, table, wall,
-                                         counts, err))
+                                         counts, err, plan))
     finally:
         outcomes.close()  # stops the pool even if a table write failed
         if store is not None:

@@ -11,7 +11,7 @@ claims once it is assembled, and ``repro bench --check`` fails on a
 false one.
 """
 
-__all__ = ["evaluate_claims", "one_row", "row_at", "table_claims"]
+__all__ = ["evaluate_claims", "one_row", "row_at"]
 
 
 def one_row(rows, where):
@@ -31,25 +31,17 @@ def row_at(*columns):
     return lambda rows, *values: one_row(rows, dict(zip(columns, values)))
 
 
-def table_claims(module, table_name):
-    """The ``{claim_name: predicate}`` a bench module declares for one
-    of its tables (empty when it declares none)."""
-    return getattr(module, "CLAIMS", {}).get(table_name, {})
-
-
-def evaluate_claims(claims, rows):
-    """``(verdicts, failures)``: ``{name: bool}`` for every claim and
-    ``{name: reason}`` for each false one.  A predicate that raises (its
-    row is gone, a column was renamed) is a failed claim, never a
-    skipped one."""
+def evaluate_claims(module, table_name, rows):
+    """``{claim_name: verdict}`` for each claim a bench module declares
+    for one of its tables: ``True`` when it holds on ``rows``, otherwise
+    why not.  A predicate that raises (its row is gone, a column was
+    renamed) is a failed claim, never a skipped one."""
     verdicts = {}
-    failures = {}
-    for name, predicate in claims.items():
+    for name, predicate in getattr(module, "CLAIMS", {}).get(
+            table_name, {}).items():
         try:
-            verdicts[name] = bool(predicate(rows))
-            if not verdicts[name]:
-                failures[name] = "the predicate is false on the table"
+            verdicts[name] = (bool(predicate(rows))
+                              or "the predicate is false on the table")
         except Exception as exc:
-            verdicts[name] = False
-            failures[name] = f"{type(exc).__name__}: {exc}"
-    return verdicts, failures
+            verdicts[name] = f"{type(exc).__name__}: {exc}"
+    return verdicts

@@ -59,9 +59,9 @@ class Experiment:
     def run_inline(self):
         """Run the grid serially in-process; returns values in grid order.
 
-        The engine-free path: a bench module's ``run_experiment()`` (its
-        ``python benchmarks/bench_*.py`` entry point) and the examples
-        use it; ``repro bench`` runs the same grid through the engine.
+        The engine-free path: a bench module's ``run_experiment()`` and
+        the examples use it; ``repro bench`` runs the same grid through
+        the engine.
         """
         return [self.run(config) for config in self.grid]
 

@@ -152,22 +152,21 @@ def check_suite(aggregate, baseline_dir, rel_tol=None, abs_tol=None):
     Returns ``{"checked", "missing", "diffs", "claims", "ok"}`` —
     ``missing`` lists experiments that ran but have no baseline file
     (not a failure: new experiments land before their baselines do);
-    ``claims`` maps ``experiment.claim`` to its verdict, and each false
-    one is also a diff of kind ``"claim"``.
+    ``claims`` maps ``experiment.claim`` to whether it holds, and each
+    failed one is also a diff of kind ``"claim"`` carrying the reason.
     """
     checked = []
     missing = []
     diffs = []
     claims = {}
     for entry in aggregate:
-        failures = entry.get("claim_failures", {})
-        for name, holds in entry.get("claims", {}).items():
+        for name, verdict in entry.get("claims", {}).items():
             claim = f"{entry['experiment']}.{name}"
-            claims[claim] = holds
-            if not holds:
+            claims[claim] = verdict is True
+            if verdict is not True:
                 diffs.append({"experiment": entry["experiment"],
                               "kind": "claim", "claim": claim,
-                              "error": failures.get(name)})
+                              "error": verdict})
         path = baseline_path(baseline_dir, entry["experiment"])
         if not os.path.exists(path):
             missing.append(entry["experiment"])

@@ -20,7 +20,7 @@ import urllib.parse
 
 from ..exp.bench import (build_experiment, find_bench_dir, suite_tables,
                          table_entry, wall_text, write_aggregate)
-from .protocol import ProtocolError
+from .protocol import ProtocolError, machine_plan
 
 __all__ = ["ServeClient", "ServeError", "remote_suite"]
 
@@ -194,6 +194,7 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
     if isinstance(faults, str):
         with open(faults, "r", encoding="utf-8") as fh:
             faults = json.load(fh)
+    plan = machine_plan(faults)
 
     telemetry = []
     failures = []
@@ -248,7 +249,7 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
         print(f"[{wall_text(wall)}] {out_name} "
               f"({cached}/{len(records)} store hits, remote)\n", file=err)
         telemetry.append(table_entry(module_name, out_name, table, wall,
-                                     counts, err))
+                                     counts, err, plan))
 
     aggregate = {
         "experiments": telemetry,

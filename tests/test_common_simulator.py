@@ -104,18 +104,6 @@ def test_event_budget_detects_livelock():
         sim.run(max_events=100)
 
 
-def test_self_posting_chain_fires_every_event():
-    sim = Simulator()
-
-    def tick(n):
-        if n < 5000:
-            sim.post(1, tick, n + 1)
-
-    sim.post(0, tick, 1)
-    sim.run()
-    assert (sim.events_fired, sim.now) == (5000, 4999)
-
-
 def test_pending_and_counters():
     sim = Simulator()
     sim.post(1, lambda: None)
