@@ -749,8 +749,14 @@ def _parse_duration(text):
             "s/m/h/d/w suffix, e.g. 30m or 7d") from None
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(options, out):
-    """Run the sweep service until SIGINT or POST /shutdown."""
+    """Run the sweep service until SIGINT, SIGTERM or POST /shutdown."""
+    import signal
+
     from .serve.server import run_server
 
     bus = None
@@ -760,6 +766,9 @@ def _cmd_serve(options, out):
         trace = open(options.trace, "w", encoding="utf-8", buffering=1)
         bus = TraceBus()
         bus.add_sink(JsonlSink(trace))
+    # SIGTERM takes the SIGINT path: the pool drains and no worker is
+    # left behind as an orphan.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return run_server(
             host=options.host,
@@ -774,6 +783,7 @@ def _cmd_serve(options, out):
             bus=bus,
         )
     finally:
+        signal.signal(signal.SIGTERM, previous)
         if trace is not None:
             trace.close()
 

@@ -9,6 +9,13 @@ from information carried on the tokens and stored in the instruction.
 Nothing needs a central table, which is what makes the architecture
 scalable.
 
+Most of those opcodes send one value along the instruction's own static
+arcs and nothing else: the pure ops, CONSTANT, GATE, SWITCH, D and D⁻¹.
+:data:`FANOUT` holds each one's *value rule* (operands -> the value sent)
+and *iteration rule* (the tag's iteration -> the results'); their
+handlers are built from it, and the timed machine's ALU reads the same
+rules (:func:`fanout_rules`) to build result tokens with no effect list.
+
 Structure opcodes produce :class:`StructureRead` / :class:`StructureWrite`
 / :class:`StructureAlloc` effects; *when and where* those are serviced (an
 untimed heap vs. a distributed set of timed I-structure controllers behind
@@ -34,8 +41,11 @@ __all__ = [
     "ProgramResult",
     "assemble_operands",
     "execute",
+    "fanout_rules",
     "handler_of",
 ]
+
+_new = tuple.__new__
 
 
 class Send(NamedTuple):
@@ -153,66 +163,74 @@ def _unimplemented(program, instruction, tag, operands):
     raise MachineError(f"unimplemented opcode {instruction.opcode!r}")
 
 
-def _binary(fn):
-    def handler(program, instruction, tag, operands):
-        try:
-            value = fn(operands[0], operands[1])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+def _pass(data, _other=None):
+    """GATE (data, trigger), SWITCH (data, control), D and D⁻¹ (value)
+    send their port-0 operand on."""
+    return data
+
+
+def _next_iteration(iteration):
+    return iteration + 1
+
+
+def _first_iteration(iteration):
+    return 1
+
+
+#: Opcode -> (value rule, iteration rule) of every opcode whose only
+#: effects are Sends of one value along its own static arcs (and, for
+#: SWITCH, its false-side arcs).  The value rule maps the operands, in
+#: port order, to that value; the iteration rule maps the firing tag's
+#: iteration to the result tags' (None: unchanged).  CONSTANT's value is
+#: its instruction's literal, bound by :func:`fanout_rules`.
+FANOUT = {
+    **{opcode: (fn, None) for opcode, fn in PURE_BINARY.items()},
+    **{opcode: (fn, None) for opcode, fn in PURE_UNARY.items()},
+    Opcode.CONSTANT: (None, None),
+    Opcode.GATE: (_pass, None),
+    Opcode.SWITCH: (_pass, None),
+    Opcode.D: (_pass, _next_iteration),
+    Opcode.D_INV: (_pass, _first_iteration),
+}
+
+
+def fanout_rules(instruction):
+    """``(value rule, iteration rule)`` of ``instruction`` (see
+    :data:`FANOUT`), or None when its opcode has other effects."""
+    rules = FANOUT.get(instruction.opcode)
+    if rules is None or rules[0] is not None:
+        return rules
+    literal = instruction.literal
+    return (lambda trigger: literal), None
+
+
+def _fanout_op(program, instruction, tag, operands):
+    """The handler of every :data:`FANOUT` opcode."""
+    value_rule, iteration_rule = fanout_rules(instruction)
+    try:
+        value = value_rule(*operands)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MachineError(
+            f"{instruction.opcode.value} failed at {tag!r}: {exc}"
+        ) from exc
+    dests = instruction.dests
+    if instruction.opcode is Opcode.SWITCH:
+        control = operands[1]
+        if not isinstance(control, bool):
             raise MachineError(
-                f"{instruction.opcode.value} failed at {tag!r}: {exc}"
-            ) from exc
-        return _fanout(tag, instruction.dests, value)
-    return handler
-
-
-def _unary(fn):
-    def handler(program, instruction, tag, operands):
-        try:
-            value = fn(operands[0])
-        except (TypeError, ValueError) as exc:
-            raise MachineError(
-                f"{instruction.opcode.value} failed at {tag!r}: {exc}"
-            ) from exc
-        return _fanout(tag, instruction.dests, value)
-    return handler
-
-
-def _constant(program, instruction, tag, operands):
-    return _fanout(tag, instruction.dests, instruction.literal)
-
-
-def _gate(program, instruction, tag, operands):
-    return _fanout(tag, instruction.dests, operands[0])
+                f"SWITCH control at {tag!r} is {control!r}, not a boolean"
+            )
+        if not control:
+            dests = instruction.dests_false
+    context, block, _, iteration = tag
+    if iteration_rule is not None:
+        iteration = iteration_rule(iteration)
+    return [Send(_new(Tag, (context, block, s, iteration)), p, value)
+            for s, p in _dest_pairs(dests)]
 
 
 def _sink(program, instruction, tag, operands):
     return []
-
-
-def _switch(program, instruction, tag, operands):
-    control = operands[1]
-    if not isinstance(control, bool):
-        raise MachineError(
-            f"SWITCH control at {tag!r} is {control!r}, not a boolean"
-        )
-    side = instruction.dests if control else instruction.dests_false
-    return _fanout(tag, side, operands[0])
-
-
-def _d(program, instruction, tag, operands):
-    next_iteration = tag.next_iteration
-    return [
-        Send(next_iteration(s), p, operands[0])
-        for s, p in _dest_pairs(instruction.dests)
-    ]
-
-
-def _d_inv(program, instruction, tag, operands):
-    reset_iteration = tag.reset_iteration
-    return [
-        Send(reset_iteration(s), p, operands[0])
-        for s, p in _dest_pairs(instruction.dests)
-    ]
 
 
 def _l(program, instruction, tag, operands):
@@ -342,14 +360,8 @@ def _return(value, continuation, tag):
 
 #: Opcode -> handler, built once at import (see :func:`handler_of`).
 HANDLERS = {
-    **{opcode: _binary(fn) for opcode, fn in PURE_BINARY.items()},
-    **{opcode: _unary(fn) for opcode, fn in PURE_UNARY.items()},
-    Opcode.CONSTANT: _constant,
-    Opcode.GATE: _gate,
+    **{opcode: _fanout_op for opcode in FANOUT},
     Opcode.SINK: _sink,
-    Opcode.SWITCH: _switch,
-    Opcode.D: _d,
-    Opcode.D_INV: _d_inv,
     Opcode.L: _l,
     Opcode.L_INV: _l_inv,
     Opcode.CALL: _call,

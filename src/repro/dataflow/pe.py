@@ -18,7 +18,8 @@ configurable service time:
   by computing a new tag, using the old tag along with information stored
   in the instruction itself"), each stamped with its destination PE by
   the mapping policy as it is built, and hands remote tokens to the
-  network.
+  network.  For the fan-out opcodes that information is the decoded
+  instruction's destination table (:class:`DecodedInstruction`).
 
 Each PE also hosts an I-structure controller (d=1 traffic) and a PE
 controller (d=2 traffic — here, structure allocation).
@@ -33,7 +34,7 @@ statistics only when someone reads them (``counters``,
 from ..common.errors import MachineError
 from ..common.queueing import FifoServer
 from ..common.stats import SlotCounter, TimeWeightedView
-from ..graph.opcodes import CLASS_COUNTER
+from ..graph.opcodes import CLASS_COUNTER, Opcode
 from ..istructure.controller import IStructureController, ReadRequest, WriteRequest
 from ..istructure.heap import interleave_home
 from .exec_core import (
@@ -43,8 +44,10 @@ from .exec_core import (
     StructureRead,
     StructureWrite,
     assemble_operands,
+    fanout_rules,
     handler_of,
 )
+from .tags import Tag
 from .token import Token, TokenKind
 
 __all__ = ["ProcessingElement", "AllocRequest", "DecodedInstruction"]
@@ -52,6 +55,7 @@ __all__ = ["ProcessingElement", "AllocRequest", "DecodedInstruction"]
 _NORMAL = TokenKind.NORMAL
 _STRUCTURE = TokenKind.STRUCTURE
 _CONTROL = TokenKind.CONTROL
+_new = tuple.__new__
 
 #: The per-class instruction counters (``class_pure``, ...), in the
 #: order of a PE's class-count list; an instruction's ``class_index``
@@ -71,10 +75,23 @@ class DecodedInstruction:
     no firing can change (the program is frozen once the machine runs),
     its opcode's handler included.  ``inline_arity`` is the operand
     count (1 or 2) of a statement whose every operand comes by token,
-    which the ALU then gathers inline; it is 0 for the rest."""
+    which the ALU then gathers inline; it is 0 for the rest.
+
+    An instruction whose only effects are Sends of one value along its
+    own static arcs (:data:`~repro.dataflow.exec_core.FANOUT`) also
+    carries its opcode's ``value_rule`` and ``iteration_rule`` and its
+    destination table: ``arcs`` (and, for SWITCH, ``arcs_false``) hold
+    one ``(statement, port, nt)`` per arc, in arc order, for the output
+    section to build each result token from ("information stored in the
+    instruction itself", Fig 2-4).  The table is filled on the first
+    firing (:meth:`decode_arcs`): decoding each destination eagerly
+    would recurse through loops.  ``value_rule`` is None for the
+    opcodes that keep the effects path (CALL, RETURN, L, L⁻¹, SINK and
+    the I-structure ops)."""
 
     __slots__ = ("instruction", "nt", "arity", "inline_arity", "class_index",
-                 "handler")
+                 "handler", "value_rule", "iteration_rule", "sided", "arcs",
+                 "arcs_false")
 
     def __init__(self, instruction):
         self.instruction = instruction
@@ -83,6 +100,22 @@ class DecodedInstruction:
         plain = instruction.constant_port is None and arity in (1, 2)
         self.inline_arity = arity if plain else 0
         self.class_index, self.handler = _DECODE[instruction.opcode._name_]
+        self.value_rule, self.iteration_rule = (
+            fanout_rules(instruction) or (None, None))
+        self.sided = instruction.opcode is Opcode.SWITCH
+        self.arcs = self.arcs_false = None
+
+    def decode_arcs(self, machine, code_block):
+        """Fill the destination table from the instruction's arcs in
+        ``code_block``; returns ``arcs``."""
+        def table(dests):
+            return tuple(
+                (d.statement, d.port, machine._decoded(code_block,
+                                                       d.statement).nt)
+                for d in dests)
+        self.arcs_false = table(self.instruction.dests_false)
+        self.arcs = table(self.instruction.dests)
+        return self.arcs
 
 
 class AllocRequest:
@@ -325,6 +358,70 @@ class ProcessingElement:
 
     def _executed(self, work):
         entry, tag, by_port, cause = work
+        value_rule = entry.value_rule
+        if value_rule is None:
+            self._executed_effects(entry, tag, by_port, cause)
+            return
+        inline = entry.inline_arity
+        # ``control`` is the last operand: SWITCH's side.
+        control = None
+        try:
+            if inline == 2:
+                control = by_port[1]
+                value = value_rule(by_port[0], control)
+            elif inline == 1:
+                value = value_rule(by_port[0])
+            else:
+                operands = assemble_operands(entry.instruction, by_port,
+                                             entry.arity)
+                control = operands[-1]
+                value = value_rule(*operands)
+        except Exception:
+            self._refire(entry, tag, by_port)
+            raise
+        context, code_block, _, iteration = tag
+        arcs = entry.arcs
+        if arcs is None:
+            arcs = entry.decode_arcs(self.machine, code_block)
+        if entry.sided and control is not True:
+            if control is not False:
+                self._refire(entry, tag, by_port)
+            arcs = entry.arcs_false
+        self._class_counts[entry.class_index] += 1
+        bus = self.machine._bus
+        if bus is not None and bus.enabled:
+            cause = self._trace_exec(entry, tag, cause)
+        if entry.iteration_rule is not None:
+            iteration = entry.iteration_rule(iteration)
+        # The output section: one result token per arc, its tag computed
+        # from the old tag and the instruction, stamped with its PE.
+        submit = self.output.submit
+        pe_of = self._pe_of
+        route = self._route
+        for statement, port, nt in arcs:
+            etag = _new(Tag, (context, code_block, statement, iteration))
+            submit(Token(etag, port, value, _NORMAL, nt, pe_of(etag), cause),
+                   route)
+
+    def _refire(self, entry, tag, by_port):
+        """Re-run a failed firing through its opcode's handler, which
+        raises the error the interpreter raises, with the same text."""
+        instruction = entry.instruction
+        entry.handler(self.machine.program, instruction, tag,
+                      assemble_operands(instruction, by_port, entry.arity))
+
+    def _trace_exec(self, entry, tag, cause):
+        # dur = the ALU slice just finished; the Chrome exporter
+        # renders it as pipeline-stage occupancy on this PE's track.
+        opcode = entry.instruction.opcode.value
+        eid = self.machine._trace_event(
+            self.pe, "exec", f"{tag!r} {opcode}",
+            op=opcode, dur=self.config.alu_time, parent=cause,
+        )
+        return cause if eid is None else eid
+
+    def _executed_effects(self, entry, tag, by_port, cause):
+        """The ALU for the opcodes with effects other than fan-out Sends."""
         instruction = entry.instruction
         machine = self.machine
         inline = entry.inline_arity
@@ -342,17 +439,7 @@ class ProcessingElement:
         self._class_counts[entry.class_index] += 1
         bus = machine._bus
         if bus is not None and bus.enabled:
-            # dur = the ALU slice just finished; the Chrome exporter
-            # renders it as pipeline-stage occupancy on this PE's track.
-            eid = machine._trace_event(
-                self.pe, "exec", f"{tag!r} {instruction.opcode.value}",
-                op=instruction.opcode.value, dur=self.config.alu_time,
-                parent=cause,
-            )
-            if eid is not None:
-                cause = eid
-        # The output section: a Send (nearly every effect) becomes its
-        # result token here, stamped with its destination PE.
+            cause = self._trace_exec(entry, tag, cause)
         for effect in effects:
             if type(effect) is Send:
                 etag, port, value = effect

@@ -48,18 +48,11 @@ class Tag(tuple):
     def __reduce__(self):
         return (Tag, tuple(self))
 
-    # -- derivation helpers used by the tag-manipulation opcodes --------
+    # -- derivation helpers for result arcs and context pushes; the
+    # -- D/D⁻¹ iteration rules are in exec_core.FANOUT -----------------
     def at_statement(self, statement):
         """Same activity, different statement (ordinary result arcs)."""
         return _new(Tag, (self[0], self[1], statement, self[3]))
-
-    def next_iteration(self, statement):
-        """The D operator: advance to iteration i+1 at ``statement``."""
-        return _new(Tag, (self[0], self[1], statement, self[3] + 1))
-
-    def reset_iteration(self, statement):
-        """The D⁻¹ operator: canonicalize to iteration 1 at ``statement``."""
-        return _new(Tag, (self[0], self[1], statement, 1))
 
     def enter(self, site, target_block, statement):
         """The L / CALL context push: a fresh context named after this

@@ -29,6 +29,7 @@ run of the same cell share one store entry.
 import importlib
 import json
 import os
+import signal
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -364,6 +365,9 @@ def pool_worker_main(conn, worker_id, flight_path=None):
     :class:`FlightRecorder` spills breadcrumbs to ``flight_path`` so
     even a crash or external ``terminate()`` leaves a black box behind.
     """
+    # A worker forked from ``repro serve`` inherits its SIGTERM handler;
+    # ``terminate()`` must end the worker, not interrupt its cell.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     runners = {}
     recorder = FlightRecorder(worker_id, flight_path=flight_path)
     while True:

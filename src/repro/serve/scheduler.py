@@ -625,6 +625,10 @@ class SweepScheduler:
             return
         index = assignment.index
         if status == "ok":
+            # The freed worker gets its next cell before the store write;
+            # the write still lands before the sweep can be done, so a
+            # repeat sweep submitted after ``done`` hits the store.
+            self._assign_pass(now)
             if assignment.key is not None and self.store is not None:
                 self.store.put(sweep.experiment.name, assignment.key,
                                key_config(sweep.experiment.grid[index],

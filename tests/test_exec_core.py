@@ -10,9 +10,11 @@ from repro.dataflow.exec_core import (
     StructureAlloc,
     StructureRead,
     StructureWrite,
+    FANOUT,
     HANDLERS,
     assemble_operands,
     execute,
+    fanout_rules,
     handler_of,
 )
 from repro.dataflow.values import Continuation, FunctionRef, StructureRef
@@ -124,12 +126,40 @@ class TestControl:
         (effect,) = execute(program, inst, ROOT, ["data", "trigger"])
         assert effect.value == "data"
 
+    def test_d_and_d_inv_set_the_iteration(self):
+        program = minimal_program()
+        tag = Tag(None, "f", 0, 3)
+        for opcode, iteration in ((Opcode.D, 4), (Opcode.D_INV, 1)):
+            inst = Instruction(opcode, dests=(Destination(1, 0),
+                                              Destination(0, 1)))
+            effects = execute(program, inst, tag, ["v"])
+            assert effects == [Send(Tag(None, "f", 1, iteration), 0, "v"),
+                               Send(Tag(None, "f", 0, iteration), 1, "v")]
+
     def test_constant_emits_literal(self):
         program = minimal_program()
         inst = Instruction(Opcode.CONSTANT, literal=42,
                            dests=(Destination(0, 0),))
         (effect,) = execute(program, inst, ROOT, ["trigger"])
         assert effect.value == 42
+
+
+class TestFanoutTable:
+    def test_one_handler_serves_every_fanout_opcode(self):
+        handlers = {HANDLERS[opcode] for opcode in FANOUT}
+        assert len(handlers) == 1
+        effectful = {Opcode.CALL, Opcode.RETURN, Opcode.L, Opcode.L_INV,
+                     Opcode.SINK, Opcode.I_ALLOC, Opcode.I_FETCH,
+                     Opcode.I_STORE}
+        assert set(FANOUT) == set(Opcode) - effectful
+        for opcode in effectful:
+            assert fanout_rules(Instruction(opcode)) is None
+
+    def test_constant_rule_is_bound_to_its_literal(self):
+        value_rule, iteration_rule = fanout_rules(
+            Instruction(Opcode.CONSTANT, literal=7))
+        assert value_rule("trigger") == 7
+        assert iteration_rule is None
 
 
 class TestLinkage:

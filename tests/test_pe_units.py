@@ -5,17 +5,19 @@ import pytest
 
 from repro.common import MachineError
 from repro.dataflow import (
+    Interpreter,
     MachineConfig,
     TaggedTokenMachine,
     Tag,
     Token,
     TokenKind,
 )
-from repro.dataflow.exec_core import assemble_operands
+from repro.dataflow.exec_core import FANOUT, assemble_operands
 from repro.dataflow.pe import AllocRequest
 from repro.graph import Opcode, ProgramBuilder
 from repro.istructure import ReadRequest, WriteRequest
 from repro.network import IdealNetwork
+from repro.workloads import compile_workload
 from repro.workloads.handbuilt import build_arith_diamond
 
 
@@ -98,17 +100,108 @@ class TestOperandAssembly:
         seen = []
         for statement in (flip, less, both):
             entry = machine._decoded("f", statement)
-            real = entry.handler
+            real = entry.value_rule
 
-            def spy(program, instruction, tag, operands, real=real):
-                seen.append((instruction.statement, operands))
-                return real(program, instruction, tag, operands)
-            entry.handler = spy
+            def spy(*operands, real=real, statement=statement):
+                seen.append((statement, list(operands)))
+                return real(*operands)
+            entry.value_rule = spy
         assert [machine._decoded("f", s).inline_arity
                 for s in (flip, less, both)] == [0, 0, 2]
         assert machine.run(7).value == 93 * 92
         assert sorted(seen) == [(flip, [100, 7]), (less, [93, 1]),
                                 (both, [92, 93])]
+
+
+class _Outbox:
+    """Stands in for a PE's output section: keeps what it is handed."""
+
+    def __init__(self):
+        self.tokens = []
+
+    def submit(self, token, on_done):
+        self.tokens.append(token)
+
+
+def _one_op_program(opcode, **fields):
+    """``f(a, b) = opcode(a, b)``, or ``f(a) = opcode(a)`` for unary."""
+    pb = ProgramBuilder()
+    b = pb.procedure("f")
+    op = b.emit(opcode, **fields)
+    ret = b.emit(Opcode.RETURN)
+    if opcode is Opcode.SWITCH:
+        b.wire(op, ret, 0)
+        b.wire(op, ret, 0, side="false")
+    else:
+        b.wire(op, ret, 0)
+    b.param((op, 0))
+    if b.block.instruction(op).natural_arity == 2:
+        b.param((op, 1))
+    return pb.build()
+
+
+class TestFanoutPath:
+    @pytest.mark.parametrize("opcode,args", [
+        (Opcode.DIV, (1, 0)),
+        (Opcode.ADD, (1, "x")),
+        (Opcode.NEG, ("x",)),
+        (Opcode.SWITCH, ("v", 1)),
+    ], ids=["div-by-zero", "add-bad-types", "neg-bad-type",
+            "switch-non-bool"])
+    def test_failed_op_raises_the_interpreters_error(self, opcode, args):
+        program = _one_op_program(opcode)
+        with pytest.raises(MachineError) as expected:
+            Interpreter(program).run(*args)
+        machine = TaggedTokenMachine(program, MachineConfig(n_pes=2))
+        with pytest.raises(MachineError) as raised:
+            machine.run(*args)
+        assert str(raised.value) == str(expected.value)
+
+    def test_destination_table_carries_each_arcs_nt(self):
+        program, _, args = compile_workload("trapezoid")
+        machine = TaggedTokenMachine(program, MachineConfig(n_pes=2))
+        machine.run(*args)
+        checked = 0
+        for block in program.blocks.values():
+            for instruction in block:
+                entry = machine._decoded(block.name, instruction.statement)
+                if instruction.opcode not in FANOUT:
+                    assert entry.value_rule is None
+                    continue
+                if entry.arcs is None:
+                    continue  # never fired
+                for arcs, dests in ((entry.arcs, instruction.dests),
+                                    (entry.arcs_false,
+                                     instruction.dests_false)):
+                    assert [(s, p) for s, p, _ in arcs] == [
+                        (d.statement, d.port) for d in dests]
+                    for statement, _, nt in arcs:
+                        assert nt == machine._decoded(block.name,
+                                                      statement).nt
+                        checked += 1
+        assert checked > 20
+
+    def test_d_and_d_inv_tokens_carry_the_next_and_first_iteration(self):
+        program, _, _ = compile_workload("trapezoid")
+        machine = TaggedTokenMachine(program, MachineConfig(n_pes=1))
+        pe = machine.pes[0]
+        seen = set()
+        for block in program.blocks.values():
+            for instruction in block:
+                opcode = instruction.opcode
+                if opcode not in (Opcode.D, Opcode.D_INV):
+                    continue
+                pe.output = outbox = _Outbox()
+                entry = machine._decoded(block.name, instruction.statement)
+                tag = Tag(None, block.name, instruction.statement, 3)
+                pe._executed((entry, tag, {0: "v"}, None))
+                expected = 4 if opcode is Opcode.D else 1
+                assert [t.tag for t in outbox.tokens] == [
+                    Tag(None, block.name, d.statement, expected)
+                    for d in instruction.dests]
+                assert all(t.data == "v" for t in outbox.tokens)
+                seen.add(opcode)
+        assert seen == {Opcode.D, Opcode.D_INV}
 
 
 class TestStructureHoming:

@@ -20,6 +20,8 @@ from repro.dataflow import (
     Tag,
     stable_tag_key,
 )
+from repro.dataflow.exec_core import execute
+from repro.graph import Destination, Instruction, Opcode
 from repro.istructure import DEFERRED, IStructureModule
 from repro.lang import compile_source
 from repro.network import CombiningOmegaNetwork, FetchAddRequest, HypercubeNetwork
@@ -94,9 +96,15 @@ class TestTagAlgebra:
 
     @given(tags, st.integers(0, 50))
     def test_d_then_dinv_normalizes(self, tag, stmt):
-        advanced = tag.next_iteration(stmt)
-        assert advanced.iteration == tag.iteration + 1
-        assert advanced.reset_iteration(stmt).iteration == 1
+        arc = (Destination(stmt, 0),)
+        (advanced,) = execute(None, Instruction(Opcode.D, dests=arc), tag,
+                              ["v"])
+        assert advanced.tag.iteration == tag.iteration + 1
+        (reset,) = execute(None, Instruction(Opcode.D_INV, dests=arc),
+                           advanced.tag, ["v"])
+        assert reset.tag.iteration == 1
+        assert reset.tag[:3] == advanced.tag[:3] == (tag.context,
+                                                     tag.code_block, stmt)
 
     @given(tags, st.integers(0, 50), st.integers(0, 30))
     def test_depth_increases_by_one_per_enter(self, tag, site, stmt):

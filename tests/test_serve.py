@@ -2,6 +2,13 @@
 
 import io
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +205,37 @@ class TestScheduler:
         assert ([r["value"] for r in s1["records"]]
                 == [r["value"] for r in s2["records"]]
                 == [{"x": i, "y": i * i} for i in range(5)])
+
+    def test_freed_worker_is_dispatched_before_the_store_write(
+            self, tmp_path):
+        log = []
+
+        class RecordingStore(SqliteStore):
+            def put(self, experiment_name, key, config, code_version,
+                    value):
+                log.append(("put", config["x"]))
+                return super().put(experiment_name, key, config,
+                                   code_version, value)
+
+        class RecordingBus:
+            def emit(self, t, source, kind, detail, **fields):
+                if kind == "serve_assign":
+                    log.append(("assign", fields["index"]))
+
+        grid = [{"x": i} for i in range(4)]
+        store = RecordingStore(str(tmp_path / "store.sqlite"))
+        with SweepScheduler(store=store, workers=1,
+                            bus=RecordingBus()) as sched:
+            sid = sched.submit(_request(grid))
+            assert sched.wait(sid, timeout=WAIT)
+            repeat = sched.submit(_request(grid))
+            assert sched.wait(repeat, timeout=WAIT)
+            assert sched.status(repeat)["stats"]["store_hits"] == 4
+        store.close()
+        assert sorted(log) == sorted(
+            [("assign", i) for i in range(4)] + [("put", i) for i in range(4)])
+        for i in range(3):
+            assert log.index(("assign", i + 1)) < log.index(("put", i))
 
     def test_one_copy_per_cell(self):
         # Cell 0 runs 0.3 s and cell 1 returns at once, so one worker
@@ -408,6 +446,66 @@ class TestRemoteSuiteWalls:
         lines = err.getvalue().splitlines()
         assert "[ cached] stub_grid (6/6 store hits, remote)" in lines
         assert any(line.startswith("[ cached] total -> ") for line in lines)
+
+
+def _alive_children(pid):
+    """Live (non-zombie) processes whose parent is ``pid``, from /proc."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _alive(pid):
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1]
+    except OSError:
+        return False
+    return state.split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to find the pool's pids")
+def test_sigterm_stops_the_server_and_its_pool():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--no-store",
+         "--workers", "2", "--port", "0"],
+        env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        url = None
+        while url is None and time.monotonic() < deadline:
+            ready, _, _ = select.select([proc.stderr], [], [], 1.0)
+            if ready:
+                line = proc.stderr.readline()
+                if "http://" in line:
+                    url = line.split()[2]
+        assert url is not None, "server never printed its banner"
+        grid = [{"x": i} for i in range(4)]
+        status = ServeClient(url).run(_request(grid, no_store=True),
+                                      timeout=WAIT)
+        assert status["state"] == "done"
+        workers = _alive_children(proc.pid)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 # ---------------------------------------------------------------------------

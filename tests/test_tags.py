@@ -41,8 +41,8 @@ GRID_CONTEXT_PES_FLAT = [1, 5, 5, 1, 4, 5, 4, 3, 5]
 class TestTagValues:
     def test_separately_built_tags_are_equal_and_hash_alike(self):
         first = Tag(Tag(None, "main", 3, 1), "f", 7, 2)
-        second = Tag(None, "main", 9, 1).enter(3, "f", 0).at_statement(7)
-        second = second.next_iteration(7)
+        second = Tag(Tag(None, "main", 9, 1).enter(3, "f", 0).context,
+                     "f", 7, 2)
         assert first is not second
         assert first == second
         assert not first != second
@@ -112,8 +112,8 @@ class TestContextKeyMemo:
     def test_equal_contexts_share_one_entry(self):
         mapping = ByContextMapping(7)
         first = Tag(Tag(None, "main", 3, 1), "f", 7, 2)
-        second = Tag(None, "main", 9, 1).enter(3, "f", 0).at_statement(7)
-        second = second.next_iteration(7)
+        second = Tag(Tag(None, "main", 9, 1).enter(3, "f", 0).context,
+                     "f", 7, 2)
         assert first == second and first is not second
         pes = [mapping.pe_of(Tag(first, "loop", 12, 3)),
                mapping.pe_of(Tag(second, "loop", 12, 3))]
