@@ -178,6 +178,16 @@ def _run_pooled(selected, bench_dir, jobs, store, timeout, bus, faults):
         pool.close()
 
 
+def _cpu_seconds():
+    """User + system CPU seconds of this process and of its reaped
+    children (pool workers count once ``close`` has joined them)."""
+    import resource
+
+    return tuple(usage.ru_utime + usage.ru_stime for usage in
+                 (resource.getrusage(resource.RUSAGE_SELF),
+                  resource.getrusage(resource.RUSAGE_CHILDREN)))
+
+
 def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
               bench_dir=None, cache_dir=None, bus=None, err=None,
               faults=None):
@@ -202,7 +212,10 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     from the store gets ``wall_seconds: null`` (and "cached" on
     ``err``), and so does the suite ``meta`` when any experiment had
     one.  Each experiment records its ``cold_cells`` and
-    ``cache_hits``; ``meta.cells`` sums them.
+    ``cache_hits``; ``meta.cells`` sums them.  ``meta.cpu_seconds``
+    splits the run's host CPU (user + system) between this process
+    (``parent``) and its pool workers (``workers``), so a busy-waiting
+    parent shows.
     """
     from ..serve.protocol import machine_plan
     from ..serve.store import open_store
@@ -238,6 +251,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     failures = []
     cells = {"cold": 0, "cached": 0}
     suite_start = time.time()
+    cpu_start = _cpu_seconds()
     outcomes = (_run_inline(selected, store, bus)
                 if jobs == 0 else
                 _run_pooled(selected, bench_dir, jobs, store, timeout, bus,
@@ -273,6 +287,8 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
         outcomes.close()  # stops the pool even if a table write failed
         if store is not None:
             store.close()
+    cpu_seconds = {side: round(end - start, 3) for side, start, end in
+                   zip(("parent", "workers"), cpu_start, _cpu_seconds())}
 
     aggregate = {
         "experiments": telemetry,
@@ -285,6 +301,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             "wall_seconds": (None if cells["cached"] else
                              round(time.time() - suite_start, 3)),
             "cells": cells,
+            "cpu_seconds": cpu_seconds,
             # Provenance: where this sweep ran.  The tables themselves
             # are host-independent (the regression gate diffs them), the
             # telemetry is not — stamp enough to explain a slow run.

@@ -354,7 +354,7 @@ def _chaos_crash(task):
         os._exit(CRASH_EXIT_CODE)
 
 
-def pool_worker_main(conn, worker_id, flight_path=None):
+def pool_worker_main(conn, worker_id, flight_path=None, inherited=()):
     """Body of one persistent pool worker process.
 
     Resolved run functions are memoized per (spec, plan), so a worker
@@ -364,7 +364,12 @@ def pool_worker_main(conn, worker_id, flight_path=None):
     only a ``stop`` message or pipe loss ends the loop.  The
     :class:`FlightRecorder` spills breadcrumbs to ``flight_path`` so
     even a crash or external ``terminate()`` leaves a black box behind.
+    ``inherited`` holds the scheduler-side pipe ends a forked worker was
+    born with; they are closed first, so that the scheduler's death
+    leaves no writer behind and ``recv`` ends the loop with EOF.
     """
+    for end in inherited:
+        end.close()
     # A worker forked from ``repro serve`` inherits its SIGTERM handler;
     # ``terminate()`` must end the worker, not interrupt its cell.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)

@@ -35,7 +35,12 @@ CPU.  Each cell has exactly one attempt in flight at a time.
 Threading: one background scheduler thread owns all worker pipes and
 the store; HTTP/CLI threads call :meth:`submit` / :meth:`status` /
 :meth:`events_after` / :meth:`wait`, which only touch state under the
-scheduler lock and wake the thread through a self-pipe.
+scheduler lock and wake the thread through a self-pipe.  The thread
+blocks whenever it cannot act, and wakes only for a worker reply or EOF,
+a ``submit``, a per-attempt deadline, or a delayed retry maturing.
+Ready cells left queued behind a full pool are not a reason to wake:
+only a worker's reply can free a slot for them, the paper's deferred
+read rather than a busy-wait (§2.1).
 """
 
 import itertools
@@ -507,9 +512,14 @@ class SweepScheduler:
 
         flight_path = os.path.join(self._flight_root(),
                                    f"worker{wid}.jsonl")
+        # A forked child inherits the scheduler's end of its own pipe and
+        # of every earlier worker's; it closes them at once, or its
+        # ``recv`` would never see EOF once the scheduler's process dies.
+        inherited = ([parent_conn] + [w.conn for w in self._workers.values()]
+                     if self._context.get_start_method() == "fork" else [])
         process = self._context.Process(
             target=pool_worker_main, args=(child_conn, wid),
-            kwargs={"flight_path": flight_path},
+            kwargs={"flight_path": flight_path, "inherited": inherited},
             name=f"serve-worker-{wid}", daemon=True)
         process.start()
         child_conn.close()
@@ -772,10 +782,17 @@ class SweepScheduler:
                                worker=worker.wid, flight=flight)
 
     def _wait_timeout(self, now):
-        """How long the wait may block: next deadline or queued delay."""
+        """How long the wait may block (``None``: until a pipe is ready):
+        the next per-attempt deadline or delayed retry.  A ready cell
+        counts only while a slot is free; after :meth:`_assign_pass` one
+        is left queued only when every worker is busy, and then nothing
+        can run it until a worker replies, which wakes the wait anyway."""
+        slot_free = len(self._workers) < self.size
         horizon = None
         for worker in self._workers.values():
-            if worker.busy is not None and worker.busy.deadline is not None:
+            if worker.busy is None:
+                slot_free = True
+            elif worker.busy.deadline is not None:
                 remaining = worker.busy.deadline - now
                 horizon = (remaining if horizon is None
                            else min(horizon, remaining))
@@ -784,6 +801,8 @@ class SweepScheduler:
             if sweep.state != "running":
                 continue
             delay = sweep.queue.next_ready(now)
+            if delay == 0.0 and not slot_free:
+                continue
             if delay is not None:
                 horizon = delay if horizon is None else min(horizon, delay)
         if horizon is None:

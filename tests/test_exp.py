@@ -346,6 +346,11 @@ class TestSuiteStore:
         assert second["meta"]["cache"] == {"root": path, "hits": 1,
                                            "misses": 0}
         assert second["experiments"][0]["cache_hits"] == 1
+        for aggregate in (first, second):   # --jobs 0, then --jobs 1
+            cpu = aggregate["meta"]["cpu_seconds"]
+            assert set(cpu) == {"parent", "workers"}
+            assert all(isinstance(seconds, float) and seconds >= 0.0
+                       for seconds in cpu.values())
 
 
 class TestSuiteWalls:

@@ -305,6 +305,19 @@ class TestScheduler:
         assert row["status"] == "timeout"
         assert row["timeout_phase"] == "run"
 
+    def test_full_pool_does_not_spin_the_scheduler(self):
+        # Three of the four cells wait while the one worker sleeps.  The
+        # scheduler thread must block until the worker replies, not poll
+        # the queue; CPU time, unlike wall time, is immune to host load.
+        request = {"callable": "serve_jobs:sleep_forever",
+                   "grid": [{"sleep": 0.25}] * 4}
+        with SweepScheduler(store=None, workers=1) as sched:
+            sid = sched.submit(request)
+            start = time.process_time()
+            assert sched.wait(sid, timeout=WAIT)
+            used = time.process_time() - start
+        assert used < 0.2, f"scheduler used {used:.3f} s of CPU"
+
     def test_failed_cells_surface_as_rows(self, tmp_path):
         request = {"callable": "serve_jobs:fail_on_three",
                    "grid": [{"x": 1}, {"x": 3}], "retries": 1}
@@ -376,6 +389,60 @@ class TestScheduler:
             assert sched.wait(simulated, timeout=WAIT)
             assert (sched.table_text(predicted)
                     == sched.table_text(simulated))
+
+
+class TestWaitHorizon:
+    """What the scheduler thread's wait may block for: ``None`` means
+    until a pipe is ready (a worker reply or a ``submit``)."""
+
+    NOW = 100.0
+
+    @pytest.fixture
+    def pool(self):
+        # Never started: the test drives the thread's state by hand.
+        sched = SweepScheduler(store=None, workers=1)
+        sid = sched.submit(_request([{"x": 1}, {"x": 2}]))
+        sched._intake_pass(self.NOW)
+        yield sched, sched.get(sid)
+        sched.close()
+
+    @staticmethod
+    def _busy_worker(sched, deadline=None):
+        from repro.serve.scheduler import _Assignment, _Worker
+
+        assignment = _Assignment(sweep_id="sw0000", index=0, attempt=0,
+                                 key=None, started=0.0, deadline=deadline)
+        sched._workers[1] = _Worker(wid=1, process=None, conn=None,
+                                    busy=assignment)
+        return sched._workers[1]
+
+    def test_full_pool_with_ready_cells_blocks(self, pool):
+        sched, sweep = pool
+        self._busy_worker(sched)
+        assert len(sweep.queue) == 2
+        assert sched._wait_timeout(self.NOW) is None
+
+    def test_free_slot_with_ready_cells_does_not_block(self, pool):
+        sched, _sweep = pool
+        assert sched._wait_timeout(self.NOW) == 0.0   # no worker yet
+        self._busy_worker(sched).busy = None          # an idle one
+        assert sched._wait_timeout(self.NOW) == 0.0
+
+    def test_requeued_cell_wakes_when_it_matures(self, pool):
+        sched, sweep = pool
+        self._busy_worker(sched)
+        while sweep.queue.pop(self.NOW) is not None:
+            pass
+        sweep.queue.push((0, 1, None), not_before=self.NOW + 0.4)
+        assert sched._wait_timeout(self.NOW) == pytest.approx(0.4)
+
+    def test_busy_worker_wakes_at_its_deadline(self, pool):
+        sched, sweep = pool
+        self._busy_worker(sched, deadline=self.NOW + 2.5)
+        assert sched._wait_timeout(self.NOW) == pytest.approx(2.5)
+        while sweep.queue.pop(self.NOW) is not None:
+            pass
+        assert sched._wait_timeout(self.NOW) == pytest.approx(2.5)
 
 
 class TestSharedStore:
@@ -506,6 +573,53 @@ def test_sigterm_stops_the_server_and_its_pool():
             proc.kill()
             proc.wait()
         proc.stderr.close()
+
+
+POOL_OWNER = """
+import sys
+from repro.serve import SweepScheduler
+
+sched = SweepScheduler(store=None, workers=2).start()
+sid = sched.submit({"callable": "serve_jobs:square",
+                    "grid": [{"x": 1}, {"x": 2}]})
+assert sched.wait(sid, timeout=60)
+print(*sorted(w.process.pid for w in sched._workers.values()), flush=True)
+sys.stdin.read()  # until killed, or until the test's end of the pipe goes
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to find the pool's pids")
+def test_pool_workers_exit_when_their_scheduler_is_killed():
+    # SIGKILL skips every shutdown path: the workers must see EOF on
+    # their pipes, so no process may still hold the scheduler's ends.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    proc = subprocess.Popen([sys.executable, "-c", POOL_OWNER], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True)
+    workers = []
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+        assert ready, "pool owner never printed its worker pids"
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(workers) == 2
+        assert all(map(_alive, workers))
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------
