@@ -89,8 +89,3 @@ CLAIMS = {"e01_latency_tolerance": {
         _at(rows, 50)["dataflow slowdown"] < _at(rows, 50)["vN slowdown"] / 3
         and _at(rows, 50)["dataflow slowdown"] < 2.5),
 }}
-
-
-def run_experiment():
-    experiment = SWEEPS["e01_latency_tolerance"]
-    return experiment.table(experiment.run_inline())

@@ -24,7 +24,7 @@ sum of producer-alone and consumer-alone times on the same machine
 
 from repro.analysis import Table
 from repro.dataflow import MachineConfig, TaggedTokenMachine
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.vonneumann import VNMachine, programs
 from repro.workloads import compile_workload
 
@@ -132,7 +132,19 @@ def _compile_single(which):
     return compile_source(source, entry="main"), None, None
 
 
-def run_experiment():
+#: Each discipline's machine and run function, in table order.
+RUNS = {WHOLE: ("von Neumann", run_whole_array),
+        HEP: ("von Neumann", run_per_element),
+        ISTRUCTURE: ("tagged-token", run_istructure)}
+
+
+def run_point(config):
+    """One discipline's pipeline: [time, overlap factor, retries]."""
+    _, run = RUNS[config["discipline"]]
+    return list(run(N))
+
+
+def _assemble(experiment, values):
     table = Table(
         "E2  Synchronization granularity on a producer/consumer array "
         "(paper §1.1 Issue 2, §2.3)",
@@ -143,13 +155,18 @@ def run_experiment():
             f"array of {N} elements",
         ],
     )
-    t, overlap, retries = run_whole_array(N)
-    table.add_row(WHOLE, "von Neumann", t, overlap, retries)
-    t, overlap, retries = run_per_element(N)
-    table.add_row(HEP, "von Neumann", t, overlap, retries)
-    t, overlap, retries = run_istructure(N)
-    table.add_row(ISTRUCTURE, "tagged-token", t, overlap, retries)
+    for config, (time, overlap, retries) in zip(experiment.grid, values):
+        discipline = config["discipline"]
+        table.add_row(discipline, RUNS[discipline][0], time, overlap, retries)
     return table
+
+
+SWEEPS = {"e02_sync_granularity": Experiment(
+    name="e02_sync_granularity",
+    run=run_point,
+    grid=[{"discipline": discipline} for discipline in RUNS],
+    assemble=_assemble,
+)}
 
 
 _at = row_at("discipline")

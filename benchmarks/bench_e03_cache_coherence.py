@@ -16,7 +16,7 @@ Two measurements on the snoopy-bus machine:
 """
 
 from repro.analysis import Table
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.vonneumann import CacheConfig, VNMachine, programs
 
 PROCS = (1, 2, 4, 8, 16)
@@ -48,37 +48,25 @@ done:
 """
 
 
-def run_scaling(proc_counts, sharing, iterations=24,
-                write_policy="write_back"):
-    rows = []
-    base_time = None
-    for n_procs in proc_counts:
-        machine = VNMachine(n_procs, memory="bus",
-                            cache_config=CacheConfig(line_words=4),
-                            memory_time=10, bus_time=2,
-                            write_policy=write_policy)
-        for pid in range(n_procs):
-            if sharing:
-                source = programs.shared_counter_spinlock(0, 1, iterations)
-            else:
-                source = _private_kernel(pid, iterations)
-            machine.add_processor(source, regs={1: pid})
-        result = machine.run()
-        if base_time is None:
-            base_time = result.time
-        rows.append(
-            {
-                "n": n_procs,
-                "time": result.time,
-                "throughput": n_procs * base_time / result.time,
-                "invalidations": machine.memory.counters["invalidations"],
-                "bus_util": machine.memory.bus_utilization(),
-            }
-        )
-    return rows
+def run_point(config, iterations=24):
+    """One (pattern, processor count) run on the snoopy bus:
+    [time, invalidations, bus utilization]."""
+    n_procs = config["procs"]
+    machine = VNMachine(n_procs, memory="bus",
+                        cache_config=CacheConfig(line_words=4),
+                        memory_time=10, bus_time=2)
+    for pid in range(n_procs):
+        if config["pattern"] == "shared":
+            source = programs.shared_counter_spinlock(0, 1, iterations)
+        else:
+            source = _private_kernel(pid, iterations)
+        machine.add_processor(source, regs={1: pid})
+    result = machine.run()
+    return [result.time, machine.memory.counters["invalidations"],
+            machine.memory.bus_utilization()]
 
 
-def run_experiment():
+def _assemble(experiment, values):
     table = Table(
         "E3  Cache coherence overhead under scaling (paper §1.1)",
         ["procs", "pattern", "time", "relative throughput", "invalidations",
@@ -88,54 +76,83 @@ def run_experiment():
             "private pattern: disjoint lines; shared: one lock + one counter",
         ],
     )
-    for row in run_scaling(PROCS, sharing=False):
-        table.add_row(row["n"], "private", row["time"], row["throughput"],
-                      row["invalidations"], row["bus_util"])
-    for row in run_scaling(PROCS, sharing=True):
-        table.add_row(row["n"], "shared", row["time"], row["throughput"],
-                      row["invalidations"], row["bus_util"])
+    base_time = {}
+    for config, (time, invalidations, bus_util) in zip(experiment.grid,
+                                                      values):
+        n_procs, pattern = config["procs"], config["pattern"]
+        base = base_time.setdefault(pattern, time)
+        table.add_row(n_procs, pattern, time, n_procs * base / time,
+                      invalidations, bus_util)
     return table
 
 
-def write_policy_table(n_procs=4, iterations=24):
+#: Processors per write-policy run, and stores each one makes.
+POLICY_PROCS = 4
+POLICY_STORES = 24
+
+
+def run_policy_point(config):
     """"Store-through ... does not completely solve the problem either"
     (§1.1): every store becomes a bus transaction, and invalidations are
-    still required."""
+    still required.  One policy's run: [time, store bus transactions,
+    invalidations, bus utilization]."""
+    machine = VNMachine(POLICY_PROCS, memory="bus",
+                        cache_config=CacheConfig(line_words=4),
+                        memory_time=10, bus_time=2,
+                        write_policy=config["policy"])
+    for pid in range(POLICY_PROCS):
+        machine.add_processor(f"""
+            movi r2, {pid}
+            movi r3, {POLICY_STORES}
+        loop:
+            beqz r3, done
+            store r3, r2, 0
+            subi r3, r3, 1
+            jmp loop
+        done:
+            halt
+        """, regs={1: pid})
+    result = machine.run()
+    counters = machine.memory.counters
+    store_traffic = (
+        counters.get("bus_write_through")
+        + counters.get("bus_write_miss")
+        + counters.get("bus_upgrade")
+    )
+    return [result.time, store_traffic, counters.get("invalidations"),
+            machine.memory.bus_utilization()]
+
+
+def _assemble_policy(experiment, values):
     table = Table(
         "E3b  Write-back vs write-through under a store-heavy kernel "
         "(paper §1.1)",
         ["policy", "time", "store bus transactions", "invalidations",
          "bus utilization"],
-        notes=[f"{n_procs} processors, each storing {iterations}x into its "
-               "own word of one shared line region"],
+        notes=[f"{POLICY_PROCS} processors, each storing {POLICY_STORES}x "
+               "into its own word of one shared line region"],
     )
-    for policy in ("write_back", "write_through"):
-        machine = VNMachine(n_procs, memory="bus",
-                            cache_config=CacheConfig(line_words=4),
-                            memory_time=10, bus_time=2, write_policy=policy)
-        for pid in range(n_procs):
-            machine.add_processor(f"""
-                movi r2, {pid}
-                movi r3, {iterations}
-            loop:
-                beqz r3, done
-                store r3, r2, 0
-                subi r3, r3, 1
-                jmp loop
-            done:
-                halt
-            """, regs={1: pid})
-        result = machine.run()
-        counters = machine.memory.counters
-        store_traffic = (
-            counters.get("bus_write_through")
-            + counters.get("bus_write_miss")
-            + counters.get("bus_upgrade")
-        )
-        table.add_row(policy, result.time, store_traffic,
-                      counters.get("invalidations"),
-                      machine.memory.bus_utilization())
+    for config, row in zip(experiment.grid, values):
+        table.add_row(config["policy"], *row)
     return table
+
+
+SWEEPS = {
+    "e03_cache_coherence": Experiment(
+        name="e03_cache_coherence",
+        run=run_point,
+        grid=[{"pattern": pattern, "procs": n_procs}
+              for pattern in ("private", "shared") for n_procs in PROCS],
+        assemble=_assemble,
+    ),
+    "e03b_write_policy": Experiment(
+        name="e03b_write_policy",
+        run=run_policy_point,
+        grid=[{"policy": policy}
+              for policy in ("write_back", "write_through")],
+        assemble=_assemble_policy,
+    ),
+}
 
 
 _at = row_at("procs", "pattern")

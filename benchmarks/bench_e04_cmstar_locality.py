@@ -76,8 +76,3 @@ CLAIMS = {"e04_cmstar_locality": {
     "remote_mix_cripples": lambda rows: _at(
         rows, 0.35)["util (inter-cluster)"] < 0.45,
 }}
-
-
-def run_experiment():
-    experiment = SWEEPS["e04_cmstar_locality"]
-    return experiment.table(experiment.run_inline())

@@ -72,11 +72,6 @@ def build_sweep(stage_counts=STAGES):
 SWEEPS = {"e05_fetch_and_add": build_sweep()}
 
 
-def run_experiment(stage_counts=STAGES):
-    experiment = build_sweep(stage_counts)
-    return experiment.table(experiment.run_inline())
-
-
 _at = row_at("n procs", "combining")
 
 

@@ -14,12 +14,14 @@ answered once, so traffic per element is constant regardless of timing.
 
 from repro.analysis import Table
 from repro.dataflow import Interpreter
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.lang import compile_source
 from repro.vonneumann import VNMachine, programs
 
 #: Producer slowness sweep: filler ALU ops per element produced.
 SLOWNESS = [0, 8, 32, 96]
+#: Array length of the producer/consumer pipeline.
+N = 16
 
 _DATAFLOW_PIPELINE = """
 def produce(a, n, w) =
@@ -70,23 +72,39 @@ def run_istructure(n, producer_work):
     return deferred, requests_per_element
 
 
-def run_experiment(n=16):
+def run_point(config):
+    """Both machines at one producer slowness: [HEP retries, HEP
+    requests/element, I-structure deferrals, I-structure
+    requests/element]."""
+    work = config["work"]
+    _, retries, hep_reqs = run_hep(N, work)
+    deferred, is_reqs = run_istructure(N, work)
+    return [retries, hep_reqs, deferred, is_reqs]
+
+
+def _assemble(experiment, values):
     table = Table(
         "E6  Busy-waiting (HEP full/empty) vs I-structure deferred reads "
         "(paper footnote 2, §2.1)",
         ["producer work/elem", "HEP retries", "HEP mem reqs/elem",
          "I-structure deferrals", "I-structure mem reqs/elem"],
         notes=[
-            f"{n}-element array; consumer does no per-element work",
+            f"{N}-element array; consumer does no per-element work",
             "HEP requests grow with producer slowness; I-structure requests "
             "stay at exactly (1 read + 1 write)/element",
         ],
     )
-    for work in SLOWNESS:
-        _, retries, hep_reqs = run_hep(n, work)
-        deferred, is_reqs = run_istructure(n, work)
-        table.add_row(work, retries, hep_reqs, deferred, is_reqs)
+    for config, row in zip(experiment.grid, values):
+        table.add_row(config["work"], *row)
     return table
+
+
+SWEEPS = {"e06_busywait_vs_istructure": Experiment(
+    name="e06_busywait_vs_istructure",
+    run=run_point,
+    grid=[{"work": work} for work in SLOWNESS],
+    assemble=_assemble,
+)}
 
 
 _at = row_at("producer work/elem")

@@ -85,8 +85,3 @@ CLAIMS = {"e07_trapezoid": {
         _at(rows, 64)["avg parallelism"] > _at(rows, 4)["avg parallelism"]
         and _at(rows, 64)["avg parallelism"] > 2.0),
 }}
-
-
-def run_experiment():
-    experiment = SWEEPS["e07_trapezoid"]
-    return experiment.table(experiment.run_inline())

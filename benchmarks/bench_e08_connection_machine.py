@@ -13,11 +13,32 @@ friendly nearest-neighbour pattern, and a 32x faster ALU, barely move it.
 """
 
 from repro.analysis import Table
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.machines import IlliacIV, registry
 
 
-def run_experiment(rounds=6):
+#: SIMD rounds per Connection Machine run.
+ROUNDS = 6
+#: Each Illiac IV transfer pattern, as (dx, dy) requests of the 64 PEs.
+TRANSFERS = {
+    "all east by 1": [(0, 1)] * 64,
+    "half east, half west": [(0, 1)] * 32 + [(0, -1)] * 32,
+    "one corner-to-corner (7,7)": [(0, 0)] * 63 + [(7, 7)],
+}
+
+
+def run_point(config):
+    """One (pattern, ALU width) run: [groups, comm fraction, max link
+    load, mean hops]."""
+    model = registry.create("connection_machine", groups_log2=10,
+                            word_bits=config["word_bits"])
+    result = model.run_graph_workload(rounds=ROUNDS,
+                                      pattern=config["pattern"])
+    return [model.cm_config.n_groups, result.comm_fraction,
+            result.max_link_load, result.mean_hops]
+
+
+def _assemble(experiment, values):
     table = Table(
         "E8  Connection Machine: fraction of time spent communicating "
         "(paper §1.2.5)",
@@ -28,32 +49,44 @@ def run_experiment(rounds=6):
             "the paper's estimate: 'almost all (90%?, 99%?) of its time'",
         ],
     )
-    for pattern in ("neighbor", "random"):
-        for word_bits in (32, 1):
-            model = registry.create("connection_machine",
-                                    groups_log2=10,
-                                    word_bits=word_bits)
-            result = model.run_graph_workload(rounds=rounds, pattern=pattern)
-            table.add_row(pattern, word_bits, model.cm_config.n_groups,
-                          result.comm_fraction, result.max_link_load,
-                          result.mean_hops)
+    for config, row in zip(experiment.grid, values):
+        table.add_row(config["pattern"], config["word_bits"], *row)
     return table
 
 
-def illiac_table():
-    model = IlliacIV()
+def run_illiac_point(config):
+    """Shift instructions one transfer pattern needs."""
+    return IlliacIV().shifts_needed(TRANSFERS[config["pattern"]])
+
+
+def _assemble_illiac(experiment, values):
     table = Table(
         "E8b  Illiac IV: uniform-shift serialization (paper §1.2.5)",
         ["transfer pattern", "shift instructions"],
         notes=["one instruction moves every processor one step in one "
                "direction; everyone waits for the farthest request"],
     )
-    table.add_row("all east by 1", model.shifts_needed([(0, 1)] * 64))
-    table.add_row("half east, half west",
-                  model.shifts_needed([(0, 1)] * 32 + [(0, -1)] * 32))
-    table.add_row("one corner-to-corner (7,7)",
-                  model.shifts_needed([(0, 0)] * 63 + [(7, 7)]))
+    for config, shifts in zip(experiment.grid, values):
+        table.add_row(config["pattern"], shifts)
     return table
+
+
+SWEEPS = {
+    "e08_connection_machine": Experiment(
+        name="e08_connection_machine",
+        run=run_point,
+        grid=[{"pattern": pattern, "word_bits": word_bits}
+              for pattern in ("neighbor", "random")
+              for word_bits in (32, 1)],
+        assemble=_assemble,
+    ),
+    "e08b_illiac_iv": Experiment(
+        name="e08b_illiac_iv",
+        run=run_illiac_point,
+        grid=[{"pattern": pattern} for pattern in TRANSFERS],
+        assemble=_assemble_illiac,
+    ),
+}
 
 
 _comm = row_at("pattern", "ALU bits/op")

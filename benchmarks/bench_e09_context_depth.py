@@ -13,14 +13,18 @@ no *fixed*-context processor survives scaling.
 """
 
 from repro.analysis import Table, contexts_needed
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.vonneumann import VNMachine, programs
 
 LATENCIES = [2, 5, 10, 20, 40]
 CONTEXTS = [1, 2, 4, 8, 16, 32]
 
 
-def run_point(n_contexts, latency, iterations=12):
+#: Utilization a context count must reach to count as "needed".
+TARGET = 0.9
+
+
+def utilization(n_contexts, latency, iterations=12):
     machine = VNMachine(1, memory="dancehall", latency=latency, memory_time=1)
     source = programs.compute_loop(iterations, loads_per_iter=1,
                                    alu_ops_per_iter=1)
@@ -31,7 +35,13 @@ def run_point(n_contexts, latency, iterations=12):
     return machine.processors[0].utilization()
 
 
-def run_experiment(target=0.9):
+def run_point(config):
+    """Pipeline utilization at one latency, one value per K in
+    ``CONTEXTS``."""
+    return [utilization(k, config["latency"]) for k in CONTEXTS]
+
+
+def _assemble(experiment, values):
     table = Table(
         "E9  Hardware contexts needed to cover memory latency "
         "(paper §1.1, Issue 1)",
@@ -39,20 +49,28 @@ def run_experiment(target=0.9):
         + ["K needed (measured)", "K needed (model)"],
         notes=[
             f"cell = pipeline utilization; 'needed' = smallest K with "
-            f"utilization >= {target}",
+            f"utilization >= {TARGET}",
             "kernel: 1 load + ~4 other cycles per iteration",
         ],
     )
-    for latency in LATENCIES:
-        utils = [run_point(k, latency) for k in CONTEXTS]
+    for config, utils in zip(experiment.grid, values):
+        latency = config["latency"]
         measured = next(
-            (k for k, u in zip(CONTEXTS, utils) if u >= target), None
+            (k for k, u in zip(CONTEXTS, utils) if u >= TARGET), None
         )
-        model = contexts_needed(5, 2 * latency + 1, target)
+        model = contexts_needed(5, 2 * latency + 1, TARGET)
         table.add_row(latency, *utils,
                       measured if measured is not None else f">{CONTEXTS[-1]}",
                       model)
     return table
+
+
+SWEEPS = {"e09_context_depth": Experiment(
+    name="e09_context_depth",
+    run=run_point,
+    grid=[{"latency": latency} for latency in LATENCIES],
+    assemble=_assemble,
+)}
 
 
 _at = row_at("latency")

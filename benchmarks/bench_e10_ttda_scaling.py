@@ -88,16 +88,6 @@ SWEEPS = {
 }
 
 
-def run_experiment():
-    experiment = SWEEPS["e10_ttda_scaling"]
-    return experiment.table(experiment.run_inline())
-
-
-def mapping_ablation():
-    experiment = SWEEPS["e10b_mapping_ablation"]
-    return experiment.table(experiment.run_inline())
-
-
 _speedup = row_at("workload", "PEs")
 
 

@@ -14,7 +14,7 @@ Microbenchmarks against one timed I-structure controller:
 
 from repro.analysis import Table
 from repro.common import Simulator
-from repro.exp import one_row
+from repro.exp import Experiment, one_row
 from repro.istructure import IStructureController, ReadRequest, WriteRequest
 
 
@@ -68,7 +68,15 @@ def adversarial_deferral(n=64, readers_per_cell=3):
     }
 
 
-def run_experiment():
+def run_point(config):
+    """One microbenchmark: a stream's cycles/op, or the adversarial
+    pattern's statistics."""
+    if config["measurement"] == "adversarial":
+        return adversarial_deferral()
+    return stream_cost(config["measurement"])
+
+
+def _assemble(experiment, values):
     table = Table(
         "E11  I-structure storage cost model (paper §2.1)",
         ["measurement", "value"],
@@ -77,13 +85,11 @@ def run_experiment():
             "adversarial pattern: 3 reads of every cell arrive before its write",
         ],
     )
-    read_cost = stream_cost("read")
-    write_cost = stream_cost("write")
+    read_cost, write_cost, stats = values
     table.add_row("read cycles/op (paper: 1x plain memory)", read_cost)
     table.add_row("write cycles/op (paper: 2x, presence-bit prefetch)",
                   write_cost)
     table.add_row("write/read cost ratio", write_cost / read_cost)
-    stats = adversarial_deferral()
     table.add_row("adversarial: deferred reads", stats["deferred"])
     table.add_row("adversarial: immediate reads", stats["immediate"])
     table.add_row("adversarial: mean deferred-list length", stats["mean_list"])
@@ -91,6 +97,15 @@ def run_experiment():
     table.add_row("adversarial: every reader answered",
                   stats["every_reader_answered"])
     return table
+
+
+SWEEPS = {"e11_istructure_cost": Experiment(
+    name="e11_istructure_cost",
+    run=run_point,
+    grid=[{"measurement": measurement}
+          for measurement in ("read", "write", "adversarial")],
+    assemble=_assemble,
+)}
 
 
 def _value(rows, measurement):

@@ -10,44 +10,63 @@ peak occupancy.
 
 from repro.analysis import Table
 from repro.dataflow import MachineConfig, TaggedTokenMachine
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.workloads import compile_workload
 
+#: PEs of every E12 run.
+N_PES = 4
 
-def run_point(workload, args, n_pes=4):
-    program, _, _ = compile_workload(workload)
-    machine = TaggedTokenMachine(program, MachineConfig(n_pes=n_pes))
-    result = machine.run(*args)
+
+def run_point(config):
+    """One matmul run: [instructions, time, mean waiting tokens, peak
+    waiting tokens on one PE, tokens parked]."""
+    program, _, _ = compile_workload("matmul")
+    machine = TaggedTokenMachine(program, MachineConfig(n_pes=config["n_pes"]))
+    result = machine.run(config["n"])
     mean_occ, peak_occ = machine.matching_store_occupancy()
-    return result, mean_occ, peak_occ
+    return [result.instructions, result.time, mean_occ, peak_occ,
+            result.counters.get("tokens_parked", 0)]
 
 
-def run_experiment(n_pes=4):
+def _assemble(experiment, values):
     table = Table(
         "E12  Waiting-matching store occupancy vs exposed parallelism "
         "(paper §2.2.3)",
         ["matmul n", "instructions", "time", "mean waiting tokens",
          "peak waiting tokens", "tokens parked"],
-        notes=[f"{n_pes} PEs; occupancy summed over the machine"],
+        notes=[f"{N_PES} PEs; occupancy summed over the machine"],
     )
-    for n in (3, 4, 5, 6):
-        result, mean_occ, peak_occ = run_point("matmul", (n,), n_pes)
-        table.add_row(n, result.instructions, result.time, mean_occ, peak_occ,
-                      result.counters.get("tokens_parked", 0))
+    for config, row in zip(experiment.grid, values):
+        table.add_row(config["n"], *row)
     return table
 
 
-def pe_sweep():
+def _assemble_pes(experiment, values):
     table = Table(
         "E12b  Occupancy concentration vs PE count",
         ["PEs", "mean waiting tokens (machine)", "peak waiting tokens (one PE)"],
         notes=["total exposed parallelism is a program property; per-PE "
                "associative stores share the load as PEs are added"],
     )
-    for n_pes in (1, 2, 4, 8):
-        _, mean_occ, peak_occ = run_point("matmul", (5,), n_pes)
-        table.add_row(n_pes, mean_occ, peak_occ)
+    for config, (_, _, mean_occ, peak_occ, _) in zip(experiment.grid, values):
+        table.add_row(config["n_pes"], mean_occ, peak_occ)
     return table
+
+
+SWEEPS = {
+    "e12_matching_store": Experiment(
+        name="e12_matching_store",
+        run=run_point,
+        grid=[{"n": n, "n_pes": N_PES} for n in (3, 4, 5, 6)],
+        assemble=_assemble,
+    ),
+    "e12b_matching_store_pes": Experiment(
+        name="e12b_matching_store_pes",
+        run=run_point,
+        grid=[{"n": 5, "n_pes": n_pes} for n_pes in (1, 2, 4, 8)],
+        assemble=_assemble_pes,
+    ),
+}
 
 
 _size = row_at("matmul n")

@@ -91,16 +91,6 @@ SWEEPS = {
 }
 
 
-def run_experiment():
-    experiment = SWEEPS["e13_cmmp_crossbar"]
-    return experiment.table(experiment.run_inline())
-
-
-def semaphore_table():
-    experiment = SWEEPS["e13b_semaphore_cost"]
-    return experiment.table(experiment.run_inline())
-
-
 _at = row_at("ports")
 
 #: The paper's claims, read off the tables (2 against 32 ports).

@@ -21,7 +21,7 @@ import random
 
 from repro.analysis import Table
 from repro.common import Simulator
-from repro.exp import one_row
+from repro.exp import Experiment, one_row
 from repro.network import (
     HypercubeNetwork,
     build_shortest_path_table,
@@ -99,26 +99,61 @@ def partition_run(dimensions=4, per_partition_messages=24, seed=3):
     return len(received), blocked
 
 
-def run_experiment():
+#: Failed links of each fault-tolerance run.
+FAILURES = [0, 4, 10]
+
+
+def run_point(config):
+    """One demonstration's numbers: the embeddings' max hops per
+    emulated edge, a fault run's [sent, delivered, mean detour], or the
+    partitioned run's [delivered, blocked]."""
+    demonstration = config["demonstration"]
+    if demonstration == "embeddings":
+        return [max(hops) for hops in embedding_stats()]
+    if demonstration == "faults":
+        return list(fault_tolerance_run(config["failures"]))
+    return list(partition_run())
+
+
+def _assemble(experiment, values):
     table = Table(
         "E15  Emulation facility: hypercube routing tables, faults, "
         "partitions (paper §3)",
         ["demonstration", "result"],
         notes=["7-cube embeddings; fault runs on a 5-cube for speed"],
     )
-    ring_hops, grid_hops = embedding_stats()
-    table.add_row("ring embedding: max hops per emulated edge", max(ring_hops))
-    table.add_row("grid embedding: max hops per emulated edge", max(grid_hops))
-    for failures in (0, 4, 10):
-        sent, delivered, extra = fault_tolerance_run(failures)
-        table.add_row(
-            f"{failures} failed links: delivered/sent",
-            f"{delivered}/{sent} (mean detour {extra:.2f} hops)",
-        )
-    delivered, blocked = partition_run()
-    table.add_row("partitioned halves: intra-partition delivered", delivered)
-    table.add_row("partitioned halves: cross-partition sends blocked", blocked)
+    for config, value in zip(experiment.grid, values):
+        demonstration = config["demonstration"]
+        if demonstration == "embeddings":
+            ring_max, grid_max = value
+            table.add_row("ring embedding: max hops per emulated edge",
+                          ring_max)
+            table.add_row("grid embedding: max hops per emulated edge",
+                          grid_max)
+        elif demonstration == "faults":
+            sent, delivered, extra = value
+            table.add_row(
+                f"{config['failures']} failed links: delivered/sent",
+                f"{delivered}/{sent} (mean detour {extra:.2f} hops)",
+            )
+        else:
+            delivered, blocked = value
+            table.add_row("partitioned halves: intra-partition delivered",
+                          delivered)
+            table.add_row("partitioned halves: cross-partition sends blocked",
+                          blocked)
     return table
+
+
+SWEEPS = {"e15_emulation_facility": Experiment(
+    name="e15_emulation_facility",
+    run=run_point,
+    grid=([{"demonstration": "embeddings"}]
+          + [{"demonstration": "faults", "failures": failures}
+             for failures in FAILURES]
+          + [{"demonstration": "partition"}]),
+    assemble=_assemble,
+)}
 
 
 def _result(rows, demonstration):

@@ -14,7 +14,7 @@ dataflow" viewed from the cost side; it keeps the reproduction honest.
 
 from repro.analysis import Table
 from repro.dataflow import Interpreter
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.workloads import WORKLOADS, compile_workload
 
 
@@ -31,7 +31,12 @@ def instruction_mix(name):
     return total, classes
 
 
-def run_experiment():
+def run_point(config):
+    """One workload's mix: [instructions executed, {class: count}]."""
+    return list(instruction_mix(config["workload"]))
+
+
+def _assemble(experiment, values):
     table = Table(
         "E16  Dynamic instruction mix: the overhead of dataflow sequencing",
         ["workload", "total", "pure %", "control %", "tag %", "linkage %",
@@ -43,17 +48,24 @@ def run_experiment():
             "overhead too: branches, address arithmetic)",
         ],
     )
-    for name in sorted(WORKLOADS):
-        total, classes = instruction_mix(name)
+    for config, (total, classes) in zip(experiment.grid, values):
         def pct(key):
             return 100.0 * classes.get(key, 0) / total
 
         table.add_row(
-            name, total, pct("pure"), pct("control"), pct("tag"),
-            pct("linkage"), pct("structure"),
+            config["workload"], total, pct("pure"), pct("control"),
+            pct("tag"), pct("linkage"), pct("structure"),
             classes.get("pure", 0) / total,
         )
     return table
+
+
+SWEEPS = {"e16_dataflow_overhead": Experiment(
+    name="e16_dataflow_overhead",
+    run=run_point,
+    grid=[{"workload": name} for name in sorted(WORKLOADS)],
+    assemble=_assemble,
+)}
 
 
 _mix = row_at("workload")

@@ -12,7 +12,7 @@ actually needs for a given workload.
 
 from repro.analysis import Table
 from repro.dataflow import MachineConfig, TaggedTokenMachine
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.workloads import compile_workload
 
 CAPACITIES = [None, 128, 64, 32, 16, 8, 4]
@@ -22,17 +22,20 @@ N_PES = 4
 PENALTY = 16.0
 
 
-def run_point(capacity):
+def run_point(config):
+    """matmul at one per-PE capacity (``None`` = unbounded): [time,
+    overflow probes, peak waiting tokens on one PE]."""
     program, reference, _ = compile_workload("matmul")
-    config = MachineConfig(n_pes=N_PES, wm_capacity=capacity,
-                           wm_overflow_penalty=PENALTY)
-    machine = TaggedTokenMachine(program, config)
+    machine = TaggedTokenMachine(program, MachineConfig(
+        n_pes=N_PES, wm_capacity=config["capacity"],
+        wm_overflow_penalty=PENALTY))
     result = machine.run(N)
     assert result.value == reference(N)
-    return result, machine
+    _, peak = machine.matching_store_occupancy()
+    return [result.time, result.counters.get("wm_overflows", 0), peak]
 
 
-def run_experiment():
+def _assemble(experiment, values):
     table = Table(
         "E17  Finite waiting-matching store: capacity ablation "
         "(paper §2.2.3)",
@@ -44,18 +47,22 @@ def run_experiment():
             f"matmul n={N} on {N_PES} PEs; penalty 16 cycles",
         ],
     )
-    base_time = None
-    for capacity in CAPACITIES:
-        result, machine = run_point(capacity)
-        if base_time is None:
-            base_time = result.time
-        _, peak = machine.matching_store_occupancy()
+    base_time = values[0][0]
+    for config, (time, overflows, peak) in zip(experiment.grid, values):
+        capacity = config["capacity"]
         table.add_row(
             "unbounded" if capacity is None else capacity,
-            result.time, result.time / base_time,
-            result.counters.get("wm_overflows", 0), peak,
+            time, time / base_time, overflows, peak,
         )
     return table
+
+
+SWEEPS = {"e17_wm_capacity": Experiment(
+    name="e17_wm_capacity",
+    run=run_point,
+    grid=[{"capacity": capacity} for capacity in CAPACITIES],
+    assemble=_assemble,
+)}
 
 
 _at = row_at("capacity/PE")

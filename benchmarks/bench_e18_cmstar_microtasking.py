@@ -16,36 +16,51 @@ Kmaps/intercluster bus instead.
 """
 
 from repro.analysis import Table
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.machines import registry
 
 FRACTIONS = [0.0, 0.1, 0.2, 0.35, 0.5]
 CONTEXTS = [1, 2, 4, 8]
 
 
-def run_experiment(n_clusters=2, cluster_size=2, n_refs=40):
+#: Machine shape and references per computer module of every run.
+N_CLUSTERS = 2
+CLUSTER_SIZE = 2
+N_REFS = 40
+
+
+def run_point(config):
+    """Utilization at one remote fraction, one value per K in
+    ``CONTEXTS``."""
+    model = registry.create("cmstar", n_clusters=N_CLUSTERS,
+                            cluster_size=CLUSTER_SIZE)
+    return [model.run(remote_fraction=config["remote_fraction"],
+                      n_refs=N_REFS, remote_kind="intercluster",
+                      contexts=k).metric("utilization")
+            for k in CONTEXTS]
+
+
+def _assemble(experiment, values):
     table = Table(
         "E18  Cm* with micro-tasking processors (the §1.2.2 speculation)",
         ["remote fraction"] + [f"util K={k}" for k in CONTEXTS],
         notes=[
-            f"{n_clusters} clusters x {cluster_size} modules, "
+            f"{N_CLUSTERS} clusters x {CLUSTER_SIZE} modules, "
             "inter-cluster victims",
             "K = hardware contexts per computer module (K=1 is the real Cm*)",
         ],
     )
-    model = registry.create("cmstar", n_clusters=n_clusters,
-                            cluster_size=cluster_size)
-    columns = []
-    for k in CONTEXTS:
-        columns.append([
-            model.run(remote_fraction=fraction, n_refs=n_refs,
-                      remote_kind="intercluster",
-                      contexts=k).metric("utilization")
-            for fraction in FRACTIONS
-        ])
-    for i, fraction in enumerate(FRACTIONS):
-        table.add_row(fraction, *[col[i] for col in columns])
+    for config, utils in zip(experiment.grid, values):
+        table.add_row(config["remote_fraction"], *utils)
     return table
+
+
+SWEEPS = {"e18_cmstar_microtasking": Experiment(
+    name="e18_cmstar_microtasking",
+    run=run_point,
+    grid=[{"remote_fraction": fraction} for fraction in FRACTIONS],
+    assemble=_assemble,
+)}
 
 
 _at = row_at("remote fraction")

@@ -22,7 +22,7 @@ processor cannot extract parallelism from a tree.
 
 from repro.analysis import Table, crossover_point
 from repro.dataflow import MachineConfig, TaggedTokenMachine
-from repro.exp import row_at
+from repro.exp import Experiment, row_at
 from repro.lang import compile_source
 from repro.vonneumann import run_sequential
 
@@ -129,14 +129,29 @@ def run_dataflow(source, latency, n, n_pes=8):
     return result.time
 
 
-def run_experiment(n=32, n_pes=8):
+#: Array length and dataflow PE count of every run.
+N = 32
+N_PES = 8
+
+
+def run_point(config):
+    """All four runs at one latency: [vN hand, vN compiled, df serial,
+    df tree] times."""
+    latency = config["latency"]
+    return [run_von_neumann_hand(latency, N),
+            run_von_neumann_compiled(latency, N),
+            run_dataflow(_SERIAL_SOURCE, latency, N, N_PES),
+            run_dataflow(_TREE_SOURCE, latency, N, N_PES)]
+
+
+def _assemble(experiment, values):
     table = Table(
         "E19  Head-to-head: stalling uniprocessor vs tagged-token machine, "
         "serial chain vs tree reduction",
         ["latency", "vN hand", "vN compiled", "df serial", "df tree",
          "tree wins"],
         notes=[
-            f"sum of squares of a {n}-element array; {n_pes} dataflow PEs",
+            f"sum of squares of a {N}-element array; {N_PES} dataflow PEs",
             "same cycle units: 1-cycle functional units and memories",
             "'vN hand' = hand-tuned assembly; 'vN compiled' = the same Id "
             "source through the sequential backend",
@@ -144,11 +159,9 @@ def run_experiment(n=32, n_pes=8):
     )
     hand_series = []
     tree_series = []
-    for latency in LATENCIES:
-        hand_time = run_von_neumann_hand(latency, n)
-        compiled_time = run_von_neumann_compiled(latency, n)
-        serial_time = run_dataflow(_SERIAL_SOURCE, latency, n, n_pes)
-        tree_time = run_dataflow(_TREE_SOURCE, latency, n, n_pes)
+    for config, times in zip(experiment.grid, values):
+        latency = config["latency"]
+        hand_time, compiled_time, serial_time, tree_time = times
         hand_series.append((latency, tree_time))
         tree_series.append((latency, hand_time))
         table.add_row(latency, hand_time, compiled_time, serial_time,
@@ -165,6 +178,14 @@ def run_experiment(n=32, n_pes=8):
         "(the paper's §2.3 caveat)"
     )
     return table
+
+
+SWEEPS = {"e19_crossover": Experiment(
+    name="e19_crossover",
+    run=run_point,
+    grid=[{"latency": latency} for latency in LATENCIES],
+    assemble=_assemble,
+)}
 
 
 _at = row_at("latency")

@@ -117,11 +117,6 @@ def build_sweep():
 SWEEPS = {"e20_fault_tolerance": build_sweep()}
 
 
-def run_experiment():
-    experiment = build_sweep()
-    return experiment.table(experiment.run_inline())
-
-
 def _slowdowns(rows, machine):
     return [one_row(rows, {"slow cycles": level})[f"{machine} slowdown"]
             for level in (0, 64, 256)]

@@ -71,11 +71,6 @@ SWEEPS = {"e21_predict": Experiment(
 )}
 
 
-def run_experiment():
-    experiment = SWEEPS["e21_predict"]
-    return experiment.table(experiment.run_inline())
-
-
 #: The paper's claims, read off the table.
 CLAIMS = {"e21_predict": {
     # Every fitted machine's surrogate answers within its error bounds.

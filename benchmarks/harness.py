@@ -1,10 +1,9 @@
 """Shared plumbing for the experiment benchmarks.
 
-Every experiment module exposes ``run_experiment() -> Table`` (or a
-small set of named runners), and the parallel-sweep ones additionally
-declare ``SWEEPS = {table_name: repro.exp.Experiment}`` so ``repro
-bench`` / ``run_all.py`` can fan their grids out across workers.  Every
-module declares ``CLAIMS = {table_name: {claim_name: predicate}}``: the
+Every experiment module declares ``SWEEPS = {table_name:
+repro.exp.Experiment}``, one grid of pure cells per table, so ``repro
+bench`` can fan the cells out across workers and cache each one.  Every
+module also declares ``CLAIMS = {table_name: {claim_name: predicate}}``: the
 *shape* of the result the paper states — who wins, by roughly what
 factor, where the crossover falls — as predicates over the table's rows
 (:mod:`repro.exp.claims`), mirroring the claim-by-claim records in

@@ -12,11 +12,12 @@ import os
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
 
-from bench_e01_latency_tolerance import run_experiment  # noqa: E402
+from bench_e01_latency_tolerance import SWEEPS  # noqa: E402
 
 
 def main():
-    print(run_experiment())
+    experiment = SWEEPS["e01_latency_tolerance"]
+    print(experiment.table(experiment.run_inline()))
     print()
     print("Reading the table:")
     print(" * 'vN util' falls as r/(r+L): the processor idles on every")

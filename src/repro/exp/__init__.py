@@ -17,7 +17,7 @@ of a parallelism paper being itself embarrassingly sequential:
 * :mod:`repro.exp.claims` — the paper's claims as predicates over a
   table's rows, checked on every ``repro bench`` run;
 * :mod:`repro.exp.bench` — the benchmark-suite orchestration behind
-  ``repro bench`` and ``benchmarks/run_all.py``.
+  ``repro bench``.
 
 Progress and telemetry stream through the existing :mod:`repro.obs` bus
 (event kinds ``sweep_begin`` / ``sweep_task`` / ``sweep_end``).
@@ -28,7 +28,7 @@ from .cache import code_fingerprint, invalidate_fingerprints
 from .claims import one_row, row_at
 from .engine import RunRecord, TaskQueue, records_payload, run_experiment
 from .experiment import Experiment, grid
-from .tables import parse_cell, payload_to_table, table_to_payload
+from .tables import parse_cell
 
 __all__ = [
     "Experiment",
@@ -39,9 +39,7 @@ __all__ = [
     "invalidate_fingerprints",
     "one_row",
     "parse_cell",
-    "payload_to_table",
     "records_payload",
     "row_at",
     "run_experiment",
-    "table_to_payload",
 ]

@@ -1,24 +1,23 @@
-"""Benchmark-suite orchestration: the engine behind ``repro bench`` and
-``benchmarks/run_all.py``.
+"""Benchmark-suite orchestration: the engine behind ``repro bench``.
 
-The suite definition (which modules, which table-producing functions)
-lives in ``benchmarks/run_all.py`` as the ``EXPERIMENTS`` list, walked
-only by :func:`suite_tables`.  A bench module may additionally publish
-``SWEEPS = {table_name: Experiment}``; those tables are executed
-*grid-parallel* — one task per grid point — while the rest run as
-single-config experiments (the whole table in one task).  The module's
-``CLAIMS`` (:mod:`repro.exp.claims`) are evaluated in this process once
-a table is assembled, by :func:`table_entry`.  With ``jobs >= 1`` every
-selected table is submitted up front to
-one :class:`~repro.serve.scheduler.SweepScheduler` pool, so cells of
-later experiments keep workers busy that a single-cell experiment would
-leave idle; ``jobs=0`` runs them one after another inline.  Either way
-results are read from and written to the SQLite store
+The suite definition lives in ``benchmarks/run_all.py`` as the
+``EXPERIMENTS`` list of ``(module, [table, ...])``, walked only by
+:func:`suite_tables`.  Every table is an entry of its module's
+``SWEEPS = {table: Experiment}``: a grid of pure cells, one per table
+row or parameter point, and an assembler that builds the table from
+their values.  The suite schedules, caches and retries those cells one
+by one.  The module's ``CLAIMS`` (:mod:`repro.exp.claims`) are
+evaluated in this process once a table is assembled, by
+:func:`table_entry`.  With ``jobs >= 1`` every selected table is
+submitted up front to one :class:`~repro.serve.scheduler.SweepScheduler`
+pool, so cells of later tables keep workers busy that an earlier table
+would leave idle; ``jobs=0`` runs the tables one after another inline.
+Either way results are read from and written to the SQLite store
 (:mod:`repro.serve.store`) that ``repro serve`` and ``repro cache`` use.
 
-Results land exactly where the serial runner put them: a ``.txt`` +
-``.json`` pair per table under ``benchmarks/results/`` and the aggregate
-``BENCH_results.json`` at the repository root.
+Each table is written as a ``.txt`` + ``.json`` pair under
+``benchmarks/results/``, and the aggregate ``BENCH_results.json`` at
+the repository root.
 """
 
 import importlib
@@ -30,8 +29,7 @@ import time
 from .cache import invalidate_fingerprints
 from .claims import evaluate_claims
 from .engine import host_cpus, run_experiment
-from .experiment import Experiment
-from .tables import payload_to_table, table_rows, table_to_payload
+from .tables import table_rows
 
 __all__ = ["build_experiment", "find_bench_dir", "host_cpus", "run_suite",
            "suite_tables", "table_entry", "wall_text", "write_aggregate"]
@@ -65,28 +63,17 @@ def find_bench_dir(start=None):
     )
 
 
-def _run_legacy_table(config):
-    """Worker body for an un-ported benchmark: import the module, call
-    its table function, ship the rendered table back as a payload."""
-    bench_dir = os.environ.get("REPRO_BENCH_DIR")
-    if bench_dir and bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    module = importlib.import_module(config["module"])
-    table = getattr(module, config["fn"])()
-    return table_to_payload(table)
-
-
 def suite_tables(bench_dir, only=None):
-    """Yield ``(module_name, fn_name, table_name)`` for every table of
-    the suite registry (``run_all.EXPERIMENTS`` in ``bench_dir``) whose
-    module or table name contains ``only``."""
+    """Yield ``(module_name, table_name)`` for every table of the suite
+    registry (``run_all.EXPERIMENTS`` in ``bench_dir``) whose module or
+    table name contains ``only``."""
     if bench_dir not in sys.path:
         sys.path.insert(0, bench_dir)
     run_all = importlib.import_module("run_all")
-    for module_name, runners in run_all.EXPERIMENTS:
-        for fn_name, table_name in runners:
+    for module_name, tables in run_all.EXPERIMENTS:
+        for table_name in tables:
             if only is None or only in module_name or only in table_name:
-                yield module_name, fn_name, table_name
+                yield module_name, table_name
 
 
 def table_entry(module_name, out_name, table, wall, counts, err,
@@ -115,35 +102,23 @@ def table_entry(module_name, out_name, table, wall, counts, err,
     }
 
 
-def build_experiment(module, fn_name, out_name):
-    """The Experiment for one table of an imported bench ``module``: the
-    module's declared sweep when it has one, a single-config legacy
-    wrapper otherwise.  Returns ``(experiment, is_sweep)``.  Public so
-    the sweep service (:mod:`repro.serve`) resolves requests through the
-    exact machinery ``repro bench`` uses."""
-    sweeps = getattr(module, "SWEEPS", None)
-    module_file = getattr(module, "__file__", None)
-    code_paths = [module_file] if module_file else []
-    if sweeps and out_name in sweeps:
-        experiment = sweeps[out_name]
-        if not experiment.code_paths:
-            experiment.code_paths = code_paths
-        return experiment, True
-    return Experiment(
-        name=out_name,
-        run=_run_legacy_table,
-        grid=[{"module": module.__name__, "fn": fn_name}],
-        title=out_name,
-        assemble=lambda exp, values: payload_to_table(values[0]),
-        code_paths=code_paths,
-    ), False
+def build_experiment(module, out_name):
+    """The Experiment for one table of an imported bench ``module``: its
+    ``SWEEPS`` entry, with the module's file hashed into its cells'
+    cache keys.  Public so the sweep service (:mod:`repro.serve`)
+    resolves requests through the exact machinery ``repro bench``
+    uses."""
+    experiment = module.SWEEPS[out_name]
+    if not experiment.code_paths:
+        experiment.code_paths = [module.__file__]
+    return experiment
 
 
 def _run_inline(selected, store, bus):
     """``--jobs 0``: each experiment in turn, inline in this process."""
-    for module_name, fn_name, out_name in selected:
-        experiment, _ = build_experiment(
-            importlib.import_module(module_name), fn_name, out_name)
+    for module_name, out_name in selected:
+        experiment = build_experiment(importlib.import_module(module_name),
+                                      out_name)
         start = time.time()
         records = run_experiment(experiment, jobs=0, cache=store, bus=bus)
         wall = time.time() - start
@@ -165,10 +140,9 @@ def _run_pooled(selected, bench_dir, jobs, store, timeout, bus, faults):
         # its first import of the module.
         sweep_ids = [pool.submit({"experiment": out_name,
                                   "bench_dir": bench_dir, "faults": faults})
-                     for _module, _fn, out_name in selected]
+                     for _module, out_name in selected]
         pool.start()
-        for (module_name, _fn, out_name), sweep_id in zip(selected,
-                                                           sweep_ids):
+        for (module_name, out_name), sweep_id in zip(selected, sweep_ids):
             pool.wait(sweep_id)
             sweep = pool.get(sweep_id)
             records = [sweep.records[index] for index in range(sweep.cells)]

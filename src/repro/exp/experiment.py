@@ -44,13 +44,11 @@ class Experiment:
     name: str
     run: Callable[[Dict[str, Any]], Any]
     grid: List[Dict[str, Any]]
-    title: Optional[str] = None
     #: (experiment, values in grid order) -> Table (or any report object).
     assemble: Optional[Callable] = None
     #: Extra files/directories hashed into the cache key alongside the
     #: repro package (e.g. the benchmark module declaring the sweep).
     code_paths: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.grid:
@@ -59,9 +57,8 @@ class Experiment:
     def run_inline(self):
         """Run the grid serially in-process; returns values in grid order.
 
-        The engine-free path: a bench module's ``run_experiment()`` and
-        the examples use it; ``repro bench`` runs the same grid through
-        the engine.
+        The engine-free path: the examples and the cell surrogate's fit
+        use it; ``repro bench`` runs the same grid through the engine.
         """
         return [self.run(config) for config in self.grid]
 

@@ -1,5 +1,5 @@
-"""Table <-> JSON payload conversion shared by the sweep engine and the
-benchmark harness.
+"""A rendered table's cells back as values, for the telemetry JSON and
+the paper's claims.
 
 A :class:`~repro.analysis.report.Table` renders cells as formatted
 strings; the telemetry JSON wants the numbers back.  :func:`parse_cell`
@@ -19,7 +19,7 @@ merely look numeric.
 
 import math
 
-__all__ = ["parse_cell", "payload_to_table", "table_to_payload"]
+__all__ = ["parse_cell", "table_rows"]
 
 
 def _cast_number(text):
@@ -60,33 +60,3 @@ def table_rows(table):
             entry[column] = parse_cell(cell)
         rows.append(entry)
     return rows
-
-
-def table_to_payload(table):
-    """A JSON-able description of a rendered table.
-
-    ``cells`` keeps the exact formatted strings (so the table can be
-    rebuilt byte-identically); ``data`` carries the parsed values for
-    plotting without re-parsing.
-    """
-    return {
-        "title": table.title,
-        "columns": list(table.columns),
-        "notes": list(table.notes),
-        "cells": [list(row) for row in table.rows],
-        "data": table_rows(table),
-    }
-
-
-def payload_to_table(payload):
-    """Rebuild a Table from :func:`table_to_payload` output."""
-    from ..analysis.report import Table
-
-    table = Table(payload["title"], payload["columns"],
-                  notes=payload.get("notes"))
-    for row in payload.get("cells", []):
-        # The cells are already formatted; bypass add_row's re-formatting.
-        if len(row) != len(table.columns):
-            raise ValueError("payload row width does not match columns")
-        table.rows.append([str(cell) for cell in row])
-    return table

@@ -66,16 +66,10 @@ def resolve_benchmark(name, bench_dir=None):
     ``run_all.EXPERIMENTS`` table name (the path ``repro bench`` uses)."""
     from ..exp.bench import build_experiment, find_bench_dir, suite_tables
 
-    for module_name, fn_name, out_name in suite_tables(
-            find_bench_dir(bench_dir)):
+    for module_name, out_name in suite_tables(find_bench_dir(bench_dir)):
         if out_name == name:
-            module = importlib.import_module(module_name)
-            experiment, is_sweep = build_experiment(module, fn_name, out_name)
-            if not is_sweep:
-                raise ValueError(
-                    f"experiment {name!r} is not a sweep — no grid "
-                    "axis to fit a cell surrogate over")
-            return experiment
+            return build_experiment(importlib.import_module(module_name),
+                                    out_name)
     raise ValueError(f"no benchmark table named {name!r} in run_all")
 
 

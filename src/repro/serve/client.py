@@ -200,7 +200,7 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
     failures = []
     cells = {"cold": 0, "cached": 0}
     suite_start = time.time()
-    for module_name, fn_name, out_name in selected:
+    for module_name, out_name in selected:
         request = {"experiment": out_name}
         if faults:
             request["faults"] = faults
@@ -235,7 +235,7 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
         # Assemble locally through the experiment's own table builder;
         # values came over the wire, the layout is ours.
         module = importlib.import_module(module_name)
-        experiment, _is_sweep = build_experiment(module, fn_name, out_name)
+        experiment = build_experiment(module, out_name)
         table = experiment.table([r["value"] for r in records])
         cached = status.get("cached", 0)
         cells["cold"] += len(records) - cached

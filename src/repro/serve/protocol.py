@@ -66,8 +66,8 @@ class SweepRequest:
     experiment: Optional[str] = None
     #: ``"package.module:function"`` run function for inline sweeps.
     callable: Optional[str] = None
-    #: Inline config dicts; replaces the declared grid when present
-    #: (sweep-style experiments only), required with ``callable``.
+    #: Inline config dicts; replaces the declared grid when present,
+    #: required with ``callable``.
     grid: Optional[List[Dict[str, Any]]] = None
     #: A FaultPlan dict (machine-level fields + ``worker_crash_rate``).
     faults: Optional[Dict[str, Any]] = None
@@ -214,7 +214,7 @@ def resolve_experiment(spec, grid=None, plan=None):
     imported under a *different* plan is reloaded so fault-aware grids
     (e20) rebuild against the new environment — the long-running-server
     equivalent of ``repro bench`` exporting the plan before import.
-    ``grid`` replaces the declared grid (sweep experiments only).
+    ``grid`` replaces the declared grid.
     """
     _apply_plan_env(plan)
     plan_json = json.dumps(plan, sort_keys=True) if plan else None
@@ -229,7 +229,7 @@ def resolve_experiment(spec, grid=None, plan=None):
     name = spec.get("experiment")
     bench_dir = find_bench_dir(spec.get("bench_dir"))
     os.environ["REPRO_BENCH_DIR"] = bench_dir
-    for module_name, fn_name, out_name in suite_tables(bench_dir):
+    for module_name, out_name in suite_tables(bench_dir):
         if out_name != name:
             continue
         already = module_name in sys.modules
@@ -237,19 +237,13 @@ def resolve_experiment(spec, grid=None, plan=None):
         if already and _MODULE_PLAN.get(module_name) != plan_json:
             module = importlib.reload(module)
         _MODULE_PLAN[module_name] = plan_json
-        experiment, is_sweep = build_experiment(module, fn_name, out_name)
+        experiment = build_experiment(module, out_name)
         if grid is not None:
-            if not is_sweep:
-                raise ProtocolError(
-                    f"experiment {name!r} is a legacy whole-table "
-                    "run; it does not accept an inline grid")
             experiment = Experiment(
                 name=experiment.name, run=experiment.run,
                 grid=[dict(config) for config in grid],
-                title=experiment.title,
                 assemble=experiment.assemble,
                 code_paths=list(experiment.code_paths),
-                notes=list(experiment.notes),
             )
         return experiment
     raise ProtocolError(

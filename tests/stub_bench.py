@@ -23,18 +23,28 @@ def write_table(table, name, meta=None):
         fh.write(str(table))
 '''
 
-#: A single-cell (whole-table) bench module whose table sleeps first.
+#: A bench module declaring a one-cell sweep whose cell sleeps first.
 SLOW_TABLE = '''\
 import time
 
 from repro.analysis import Table
+from repro.exp import Experiment
 
 
-def table():
-    time.sleep({sleep})
+def run_cell(config):
+    time.sleep(config["sleep"])
+    return 1
+
+
+def _assemble(experiment, values):
     t = Table({name!r}, ["x"])
-    t.add_row(1)
+    t.add_row(*values)
     return t
+
+
+SWEEPS = {{{name!r}: Experiment(name={name!r}, run=run_cell,
+                                grid=[{{"sleep": {sleep}}}],
+                                assemble=_assemble)}}
 '''
 
 #: A bench module declaring a six-cell sweep, ``stub_grid``.
@@ -64,7 +74,7 @@ SWEEPS = {"stub_grid": Experiment(name="stub_grid", run=run_cell,
 
 
 def slow_table(name, sleep):
-    """Source of a single-cell bench module for table ``name``."""
+    """Source of a one-cell bench module for table ``name``."""
     return SLOW_TABLE.format(name=name, sleep=sleep)
 
 
@@ -72,12 +82,12 @@ def slow_table(name, sleep):
 def stub_bench(tmp_path, monkeypatch, modules):
     """A stub ``<tmp_path>/benchmarks``; yields its path.
 
-    ``modules`` maps a module name to ``(source, [(fn, table), ...])``,
-    the module's entry in ``run_all.EXPERIMENTS``.
+    ``modules`` maps a module name to ``(source, [table, ...])``, the
+    module's entry in ``run_all.EXPERIMENTS``.
     """
     root = tmp_path / "benchmarks"
     root.mkdir()
-    experiments = [(name, runners) for name, (_, runners) in modules.items()]
+    experiments = [(name, tables) for name, (_, tables) in modules.items()]
     (root / "run_all.py").write_text(f"EXPERIMENTS = {experiments!r}\n")
     (root / "harness.py").write_text(HARNESS)
     for name, (source, _) in modules.items():

@@ -9,16 +9,16 @@ import os
 
 import pytest
 
+from repro.analysis import Table
 from repro.cli import main
 from repro.exp.bench import suite_tables, table_entry
 from repro.exp.claims import evaluate_claims
-from repro.exp.tables import payload_to_table
 from repro.obs.analysis import check_suite
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks")
 BASELINES = os.path.join(BENCH_DIR, "baselines")
-TABLES = {table: module for module, _fn, table in suite_tables(BENCH_DIR)}
+TABLES = {table: module for module, table in suite_tables(BENCH_DIR)}
 E01 = "e01_latency_tolerance"
 
 
@@ -53,9 +53,9 @@ def test_swapped_slowdowns_fail_a_named_claim():
     columns, rows = _baseline(E01)
     swap = {"vN slowdown": "dataflow slowdown",
             "dataflow slowdown": "vN slowdown"}
-    table = payload_to_table({"title": "E1", "columns": columns, "cells": [
-        [str(row[swap.get(column, column)]) for column in columns]
-        for row in rows]})
+    table = Table("E1", columns)
+    for row in rows:
+        table.add_row(*(row[swap.get(column, column)] for column in columns))
     err = io.StringIO()
     entry = table_entry(TABLES[E01], E01, table, None, {}, err)
     assert entry["claims"]["vn_slows_down"] is not True
@@ -84,7 +84,7 @@ def test_cli_check_exits_1_on_a_failed_claim(tmp_path, monkeypatch, faults,
     from stub_bench import slow_table, stub_bench
 
     modules = {"bench_claimed": (slow_table("claimed", 0) + CLAIMS,
-                                 [("table", "claimed")])}
+                                 ["claimed"])}
     check_out = tmp_path / "check.json"
     argv = ["bench", "--jobs", "0", "--no-cache", "--check",
             "--baseline-dir", str(tmp_path / "baselines"),

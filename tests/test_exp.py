@@ -13,10 +13,8 @@ from repro.exp import (
     grid,
     invalidate_fingerprints,
     parse_cell,
-    payload_to_table,
     records_payload,
     run_experiment,
-    table_to_payload,
 )
 from repro.exp.cache import config_key
 from repro.machines import registry
@@ -260,18 +258,6 @@ class TestParseCell:
     def test_non_numeric_cells_stay_strings(self, cell):
         assert parse_cell(cell) == cell.strip()
 
-    def test_table_payload_round_trip(self):
-        from repro.analysis import Table
-        table = Table("T", ["a", "b"], notes=["n"])
-        table.add_row(1, float("nan"))
-        table.add_row(float("inf"), "label")
-        payload = table_to_payload(table)
-        assert payload["data"][0]["a"] == 1
-        rebuilt = payload_to_table(payload)
-        assert rebuilt.rows == table.rows
-        assert rebuilt.columns == table.columns
-        assert rebuilt.notes == table.notes
-
 
 class TestTaskQueue:
     def test_fifo_and_front(self):
@@ -322,6 +308,24 @@ class TestTimeoutPhase:
         assert "timeout_phase" not in record.payload()
 
 
+def test_every_suite_table_is_a_sweep():
+    """Every table of the suite registry is its module's ``SWEEPS``
+    entry: an assembler and a non-empty grid of configs that survive
+    JSON unchanged (the store and the pool ship them as JSON).  Imports
+    the bench modules only; no cell runs."""
+    import importlib
+
+    from repro.exp.bench import find_bench_dir, suite_tables
+
+    tables = list(suite_tables(find_bench_dir()))
+    assert len(tables) == 27
+    for module_name, table in tables:
+        experiment = importlib.import_module(module_name).SWEEPS[table]
+        assert experiment.name == table
+        assert experiment.assemble is not None and experiment.grid
+        assert json.loads(json.dumps(experiment.grid)) == experiment.grid
+
+
 class TestSuiteStore:
     def test_run_suite_defaults_to_the_shared_store(self, monkeypatch,
                                                      tmp_path):
@@ -333,7 +337,7 @@ class TestSuiteStore:
 
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         modules = {"bench_tiny": (slow_table("tiny", 0.0),
-                                  [("table", "tiny")])}
+                                  ["tiny"])}
         with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
             first = run_suite(jobs=0, bench_dir=bench_dir,
                               err=io.StringIO())
@@ -362,8 +366,8 @@ class TestSuiteWalls:
         from stub_bench import GRID, slow_table, stub_bench
 
         modules = {"bench_tiny": (slow_table("tiny", 0.0),
-                                  [("table", "tiny")]),
-                   "bench_grid": (GRID, [("table", "stub_grid")])}
+                                  ["tiny"]),
+                   "bench_grid": (GRID, ["stub_grid"])}
         store = str(tmp_path / "store")
         with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
             cold = run_suite(jobs=0, bench_dir=bench_dir, cache_dir=store,
@@ -397,7 +401,7 @@ class TestSuitePool:
         from stub_bench import slow_table, stub_bench
 
         modules = {f"bench_s{i}": (slow_table(f"s{i}", sleep),
-                                   [("table", f"s{i}")])
+                                   [f"s{i}"])
                    for i, sleep in enumerate(sleeps)}
         with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
             aggregate = run_suite(jobs=jobs, no_cache=True,
@@ -457,7 +461,7 @@ class TestDefaultJobs:
         from stub_bench import slow_table, stub_bench
 
         modules = {"bench_tiny": (slow_table("tiny", 0.0),
-                                  [("table", "tiny")])}
+                                  ["tiny"])}
         with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
             aggregate = run_suite(no_cache=True, bench_dir=bench_dir,
                                   err=io.StringIO())

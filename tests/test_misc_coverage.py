@@ -80,15 +80,18 @@ class TestExperimentDeterminism:
     def test_e05_table_is_identical_across_runs(self):
         import sys
         sys.path.insert(0, "benchmarks")
-        from bench_e05_fetch_and_add import run_experiment
+        from bench_e05_fetch_and_add import build_sweep
 
-        first = str(run_experiment([2, 4]))
-        second = str(run_experiment([2, 4]))
+        experiment = build_sweep([2, 4])
+        first = str(experiment.table(experiment.run_inline()))
+        second = str(experiment.table(experiment.run_inline()))
         assert first == second
 
     def test_e11_table_is_identical_across_runs(self):
         import sys
         sys.path.insert(0, "benchmarks")
-        from bench_e11_istructure_cost import run_experiment
+        from bench_e11_istructure_cost import SWEEPS
 
-        assert str(run_experiment()) == str(run_experiment())
+        experiment = SWEEPS["e11_istructure_cost"]
+        assert (str(experiment.table(experiment.run_inline()))
+                == str(experiment.table(experiment.run_inline())))

@@ -23,7 +23,8 @@ from repro.serve import (
     open_store,
 )
 from repro.obs import KINDS
-from repro.serve.protocol import key_config, machine_plan, scheduling_plan
+from repro.serve.protocol import (key_config, machine_plan,
+                                  resolve_experiment, scheduling_plan)
 from repro.serve.store import default_store_path
 
 WAIT = 120.0  # generous per-sweep ceiling; sweeps finish in seconds
@@ -161,6 +162,18 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="predict"):
             SweepRequest.from_dict(
                 {"experiment": "e07_trapezoid", "predict": 1})
+
+    def test_inline_grid_overrides_any_table(self, monkeypatch):
+        """An inline ``grid`` replaces the declared grid of any suite
+        table, and the table's own assembler builds the result."""
+        bench_dir = str(Path(__file__).resolve().parent.parent
+                        / "benchmarks")
+        monkeypatch.setenv("REPRO_BENCH_DIR", bench_dir)
+        experiment = resolve_experiment({"experiment": "e09_context_depth"},
+                                        grid=[{"latency": 10}])
+        assert experiment.grid == [{"latency": 10}]
+        table = experiment.table(experiment.run_inline())
+        assert [row[0] for row in table.rows] == ["10"]
 
     def test_worker_crash_rate_is_scheduling_only(self):
         faults = {"worker_crash_rate": 0.5, "seed": 3,
@@ -453,7 +466,7 @@ class TestSharedStore:
         from stub_bench import GRID, stub_bench
 
         store_dir = str(tmp_path / "store")
-        modules = {"bench_grid": (GRID, [("table", "stub_grid")])}
+        modules = {"bench_grid": (GRID, ["stub_grid"])}
         store = open_store(store_dir)
         with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
             with SweepScheduler(store=store, workers=1,
@@ -485,8 +498,8 @@ class TestRemoteSuiteWalls:
         from stub_bench import GRID, slow_table, stub_bench
 
         modules = {"bench_tiny": (slow_table("tiny", 0.0),
-                                  [("table", "tiny")]),
-                   "bench_grid": (GRID, [("table", "stub_grid")])}
+                                  ["tiny"]),
+                   "bench_grid": (GRID, ["stub_grid"])}
         store = str(tmp_path / "store.sqlite")
         with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
             with ServerThread(store_path=store, workers=2,
