@@ -244,11 +244,6 @@ def build_parser():
                         help="retry budget per cell")
     submit.add_argument("--label", default=None,
                         help="free-form label echoed in sweep listings")
-    submit.add_argument("--predict", action="store_true",
-                        help="answer in-region cells from the analytic "
-                             "surrogate (repro.predict) instead of the "
-                             "worker pool; out-of-region cells fall "
-                             "back to workers")
     submit.add_argument("--detach", action="store_true",
                         help="print the sweep id and exit without "
                              "waiting")
@@ -348,8 +343,9 @@ def build_parser():
                          help="workload=NAME plus knob overrides, e.g. "
                               "workload=matmul n_pes=8 network_latency=20")
     predict.add_argument("--fit", action="store_true",
-                         help="(re)fit the surrogates from simulation and "
-                              "write the artifacts, then exit")
+                         help="(re)fit the machine surrogates from "
+                              "simulation and write the artifacts, then "
+                              "exit")
     predict.add_argument("--validate", action="store_true",
                          help="sweep fit-vs-simulation error over the "
                               "fitted grids; nonzero exit when the "
@@ -808,8 +804,6 @@ def _submit_request(options):
         request["retries"] = options.retries
     if options.label:
         request["label"] = options.label
-    if options.predict:
-        request["predict"] = True
     return request
 
 
@@ -1005,8 +999,6 @@ def _cmd_top(options, out):
                       f"{_metric(parsed, 'cell_timeouts_total'):g} "
                       f"timeouts{rate}", file=out)
                 print(f"  predict: "
-                      f"{_metric(parsed, 'predict_cells_total'):g} "
-                      "cell(s) from surrogate, "
                       f"{_metric(parsed, 'predict_requests_total'):g} "
                       "queries "
                       f"({_metric(parsed, 'predict_out_of_region_total'):g} "
@@ -1131,10 +1123,9 @@ def _cmd_machine(options, out):
 
 def _cmd_predict(options, out):
     """Query / fit / validate the analytic surrogate (repro.predict)."""
-    from .predict import (CELL_EXPERIMENTS, OutOfRegionError, PredictError,
-                          PredictPlane, default_fits_dir, fit_cells,
-                          fit_machine, fitted_machines, resolve_benchmark,
-                          validate_all, write_cells, write_fit)
+    from .predict import (OutOfRegionError, PredictError, PredictPlane,
+                          default_fits_dir, fit_machine, fitted_machines,
+                          validate_all, write_fit)
 
     fits_dir = options.fits_dir or default_fits_dir()
 
@@ -1145,10 +1136,6 @@ def _cmd_predict(options, out):
         for machine in machines:
             paths.append(write_fit(fit_machine(machine), fits_dir))
             print(f"  fit: {machine} -> {paths[-1]}", file=sys.stderr)
-        for name in CELL_EXPERIMENTS:
-            paths.append(write_cells(fit_cells(resolve_benchmark(name)),
-                                     fits_dir))
-            print(f"  fit: {name} (cells) -> {paths[-1]}", file=sys.stderr)
         if options.json:
             print(json.dumps({"written": paths}, indent=2, sort_keys=True),
                   file=out)

@@ -114,13 +114,16 @@ def build_experiment(module, out_name):
     return experiment
 
 
-def _run_inline(selected, store, bus):
-    """``--jobs 0``: each experiment in turn, inline in this process."""
+def _run_inline(selected, store, bus, plan):
+    """``--jobs 0``: each experiment in turn, inline in this process,
+    its cells keyed under the machine-level fault ``plan`` as the pool
+    keys them."""
     for module_name, out_name in selected:
         experiment = build_experiment(importlib.import_module(module_name),
                                       out_name)
         start = time.time()
-        records = run_experiment(experiment, jobs=0, cache=store, bus=bus)
+        records = run_experiment(experiment, jobs=0, cache=store, bus=bus,
+                                 plan=plan)
         wall = time.time() - start
         yield module_name, out_name, experiment, records, wall
 
@@ -226,7 +229,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     cells = {"cold": 0, "cached": 0}
     suite_start = time.time()
     cpu_start = _cpu_seconds()
-    outcomes = (_run_inline(selected, store, bus)
+    outcomes = (_run_inline(selected, store, bus, plan)
                 if jobs == 0 else
                 _run_pooled(selected, bench_dir, jobs, store, timeout, bus,
                             faults))

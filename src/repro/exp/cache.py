@@ -19,7 +19,8 @@ import hashlib
 import json
 import os
 
-__all__ = ["code_fingerprint", "config_key", "invalidate_fingerprints"]
+__all__ = ["code_fingerprint", "config_key", "invalidate_fingerprints",
+           "key_config"]
 
 
 def _iter_source_files(path):
@@ -69,6 +70,17 @@ def repro_fingerprint():
     """Fingerprint of the repro package source itself."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return code_fingerprint(package_root)
+
+
+def key_config(config, plan):
+    """The config dict a cell is cache-keyed by: the run config itself,
+    wrapped with the machine-level fault plan when one is active (the
+    plan changes the value, so it must change the key).  The inline
+    path and the sweep scheduler both key through it, so either answers
+    the other's cells."""
+    if plan is None:
+        return config
+    return {"__faults__": plan, "config": config}
 
 
 def config_key(experiment_name, config, code_version):

@@ -31,7 +31,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .cache import config_key, repro_fingerprint
+from .cache import config_key, key_config, repro_fingerprint
 
 __all__ = ["RunRecord", "TaskQueue", "experiment_code_version",
            "host_cpus", "records_payload", "run_experiment"]
@@ -76,10 +76,6 @@ class RunRecord:
     #: post-mortems need no re-run.  Omitted from :meth:`payload` when
     #: absent, keeping successful rows byte-identical to older runs.
     flight: Optional[list] = None
-    #: The cell was answered by the analytic surrogate
-    #: (:mod:`repro.predict`) instead of a simulation run.  Only present
-    #: in :meth:`payload` when True — simulated rows stay byte-identical.
-    predicted: bool = False
 
     @property
     def ok(self):
@@ -101,8 +97,6 @@ class RunRecord:
             out["timeout_phase"] = self.timeout_phase
         if self.flight is not None:
             out["flight"] = self.flight
-        if self.predicted:
-            out["predicted"] = True
         if include_timing:
             out["wall_seconds"] = round(self.wall_seconds, 3)
         return out
@@ -256,7 +250,7 @@ def _run_on_pool(experiment, pending, jobs, timeout, retries):
 
 
 def run_experiment(experiment, jobs=None, cache=None, timeout=None,
-                   retries=DEFAULT_RETRIES, bus=None):
+                   retries=DEFAULT_RETRIES, bus=None, plan=None):
     """Execute every config in ``experiment.grid``; returns RunRecords
     in grid order.
 
@@ -266,8 +260,11 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     import + run); an expired worker is terminated and the run retried
     up to ``retries`` more times before a ``timeout`` record is written.
     ``cache``: a store with the :class:`~repro.serve.store.SqliteStore`
-    ``get``/``put`` interface; hits skip execution entirely.  ``bus``: a
-    :class:`repro.obs.TraceBus` for progress telemetry.
+    ``get``/``put`` interface; hits skip execution entirely.  ``plan``:
+    the machine-level fault plan the grid was built under, which keys
+    the cells as the sweep scheduler keys them (:func:`~repro.exp.cache.
+    key_config`).  ``bus``: a :class:`repro.obs.TraceBus` for progress
+    telemetry.
     """
     if jobs is None:
         jobs = host_cpus()
@@ -281,8 +278,9 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     def finish(record):
         records[record.index] = record
         if record.ok and not record.cached and cache is not None:
-            cache.put(experiment.name, record.cache_key, record.config,
-                      code_version, record.value)
+            cache.put(experiment.name, record.cache_key,
+                      key_config(record.config, plan), code_version,
+                      record.value)
         fields = dict(index=record.index, status=record.status,
                       attempts=record.attempts, cached=record.cached,
                       wall=round(record.wall_seconds, 4))
@@ -298,7 +296,8 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     for index, config in enumerate(experiment.grid):
         key = None
         if cache is not None:
-            key = config_key(experiment.name, config, code_version)
+            key = config_key(experiment.name, key_config(config, plan),
+                             code_version)
             found, value = cache.get(experiment.name, key)
             if found:
                 finish(RunRecord(index=index, config=config, value=value,

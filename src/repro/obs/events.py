@@ -64,8 +64,6 @@ KINDS = (
                           # experiment, cells)
     "serve_store_hit",    # a cell was answered from the durable store
                           # (fields: sweep, index)
-    "serve_predict_hit",  # a cell was answered by the analytic surrogate
-                          # (repro.predict; fields: sweep, index)
     "serve_assign",       # a cell was handed to a worker (fields: sweep,
                           # index, worker, attempt)
     "serve_requeue",      # an in-flight cell went back on the queue

@@ -3,14 +3,11 @@
 An Amdahl/queueing surrogate per (machine, workload), fitted by
 non-negative least squares from the profiler's cycle-accounting buckets
 over the committed e01/e07/e10 experiment grids, persisted as canonical
-JSON artifacts under ``benchmarks/fits/``, and served three ways:
+JSON artifacts under ``benchmarks/fits/``, and served two ways:
 
 * ``repro predict <machine> key=val ...`` — one config query answered
   in microseconds from the fit (refusing out-of-region queries);
-* ``POST /predict`` on ``repro serve`` — the same query over HTTP;
-* ``"predict": true`` sweep mode — in-region grid cells answered from
-  the experiment-cell surrogates (:mod:`.cells`) instead of the worker
-  pool.
+* ``POST /predict`` on ``repro serve`` — the same query over HTTP.
 
 See ``docs/PREDICT.md`` for the model form, fit procedure, and the
 measured error bounds.
@@ -18,9 +15,6 @@ measured error bounds.
 
 from .artifacts import (available_machines, default_fits_dir, fit_machine,
                         fit_path, load_fit, render, write_fit)
-from .cells import (CELL_EXPERIMENTS, CELL_TOLERANCE_ABS,
-                    CELL_TOLERANCE_REL, CellSurrogate, cells_path,
-                    fit_cells, load_cells, resolve_benchmark, write_cells)
 from .grids import WorkloadSpec, fitted_machines, machine_specs
 from .model import (FEATURES, feature_vector, least_squares, nnls,
                     solve_linear)
@@ -29,13 +23,10 @@ from .validate import (MEDIAN_REL_BOUND, P95_REL_BOUND, validate_all,
                        validate_machine)
 
 __all__ = [
-    "CELL_EXPERIMENTS", "CELL_TOLERANCE_ABS", "CELL_TOLERANCE_REL",
-    "CellSurrogate", "FEATURES", "MEDIAN_REL_BOUND", "OutOfRegionError",
-    "P95_REL_BOUND", "PredictError", "PredictPlane", "Predictor",
-    "WorkloadSpec", "available_machines", "cells_path",
-    "default_fits_dir", "feature_vector", "fit_cells", "fit_machine",
-    "fit_path", "fitted_machines", "least_squares", "load_cells",
-    "load_fit", "machine_specs", "nnls", "render", "resolve_benchmark",
-    "solve_linear", "validate_all", "validate_machine", "write_cells",
-    "write_fit",
+    "FEATURES", "MEDIAN_REL_BOUND", "OutOfRegionError", "P95_REL_BOUND",
+    "PredictError", "PredictPlane", "Predictor", "WorkloadSpec",
+    "available_machines", "default_fits_dir", "feature_vector",
+    "fit_machine", "fit_path", "fitted_machines", "least_squares",
+    "load_fit", "machine_specs", "nnls", "render", "solve_linear",
+    "validate_all", "validate_machine", "write_fit",
 ]

@@ -139,5 +139,4 @@ def available_machines(fits_dir):
         return []
     return sorted(
         name[:-5] for name in os.listdir(fits_dir)
-        if name.endswith(".json") and not name.startswith("exp_")
-        and name[:-5] in fitted_machines())
+        if name.endswith(".json") and name[:-5] in fitted_machines())

@@ -2,8 +2,8 @@
 
 :class:`Predictor` answers one machine-config query from a loaded
 artifact in microseconds (no simulator, no I/O after the first load).
-:class:`PredictPlane` wraps it (plus the experiment-cell surrogates of
-:mod:`.cells`) behind a lazy, thread-safe cache for the serve tier.
+:class:`PredictPlane` wraps it behind a lazy, thread-safe cache for the
+serve tier.
 """
 
 import threading
@@ -21,9 +21,9 @@ class PredictError(ValueError):
 class OutOfRegionError(PredictError):
     """The query lies outside the fitted region.
 
-    ``repro predict`` refuses these with a nonzero exit instead of
-    silently extrapolating; the serve tier falls back to the worker
-    pool.  ``.region`` carries the fitted per-knob box for the message.
+    ``repro predict`` refuses these with a nonzero exit and ``POST
+    /predict`` with HTTP 409, instead of silently extrapolating.
+    ``.region`` carries the fitted per-knob box for the message.
     """
 
     def __init__(self, message, region=None):
@@ -118,7 +118,6 @@ class PredictPlane:
         self._bench_dir = bench_dir
         self._lock = threading.Lock()
         self._predictors = {}
-        self._cells = {}
 
     @property
     def fits_dir(self):
@@ -145,24 +144,6 @@ class PredictPlane:
 
     def query(self, machine, config, extrapolate=False):
         return self.predictor(machine).query(config, extrapolate=extrapolate)
-
-    def cell_surrogate(self, experiment):
-        """Cached :class:`.cells.CellSurrogate` or None when unfitted."""
-        from .cells import load_cells
-
-        with self._lock:
-            if experiment not in self._cells:
-                self._cells[experiment] = load_cells(self.fits_dir,
-                                                     experiment)
-            return self._cells[experiment]
-
-    def cell_value(self, experiment, config):
-        """Predicted cell value for a sweep config, or None when the
-        experiment has no surrogate or the config is out of region."""
-        surrogate = self.cell_surrogate(experiment)
-        if surrogate is None:
-            return None
-        return surrogate.value(config)
 
     def describe(self):
         out = {}

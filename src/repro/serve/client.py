@@ -161,8 +161,8 @@ class ServeClient:
 def _progress_printer(name, err):
     def on_event(event):
         kind = event.get("kind", "")
-        if kind in ("serve_store_hit", "serve_predict_hit", "sweep_task",
-                    "serve_requeue", "sweep_end"):
+        if kind in ("serve_store_hit", "sweep_task", "serve_requeue",
+                    "sweep_end"):
             print(f"  [{name}] {kind}: {event.get('detail', '')}",
                   file=err)
     return on_event

@@ -16,7 +16,8 @@ Three layers share the definitions here:
   persistent pool worker: it loops receiving ``("task", {...})``
   messages, answers ``("begin", id)`` when it enters the run function
   (so the parent can attribute timeouts to startup vs run) and
-  ``("done", id, status, value, error)`` when finished.
+  ``("done", id, status, value, error, flight)`` when finished
+  (``flight`` is ``None`` on success).
 
 Fault plans split in two: *machine-level* fields (slow banks, network
 spikes, ...) change a run's value, so they are folded into the cell's
@@ -42,8 +43,8 @@ from ..exp.experiment import Experiment
 from ..faults import SCHEDULING_FIELDS, FaultPlan
 
 __all__ = ["FlightRecorder", "ProtocolError", "SweepRequest",
-           "key_config", "machine_plan", "pool_worker_main",
-           "resolve_experiment", "scheduling_plan"]
+           "machine_plan", "pool_worker_main", "resolve_experiment",
+           "scheduling_plan"]
 
 #: Default TCP port for ``repro serve`` (after CSG Memo 226).
 DEFAULT_PORT = 8226
@@ -82,14 +83,9 @@ class SweepRequest:
     label: Optional[str] = None
     #: Benchmarks directory override (tests; defaults to auto-detect).
     bench_dir: Optional[str] = None
-    #: Answer in-region cells from the fitted surrogate
-    #: (:mod:`repro.predict`) instead of scheduling workers; cells the
-    #: surrogate cannot cover fall back to the worker pool.  Opt-in:
-    #: predicted values are approximations and never enter the store.
-    predict: bool = False
 
     _FIELDS = ("experiment", "callable", "grid", "faults", "no_store",
-               "retries", "timeout", "label", "bench_dir", "predict")
+               "retries", "timeout", "label", "bench_dir")
 
     @classmethod
     def from_dict(cls, payload):
@@ -116,8 +112,6 @@ class SweepRequest:
                 FaultPlan.from_dict(request.faults)
             except (TypeError, ValueError) as exc:
                 raise ProtocolError(f"invalid fault plan: {exc}") from exc
-        if not isinstance(request.predict, bool):
-            raise ProtocolError("'predict' must be a boolean")
         if request.retries is not None and request.retries < 0:
             raise ProtocolError("'retries' must be >= 0")
         if request.timeout is not None and request.timeout <= 0:
@@ -168,15 +162,6 @@ def scheduling_plan(faults):
     plan = FaultPlan.from_dict(faults)
     return {"worker_crash_rate": plan.worker_crash_rate,
             "seed": plan.seed, "max_retries": plan.max_retries}
-
-
-def key_config(config, plan):
-    """The config dict a cell is cache-keyed by: the run config itself,
-    wrapped with the machine-level fault plan when one is active (the
-    plan changes the value, so it must change the key)."""
-    if plan is None:
-        return config
-    return {"__faults__": plan, "config": config}
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +381,7 @@ def pool_worker_main(conn, worker_id, flight_path=None, inherited=()):
             recorder.note("flight_run")
             value = run(task["config"])
             recorder.note("flight_done")
-            conn.send(("done", task_id, "ok", value, None))
+            conn.send(("done", task_id, "ok", value, None, None))
         except FATAL_EXCEPTIONS:
             # Operator interrupts / resource exhaustion: ship the
             # traceback as a never-retried ``fatal`` row, then leave the

@@ -55,14 +55,13 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Optional
 
-from ..exp.cache import config_key
+from ..exp.cache import config_key, key_config
 from ..exp.engine import (DEFAULT_RETRIES, RunRecord, TaskQueue,
                           experiment_code_version, host_cpus,
                           records_payload)
 from ..obs.live import LiveMetrics
-from ..predict import OutOfRegionError, PredictPlane
-from .protocol import (SweepRequest, key_config, machine_plan,
-                       resolve_experiment, scheduling_plan)
+from .protocol import (SweepRequest, machine_plan, resolve_experiment,
+                       scheduling_plan)
 
 __all__ = ["SweepScheduler", "SweepState"]
 
@@ -130,7 +129,7 @@ class SweepState:
         self.events = []          # [{seq, t, kind, detail, ...}]
         self.done = threading.Event()
         self.stats = {
-            "store_hits": 0, "predict_hits": 0, "executed": 0,
+            "store_hits": 0, "executed": 0,
             "requeued": 0, "timeouts": 0, "worker_deaths": 0,
             # No backup copies are issued; both keys stay, always 0,
             # for status readers that report them.
@@ -183,12 +182,8 @@ class SweepScheduler:
 
     def __init__(self, store=None, workers=None, timeout=None,
                  retries=DEFAULT_RETRIES, bus=None, bench_dir=None,
-                 metrics=None, predict=None):
+                 metrics=None):
         self.store = store
-        #: The analytic-surrogate query surface (fit artifacts are loaded
-        #: lazily on first use, so an unfitted checkout costs nothing).
-        self.predict = (predict if predict is not None
-                        else PredictPlane(bench_dir=bench_dir))
         self.size = max(1, workers if workers is not None
                         else host_cpus())
         self.timeout = timeout
@@ -242,12 +237,6 @@ class SweepScheduler:
         m.counter("worker_deaths_total",
                   "Worker processes that died mid-task")
         m.counter("workers_spawned_total", "Worker processes started")
-        m.counter("predict_requests_total",
-                  "Analytic surrogate queries (POST /predict)")
-        m.counter("predict_cells_total",
-                  "Sweep cells answered by the analytic surrogate")
-        m.counter("predict_out_of_region_total",
-                  "Surrogate answers refused: outside the fitted region")
         m.gauge_fn("sweeps_active",
                    "Sweeps currently queued or running",
                    lambda: self.pool_stats()["active"])
@@ -381,20 +370,6 @@ class SweepScheduler:
             values = [r.value for r in ordered]
         return str(sweep.experiment.table(values))
 
-    def predict_query(self, machine, config, extrapolate=False):
-        """Answer a ``POST /predict`` machine query from the surrogate.
-
-        Raises :class:`~repro.predict.PredictError` (no fit / bad knob)
-        or :class:`~repro.predict.OutOfRegionError` (refused, HTTP 409);
-        the refusal is counted so the fallback rate is observable."""
-        self.metrics.inc("predict_requests_total")
-        try:
-            return self.predict.query(machine, config,
-                                      extrapolate=extrapolate)
-        except OutOfRegionError:
-            self.metrics.inc("predict_out_of_region_total")
-            raise
-
     def pool_stats(self):
         with self._lock:
             return {
@@ -444,7 +419,7 @@ class SweepScheduler:
             sweep.state = "running"
             for index, config in enumerate(sweep.experiment.grid):
                 key = None
-                if use_store or self.store is not None:
+                if self.store is not None:
                     key = config_key(sweep.experiment.name,
                                      key_config(config, sweep.plan),
                                      sweep.code_version)
@@ -461,44 +436,8 @@ class SweepScheduler:
                             index=index, config=config, status="ok",
                             value=value, cached=True, cache_key=key))
                         continue
-                # Opt-in predict mode: an in-region cell of a fitted
-                # experiment is answered by the analytic surrogate
-                # instead of a worker.  Predicted values are
-                # approximations, so they never enter the durable store
-                # (no ``put``, no ``cache_key``), and a machine-level
-                # fault plan disables the path entirely — the surrogate
-                # was fitted on a fault-free machine.
-                if sweep.request.predict and sweep.plan is None:
-                    value = self._predict_cell(sweep, config)
-                    if value is not None:
-                        sweep.stats["predict_hits"] += 1
-                        self.metrics.inc("predict_cells_total")
-                        self._event(sweep, "serve_predict_hit",
-                                    f"{sweep.experiment.name}[{index}]",
-                                    index=index)
-                        self._finish_cell(sweep, RunRecord(
-                            index=index, config=config, status="ok",
-                            value=value, predicted=True))
-                        continue
                 sweep.queue.push((index, 0, key))
             self._check_done(sweep)
-
-    def _predict_cell(self, sweep, config):
-        """The surrogate's answer for one grid cell, or ``None`` when
-        the experiment has no cell surrogate, the config is outside the
-        fitted region, or the artifact is unreadable — every miss falls
-        back to the worker pool (predict mode may degrade to a normal
-        sweep, never fail one)."""
-        try:
-            surrogate = self.predict.cell_surrogate(sweep.experiment.name)
-            if surrogate is None:
-                return None
-            value = surrogate.value(config)
-        except (OSError, ValueError):
-            return None
-        if value is None:
-            self.metrics.inc("predict_out_of_region_total")
-        return value
 
     def _flight_root(self):
         if self._flight_dir is None:
@@ -598,8 +537,6 @@ class SweepScheduler:
         fields = dict(index=record.index, status=record.status,
                       attempts=record.attempts, cached=record.cached,
                       wall=round(record.wall_seconds, 4))
-        if record.predicted:
-            fields["predicted"] = True
         if worker is not None:
             fields["worker"] = worker
         if record.error:
@@ -768,10 +705,7 @@ class SweepScheduler:
                 worker.busy.phase = "run"
             return
         if kind == "done":
-            # 5-tuple from older workers; 6th element is the flight-
-            # recorder tail a failing run ships back over the pipe.
-            _kind, task_id, status, value, error = message[:5]
-            flight = message[5] if len(message) > 5 else None
+            _kind, task_id, status, value, error, flight = message
             entry = self._tasks.pop(task_id, None)
             worker.busy = None
             worker.completed += 1

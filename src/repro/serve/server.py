@@ -35,7 +35,7 @@ import threading
 import time
 import urllib.parse
 
-from ..predict import OutOfRegionError, PredictError
+from ..predict import OutOfRegionError, PredictError, PredictPlane
 from .protocol import DEFAULT_PORT, ProtocolError
 from .scheduler import SweepScheduler
 from .store import open_store
@@ -57,17 +57,26 @@ _REASONS = {200: "OK", 202: "Accepted", 204: "No Content",
 
 
 class ServeApp:
-    """Routes HTTP requests onto a running scheduler."""
+    """Routes HTTP requests onto a running scheduler, and answers
+    ``/predict`` from the fitted machine surrogates."""
 
     def __init__(self, scheduler, store=None):
         self.scheduler = scheduler
         self.store = store
+        #: The analytic-surrogate query surface (fit artifacts are loaded
+        #: lazily on first use, so an unfitted checkout costs nothing).
+        self.plane = PredictPlane(bench_dir=scheduler.bench_dir)
         self.stopping = asyncio.Event()
         self.metrics = scheduler.metrics
         self.metrics.counter("http_requests_total",
                              "HTTP requests served, by route template")
         self.metrics.histogram("http_request_seconds",
                                "HTTP request latency, by route template")
+        self.metrics.counter("predict_requests_total",
+                             "Analytic surrogate queries (POST /predict)")
+        self.metrics.counter(
+            "predict_out_of_region_total",
+            "Surrogate answers refused: outside the fitted region")
         if store is not None:
             self.metrics.gauge_fn(
                 "store_entries", "Rows in the content-addressed store",
@@ -168,8 +177,7 @@ class ServeApp:
             else:
                 await self._send(writer, 200, self.store.stats())
         elif path == "/predict" and method == "GET":
-            await self._send(writer, 200,
-                             self.scheduler.predict.describe())
+            await self._send(writer, 200, self.plane.describe())
         elif path == "/predict" and method == "POST":
             await self._predict(writer, body)
         elif path == "/shutdown" and method == "POST":
@@ -243,10 +251,13 @@ class ServeApp:
         extrapolate = payload.get("extrapolate", False)
         if not isinstance(extrapolate, bool):
             raise ProtocolError("'extrapolate' must be a boolean")
+        self.metrics.inc("predict_requests_total")
         try:
-            answer = self.scheduler.predict_query(machine, config,
-                                                  extrapolate=extrapolate)
+            answer = self.plane.query(machine, config,
+                                      extrapolate=extrapolate)
         except OutOfRegionError as exc:
+            # Counted, so the refusal rate is observable.
+            self.metrics.inc("predict_out_of_region_total")
             await self._send(writer, 409,
                              {"error": str(exc), "region": exc.region})
             return

@@ -14,7 +14,7 @@ a scheduler track:
   completion or ``serve_requeue`` (failure/timeout/crash recovery) —
   a cell has one attempt in flight at a time, so crash retries appear
   as consecutive slices, possibly on different worker tracks;
-* an **instant** (``ph: i``) per store/predict hit, worker spawn/exit, sweep
+* an **instant** (``ph: i``) per store hit, worker spawn/exit, sweep
   begin/end, and flight-recorder breadcrumb attached to a failure row;
 * **metadata** (``ph: M``) naming the process after the sweep and each
   thread after its worker.
@@ -109,8 +109,8 @@ def sweep_trace(scheduler, sweep_id):
         if kind == "serve_assign":
             open_slices[index] = event
         elif kind == "sweep_task":
-            if event.get("cached") or event.get("predicted"):
-                continue  # the store/predict hit instant covers it
+            if event.get("cached"):
+                continue  # the store hit instant covers it
             args = {"status": event.get("status")}
             suffix = ("" if event.get("status") == "ok"
                       else f" {event.get('status')}")
@@ -126,8 +126,6 @@ def sweep_trace(scheduler, sweep_id):
                         {"reason": event.get("reason")})
         elif kind == "serve_store_hit":
             instant(f"{experiment}[{index}] store_hit", t, 0)
-        elif kind == "serve_predict_hit":
-            instant(f"{experiment}[{index}] predict_hit", t, 0)
         elif kind in ("serve_request", "sweep_begin", "sweep_end",
                       "serve_sweep_done"):
             instant(kind, t, 0,

@@ -356,6 +356,29 @@ class TestSuiteStore:
             assert all(isinstance(seconds, float) and seconds >= 0.0
                        for seconds in cpu.values())
 
+    def test_faulted_cells_key_alike_inline_and_pooled(self, monkeypatch,
+                                                       tmp_path):
+        """Under a machine-level fault plan the inline path keys a cell
+        as the pool does, so a ``--jobs 1`` rerun of a ``--jobs 0
+        --faults`` run is all store hits."""
+        from repro.exp.bench import run_suite
+        from stub_bench import GRID, stub_bench
+
+        # run_suite exports the plan; restore the environment after.
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "{}")
+        faults = {"seed": 3, "mem_slow_rate": 0.9, "levels": [0, 64]}
+        store = str(tmp_path / "store")
+        with stub_bench(tmp_path, monkeypatch,
+                        {"bench_grid": (GRID, ["stub_grid"])}) as bench_dir:
+            inline = run_suite(jobs=0, bench_dir=bench_dir,
+                               cache_dir=store, faults=faults,
+                               err=io.StringIO())
+            pooled = run_suite(jobs=1, bench_dir=bench_dir,
+                               cache_dir=store, faults=faults,
+                               err=io.StringIO())
+        assert inline["meta"]["cells"] == {"cold": 6, "cached": 0}
+        assert pooled["meta"]["cells"] == {"cold": 0, "cached": 6}
+
 
 class TestSuiteWalls:
     """A wall times cold work only: any store hit nulls the experiment's

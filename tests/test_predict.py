@@ -7,27 +7,21 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.exp import Experiment
 from repro.predict import (
-    CELL_TOLERANCE_REL,
     FEATURES,
     OutOfRegionError,
     PredictError,
     Predictor,
-    cells_path,
     default_fits_dir,
     feature_vector,
-    fit_cells,
     fit_machine,
     fitted_machines,
     least_squares,
-    load_cells,
     load_fit,
     machine_specs,
     nnls,
     render,
     solve_linear,
-    write_cells,
     write_fit,
 )
 
@@ -171,67 +165,6 @@ class TestArtifacts:
 
     def test_load_missing_returns_none(self, tmp_path):
         assert load_fit(str(tmp_path), "nope") is None
-
-
-# ---------------------------------------------------------------------------
-# cell surrogates
-
-
-def _ratio_run(config):
-    # x/(x+1) is outside the polynomial basis span, but its numerator
-    # and denominator are integer columns the fitter reproduces exactly.
-    x = config["x"]
-    return [x, x + 1, x / (x + 1.0)]
-
-
-def _unfittable_run(config):
-    # 2^x over 7 points: outside the polynomial basis span and no ratio
-    # of the other columns.
-    return [config["x"], float(2 ** config["x"])]
-
-
-class TestCellSurrogate:
-    def test_committed_e07_cells_answer_in_region(self):
-        surrogate = load_cells(default_fits_dir(), "e07_trapezoid")
-        assert surrogate is not None, "committed e07 cell surrogate missing"
-        row = surrogate.value({"intervals": 4})
-        assert row is not None
-        assert row[0] == 4                      # int column exact
-        assert isinstance(row[1], float)
-        assert surrogate.value({"intervals": 256}) is None  # out of region
-        assert surrogate.value({"intervals": 3}) is None
-        assert surrogate.value({"intervals": 8, "extra": 1}) is None
-
-    def test_ratio_fallback_detected(self):
-        experiment = Experiment(
-            name="ratio", run=_ratio_run,
-            grid=[{"x": x} for x in range(1, 8)])
-        payload = fit_cells(experiment)
-        kinds = [column["kind"] for column in payload["columns"]]
-        assert kinds[2] == "ratio"
-        assert payload["columns"][2]["num"] == 0
-        assert payload["columns"][2]["den"] == 1
-        assert payload["train_error"]["max_rel"] <= CELL_TOLERANCE_REL
-
-    def test_uncoverable_column_is_refused(self):
-        experiment = Experiment(
-            name="expgrowth", run=_unfittable_run,
-            grid=[{"x": x} for x in range(1, 8)])
-        with pytest.raises(ValueError, match="refused"):
-            fit_cells(experiment)
-
-    def test_written_cells_round_trip(self, tmp_path):
-        experiment = Experiment(
-            name="ratio", run=_ratio_run,
-            grid=[{"x": x} for x in range(1, 8)])
-        payload = fit_cells(experiment)
-        path = write_cells(payload, str(tmp_path))
-        assert path == cells_path(str(tmp_path), "ratio")
-        with open(path, "r", encoding="utf-8") as fh:
-            written = fh.read()
-        assert render(json.loads(written)) == written
-        loaded = load_cells(str(tmp_path), "ratio")
-        assert loaded.value({"x": 2}) == pytest.approx(_ratio_run({"x": 2}))
 
 
 # ---------------------------------------------------------------------------

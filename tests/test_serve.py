@@ -22,9 +22,10 @@ from repro.serve import (
     SweepScheduler,
     open_store,
 )
+from repro.exp.cache import key_config
 from repro.obs import KINDS
-from repro.serve.protocol import (key_config, machine_plan,
-                                  resolve_experiment, scheduling_plan)
+from repro.serve.protocol import (machine_plan, resolve_experiment,
+                                  scheduling_plan)
 from repro.serve.store import default_store_path
 
 WAIT = 120.0  # generous per-sweep ceiling; sweeps finish in seconds
@@ -153,15 +154,9 @@ class TestProtocol:
             SweepRequest.from_dict({"experiment": "e07",
                                     "faults": {"no_such_knob": 1.0}})
 
-    def test_predict_flag_parses_and_rejects_non_bool(self):
-        request = SweepRequest.from_dict(
-            {"experiment": "e07_trapezoid", "predict": True})
-        assert request.predict is True
-        assert SweepRequest.from_dict(
-            {"experiment": "e07_trapezoid"}).predict is False
-        with pytest.raises(ProtocolError, match="predict"):
-            SweepRequest.from_dict(
-                {"experiment": "e07_trapezoid", "predict": 1})
+    def test_predict_field_is_unknown(self):
+        with pytest.raises(ProtocolError, match="unknown.*predict"):
+            SweepRequest.from_dict({"experiment": "e07", "predict": True})
 
     def test_inline_grid_overrides_any_table(self, monkeypatch):
         """An inline ``grid`` replaces the declared grid of any suite
@@ -273,9 +268,9 @@ class TestScheduler:
         # The status contract: the backup counters stay, pinned at 0,
         # and no other key rides along.
         assert stats["backups"] == stats["backup_wins"] == 0
-        assert set(stats) == {"store_hits", "predict_hits", "executed",
-                              "requeued", "timeouts", "worker_deaths",
-                              "backups", "backup_wins"}
+        assert set(stats) == {"store_hits", "executed", "requeued",
+                              "timeouts", "worker_deaths", "backups",
+                              "backup_wins"}
 
     def test_crashed_workers_recovered(self, tmp_path):
         grid = [{"x": i} for i in range(8)]
@@ -367,41 +362,6 @@ class TestScheduler:
         assert "pool allocation failure" in record["error"]
         assert "Traceback" in record["error"]
         assert status["stats"]["requeued"] == 0
-
-    def test_predict_mode_answers_sweep_without_workers(self, tmp_path):
-        # Opt-in predict mode: every in-region e07 cell is answered by
-        # the committed cell surrogate — zero worker executions — and
-        # the predicted values never enter the store.
-        store = open_store(str(tmp_path))
-        with SweepScheduler(store=store, workers=2) as sched:
-            sid = sched.submit({"experiment": "e07_trapezoid",
-                                "predict": True})
-            assert sched.wait(sid, timeout=WAIT)
-            status = sched.status(sid)
-            stats = store.stats()
-        assert status["state"] == "done"
-        assert status["stats"]["executed"] == 0
-        assert status["stats"]["store_hits"] == 0
-        assert status["stats"]["predict_hits"] == len(status["records"])
-        assert status["stats"]["predict_hits"] == 6
-        assert all(record["status"] == "ok"
-                   and record.get("predicted") is True
-                   for record in status["records"])
-        assert stats["entries"] == 0
-
-    def test_predict_mode_matches_simulation_at_table_precision(
-            self, tmp_path):
-        # The surrogate-answered sweep must assemble the same table a
-        # real simulated sweep does (the artifacts are fitted to round
-        # trip the committed grid exactly).
-        with SweepScheduler(store=None, workers=2) as sched:
-            predicted = sched.submit({"experiment": "e07_trapezoid",
-                                      "predict": True})
-            simulated = sched.submit({"experiment": "e07_trapezoid"})
-            assert sched.wait(predicted, timeout=WAIT)
-            assert sched.wait(simulated, timeout=WAIT)
-            assert (sched.table_text(predicted)
-                    == sched.table_text(simulated))
 
 
 class TestWaitHorizon:
