@@ -395,18 +395,48 @@ def _write_metrics(options, snapshot, out):
     print(f"metrics: {len(snapshot)} value(s) -> {path}", file=out)
 
 
-def _cmd_run(options, out):
-    args = [_parse_value(a) for a in options.args]
-    bus, trace_sink = _make_trace_bus(options)
+def _execute(options, args, bus):
+    """Run ``options.file`` on the timed engine ``options.engine``
+    (``vn`` or ``machine``); returns ``(value, result, machine)``."""
     if options.engine == "vn":
         from .vonneumann import run_sequential
 
         with open(options.file, "r", encoding="utf-8") as fh:
             source = fh.read()
-        value, result = run_sequential(source, tuple(args),
-                                       entry=options.entry,
-                                       latency=options.latency,
-                                       trace_bus=bus)
+        return run_sequential(source, tuple(args), entry=options.entry,
+                              latency=options.latency, trace_bus=bus,
+                              return_machine=True)
+    program = _load(options.file, options.entry, options.optimize)
+    config = MachineConfig(n_pes=options.pes,
+                           network_latency=options.latency,
+                           trace_bus=bus)
+    machine = TaggedTokenMachine(program, config)
+    result = machine.run(*args)
+    return result.value, result, machine
+
+
+def _cmd_run(options, out):
+    args = [_parse_value(a) for a in options.args]
+    bus, trace_sink = _make_trace_bus(options)
+    if options.engine == "interp":
+        program = _load(options.file, options.entry, options.optimize)
+        interp = Interpreter(program)
+        value = interp.run(*args)
+        payload = {
+            "result": value,
+            "engine": "interpreter",
+            "instructions": interp.instructions_executed,
+            "critical_path": interp.critical_path,
+            "average_parallelism": round(interp.average_parallelism(), 3),
+        }
+        snapshot = {
+            "engine": "interp",
+            "instructions": interp.instructions_executed,
+            "critical_path": interp.critical_path,
+            "average_parallelism": interp.average_parallelism(),
+        }
+    elif options.engine == "vn":
+        value, result, _machine = _execute(options, args, bus)
         payload = {
             "result": value,
             "engine": f"von Neumann uniprocessor [latency "
@@ -425,40 +455,18 @@ def _cmd_run(options, out):
             {f"counters.{k}": v for k, v in sorted(result.counters.items())}
         )
     else:
-        program = _load(options.file, options.entry, options.optimize)
-        if options.engine == "interp":
-            interp = Interpreter(program)
-            value = interp.run(*args)
-            payload = {
-                "result": value,
-                "engine": "interpreter",
-                "instructions": interp.instructions_executed,
-                "critical_path": interp.critical_path,
-                "average_parallelism": round(interp.average_parallelism(), 3),
-            }
-            snapshot = {
-                "engine": "interp",
-                "instructions": interp.instructions_executed,
-                "critical_path": interp.critical_path,
-                "average_parallelism": interp.average_parallelism(),
-            }
-        else:
-            config = MachineConfig(n_pes=options.pes,
-                                   network_latency=options.latency,
-                                   trace_bus=bus)
-            machine = TaggedTokenMachine(program, config)
-            result = machine.run(*args)
-            payload = {
-                "result": result.value,
-                "engine": f"machine[{options.pes} PEs, latency "
-                          f"{options.latency}]",
-                "time_cycles": result.time,
-                "instructions": result.instructions,
-                "mean_alu_utilization": round(result.mean_alu_utilization, 4),
-                "network_tokens": result.counters.get("tokens_network", 0),
-            }
-            snapshot = machine.metrics_snapshot()
-            snapshot["engine"] = "machine"
+        value, result, machine = _execute(options, args, bus)
+        payload = {
+            "result": value,
+            "engine": f"machine[{options.pes} PEs, latency "
+                      f"{options.latency}]",
+            "time_cycles": result.time,
+            "instructions": result.instructions,
+            "mean_alu_utilization": round(result.mean_alu_utilization, 4),
+            "network_tokens": result.counters.get("tokens_network", 0),
+        }
+        snapshot = machine.metrics_snapshot()
+        snapshot["engine"] = "machine"
     if options.json:
         print(json.dumps(payload), file=out)
     else:
@@ -516,25 +524,7 @@ def _cmd_trace(options, out):
         sink = bus.add_sink(ChromeTraceSink())
     else:
         sink = bus.add_sink(JsonlSink(options.out))
-    if options.engine == "vn":
-        from .vonneumann import run_sequential
-
-        with open(options.file, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        value, result = run_sequential(source, tuple(args),
-                                       entry=options.entry,
-                                       latency=options.latency,
-                                       trace_bus=bus)
-        time_cycles, instructions = result.time, result.instructions
-    else:
-        program = _load(options.file, options.entry, options.optimize)
-        config = MachineConfig(n_pes=options.pes,
-                               network_latency=options.latency,
-                               trace_bus=bus)
-        machine = TaggedTokenMachine(program, config)
-        result = machine.run(*args)
-        value = result.value
-        time_cycles, instructions = result.time, result.instructions
+    value, result, _machine = _execute(options, args, bus)
     if options.format == "chrome":
         sink.write(options.out, meta={
             "source": options.file,
@@ -546,8 +536,8 @@ def _cmd_trace(options, out):
         sink.close()
         events = sink.written
     print(f"result: {value!r}", file=out)
-    print(f"  time_cycles: {time_cycles}", file=out)
-    print(f"  instructions: {instructions}", file=out)
+    print(f"  time_cycles: {result.time}", file=out)
+    print(f"  instructions: {result.instructions}", file=out)
     print(f"  trace: {events} event(s) -> {options.out} "
           f"[{options.format}]", file=out)
     if options.format == "chrome":
@@ -559,7 +549,8 @@ def _cmd_trace(options, out):
 def _cmd_profile(options, out):
     """Run under provenance tracing; report accounting + critical path."""
     from .obs import RingSink
-    from .obs.analysis import build_profile, chrome_flow_events
+    from .obs.analysis import (build_profile, chrome_flow_events,
+                               ttda_accounting, vn_accounting)
 
     entry, args = _trace_defaults(options)
     options.entry = entry
@@ -567,27 +558,9 @@ def _cmd_profile(options, out):
     ring = bus.add_sink(RingSink(limit=None))
     chrome = bus.add_sink(ChromeTraceSink()) if options.flow else None
 
-    if options.engine == "vn":
-        from .obs.analysis import vn_accounting
-        from .vonneumann import run_sequential
-
-        with open(options.file, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        value, result, machine = run_sequential(
-            source, tuple(args), entry=entry, latency=options.latency,
-            trace_bus=bus, return_machine=True)
-        accounting = vn_accounting(machine, result, name="vn")
-    else:
-        from .obs.analysis import ttda_accounting
-
-        program = _load(options.file, entry, options.optimize)
-        config = MachineConfig(n_pes=options.pes,
-                               network_latency=options.latency,
-                               trace_bus=bus)
-        machine = TaggedTokenMachine(program, config)
-        result = machine.run(*args)
-        value = result.value
-        accounting = ttda_accounting(machine)
+    value, result, machine = _execute(options, args, bus)
+    accounting = (vn_accounting(machine, result, name="vn")
+                  if options.engine == "vn" else ttda_accounting(machine))
     meta = {
         "source": options.file,
         "engine": options.engine,

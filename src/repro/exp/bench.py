@@ -31,8 +31,9 @@ from .claims import evaluate_claims
 from .engine import host_cpus, run_experiment
 from .tables import table_rows
 
-__all__ = ["build_experiment", "find_bench_dir", "host_cpus", "run_suite",
-           "suite_tables", "table_entry", "wall_text", "write_aggregate"]
+__all__ = ["build_experiment", "export_fault_plan", "find_bench_dir",
+           "host_cpus", "run_suite", "suite_tables", "table_entry",
+           "wall_text", "write_aggregate"]
 
 #: Seconds one benchmark run may take before it is terminated + retried.
 DEFAULT_TIMEOUT = 300.0
@@ -165,6 +166,27 @@ def _cpu_seconds():
                   resource.getrusage(resource.RUSAGE_CHILDREN)))
 
 
+def export_fault_plan(faults):
+    """Validate a ``--faults`` plan (a dict, a FaultPlan or a JSON file
+    path) and export its machine-level part as ``REPRO_FAULT_PLAN``, or
+    clear that variable, before any bench module is imported; returns
+    ``(faults, plan)``: the plan as a dict and its machine-level part."""
+    from ..serve.protocol import apply_plan_env, machine_plan
+
+    if faults is not None:
+        from ..faults import FaultPlan
+
+        if isinstance(faults, str):
+            with open(faults, "r", encoding="utf-8") as fh:
+                faults = json.load(fh)
+        elif not isinstance(faults, dict):
+            faults = faults.as_dict()
+        FaultPlan.from_dict(faults)  # validate eagerly (allows "levels")
+    plan = machine_plan(faults)
+    apply_plan_env(plan)
+    return faults, plan
+
+
 def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
               bench_dir=None, cache_dir=None, bus=None, err=None,
               faults=None):
@@ -194,27 +216,13 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     (``parent``) and its pool workers (``workers``), so a busy-waiting
     parent shows.
     """
-    from ..serve.protocol import machine_plan
     from ..serve.store import open_store
 
     err = err if err is not None else sys.stderr
     # Fingerprint memoization is per process-lifetime; a long-lived
     # driver would stamp stale code versions after an on-disk edit.
     invalidate_fingerprints()
-    if faults is not None:
-        from ..faults import FaultPlan
-
-        if isinstance(faults, str):
-            with open(faults, "r", encoding="utf-8") as fh:
-                faults = json.load(fh)
-        elif not isinstance(faults, dict):
-            faults = faults.as_dict()
-        FaultPlan.from_dict(faults)  # validate eagerly (allows "levels")
-    plan = machine_plan(faults)
-    if plan is not None:
-        os.environ["REPRO_FAULT_PLAN"] = json.dumps(plan, sort_keys=True)
-    else:
-        os.environ.pop("REPRO_FAULT_PLAN", None)
+    faults, plan = export_fault_plan(faults)
     bench_dir = find_bench_dir(bench_dir)
     os.environ["REPRO_BENCH_DIR"] = bench_dir
     selected = list(suite_tables(bench_dir, only))

@@ -283,8 +283,8 @@ def parse_prometheus(text):
 
     ``labels_tuple`` is the sorted ``((key, value), ...)`` form used by
     :class:`LiveMetrics` internally; samples without labels use ``()``.
-    Raises ``ValueError`` on malformed sample lines so the metrics-smoke
-    CI job can use it as a format validator.
+    Raises ``ValueError`` on malformed sample lines, so the tests use it
+    as a format validator.
     """
     samples = {}
     for lineno, line in enumerate(text.splitlines(), 1):

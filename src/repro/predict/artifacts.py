@@ -2,8 +2,8 @@
 
 One JSON file per machine, canonical serialization (sorted keys, fixed
 indent, coefficients rounded to 12 significant digits), so that a refit
-on any host is byte-identical to the committed artifact — CI's
-``predict-gate`` job refits from scratch and ``git diff``s the result.
+on any host is byte-identical to the committed artifact — the ``fits``
+leg of ``benchmarks/gate.py`` refits from scratch and compares bytes.
 """
 
 import json

@@ -1,6 +1,6 @@
 """Fit-vs-simulation validation and the documented error bounds.
 
-``repro predict --validate`` (and CI's ``predict-gate`` job, and the
+``repro predict --validate`` (and its tier-1 test, and the
 committed ``e21_predict`` benchmark table) all flow through
 :func:`validate_machine`: re-simulate the fit grid, answer every point
 from the *committed* artifact, and summarize the relative error of the

@@ -18,9 +18,10 @@ import sys
 import time
 import urllib.parse
 
-from ..exp.bench import (build_experiment, find_bench_dir, suite_tables,
-                         table_entry, wall_text, write_aggregate)
-from .protocol import ProtocolError, machine_plan
+from ..exp.bench import (build_experiment, export_fault_plan,
+                         find_bench_dir, suite_tables, table_entry,
+                         wall_text, write_aggregate)
+from .protocol import ProtocolError
 
 __all__ = ["ServeClient", "ServeError", "remote_suite"]
 
@@ -186,15 +187,11 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
     """
     err = err if err is not None else sys.stderr
     client = ServeClient(url)
+    faults, plan = export_fault_plan(faults)
     bench_dir = find_bench_dir(bench_dir)
     os.environ["REPRO_BENCH_DIR"] = bench_dir
     selected = list(suite_tables(bench_dir, only))
     harness = importlib.import_module("harness")
-
-    if isinstance(faults, str):
-        with open(faults, "r", encoding="utf-8") as fh:
-            faults = json.load(fh)
-    plan = machine_plan(faults)
 
     telemetry = []
     failures = []

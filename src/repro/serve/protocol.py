@@ -171,7 +171,9 @@ def scheduling_plan(faults):
 _MODULE_PLAN = {}
 
 
-def _apply_plan_env(plan):
+def apply_plan_env(plan):
+    """Export a machine-level fault plan as ``REPRO_FAULT_PLAN`` (clear
+    it for ``None``)."""
     if plan is not None:
         os.environ["REPRO_FAULT_PLAN"] = json.dumps(plan, sort_keys=True)
     else:
@@ -201,7 +203,7 @@ def resolve_experiment(spec, grid=None, plan=None):
     equivalent of ``repro bench`` exporting the plan before import.
     ``grid`` replaces the declared grid.
     """
-    _apply_plan_env(plan)
+    apply_plan_env(plan)
     plan_json = json.dumps(plan, sort_keys=True) if plan else None
     if spec.get("callable"):
         run = _import_callable(spec["callable"])

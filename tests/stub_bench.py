@@ -72,6 +72,35 @@ SWEEPS = {"stub_grid": Experiment(name="stub_grid", run=run_cell,
                                   assemble=_assemble)}
 '''
 
+#: A bench module whose grid, like e20's, reads ``$REPRO_FAULT_PLAN``
+#: when it is imported: one cell, ``stub_faults``, at the plan's
+#: ``mem_slow_rate``.  Its note names the rate of the grid it assembles.
+FAULT_AWARE = '''\
+import json
+import os
+
+from repro.analysis import Table
+from repro.exp import Experiment
+
+PLAN = json.loads(os.environ.get("REPRO_FAULT_PLAN") or "{}")
+
+
+def run_cell(config):
+    return config["rate"]
+
+
+def _assemble(experiment, values):
+    t = Table("stub faults", ["rate"],
+              notes=[f"rate {experiment.grid[0]['rate']:g}"])
+    t.add_row(*values)
+    return t
+
+
+SWEEPS = {"stub_faults": Experiment(
+    name="stub_faults", run=run_cell,
+    grid=[{"rate": PLAN.get("mem_slow_rate", 0.9)}], assemble=_assemble)}
+'''
+
 
 def slow_table(name, sleep):
     """Source of a one-cell bench module for table ``name``."""
@@ -94,7 +123,10 @@ def stub_bench(tmp_path, monkeypatch, modules):
         (root / f"{name}.py").write_text(source)
     monkeypatch.syspath_prepend(str(root))
     monkeypatch.setenv("REPRO_BENCH_DIR", str(root))
-    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+    # run_suite and remote_suite export a --faults plan into os.environ;
+    # setting the variable first makes monkeypatch remove it afterwards.
+    monkeypatch.setenv("REPRO_FAULT_PLAN", "")
+    monkeypatch.delenv("REPRO_FAULT_PLAN")
     names = ("run_all", "harness", *modules)
     saved = {n: sys.modules.pop(n) for n in names if n in sys.modules}
     try:

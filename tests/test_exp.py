@@ -364,8 +364,6 @@ class TestSuiteStore:
         from repro.exp.bench import run_suite
         from stub_bench import GRID, stub_bench
 
-        # run_suite exports the plan; restore the environment after.
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "{}")
         faults = {"seed": 3, "mem_slow_rate": 0.9, "levels": [0, 64]}
         store = str(tmp_path / "store")
         with stub_bench(tmp_path, monkeypatch,

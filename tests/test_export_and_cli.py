@@ -2,14 +2,19 @@
 
 import io
 import json
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from repro.graph import graph_statistics, to_dot, to_networkx
 from repro.cli import main
+from repro.obs import validate_chrome_trace
 from repro.workloads import TRAPEZOID, compile_workload
 from repro.workloads.handbuilt import build_factorial, build_sum_loop
+
+TRAPEZOID_ID = (Path(__file__).resolve().parent.parent / "examples"
+                / "programs" / "trapezoid.id")
 
 
 class TestToNetworkx:
@@ -112,6 +117,17 @@ class TestCli:
         assert payload["result"] == pytest.approx(0.7847, abs=1e-3)
         assert payload["time_cycles"] > 0
         assert "2 PEs" in payload["engine"]
+
+    def test_trace_exports_one_track_per_pe(self, tmp_path):
+        out = tmp_path / "trapezoid.trace.json"
+        code, output = self._run(["trace", str(TRAPEZOID_ID),
+                                  "--out", str(out)])
+        assert code == 0 and "[chrome]" in output
+        payload = json.loads(out.read_text())
+        assert validate_chrome_trace(payload)
+        tracks = [e["args"]["name"] for e in payload["traceEvents"]
+                  if e.get("ph") == "M" and e.get("name") == "thread_name"]
+        assert any(track.startswith("pe") for track in tracks), tracks
 
     def test_graph_listing(self, source_file):
         code, output = self._run(["graph", source_file, "--entry",

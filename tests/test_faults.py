@@ -1,6 +1,7 @@
 """Deterministic fault injection: plans, recovery, determinism contracts."""
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -97,6 +98,21 @@ class TestMachineFaults:
             first = registry.create(name, faults=SLOW_PLAN).run()
             second = registry.create(name, faults=SLOW_PLAN).run()
             assert _payload(first) == _payload(second), name
+
+    def test_cli_faulted_machine_json_is_byte_identical(self, tmp_path):
+        from repro.cli import main
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 11, "mem_slow_rate": 0.9,
+                                    "mem_slow_cycles": 64.0}))
+        outputs = []
+        for _ in range(2):
+            out = io.StringIO()
+            assert main(["machine", "ttda", "--faults", str(plan),
+                         "--json"], out=out) == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["config"]["faults"]["seed"] == 11
 
     def test_slow_banks_degrade_both_architectures(self):
         hep_base = registry.create("hep").run().metric("time")

@@ -151,10 +151,18 @@ class TestArtifacts:
 
     def test_refit_is_deterministic(self, tmp_path):
         """Two from-scratch fits of the same machine are byte-identical
-        (the pure-Python solver has a fixed operation order)."""
+        (the pure-Python solver has a fixed operation order), and equal
+        the committed artifact.  The slow ttda refit is compared by
+        ``benchmarks/gate.py``."""
         first = render(fit_machine("hep"))
         second = render(fit_machine("hep"))
         assert first == second
+        fits_dir = default_fits_dir()
+        for machine, fresh in (("hep", first),
+                               ("cmmp", render(fit_machine("cmmp")))):
+            with open(os.path.join(fits_dir, f"{machine}.json"), "r",
+                      encoding="utf-8") as fh:
+                assert fresh == fh.read(), machine
 
     def test_write_and_load_round_trip(self, tmp_path):
         payload = fit_machine("hep")

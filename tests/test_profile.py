@@ -374,14 +374,21 @@ def _cli(*argv):
     return code, out.getvalue()
 
 
-def test_cli_profile_machine_deterministic():
+@pytest.mark.parametrize("engine", ["machine", "vn"])
+def test_cli_profile_machine_deterministic(engine, tmp_path):
     trapezoid = _example("trapezoid.id")
-    code_a, text_a = _cli("profile", trapezoid, "--engine", "machine")
-    code_b, text_b = _cli("profile", trapezoid, "--engine", "machine")
-    assert code_a == code_b == 0
-    assert text_a == text_b  # acceptance: byte-identical reports
-    assert "[exact]" in text_a
-    assert "critical path:" in text_a
+    out = str(tmp_path / "profile.json")
+    runs = []
+    for _ in range(2):
+        code, text = _cli("profile", trapezoid, "--engine", engine,
+                          "--out", out)
+        with open(out, "rb") as fh:
+            runs.append((code, text, fh.read()))
+    assert runs[0] == runs[1]  # byte-identical reports and --out JSON
+    code, text, _ = runs[0]
+    assert code == 0
+    assert "[exact]" in text
+    assert "critical path:" in text
 
 
 def test_cli_profile_json_invariant():

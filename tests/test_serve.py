@@ -1,5 +1,6 @@
 """The sweep service: store, scheduler, HTTP server, client, cache CLI."""
 
+import contextlib
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from repro.serve import (
     open_store,
 )
 from repro.exp.cache import key_config
-from repro.obs import KINDS
+from repro.obs import KINDS, validate_chrome_trace
 from repro.serve.protocol import (machine_plan, resolve_experiment,
                                   scheduling_plan)
 from repro.serve.store import default_store_path
@@ -509,15 +510,15 @@ def _alive(pid):
     return state.split()[0] != "Z"
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
-                    reason="needs /proc to find the pool's pids")
-def test_sigterm_stops_the_server_and_its_pool():
+@contextlib.contextmanager
+def _serve_process(*args):
+    """``repro serve ARGS`` in its own process on an ephemeral port;
+    yields ``(proc, url)`` and stops the server on the way out."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here)]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--no-store",
-         "--workers", "2", "--port", "0"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
         env=env, stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 30
@@ -529,6 +530,22 @@ def test_sigterm_stops_the_server_and_its_pool():
                 if "http://" in line:
                     url = line.split()[2]
         assert url is not None, "server never printed its banner"
+        yield proc, url
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to find the pool's pids")
+def test_sigterm_stops_the_server_and_its_pool():
+    with _serve_process("--no-store", "--workers", "2") as (proc, url):
         grid = [{"x": i} for i in range(4)]
         status = ServeClient(url).run(_request(grid, no_store=True),
                                       timeout=WAIT)
@@ -541,11 +558,31 @@ def test_sigterm_stops_the_server_and_its_pool():
         while any(map(_alive, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_alive, workers))
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stderr.close()
+
+
+def test_remote_suite_assembles_under_the_fault_plan(monkeypatch,
+                                                     tmp_path):
+    """``repro bench --remote URL --faults PLAN`` exports the plan before
+    it imports the bench modules, so the table it assembles locally
+    describes the grid the server ran.  The server runs in its own
+    process: an in-process one would export the plan into this process
+    and hide a client that does not."""
+    from repro.serve.client import remote_suite
+    from stub_bench import FAULT_AWARE, stub_bench
+
+    faults = {"mem_slow_rate": 0.5, "levels": [0, 64]}
+    modules = {"bench_faults": (FAULT_AWARE, ["stub_faults"])}
+    with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+        with _serve_process("--no-store", "--workers", "1",
+                            "--bench-dir", bench_dir) as (_proc, url):
+            aggregate = remote_suite(url, bench_dir=bench_dir,
+                                     faults=faults, err=io.StringIO())
+    assert not aggregate["failures"]
+    table = (tmp_path / "benchmarks" / "results"
+             / "stub_faults.txt").read_text()
+    assert "rate 0.5" in table.splitlines()[-1]   # the note: the grid
+    assert [row["rate"] for row in aggregate["experiments"][0]["data"]] \
+        == [0.5]                                  # the served value
 
 
 POOL_OWNER = """
@@ -667,7 +704,10 @@ class TestHttp:
                 == [r["value"] for r in again["records"]])
 
     def test_predict_route_answers_and_refuses(self, server):
+        from repro.obs.live import parse_prometheus
+
         client = ServeClient(server.url)
+        before = parse_prometheus(client.metrics())
         described = client.predict_describe()
         assert "ttda" in described["machines"]
         answer = client.predict("ttda", {"workload": "matmul",
@@ -683,6 +723,11 @@ class TestHttp:
         out = client.predict("ttda", {"workload": "matmul", "n_pes": 256},
                              extrapolate=True)
         assert out["in_region"] is False
+        # Three queries reached the model and one of them was refused.
+        after = parse_prometheus(client.metrics())
+        for name, moved in (("predict_requests_total", 3),
+                            ("predict_out_of_region_total", 1)):
+            assert _metric(after, name) == _metric(before, name) + moved
 
     def test_store_stats_route(self, server):
         stats = ServeClient(server.url).store_stats()
@@ -855,16 +900,97 @@ class TestTelemetry:
 
 
 # ---------------------------------------------------------------------------
+# the serve-plane CLI: repro submit, sweeps and top
+# ---------------------------------------------------------------------------
+
+E07_TABLE = (Path(__file__).resolve().parent.parent / "benchmarks"
+             / "results" / "e07_trapezoid.txt")
+
+
+def _cli(*argv):
+    from repro.cli import main
+
+    out = io.StringIO()
+    code = main(list(argv), out=out)
+    return code, out.getvalue()
+
+
+class TestServeCli:
+    """Runs after the other server tests: the first test needs an e07
+    grid the store has not seen, and the last one kills workers."""
+
+    def test_submit_and_sweeps_print_the_committed_table(self, server,
+                                                          tmp_path):
+        expected = E07_TABLE.read_text()
+        code, text = _cli("submit", "e07_trapezoid", "--quiet",
+                          "--url", server.url)
+        assert code == 0 and text == expected
+        client = ServeClient(server.url)
+        (sweep,) = [s for s in client.sweeps()
+                    if s["experiment"] == "e07_trapezoid"]
+        # A fault-free sweep on identical workers runs each cell once:
+        # one assignment per grid cell, and no other kind of copy.
+        events = client.events(sweep["id"], since=0, timeout=0.0)["events"]
+        assert {e["kind"] for e in events} == {
+            "serve_request", "sweep_begin", "serve_assign", "sweep_task",
+            "sweep_end", "serve_sweep_done"}
+        assert sorted(e["index"] for e in events
+                      if e["kind"] == "serve_assign") == list(range(6))
+
+        code, text = _cli("submit", "e07_trapezoid", "--quiet", "--json",
+                          "--url", server.url)
+        status = json.loads(text)
+        assert code == 0 and status["state"] == "done"
+        assert status["stats"]["executed"] == 0
+        assert status["stats"]["store_hits"] == status["cells"] == 6
+
+        code, text = _cli("submit", "e07_trapezoid", "--detach",
+                          "--url", server.url)
+        detached = text.strip()
+        assert code == 0 and client.wait(detached, timeout=WAIT)
+        code, text = _cli("sweeps", detached, "--table", "--url", server.url)
+        assert code == 0 and text == expected
+        trace = tmp_path / "sweep.trace.json"
+        code, _ = _cli("sweeps", sweep["id"], "--trace", str(trace),
+                       "--url", server.url)
+        payload = json.loads(trace.read_text())
+        assert code == 0 and validate_chrome_trace(payload)
+        assert [e for e in payload["traceEvents"] if e["ph"] == "X"]
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_top_polls_once(self, server, form):
+        code, text = _cli("top", server.url, "--iterations", "1", *form)
+        assert code == 0
+        if form:
+            assert "repro_workers_alive" in json.loads(text)
+        else:
+            assert text.startswith(f"-- repro top @ {server.url} [poll 1]")
+
+    def test_crashed_sweep_prints_the_committed_table(self, server,
+                                                      tmp_path):
+        # Workers os._exit mid-cell on a deterministic substream, and
+        # --no-store makes every cell run.
+        plan = tmp_path / "crash.json"
+        plan.write_text(json.dumps({"seed": 7, "worker_crash_rate": 0.5,
+                                    "max_retries": 4}))
+        code, text = _cli("submit", "e07_trapezoid", "--quiet",
+                          "--no-store", "--faults", str(plan), "--json",
+                          "--url", server.url)
+        status = json.loads(text)
+        assert code == 0 and status["state"] == "done"
+        assert status["stats"]["worker_deaths"] >= 1
+        assert status["stats"]["requeued"] >= 1
+        code, text = _cli("sweeps", status["id"], "--table",
+                          "--url", server.url)
+        assert code == 0 and text == E07_TABLE.read_text()
+
+
+# ---------------------------------------------------------------------------
 # the cache CLI
 # ---------------------------------------------------------------------------
 
 class TestCacheCli:
-    def _main(self, *argv):
-        from repro.cli import main
-
-        out = io.StringIO()
-        code = main(list(argv), out=out)
-        return code, out.getvalue()
+    _main = staticmethod(_cli)
 
     def test_stats_prune_clear(self, tmp_path):
         store_path = str(tmp_path / "s.sqlite")
