@@ -119,9 +119,17 @@ def build_parser():
 
     profile = sub.add_parser(
         "profile",
-        help="causal profile: cycle accounting + simulated critical path",
+        help="causal profile: cycle accounting + simulated critical path "
+             "(--host: where the bench cells' host time goes)",
     )
-    profile.add_argument("file", help="Id-like source file")
+    profile.add_argument("file", nargs="?", default=None,
+                         help="Id-like source file (omit with --host)")
+    profile.add_argument("--host", action="store_true",
+                         help="instead, run bench cells inline under "
+                              "cProfile and print host self time by layer")
+    profile.add_argument("--only", default=None, metavar="SUBSTRING",
+                         help="with --host: only tables whose module or "
+                              "table name contains SUBSTRING")
     profile.add_argument("--entry", default=None,
                          help="entry procedure (default: last def)")
     profile.add_argument("--args", nargs="*", default=[],
@@ -547,7 +555,18 @@ def _cmd_trace(options, out):
 
 
 def _cmd_profile(options, out):
-    """Run under provenance tracing; report accounting + critical path."""
+    """Run under provenance tracing; report accounting + critical path.
+    With ``--host``, the host layer table of the bench cells instead."""
+    if options.host:
+        from .exp.hostprof import format_layers, host_profile
+
+        tables, rows = host_profile(only=options.only)
+        if options.json:
+            print(json.dumps({"tables": tables, "layers": rows}, indent=2),
+                  file=out)
+        else:
+            print(format_layers(tables, rows), file=out)
+        return 0
     from .obs import RingSink
     from .obs.analysis import (build_profile, chrome_flow_events,
                                ttda_accounting, vn_accounting)
@@ -1191,7 +1210,11 @@ def _cmd_predict(options, out):
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    options = build_parser().parse_args(argv)
+    parser = build_parser()
+    options = parser.parse_args(argv)
+    if options.command == "profile" and (options.file is None) != \
+            options.host:
+        parser.error("profile takes a source file, or --host without one")
     handler = {
         "run": _cmd_run,
         "trace": _cmd_trace,

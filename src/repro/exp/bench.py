@@ -115,13 +115,16 @@ def build_experiment(module, out_name):
     return experiment
 
 
-def _run_inline(selected, store, bus, plan):
+def _run_inline(selected, bench_dir, store, bus, plan):
     """``--jobs 0``: each experiment in turn, inline in this process,
     its cells keyed under the machine-level fault ``plan`` as the pool
-    keys them."""
+    keys them.  Resolved as the pool resolves them, so a module this
+    process imported under another plan is reloaded first."""
+    from ..serve.protocol import resolve_experiment
+
     for module_name, out_name in selected:
-        experiment = build_experiment(importlib.import_module(module_name),
-                                      out_name)
+        experiment = resolve_experiment(
+            {"experiment": out_name, "bench_dir": bench_dir}, plan=plan)
         start = time.time()
         records = run_experiment(experiment, jobs=0, cache=store, bus=bus,
                                  plan=plan)
@@ -237,7 +240,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     cells = {"cold": 0, "cached": 0}
     suite_start = time.time()
     cpu_start = _cpu_seconds()
-    outcomes = (_run_inline(selected, store, bus, plan)
+    outcomes = (_run_inline(selected, bench_dir, store, bus, plan)
                 if jobs == 0 else
                 _run_pooled(selected, bench_dir, jobs, store, timeout, bus,
                             faults))

@@ -18,10 +18,9 @@ import sys
 import time
 import urllib.parse
 
-from ..exp.bench import (build_experiment, export_fault_plan,
-                         find_bench_dir, suite_tables, table_entry,
-                         wall_text, write_aggregate)
-from .protocol import ProtocolError
+from ..exp.bench import (export_fault_plan, find_bench_dir, suite_tables,
+                         table_entry, wall_text, write_aggregate)
+from .protocol import ProtocolError, resolve_experiment
 
 __all__ = ["ServeClient", "ServeError", "remote_suite"]
 
@@ -231,8 +230,8 @@ def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
             continue
         # Assemble locally through the experiment's own table builder;
         # values came over the wire, the layout is ours.
-        module = importlib.import_module(module_name)
-        experiment = build_experiment(module, out_name)
+        experiment = resolve_experiment(
+            {"experiment": out_name, "bench_dir": bench_dir}, plan=plan)
         table = experiment.table([r["value"] for r in records])
         cached = status.get("cached", 0)
         cells["cold"] += len(records) - cached

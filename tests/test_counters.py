@@ -40,22 +40,22 @@ GRID = [(mapping, capacity, faults)
 #: means a reported count or statistic moved: re-record only for an
 #: intended change.
 DIGESTS = [
-    ("d41c58bd43523eaf9437942fccddcc276bb66dce22fd50858a8eb5b4045a60b0",
-     "9d8b1beaae95affe9d323ade040f6b369240c1379001cb01ae2024a26b9ce94d"),
-    ("94b92232f72b0abfd84588f445f8ba9ea0f9c35d446c63d7e303809c585d7f36",
-     "392a02a9a74311e412d728cffc7ce6d2f17f7f0009f5dce2b70dd1ef78060c49"),
-    ("e8113f16ecf61f2d30bc170ddd3b65652e4863590f1d76827038ec43e1360340",
-     "26481bf9c6ba7e60dd29b4a945143dd53292d2486bdd6fabd63b26bce8a295a4"),
-    ("9f9138a6d2ccb8a40446ea316950a11a5da321936f8dc928cad823d570d42e68",
-     "7203292a8b8ad07d5b7d8d8e2607f67090713b5c738b3456c9af6d4300678f43"),
-    ("8a7ef6a770ab0f9aef45bc0f19d77fc290d6ed31234d57f66aea734d3241317b",
-     "86de96e01b8f7b9858ab275446eae15b515e18d368212901c9b18604fe765b0a"),
-    ("80c9c3c9a748ee4cf31bdfb23d024807da61c7648b97e2d95079c40d240eb4fa",
-     "389abf7fb3434d5dff4454a2777b4d55ba42168eec2ee477f1debe18d2f1db79"),
-    ("950c326032c242ca00d13778496e5ceab18472cfa29c492c1dc8eff9ca6cdcaa",
-     "f8ebf0cf35cd5f943fcab8493c3abe0d369635a3abf8877c67c1576dcebfeb1c"),
-    ("15abc5e39800f9a9ed4810f3ec3f1d812d6aa86c3706c1872071cb5115f649f0",
-     "04eec6f54115262dbee84e5b4553adabeb0e92b6babe6ad2a3521ec64672d6a6"),
+    ("92c90a45b17ca6ffa76a88a698d2adc642c2d6befbfac4070a1f638ca70a1705",
+     "0e8ccada065539d10203af2952d934bd4cebd4811de00a1d0cbd25c2eab98cb9"),
+    ("fadef44ef3abb6522219ef18524373fe2b06e44afa804b4c264e3b128738f86b",
+     "7ec6140c7bea6feccef69589cb9a9723c1f7ea6763cf3429da53c115b5fda7dd"),
+    ("d7d196b96ebbcf0855e81bf2091085e3e589b3fd440f566f83d942e8f2de9095",
+     "705c26cef6e1ba5c80ee1fe2a19f0eb750df8b5ebde5a7278bcba57ccbbeeb8a"),
+    ("260682283a107a1c8554f8dda2ef32f0fe8d9d88a9c54359e4365ed33915c41d",
+     "dc5d24791430b527cb4c81f117b1b2d810c51a145de01efb98814c55de5bec0a"),
+    ("44641763d455928b157dd6a8a3c0beab9a3b53b056b562b5c0f4d5d5834b7aa2",
+     "0ed7ed41e36105d5ec6c93e49cff452d9a592368f79391dbd868710109decd04"),
+    ("b155929eedc5840b1cfe454ff844b0e6def147110c7567509555e38c7c03c1f5",
+     "a48dcabcc6cc934229acb5a1e475e3861ea204841b6782651c876ef7ede1575a"),
+    ("2a47fe29a8e706b32bcbcccc0a895bf07ac4171612a5b6b97f4ebaf386c35725",
+     "9f78550136a0c5f03005ee36957a41d58343a559b617d807679a67b98ca6224c"),
+    ("cfae73781ca96aae3e33d7c1d6923dd718e3f460b9cef6eff60de06ab2fd36b5",
+     "bc4e4f098c72aea6f927bd6036009b2ca7db22c61828270897d709dc2e7ea06b"),
 ]
 
 

@@ -377,6 +377,25 @@ class TestSuiteStore:
         assert inline["meta"]["cells"] == {"cold": 6, "cached": 0}
         assert pooled["meta"]["cells"] == {"cold": 0, "cached": 6}
 
+    def test_inline_runs_under_two_plans_use_each_plans_grid(
+            self, monkeypatch, tmp_path):
+        """A second ``--jobs 0 --faults`` run in one process reloads the
+        fault-aware module its first run imported, so each table is
+        built on its own plan's grid."""
+        from repro.exp.bench import run_suite
+        from stub_bench import FAULT_AWARE, stub_bench
+
+        modules = {"bench_faults": (FAULT_AWARE, ["stub_faults"])}
+        results = tmp_path / "benchmarks" / "results" / "stub_faults.txt"
+        notes = []
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            for rate in (0.5, 0.25):
+                run_suite(jobs=0, no_cache=True, bench_dir=bench_dir,
+                          faults={"mem_slow_rate": rate}, err=io.StringIO())
+                notes.append(results.read_text().splitlines()[-1])
+        assert "rate 0.5" in notes[0]
+        assert "rate 0.25" in notes[1]
+
 
 class TestSuiteWalls:
     """A wall times cold work only: any store hit nulls the experiment's

@@ -201,10 +201,10 @@ FAULTS = {"seed": 11, "mem_slow_rate": 0.2, "mem_slow_cycles": 8,
 #: (REGISTRY_RUNS x {faults off, faults on}).  A digest that moves means
 #: a model's results moved: re-record only for an intended change.
 REGISTRY_DIGESTS = [
-    "06193d9808e48a853fb01453ed9fd1993b8fa66433ee655ff9abf929b9872bde",
-    "62c4fdcb87fdf7f2e75fdae0a54eb579911cbcac2b4c14c85dcd898244408f0d",
-    "05407ef86b96068d3a47c08686f1c4771dbef56fcde79a1f9bdc55d71d720abc",
-    "5fdcd3b8f04162417be92c0430003c7deb9bdf1ad8fd524bee6abe9ac0186ee5",
+    "a4e04282fd556a54e0c75b99e68ffa453e3afd016f1a4b17f1472556c8cb67c9",
+    "01888a0b627140214eb72417f8b1bf4c42a41a22ced4adc2af1a3f39ab8a0f6c",
+    "2fa8e14ef21565a67e91e3658f161199bd25395687dfb37338843ce803781614",
+    "8426fd37c0677f8a623f77d55d5c56e17389bc5a3926c4609cd0e5e3bbf37b93",
     "edc0e8b93604acbe193339d7af7f31e1ff7f1681df8126a25e757fa2e6d46d53",
     "59b7e44f1189a7618089ca36b3dbecb2c2d1c6d6e833808cbe08fc57b53ffa3f",
     "5dc52f847fa2537215a1ce3278d26eac855e3766d3396aac26cc32980e9d26d1",

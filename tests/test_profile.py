@@ -432,3 +432,60 @@ def test_cli_machine_json_carries_accounting():
     code, text = _cli("machine", "hep", "--set", "contexts=4")
     assert code == 0
     assert "accounting:" in text  # human rendering shows the buckets
+
+
+#: A bench module with one small TTDA cell, for the host layer table.
+HOST_CELL = '''\
+from repro.analysis import Table
+from repro.exp import Experiment
+from repro.machines import registry
+
+
+def run_cell(config):
+    registry.create("ttda", n_pes=2).run(workload="matmul", args=(2,))
+    return 1
+
+
+def _assemble(experiment, values):
+    t = Table("host cell", ["x"])
+    t.add_row(*values)
+    return t
+
+
+SWEEPS = {"host_cell": Experiment(name="host_cell", run=run_cell,
+                                  grid=[{}], assemble=_assemble)}
+'''
+
+
+def test_host_layer_table_repeats_its_calls(tmp_path, monkeypatch):
+    """``repro profile --host``: the same cell profiled twice (after a
+    first run that pays its imports and compile memos) folds into the
+    same layers with the same call counts, and every profiled second
+    lands in one row."""
+    from repro.exp.hostprof import format_layers, host_profile
+    from stub_bench import stub_bench
+
+    modules = {"bench_host": (HOST_CELL, ["host_cell"])}
+    with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+        runs = [host_profile(bench_dir=bench_dir) for _ in range(3)]
+        code, text = _cli("profile", "--host", "--only", "host", "--json")
+    calls = [{row["layer"]: row["calls"] for row in rows}
+             for _tables, rows in runs[1:]]
+    assert calls[0] == calls[1]
+    assert {"builtins", "stdlib/other", "common.simulator", "dataflow.pe",
+            "dataflow.mapping"} <= set(calls[0])
+    tables, rows = runs[-1]
+    assert tables == ["host_cell"]
+    assert sum(row["share"] for row in rows) == pytest.approx(1.0)
+    assert "| `dataflow.mapping` |" in format_layers(tables, rows)
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["tables"] == ["host_cell"]
+    assert {row["layer"] for row in payload["layers"]} == set(calls[0])
+
+
+def test_profile_takes_a_file_or_host():
+    for argv in (["profile"], ["profile", "prog.id", "--host"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=io.StringIO())
+        assert exc.value.code == 2

@@ -2,8 +2,10 @@
 ``repr`` and mapping keys that traces and PE placement depend on."""
 
 import pickle
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataflow import (
     ByContextMapping,
@@ -29,13 +31,13 @@ GRID = [Tag(context, block, statement, iteration)
 
 #: stable_tag_key over GRID.  A value that moves means every hash-mapped
 #: token lands on a different PE: re-record only for an intended change.
-GRID_KEYS = [807321026, 3713186332, 3266747662, 3981233774, 3864096888,
-             2145539322, 2945447503, 1355476285, 2031199291]
+GRID_KEYS = [807321026, 3713186332, 3266747662, 1659108792, 3884013066,
+             806931380, 1472325963, 1968036153, 474411415]
 
 #: ByContextMapping(7).pe_of over GRID, with and without iteration
 #: spreading.
-GRID_CONTEXT_PES = [5, 4, 4, 3, 0, 5, 3, 5, 1]
-GRID_CONTEXT_PES_FLAT = [1, 5, 5, 1, 4, 5, 4, 3, 5]
+GRID_CONTEXT_PES = [6, 1, 0, 3, 0, 5, 2, 4, 5]
+GRID_CONTEXT_PES_FLAT = [0, 3, 3, 1, 4, 5, 0, 2, 3]
 
 
 class TestTagValues:
@@ -108,32 +110,119 @@ class TestMappingKeys:
         assert [flat.pe_of(tag) for tag in GRID] == GRID_CONTEXT_PES_FLAT
 
 
+def reference_key(tag):
+    """The root-first fold, written out: from the seed, each chain node
+    from the outermost context down folds (crc32 of its code block,
+    statement, iteration) in."""
+    nodes = []
+    while tag is not None:
+        nodes.append(tag)
+        tag = tag.context
+    h = 0x811C9DC5
+    for node in reversed(nodes):
+        for value in (zlib.crc32(node.code_block.encode("utf-8")),
+                      node.statement, node.iteration):
+            h = (h * 1000003 ^ value) & 0xFFFFFFFF
+    return h
+
+
+def reference_context_pe(tag, n_pes, spread_iterations=True):
+    """ByContextMapping's PE: the code block's crc32, and the iteration
+    when spreading, folded onto the context's key."""
+    h = reference_key(tag.context)
+    h = (h * 1000003 ^ zlib.crc32(tag.code_block.encode("utf-8"))) \
+        & 0xFFFFFFFF
+    if spread_iterations:
+        h = (h * 1000003 ^ tag.iteration) & 0xFFFFFFFF
+    return h % n_pes
+
+
+def chain(depth, block="f"):
+    """One context chain ``depth`` tags deep, built iteratively."""
+    tag = None
+    for level in range(depth):
+        tag = Tag(tag, block, level % 7, level % 3 + 1)
+    return tag
+
+
+nodes = st.tuples(st.sampled_from(["main", "f", "loop", "é", ""]),
+                  st.integers(0, 2 ** 31), st.integers(1, 2 ** 31))
+
+
+class TestRootFirstKey:
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.lists(nodes, min_size=1, max_size=12),
+           n_pes=st.integers(1, 64))
+    def test_matches_the_reference_fold(self, path, n_pes):
+        tag = None
+        for block, statement, iteration in path:
+            tag = Tag(tag, block, statement, iteration)
+        assert stable_tag_key(tag) == reference_key(tag)
+        assert HashMapping(n_pes).pe_of(tag) == reference_key(tag) % n_pes
+        for spread in (True, False):
+            assert ByContextMapping(n_pes, spread).pe_of(tag) == \
+                reference_context_pe(tag, n_pes, spread)
+
+    def test_deep_chain_keys_without_recursion(self):
+        deep = Tag(chain(5000), "leaf", 1, 2)
+        key = reference_key(deep)
+        assert stable_tag_key(deep) == key
+        assert HashMapping(8).pe_of(deep) == key % 8
+        assert ByContextMapping(8).pe_of(deep) == \
+            reference_context_pe(deep, 8)
+
+
+def _memo_tags():
+    contexts = [OUTER, INNER, Tag(INNER, "g", 1, 5), Tag(OUTER, "h", 2, 1),
+                chain(40)]
+    return [Tag(context, "loop", 12, iteration)
+            for context in contexts for iteration in (1, 2)] + GRID
+
+
+def _expected(mapping, tag):
+    if isinstance(mapping, HashMapping):
+        return reference_key(tag) % mapping.n_pes
+    return reference_context_pe(tag, mapping.n_pes,
+                                mapping.spread_iterations)
+
+
 class TestContextKeyMemo:
+    @pytest.mark.parametrize("make", [lambda: HashMapping(7),
+                                      lambda: ByContextMapping(7),
+                                      lambda: ByContextMapping(7, False)],
+                             ids=["hash", "context", "context-flat"])
+    def test_cold_and_warm_memo_agree(self, make):
+        tags = _memo_tags()
+        mapping = make()
+        cold = [mapping.pe_of(tag) for tag in tags]
+        warm = [mapping.pe_of(tag) for tag in tags]
+        assert cold == warm == [_expected(mapping, tag) for tag in tags]
+        # every tag a cold mapping meets first, in the reverse order
+        assert [make().pe_of(tag) for tag in reversed(tags)] == cold[::-1]
+
     def test_equal_contexts_share_one_entry(self):
-        mapping = ByContextMapping(7)
         first = Tag(Tag(None, "main", 3, 1), "f", 7, 2)
         second = Tag(Tag(None, "main", 9, 1).enter(3, "f", 0).context,
                      "f", 7, 2)
         assert first == second and first is not second
-        pes = [mapping.pe_of(Tag(first, "loop", 12, 3)),
-               mapping.pe_of(Tag(second, "loop", 12, 3))]
-        assert len(mapping._context_keys) == 1
-        assert pes[0] == pes[1] == ByContextMapping(7).pe_of(
-            Tag(INNER, "loop", 12, 3))
+        for mapping in (HashMapping(7), ByContextMapping(7)):
+            pes = [mapping.pe_of(Tag(first, "loop", 12, 3)),
+                   mapping.pe_of(Tag(second, "loop", 12, 3))]
+            # the root, the outer context and the one equal pair
+            assert list(mapping._context_keys) == \
+                [None, Tag(None, "main", 3, 1), first]
+            assert pes[0] == pes[1] == \
+                _expected(mapping, Tag(INNER, "loop", 12, 3))
 
     def test_overflow_clears_without_moving_any_pe(self, monkeypatch):
         from repro.dataflow import mapping as mapping_module
         monkeypatch.setattr(mapping_module, "_CONTEXT_KEYS_MAX", 2)
-        mapping = ByContextMapping(7)
-        contexts = [OUTER, INNER, Tag(INNER, "g", 1, 5), Tag(OUTER, "h", 2, 1)]
-        tags = [Tag(context, "loop", 12, iteration)
-                for context in contexts for iteration in (1, 2)] + GRID
-        sizes = []
-        for _ in range(2):
-            assert [mapping.pe_of(tag) for tag in GRID] == GRID_CONTEXT_PES
-            for tag in tags:
-                pe = mapping.pe_of(tag)
-                sizes.append(len(mapping._context_keys))
-                assert pe == ByContextMapping(7).pe_of(tag)
-        assert max(sizes) == 2
-        assert 1 in sizes[1:]  # cleared at least once after filling
+        tags = _memo_tags()
+        for mapping in (HashMapping(7), ByContextMapping(7)):
+            sizes = []
+            for _ in range(2):
+                for tag in tags:
+                    assert mapping.pe_of(tag) == _expected(mapping, tag)
+                    sizes.append(len(mapping._context_keys))
+            assert max(sizes) == 2
+            assert 1 in sizes[1:]  # cleared at least once after filling
