@@ -5,43 +5,31 @@ synchronization waits (Issue 2) determine multiprocessor performance;
 ``repro.predict`` turns the profiler's measurement of exactly those
 quantities (the cycle-accounting buckets of PR 3) into an
 Amdahl/queueing model that answers config queries without simulating.
-This experiment is the model-vs-measurement table: for every machine
-with a committed fit artifact under ``benchmarks/fits/``, re-simulate
-the fitted e01/e07/e10-derived grids, answer each point from the
-committed fit, and report the relative-error distribution.
+This experiment is the model-vs-measurement table.  Its cells are the
+fit points themselves, one per (machine, workload, config) of the
+e01/e07/e10-derived grids: each simulates its point once and returns
+the bucket means.  The assembly answers every point from the committed
+fit artifact under ``benchmarks/fits/`` and reports the relative-error
+distribution per machine.
 
-The committed baseline makes the error bounds part of the drift gate:
-``repro bench --check`` fails if a code change silently degrades the
-surrogate (or the fit artifacts drift from what simulation produces).
-The fit artifacts themselves are hashed into the cache key, so a refit
-invalidates cached rows.
+``repro predict --fit`` and ``--validate`` run these same cells through
+the result store, so a point a bench run has simulated is read, not
+simulated again.  The cells never read a fit; the assembly reads the
+committed artifacts afresh on every run.  The committed baseline makes
+the error bounds part of the drift gate: ``repro bench --check`` fails
+if a code change silently degrades the surrogate, or the fit artifacts
+drift from what simulation produces.
 """
 
-import glob
 import os
 
 from repro.analysis import Table
 from repro.exp import Experiment, one_row
-from repro.predict import (MEDIAN_REL_BOUND, P95_REL_BOUND, default_fits_dir,
-                           fitted_machines, validate_machine)
+from repro.predict import (MEDIAN_REL_BOUND, P95_REL_BOUND, error_report,
+                           fit_grid, fitted_machines, group_means,
+                           simulate_point)
 
-_FITS = sorted(glob.glob(os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "fits", "*.json")))
-
-
-def run_point(config):
-    """Validate one machine's committed fit against fresh simulation."""
-    report = validate_machine(config["machine"], default_fits_dir())
-    overall = report["overall"]
-    return [
-        report["machine"],
-        len(report["workloads"]),
-        overall["points"],
-        overall["median_rel"],
-        overall["p95_rel"],
-        overall["max_rel"],
-        "yes" if report["ok"] else "no",
-    ]
+FITS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fits")
 
 
 def _assemble(experiment, values):
@@ -57,17 +45,21 @@ def _assemble(experiment, values):
             f"p95 <= {P95_REL_BOUND:.0%} (repro predict --validate)",
         ],
     )
-    for row in values:
-        table.add_row(*row)
+    measured = group_means(experiment.grid, values)
+    for machine in fitted_machines():
+        report = error_report(FITS_DIR, machine, measured[machine])
+        overall = report["overall"]
+        table.add_row(machine, len(report["workloads"]), overall["points"],
+                      overall["median_rel"], overall["p95_rel"],
+                      overall["max_rel"], "yes" if report["ok"] else "no")
     return table
 
 
 SWEEPS = {"e21_predict": Experiment(
     name="e21_predict",
-    run=run_point,
-    grid=[{"machine": machine} for machine in fitted_machines()],
+    run=simulate_point,
+    grid=fit_grid(),
     assemble=_assemble,
-    code_paths=[os.path.abspath(__file__)] + _FITS,
 )}
 
 

@@ -12,19 +12,23 @@ Legs, in this order:
 * ``hashseed``: e10b, e12 and e12b under ``PYTHONHASHSEED`` 1 and 2;
   the tables must be byte-identical (PE placement must not follow the
   per-process str hash).
-* ``fits``: ``repro predict --fit`` into a scratch directory; every file
-  must equal its committed twin in ``benchmarks/fits`` byte for byte.
 * ``micro``: the event-kernel microbenchmark runs (no file written).
 * ``suite``: every table cold at ``--jobs 2`` into a fresh store with
   ``--check`` (its sweep events go to ``sweep-events.jsonl`` beside the
   check JSON), then again warm from that store with ``--check``; the
   warm run must take every cell from the store (``meta.cells.cold ==
   0``), so a cell value that does not survive JSON shows as a diff.
+* ``fits``: ``repro predict --fit`` into a scratch directory, with
+  ``REPRO_STORE`` at the suite leg's store.  It must simulate no cell
+  (e21's cells are the fit points, and the suite stored them), and
+  every file must equal its committed twin in ``benchmarks/fits`` byte
+  for byte.
 
 Each bench run rewrites ``benchmarks/results/`` and
 ``BENCH_results.json``, as ``repro bench`` always does; the suite leg
-runs last, so they end up fault-free.  Run it in a scratch copy to keep
-a checkout clean.  Every leg runs; the exit status is 1 if any failed.
+is the last bench run, so they end up fault-free.  Run it in a scratch
+copy to keep a checkout clean.  Every leg runs; the exit status is 1 if
+any failed.
 """
 
 import argparse
@@ -45,14 +49,19 @@ HASHSEED_TABLES = ("e10b_mapping_ablation", "e12_matching_store",
                    "e12b_matching_store_pes")
 
 
-def repro(*args, hashseed=None):
-    """Run ``python -m repro ARGS`` on this checkout's ``src``."""
+def repro(*args, hashseed=None, store=None, capture=False):
+    """Run ``python -m repro ARGS`` on this checkout's ``src``, with
+    ``REPRO_STORE`` at ``store`` when given; returns its stdout when
+    ``capture`` is set."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     if hashseed is not None:
         env["PYTHONHASHSEED"] = str(hashseed)
+    if store is not None:
+        env["REPRO_STORE"] = store
     print(f"$ repro {' '.join(args)}", flush=True)
-    subprocess.run([sys.executable, "-m", "repro", *args], cwd=ROOT,
-                   env=env, check=True)
+    return subprocess.run([sys.executable, "-m", "repro", *args], cwd=ROOT,
+                          env=env, check=True, text=True,
+                          stdout=subprocess.PIPE if capture else None).stdout
 
 
 def read(path):
@@ -86,16 +95,6 @@ def hashseed_leg(scratch, out):
     return runs[0] == runs[1]
 
 
-def fits_leg(scratch, out):
-    fresh = os.path.join(scratch, "fits")
-    committed = os.path.join(ROOT, "benchmarks", "fits")
-    repro("predict", "--fit", "--fits-dir", fresh)
-    names = sorted(os.listdir(committed))
-    return sorted(os.listdir(fresh)) == names and all(
-        read(os.path.join(fresh, name)) == read(os.path.join(committed, name))
-        for name in names)
-
-
 def micro_leg(scratch, out):
     args = ["--events", "50000", "--repeat", "2", "--no-write"]
     print(f"$ bench_micro_kernel.py {' '.join(args)}", flush=True)
@@ -120,8 +119,21 @@ def suite_leg(scratch, out):
     return cells["cold"] == 0
 
 
-LEGS = {"faults": faults_leg, "hashseed": hashseed_leg, "fits": fits_leg,
-        "micro": micro_leg, "suite": suite_leg}
+def fits_leg(scratch, out):
+    fresh = os.path.join(scratch, "fits")
+    committed = os.path.join(ROOT, "benchmarks", "fits")
+    written = repro("predict", "--fit", "--json", "--fits-dir", fresh,
+                    store=os.path.join(scratch, "store"), capture=True)
+    cells = json.loads(written)["cells"]
+    print(f"refit from the suite's store: {cells}")
+    names = sorted(os.listdir(committed))
+    return cells["cold"] == 0 and sorted(os.listdir(fresh)) == names and all(
+        read(os.path.join(fresh, name)) == read(os.path.join(committed, name))
+        for name in names)
+
+
+LEGS = {"faults": faults_leg, "hashseed": hashseed_leg, "micro": micro_leg,
+        "suite": suite_leg, "fits": fits_leg}
 
 
 def main(argv=None):

@@ -351,13 +351,13 @@ def build_parser():
                          help="workload=NAME plus knob overrides, e.g. "
                               "workload=matmul n_pes=8 network_latency=20")
     predict.add_argument("--fit", action="store_true",
-                         help="(re)fit the machine surrogates from "
-                              "simulation and write the artifacts, then "
-                              "exit")
+                         help="(re)fit the machine surrogates from e21's "
+                              "fit-point cells (result store, else "
+                              "simulation), write the artifacts, exit")
     predict.add_argument("--validate", action="store_true",
-                         help="sweep fit-vs-simulation error over the "
-                              "fitted grids; nonzero exit when the "
-                              "documented bounds are exceeded")
+                         help="fit-vs-simulation error over e21's cells; "
+                              "nonzero exit when the documented bounds "
+                              "are exceeded")
     predict.add_argument("--extrapolate", action="store_true",
                          help="answer out-of-region queries anyway "
                               "(default: refuse with exit code 2)")
@@ -1116,34 +1116,44 @@ def _cmd_machine(options, out):
 def _cmd_predict(options, out):
     """Query / fit / validate the analytic surrogate (repro.predict)."""
     from .predict import (OutOfRegionError, PredictError, PredictPlane,
-                          default_fits_dir, fit_machine, fitted_machines,
-                          validate_all, write_fit)
+                          default_fits_dir, error_report, fit_machine,
+                          fitted_machines, measure, write_fit)
 
     fits_dir = options.fits_dir or default_fits_dir()
 
-    if options.fit:
-        machines = ([options.machine_name] if options.machine_name
-                    else list(fitted_machines()))
-        paths = []
-        for machine in machines:
-            paths.append(write_fit(fit_machine(machine), fits_dir))
-            print(f"  fit: {machine} -> {paths[-1]}", file=sys.stderr)
-        if options.json:
-            print(json.dumps({"written": paths}, indent=2, sort_keys=True),
-                  file=out)
-        return 0
-
-    if options.validate:
+    if options.fit or options.validate:
         machines = ([options.machine_name] if options.machine_name
                     else list(fitted_machines()))
         try:
-            report = validate_all(machines, fits_dir)
+            # Both read e21's cells; an unfitted machine fails here.
+            measured, cells = measure(machines)
+            reports = [] if options.fit else [
+                error_report(fits_dir, machine, measured[machine])
+                for machine in machines]
         except ValueError as exc:
-            raise SystemExit(f"repro predict --validate: {exc}")
+            flag = "--fit" if options.fit else "--validate"
+            raise SystemExit(f"repro predict {flag}: {exc}")
+        print(f"  cells: {cells['cold']} simulated, {cells['cached']} from "
+              "the store", file=sys.stderr)
+
+    if options.fit:
+        paths = []
+        for machine in machines:
+            paths.append(write_fit(fit_machine(machine, measured[machine]),
+                                   fits_dir))
+            print(f"  fit: {machine} -> {paths[-1]}", file=sys.stderr)
+        if options.json:
+            print(json.dumps({"written": paths, "cells": cells}, indent=2,
+                             sort_keys=True), file=out)
+        return 0
+
+    if options.validate:
+        report = {"machines": reports, "cells": cells,
+                  "ok": all(entry["ok"] for entry in reports)}
         if options.json:
             print(json.dumps(report, indent=2, sort_keys=True), file=out)
         else:
-            for entry in report["machines"]:
+            for entry in reports:
                 overall = entry["overall"]
                 flag = "ok" if entry["ok"] else "EXCEEDS BOUNDS"
                 print(f"  {entry['machine']:<8} median "
@@ -1155,11 +1165,9 @@ def _cmd_predict(options, out):
                     print(f"    {name:<14} median "
                           f"{100 * stats['median_rel']:.2f}%  p95 "
                           f"{100 * stats['p95_rel']:.2f}%", file=out)
-            bounds = report["machines"][0]["bounds"] if report["machines"] \
-                else {}
-            print(f"  bounds: median <= "
-                  f"{100 * bounds.get('median_rel', 0):.0f}%, p95 <= "
-                  f"{100 * bounds.get('p95_rel', 0):.0f}%", file=out)
+            bounds = reports[0]["bounds"]
+            print(f"  bounds: median <= {100 * bounds['median_rel']:.0f}%, "
+                  f"p95 <= {100 * bounds['p95_rel']:.0f}%", file=out)
         return 0 if report["ok"] else 1
 
     plane = PredictPlane(fits_dir=fits_dir)

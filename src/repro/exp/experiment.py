@@ -57,8 +57,8 @@ class Experiment:
     def run_inline(self):
         """Run the grid serially in-process; returns values in grid order.
 
-        The engine-free path: the examples and the cell surrogate's fit
-        use it; ``repro bench`` runs the same grid through the engine.
+        The engine-free path the examples use; ``repro bench`` runs the
+        same grid through the engine.
         """
         return [self.run(config) for config in self.grid]
 

@@ -13,20 +13,22 @@ See ``docs/PREDICT.md`` for the model form, fit procedure, and the
 measured error bounds.
 """
 
-from .artifacts import (available_machines, default_fits_dir, fit_machine,
-                        fit_path, load_fit, render, write_fit)
-from .grids import WorkloadSpec, fitted_machines, machine_specs
+from .artifacts import (MEDIAN_REL_BOUND, P95_REL_BOUND, available_machines,
+                        default_fits_dir, error_report, fit_machine,
+                        fit_path, group_means, load_fit, measure, render,
+                        write_fit)
+from .grids import (WorkloadSpec, fit_grid, fitted_machines, machine_specs,
+                    simulate_point)
 from .model import (FEATURES, feature_vector, least_squares, nnls,
                     solve_linear)
 from .plane import OutOfRegionError, PredictError, PredictPlane, Predictor
-from .validate import (MEDIAN_REL_BOUND, P95_REL_BOUND, validate_all,
-                       validate_machine)
 
 __all__ = [
     "FEATURES", "MEDIAN_REL_BOUND", "OutOfRegionError", "P95_REL_BOUND",
     "PredictError", "PredictPlane", "Predictor", "WorkloadSpec",
-    "available_machines", "default_fits_dir", "feature_vector",
-    "fit_machine", "fit_path", "fitted_machines", "least_squares",
-    "load_fit", "machine_specs", "nnls", "render", "solve_linear",
-    "validate_all", "validate_machine", "write_fit",
+    "available_machines", "default_fits_dir", "error_report",
+    "feature_vector", "fit_grid", "fit_machine", "fit_path",
+    "fitted_machines", "group_means", "least_squares", "load_fit",
+    "machine_specs", "measure", "nnls", "render", "simulate_point",
+    "solve_linear", "write_fit",
 ]

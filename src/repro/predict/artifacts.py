@@ -1,23 +1,32 @@
-"""Fitting and the on-disk fit artifacts under ``benchmarks/fits/``.
+"""Fitting, the error report, and the fit artifacts under ``benchmarks/fits/``.
 
-One JSON file per machine, canonical serialization (sorted keys, fixed
-indent, coefficients rounded to 12 significant digits), so that a refit
-on any host is byte-identical to the committed artifact — the ``fits``
-leg of ``benchmarks/gate.py`` refits from scratch and compares bytes.
+Both start from the bucket means of e21's cells (:func:`measure`), so a
+fit point is simulated once per code version.  One JSON file per
+machine, canonical serialization (sorted keys, fixed indent,
+coefficients rounded to 12 significant digits), so that a refit on any
+host is byte-identical to the committed artifact — the ``fits`` leg of
+``benchmarks/gate.py`` refits and compares bytes.
 """
 
 import json
 import os
 
 from ..obs.analysis.accounting import BUCKETS
-from .grids import fitted_machines, machine_specs
+from .grids import fit_grid, fitted_machines, machine_specs
 from .model import (ARTIFACT_DIGITS, FEATURES, feature_vector, nnls,
-                    round_sig)
+                    predict_buckets, round_sig)
 
-__all__ = ["FORMAT", "default_fits_dir", "error_stats", "fit_machine",
-           "fit_path", "load_fit", "render", "write_fit"]
+__all__ = ["FORMAT", "MEDIAN_REL_BOUND", "P95_REL_BOUND",
+           "default_fits_dir", "error_report", "error_stats",
+           "fit_machine", "fit_path", "group_means", "load_fit", "measure",
+           "render", "write_fit"]
 
 FORMAT = 1
+
+#: Documented acceptance bounds on fit-vs-simulation relative error
+#: (median, p95) over a fit's own grid.
+MEDIAN_REL_BOUND = 0.10
+P95_REL_BOUND = 0.25
 
 
 def default_fits_dir(bench_dir=None):
@@ -35,9 +44,6 @@ def error_stats(errors):
     """Deterministic median / p95 / max of a list of relative errors."""
     ordered = sorted(errors)
     count = len(ordered)
-    if count == 0:
-        return {"median_rel": 0.0, "p95_rel": 0.0, "max_rel": 0.0,
-                "points": 0}
 
     def quantile(q):
         # Nearest-rank on the sorted sample: rank ceil(q*n), 1-based.
@@ -52,50 +58,38 @@ def error_stats(errors):
     }
 
 
-def fit_workload(spec):
-    """Fit one (machine, workload): simulate the grid, NNLS per bucket.
-
-    Returns ``(payload, errors)`` — the artifact fragment and the
-    per-point relative errors of the summed prediction against the
-    measured run time.
-    """
-    rows = []
-    for config in spec.grid:
-        full = spec.fill(config)
-        result = spec.simulate(full)
-        means = result.bucket_means()
-        rows.append((full, feature_vector(*spec.scales(full)), means))
-
-    theta = {}
-    for bucket in BUCKETS:
-        design = [features for _cfg, features, _means in rows]
-        targets = [means[bucket] for _cfg, _features, means in rows]
-        theta[bucket] = [round_sig(t) for t in nnls(design, targets)]
-
+def _relative_errors(spec, theta, rows):
+    """Each point's relative error of the summed prediction (buckets in
+    ``theta``'s key order) against the sum of its bucket means."""
     errors = []
-    for _config, features, means in rows:
-        measured = sum(means.values())
-        predicted = sum(
-            sum(t * f for t, f in zip(theta[bucket], features))
-            for bucket in BUCKETS)
+    for config, means in zip(spec.grid, rows, strict=True):
+        measured = sum(means)
+        features = feature_vector(*spec.scales(spec.fill(config)))
+        predicted = sum(predict_buckets(theta, features).values())
         errors.append(abs(predicted - measured) / measured if measured
                       else abs(predicted))
-
-    payload = {
-        "axes": dict(spec.axes),
-        "defaults": dict(spec.defaults),
-        "region": spec.region(),
-        "theta": theta,
-        "train_error": error_stats(errors),
-    }
-    return payload, errors
+    return errors
 
 
-def fit_machine(machine):
-    """The full fit artifact payload for one machine."""
+def fit_machine(machine, measured):
+    """The full fit artifact payload for one machine: NNLS per bucket
+    over its points' bucket means (``{workload: rows}``, as
+    :func:`group_means` gives them)."""
     workloads = {}
     for name, spec in sorted(machine_specs(machine).items()):
-        workloads[name], _errors = fit_workload(spec)
+        rows = measured[name]
+        design = [feature_vector(*spec.scales(spec.fill(config)))
+                  for config in spec.grid]
+        theta = {bucket: [round_sig(t) for t in
+                          nnls(design, [means[column] for means in rows])]
+                 for column, bucket in enumerate(BUCKETS)}
+        workloads[name] = {
+            "axes": dict(spec.axes),
+            "defaults": dict(spec.defaults),
+            "region": spec.region(),
+            "theta": theta,
+            "train_error": error_stats(_relative_errors(spec, theta, rows)),
+        }
     return {
         "format": FORMAT,
         "machine": machine,
@@ -104,6 +98,70 @@ def fit_machine(machine):
         "digits": ARTIFACT_DIGITS,
         "workloads": workloads,
     }
+
+
+def error_report(fits_dir, machine, measured):
+    """``machine``'s artifact in ``fits_dir`` against its points' bucket
+    means (``{workload: rows}``): ``{"machine", "workloads": {name:
+    stats}, "overall", "bounds", "ok"}``, ``ok`` when the overall stats
+    are in bounds.  Raises ``ValueError`` when there is no artifact."""
+    payload = load_fit(fits_dir, machine)
+    if payload is None:
+        raise ValueError(f"no fit artifact for {machine!r} in {fits_dir} "
+                         "(run `repro predict --fit`)")
+    specs = machine_specs(machine)
+    per_workload = {}
+    all_errors = []
+    for name, fit in sorted(payload["workloads"].items()):
+        errors = _relative_errors(specs[name], fit["theta"], measured[name])
+        per_workload[name] = error_stats(errors)
+        all_errors.extend(errors)
+    overall = error_stats(all_errors)
+    return {
+        "machine": machine,
+        "workloads": per_workload,
+        "overall": overall,
+        "bounds": {"median_rel": MEDIAN_REL_BOUND, "p95_rel": P95_REL_BOUND},
+        "ok": (overall["median_rel"] <= MEDIAN_REL_BOUND
+               and overall["p95_rel"] <= P95_REL_BOUND),
+    }
+
+
+def group_means(cells, values):
+    """``{machine: {workload: rows}}`` from fit-point cells and their
+    values, each ``rows`` list in grid order."""
+    measured = {}
+    for config, means in zip(cells, values, strict=True):
+        measured.setdefault(config["machine"], {}).setdefault(
+            config["workload"], []).append(means)
+    return measured
+
+
+def measure(machines):
+    """The bucket means of every fit point of ``machines`` as
+    :func:`group_means` gives them, plus ``{"cold": n, "cached": n}``.
+    Each point is e21's cell, read from the result store
+    (``$REPRO_STORE``) under ``repro bench``'s key, or simulated inline
+    and stored."""
+    from ..exp.engine import run_experiment
+    from ..serve.protocol import resolve_experiment
+    from ..serve.store import open_store
+
+    experiment = resolve_experiment({"experiment": "e21_predict"},
+                                    grid=fit_grid(machines))
+    store = open_store()
+    try:
+        records = run_experiment(experiment, jobs=0, cache=store)
+    finally:
+        store.close()
+    for record in records:
+        if not record.ok:
+            raise RuntimeError(
+                f"fit point {record.config} failed:\n{record.error}")
+    cached = sum(1 for record in records if record.cached)
+    return (group_means(experiment.grid,
+                        [record.value for record in records]),
+            {"cold": len(records) - cached, "cached": cached})
 
 
 def render(payload):

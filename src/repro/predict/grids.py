@@ -25,7 +25,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
-__all__ = ["WorkloadSpec", "machine_specs", "fitted_machines"]
+from ..obs.analysis.accounting import BUCKETS
+
+__all__ = ["WorkloadSpec", "fit_grid", "fitted_machines", "machine_specs",
+           "simulate_point"]
 
 #: e01 LATENCIES / e10 PE_COUNTS / e07 INTERVALS, reused as fit axes.
 E01_LATENCIES = (1, 2, 5, 10, 20, 50, 100)
@@ -237,3 +240,25 @@ def machine_specs(machine):
             f"(fitted machines: {', '.join(fitted_machines())})"
         ) from None
     return builder()
+
+
+def fit_grid(machines=None):
+    """e21's grid: one ``{"machine", "workload", **point}`` cell per fit
+    point of ``machines`` (default: all fitted), workloads sorted, points
+    in grid order.  Raises ``ValueError`` for a machine with no
+    surrogate."""
+    return [{"machine": machine, "workload": name, **point}
+            for machine in (machines or fitted_machines())
+            for name, spec in sorted(machine_specs(machine).items())
+            for point in spec.grid]
+
+
+def simulate_point(config):
+    """One fit-point cell: simulate the point once and return its
+    per-unit bucket means as a list in ``BUCKETS`` order.  A list, so
+    the buckets still sum in that order after the result store's JSON
+    round trip."""
+    point = dict(config)
+    spec = machine_specs(point.pop("machine"))[point.pop("workload")]
+    means = spec.simulate(spec.fill(point)).bucket_means()
+    return [means[bucket] for bucket in BUCKETS]

@@ -46,11 +46,8 @@ ones.  ``numpy.linalg.lstsq`` would hand that determinism to whatever
 LAPACK build is installed.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
 __all__ = ["FEATURES", "feature_vector", "nnls", "round_sig",
-           "solve_linear", "least_squares", "BucketModel", "predict_buckets"]
+           "solve_linear", "least_squares", "predict_buckets"]
 
 #: Feature names, in the order :func:`feature_vector` emits them.
 FEATURES = (
@@ -191,28 +188,8 @@ def nnls(design, targets):
     return [0.0] * n_cols
 
 
-@dataclass
-class BucketModel:
-    """Fitted coefficients for one (machine, workload): one non-negative
-    coefficient vector per accounting bucket, over :data:`FEATURES`."""
-
-    buckets: Tuple[str, ...]
-    theta: Dict[str, List[float]]
-
-    def bucket_means(self, features):
-        """Predicted per-unit mean cycles for each bucket."""
-        return {
-            bucket: sum(t * f for t, f in zip(self.theta[bucket], features))
-            for bucket in self.buckets
-        }
-
-    def time(self, features):
-        """Predicted run time: the sum of the bucket means (the same
-        exact-sum identity the profiler guarantees for measurements)."""
-        return sum(self.bucket_means(features).values())
-
-
 def predict_buckets(theta_by_bucket, features):
-    """Free-function form of :meth:`BucketModel.bucket_means`."""
+    """Predicted per-unit mean cycles for each bucket of a fit's
+    ``theta``, in ``theta``'s key order."""
     return {bucket: sum(t * f for t, f in zip(theta, features))
             for bucket, theta in theta_by_bucket.items()}

@@ -36,7 +36,6 @@ class Predictor:
 
     def __init__(self, payload):
         self.machine = payload["machine"]
-        self.buckets = tuple(payload["buckets"])
         self._workloads = payload["workloads"]
 
     def workloads(self):

@@ -33,7 +33,7 @@ import os
 import signal
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from ..common.rng import substream
@@ -226,12 +226,8 @@ def resolve_experiment(spec, grid=None, plan=None):
         _MODULE_PLAN[module_name] = plan_json
         experiment = build_experiment(module, out_name)
         if grid is not None:
-            experiment = Experiment(
-                name=experiment.name, run=experiment.run,
-                grid=[dict(config) for config in grid],
-                assemble=experiment.assemble,
-                code_paths=list(experiment.code_paths),
-            )
+            experiment = replace(experiment,
+                                 grid=[dict(config) for config in grid])
         return experiment
     raise ProtocolError(
         f"unknown experiment {name!r} (not a run_all.EXPERIMENTS table)")

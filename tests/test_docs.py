@@ -1,0 +1,85 @@
+"""The docs name only CLI flags that exist.
+
+Every ``repro <command> [<subcommand>] ... --flag`` in a fenced code
+block of ``docs/*.md``, README.md or EXPERIMENTS.md must name a flag
+that :func:`repro.cli.build_parser` defines for that (sub)command.
+"""
+
+import argparse
+import glob
+import os
+import re
+
+from repro.cli import build_parser
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DOCS = sorted(glob.glob(os.path.join(ROOT, "docs", "*.md"))) + [
+    os.path.join(ROOT, "README.md"), os.path.join(ROOT, "EXPERIMENTS.md")]
+
+FENCE = re.compile(r"\s*(`{3,}|~{3,})")
+#: ``repro`` as a command word, then everything up to a shell separator
+#: or comment.
+COMMAND = re.compile(r"(?:^|[\s$(`])repro\s+([^;|&#\n]*)")
+
+
+def fenced_lines(text):
+    """The lines of every fenced code block, ``\\``-continuations
+    joined and ``#`` comments dropped."""
+    fence, block = None, []
+    for line in text.splitlines():
+        match = FENCE.match(line)
+        if fence is None:
+            if match:
+                fence, block = match.group(1)[0], []
+            continue
+        if match and match.group(1)[0] == fence:
+            joined = re.sub(r"\\\n\s*", " ", "\n".join(block))
+            for command in joined.splitlines():
+                yield re.sub(r"(^|\s)#.*", "", command)
+            fence = None
+            continue
+        block.append(line)
+
+
+def subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def documented_commands():
+    """``(doc, command words, flags)`` for each documented command that
+    names at least one flag."""
+    for path in DOCS:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        for line in fenced_lines(text):
+            for match in COMMAND.finditer(line):
+                words = match.group(1).split()
+                flags = [word.split("=")[0] for word in words
+                         if word.startswith("--")]
+                if flags:
+                    yield os.path.relpath(path, ROOT), words, flags
+
+
+def test_documented_flags_exist():
+    parser = build_parser()
+    checked = 0
+    for doc, words, flags in documented_commands():
+        target, path = parser, ["repro"]
+        for word in words:
+            choices = subparsers(target)
+            if word not in choices:
+                break
+            target = choices[word]
+            path.append(word)
+        assert len(path) > 1, f"{doc}: `repro {' '.join(words)}` names " \
+                              "no command"
+        known = set(target._option_string_actions)
+        unknown = [flag for flag in flags if flag not in known]
+        assert not unknown, (f"{doc}: `{' '.join(path)}` has no "
+                             f"{', '.join(unknown)}")
+        checked += 1
+    # The scan must see the docs' commands, not pass on an empty list.
+    assert checked >= 30, checked

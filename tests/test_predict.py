@@ -1,5 +1,6 @@
 """The analytic surrogate: solver, model properties, artifacts, CLI."""
 
+import importlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.exp.bench import find_bench_dir
 from repro.predict import (
     FEATURES,
     OutOfRegionError,
@@ -14,16 +16,25 @@ from repro.predict import (
     Predictor,
     default_fits_dir,
     feature_vector,
+    fit_grid,
     fit_machine,
     fitted_machines,
+    group_means,
     least_squares,
     load_fit,
     machine_specs,
     nnls,
     render,
+    simulate_point,
     solve_linear,
     write_fit,
 )
+
+
+def _simulated(machines):
+    """The fit points' bucket means, simulated here, as a fit reads them."""
+    cells = fit_grid(machines)
+    return group_means(cells, [simulate_point(cell) for cell in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +160,47 @@ class TestArtifacts:
                 original = fh.read()
             assert render(json.loads(original)) == original, name
 
-    def test_refit_is_deterministic(self, tmp_path):
-        """Two from-scratch fits of the same machine are byte-identical
-        (the pure-Python solver has a fixed operation order), and equal
-        the committed artifact.  The slow ttda refit is compared by
-        ``benchmarks/gate.py``."""
-        first = render(fit_machine("hep"))
-        second = render(fit_machine("hep"))
-        assert first == second
+    def test_refit_is_deterministic(self):
+        """Two fits of the same bucket means are byte-identical (the
+        pure-Python solver has a fixed operation order), also after the
+        result store's JSON round trip, and equal the committed
+        artifact.  The ttda refit is compared by ``benchmarks/gate.py``
+        and by ``TestPredictCli``."""
+        measured = _simulated(["cmmp", "hep"])
+        stored = json.loads(json.dumps(measured))
         fits_dir = default_fits_dir()
-        for machine, fresh in (("hep", first),
-                               ("cmmp", render(fit_machine("cmmp")))):
+        for machine in ("cmmp", "hep"):
+            fresh = render(fit_machine(machine, measured[machine]))
+            assert render(fit_machine(machine, measured[machine])) == fresh
+            assert render(fit_machine(machine, stored[machine])) == fresh
             with open(os.path.join(fits_dir, f"{machine}.json"), "r",
                       encoding="utf-8") as fh:
                 assert fresh == fh.read(), machine
 
     def test_write_and_load_round_trip(self, tmp_path):
-        payload = fit_machine("hep")
+        payload = fit_machine("hep", _simulated(["hep"])["hep"])
         path = write_fit(payload, str(tmp_path))
         assert os.path.isfile(path)
         loaded = load_fit(str(tmp_path), "hep")
         assert loaded == payload
+
+    def test_e21_grid_is_one_cell_per_fit_point(self, monkeypatch):
+        """e21's cells are exactly the fit points of every machine's
+        workload grids, each once, and each cell simulates its point."""
+        monkeypatch.syspath_prepend(find_bench_dir())
+        bench = importlib.import_module("bench_e21_predict")
+        experiment = bench.SWEEPS["e21_predict"]
+        assert experiment.run is simulate_point
+        cells = [(cell["machine"], cell["workload"], json.dumps(
+            {knob: value for knob, value in cell.items()
+             if knob not in ("machine", "workload")}, sort_keys=True))
+            for cell in experiment.grid]
+        points = [(machine, name, json.dumps(point, sort_keys=True))
+                  for machine in fitted_machines()
+                  for name, spec in machine_specs(machine).items()
+                  for point in spec.grid]
+        assert len(cells) == len(set(cells)) == len(points) == 66
+        assert set(cells) == set(points)
 
     def test_load_missing_returns_none(self, tmp_path):
         assert load_fit(str(tmp_path), "nope") is None
@@ -216,12 +247,43 @@ class TestPredictCli:
         for machine in fitted_machines():
             assert machine in text
 
-    def test_validate_passes_on_committed_fits(self):
+    def test_validate_then_fit_read_one_simulation(self, tmp_path,
+                                                    monkeypatch):
+        """``--validate`` simulates every fit point once into the store
+        and passes; ``--fit`` then reads all of them from the store and
+        rewrites the committed artifacts byte for byte."""
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_BENCH_DIR", find_bench_dir())
         out = io.StringIO()
-        code = main(["predict", "--validate", "--json"], out=out)
-        assert code == 0
+        assert main(["predict", "--validate", "--json"], out=out) == 0
         report = json.loads(out.getvalue())
         assert report["ok"] is True
-        by_name = {entry["machine"]: entry for entry in report["machines"]}
-        for machine in fitted_machines():
-            assert by_name[machine]["ok"] is True
+        assert report["cells"] == {"cold": 66, "cached": 0}
+        assert [entry["machine"] for entry in report["machines"]] == \
+            list(fitted_machines())
+        assert all(entry["ok"] for entry in report["machines"])
+
+        fits_dir = tmp_path / "fits"
+        out = io.StringIO()
+        assert main(["predict", "--fit", "--json", "--fits-dir",
+                     str(fits_dir)], out=out) == 0
+        assert json.loads(out.getvalue())["cells"] == {"cold": 0,
+                                                       "cached": 66}
+        committed = default_fits_dir()
+        names = sorted(os.listdir(committed))
+        assert sorted(os.listdir(fits_dir)) == names
+        for name in names:
+            with open(os.path.join(committed, name), "rb") as fh:
+                assert (fits_dir / name).read_bytes() == fh.read(), name
+
+    @pytest.mark.parametrize("flag", ["--fit", "--validate"])
+    def test_unfitted_machine_fails_in_one_line(self, flag, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["predict", "vliw", flag], out=io.StringIO())
+        message = excinfo.value.code
+        assert isinstance(message, str)  # exit status 1, no traceback
+        assert message.startswith(f"repro predict {flag}: ")
+        assert "'vliw'" in message and "\n" not in message
+        assert not (tmp_path / "store").exists()  # nothing simulated
