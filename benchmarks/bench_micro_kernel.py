@@ -13,10 +13,13 @@ like the hot paths of the real machine models:
   instant, so these share the fast path).
 
 Run directly to write ``BENCH_perf.json`` at the repo root.  Each
-scenario records absolute events/s, and ``kernel.trajectory`` keeps one
-entry per run (carried over from the previous file at ``--out``), so
-the kernel's speed reads as a series across changes rather than as a
-ratio against another kernel.  ``--experiments`` additionally times
+scenario runs ``--repeat`` times (at least 7) and records the median
+events/s and the interquartile range of its runs, with ``spread`` the
+IQR over the median, and ``kernel.trajectory`` keeps one entry of
+medians and spreads per run (carried over from the previous file at
+``--out``), so the kernel's speed reads as a series across changes
+rather than as a ratio against another kernel, and a move smaller than
+the spread reads as noise.  ``--experiments`` additionally times
 the e10 scaling sweep and the e19 crossover in subprocesses.
 
 The ``e2e.cold_start`` section times fresh interpreters: a bare ``python
@@ -33,6 +36,7 @@ Usage::
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -50,6 +54,9 @@ GATED_EXPERIMENTS = ("e10_ttda_scaling", "e19_crossover")
 
 #: Runs kept in ``kernel.trajectory``.
 TRAJECTORY_LENGTH = 20
+
+#: Fewest repeats per scenario whose quartiles mean something.
+MIN_REPEAT = 7
 
 
 # ----------------------------------------------------------------------
@@ -222,17 +229,21 @@ def run_cold_start_bench():
 
 
 def run_kernel_bench(n_events, repeat):
-    """Best-of-``repeat`` events/sec per scenario (best-of defeats
-    scheduler noise)."""
+    """Median and interquartile range of events/sec over ``repeat``
+    runs per scenario; ``spread`` is the IQR over the median."""
     results = {}
     for name, fn in SCENARIOS:
-        best = 0.0
+        rates = []
         for _ in range(repeat):
             t0 = time.perf_counter()
             fired = fn(n_events)
             elapsed = time.perf_counter() - t0
-            best = max(best, fired / elapsed if elapsed > 0 else 0.0)
-        results[name] = {"events_per_sec": round(best),
+            rates.append(fired / elapsed if elapsed > 0 else 0.0)
+        median = statistics.median(rates)
+        q1, _q2, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+        results[name] = {"events_per_sec": round(median),
+                         "iqr_events_per_sec": [round(q1), round(q3)],
+                         "spread": round((q3 - q1) / median, 4),
                          "events_fired": fired}
     return results
 
@@ -268,8 +279,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", type=int, default=200_000,
                         help="events per scenario (default 200000)")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="repetitions per scenario; best-of is kept")
+    parser.add_argument("--repeat", type=int, default=MIN_REPEAT,
+                        help="repetitions per scenario, at least "
+                             f"{MIN_REPEAT}; the median and IQR are kept "
+                             f"(default {MIN_REPEAT})")
     parser.add_argument("--experiments", action="store_true",
                         help="also time the gated experiments (e10, e19)")
     parser.add_argument("--skip-predict", action="store_true",
@@ -279,16 +292,21 @@ def main(argv=None):
     parser.add_argument("--no-write", action="store_true",
                         help="print results without writing the JSON file")
     args = parser.parse_args(argv)
+    if args.repeat < MIN_REPEAT:
+        parser.error(f"--repeat must be at least {MIN_REPEAT}")
 
     scenarios = run_kernel_bench(args.events, args.repeat)
     width = max(len(name) for name in scenarios)
-    print(f"{'scenario':<{width}}  {'events/s':>10}")
+    print(f"{'scenario':<{width}}  {'median ev/s':>11}  {'spread':>6}")
     for name, row in scenarios.items():
-        print(f"{name:<{width}}  {row['events_per_sec']:>10}")
+        print(f"{name:<{width}}  {row['events_per_sec']:>11}  "
+              f"{row['spread']:>6.1%}")
     meta = {"host_cpus": host_cpus(), "python": sys.version.split()[0]}
     run = dict(meta, recorded=time.strftime("%Y-%m-%d", time.gmtime()),
                events_per_sec={name: row["events_per_sec"]
-                               for name, row in scenarios.items()})
+                               for name, row in scenarios.items()},
+               spread={name: row["spread"]
+                       for name, row in scenarios.items()})
     trajectory = previous_trajectory(args.out) + [run]
     payload = {
         "meta": meta,

@@ -96,7 +96,7 @@ def hashseed_leg(scratch, out):
 
 
 def micro_leg(scratch, out):
-    args = ["--events", "50000", "--repeat", "2", "--no-write"]
+    args = ["--events", "50000", "--no-write"]
     print(f"$ bench_micro_kernel.py {' '.join(args)}", flush=True)
     subprocess.run([sys.executable, os.path.join(
         ROOT, "benchmarks", "bench_micro_kernel.py"), *args],

@@ -27,6 +27,7 @@ change a value, so they are stripped from keys: a chaos run and a clean
 run of the same cell share one store entry.
 """
 
+import contextlib
 import importlib
 import json
 import os
@@ -44,7 +45,7 @@ from ..faults import SCHEDULING_FIELDS, FaultPlan
 
 __all__ = ["FlightRecorder", "ProtocolError", "SweepRequest",
            "machine_plan", "pool_worker_main", "resolve_experiment",
-           "scheduling_plan"]
+           "restored_env", "scheduling_plan"]
 
 #: Default TCP port for ``repro serve`` (after CSG Memo 226).
 DEFAULT_PORT = 8226
@@ -193,6 +194,24 @@ def _import_callable(path):
             from exc
 
 
+@contextlib.contextmanager
+def restored_env():
+    """Put back, on exit, the two variables :func:`resolve_experiment`
+    exports (``REPRO_BENCH_DIR``, ``REPRO_FAULT_PLAN``): an in-process
+    caller that resolves and runs experiments inside leaves
+    ``os.environ`` as it found it."""
+    names = ("REPRO_BENCH_DIR", "REPRO_FAULT_PLAN")
+    saved = {name: os.environ.get(name) for name in names}
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def resolve_experiment(spec, grid=None, plan=None):
     """Build the :class:`Experiment` a spec names.
 
@@ -201,7 +220,9 @@ def resolve_experiment(spec, grid=None, plan=None):
     imported under a *different* plan is reloaded so fault-aware grids
     (e20) rebuild against the new environment — the long-running-server
     equivalent of ``repro bench`` exporting the plan before import.
-    ``grid`` replaces the declared grid.
+    ``grid`` replaces the declared grid.  Both exports outlive the call,
+    as the CLI and the pool workers want; an in-process caller wraps it
+    in :func:`restored_env`.
     """
     apply_plan_env(plan)
     plan_json = json.dumps(plan, sort_keys=True) if plan else None

@@ -10,6 +10,12 @@ States follow the MSI write-invalidate protocol, the "mechanism which,
 upon the occurrence of a write to location x, invalidates all other cached
 copies of location x wherever they may occur" that §1.1 says is logically
 required — and whose cost E3 measures.
+
+Each cache also keeps its bus's holders directory up to date (line ->
+the caches holding it).  The directory is host-side bookkeeping, not a
+directory protocol: the simulated machine still snoops, and pays every
+cycle of its broadcasts; the host simply skips the caches that cannot
+answer a snoop.
 """
 
 import enum
@@ -55,11 +61,19 @@ class _Line:
 
 
 class Cache:
-    """One processor's private cache: lookup, fill, invalidate, LRU."""
+    """One processor's private cache: lookup, fill, invalidate, LRU.
 
-    def __init__(self, config, name="cache"):
+    ``holders`` is the bus's directory, shared by all its caches: line
+    address -> set of the ``owner`` ids whose cache holds that line in
+    a valid state.  Every install, eviction and INVALID transition here
+    keeps it exact, so a snoop visits only the caches that hold a line.
+    """
+
+    def __init__(self, config, holders, owner, name="cache"):
         self.config = config
         self.name = name
+        self.holders = holders
+        self.owner = owner
         self._sets = [[] for _ in range(config.n_sets)]
         self._clock = 0
         self.counters = Counter()
@@ -111,11 +125,17 @@ class Cache:
         if len(bucket) >= self.config.assoc:
             victim = min(bucket, key=lambda entry: entry.stamp)
             bucket.remove(victim)
+            self._drop_holder(victim.tag)
             self.counters.add("evictions")
             if victim.state is CacheState.MODIFIED:
                 victim_state = victim.state
                 self.counters.add("writebacks")
         bucket.append(_Line(tag, state, self._tick()))
+        holders = self.holders.get(tag)
+        if holders is None:
+            self.holders[tag] = {self.owner}
+        else:
+            holders.add(self.owner)
         return victim_state
 
     def set_state(self, address, state):
@@ -124,10 +144,17 @@ class Cache:
             if line.tag == tag:
                 if state is CacheState.INVALID:
                     bucket.remove(line)
+                    self._drop_holder(tag)
                 else:
                     line.state = state
                 return True
         return False
+
+    def _drop_holder(self, tag):
+        holders = self.holders[tag]
+        holders.discard(self.owner)
+        if not holders:
+            del self.holders[tag]
 
     def invalidate(self, address):
         """Drop the line (snooped BusRdX); True if it was present."""

@@ -18,6 +18,15 @@ Caches can be disabled entirely (every access is a bus transaction) to
 model C.mmp as actually built — "only one processor in the machine was
 ever fitted with [a cache] ... the reason is, quite simply, the cache
 coherence problem."
+
+The protocol, its timing and its counters are those of a snoop that
+every cache answers.  The host does not ask every cache: ``holders``,
+an exact map of line -> processors whose cache holds it valid, kept by
+:class:`~repro.vonneumann.cache.Cache`, names the only caches whose
+answer can be other than "not here", so the dirty-copy check and the
+invalidate/demote pass visit those alone.  Every count they make is a
+sum, and MSI allows one MODIFIED copy at most, so the order of the
+visits changes no output.
 """
 
 from ..common.queueing import FifoServer
@@ -52,9 +61,13 @@ class SnoopyBusSystem:
         #: remote copies), trading silent dirty lines for bus traffic.
         self.write_policy = write_policy
         self.caches = None
+        #: The holders directory: line -> set of the processors whose
+        #: cache holds it in a valid state (see :class:`Cache`).
+        self.holders = {}
         if cache_config is not None:
             self.caches = [
-                Cache(cache_config, name=f"{name}.c{i}") for i in range(n_procs)
+                Cache(cache_config, self.holders, i, name=f"{name}.c{i}")
+                for i in range(n_procs)
             ]
         # Per-access counts live in slots; the transaction kinds and the
         # coherence traffic go through ``counters.add``.
@@ -126,9 +139,11 @@ class SnoopyBusSystem:
         if kind != "upgrade":
             time += self.memory_time
         if self.caches is not None:
-            for other, cache in enumerate(self.caches):
+            address = request.address
+            line = self.caches[proc].line_address(address)
+            for other in self.holders.get(line, ()):
                 if other != proc and (
-                    cache.peek_state(request.address) is CacheState.MODIFIED
+                    self.caches[other].peek_state(address) is _MODIFIED
                 ):
                     time += self.memory_time  # write-back of the dirty copy
                     self.counters.add("dirty_transfers")
@@ -140,17 +155,20 @@ class SnoopyBusSystem:
         address = request.address
         if self.caches is not None:
             invalidating = request.op is not Op.LOAD
-            for other, cache in enumerate(self.caches):
+            mine = self.caches[proc]
+            # A snapshot: invalidating a holder drops it from the set.
+            for other in tuple(self.holders.get(mine.line_address(address),
+                                                ())):
                 if other == proc:
                     continue
+                cache = self.caches[other]
                 if invalidating:
                     if cache.invalidate(address):
                         self.counters.add("invalidations")
                 else:
                     # A read demotes remote MODIFIED copies to SHARED.
-                    if cache.peek_state(address) is CacheState.MODIFIED:
+                    if cache.peek_state(address) is _MODIFIED:
                         cache.set_state(address, CacheState.SHARED)
-            mine = self.caches[proc]
             if request.op is Op.LOAD:
                 if mine.fill(address, CacheState.SHARED) is not None:
                     self.counters.add("eviction_writebacks")

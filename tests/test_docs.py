@@ -1,8 +1,10 @@
-"""The docs name only CLI flags that exist.
+"""The docs name only CLI flags and repository paths that exist.
 
 Every ``repro <command> [<subcommand>] ... --flag`` in a fenced code
 block of ``docs/*.md``, README.md or EXPERIMENTS.md must name a flag
 that :func:`repro.cli.build_parser` defines for that (sub)command.
+Every backticked path with a directory part in those files must exist
+relative to the repository root or to ``src/repro/``.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import re
 from repro.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "repro")
 DOCS = sorted(glob.glob(os.path.join(ROOT, "docs", "*.md"))) + [
     os.path.join(ROOT, "README.md"), os.path.join(ROOT, "EXPERIMENTS.md")]
 
@@ -82,4 +85,42 @@ def test_documented_flags_exist():
                              f"{', '.join(unknown)}")
         checked += 1
     # The scan must see the docs' commands, not pass on an empty list.
+    assert checked >= 30, checked
+
+
+#: A backticked token shaped like a relative path (``<name>`` and ``*``
+#: stand for any name), optionally a pytest node id (``file::Test``).
+PATH = re.compile(r"`(\w[\w.*<>-]*(?:/[\w.*<>-]+)+/?)(?:::\w+)?`")
+
+
+def documented_paths():
+    """``(doc:line, path)`` for each backticked path in the docs.  A
+    token counts as a path when its first part is a directory at the
+    root or under ``src/repro/``, or its last part has a file
+    extension; layer names such as ``stdlib/other`` and ratios such as
+    ``W/N`` are neither."""
+    for doc in DOCS:
+        with open(doc, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        for match in PATH.finditer(text):
+            path = match.group(1)
+            first = path.split("/", 1)[0]
+            if not (any(os.path.isdir(os.path.join(base, first))
+                        for base in (ROOT, SRC))
+                    or re.search(r"\.\w+$", path)):
+                continue
+            line = text.count("\n", 0, match.start()) + 1
+            yield f"{os.path.relpath(doc, ROOT)}:{line}", path
+
+
+def test_documented_paths_exist():
+    missing = []
+    checked = 0
+    for where, path in documented_paths():
+        pattern = re.sub(r"<[^>]*>", "*", path)
+        if not any(glob.glob(os.path.join(base, pattern))
+                   for base in (ROOT, SRC)):
+            missing.append(f"{where}: `{path}`")
+        checked += 1
+    assert not missing, "\n".join(missing)
     assert checked >= 30, checked

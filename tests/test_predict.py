@@ -23,6 +23,7 @@ from repro.predict import (
     least_squares,
     load_fit,
     machine_specs,
+    measure,
     nnls,
     render,
     simulate_point,
@@ -202,6 +203,23 @@ class TestArtifacts:
         assert len(cells) == len(set(cells)) == len(points) == 66
         assert set(cells) == set(points)
 
+    def test_measure_leaves_the_environment_as_found(self, tmp_path,
+                                                     monkeypatch):
+        """``measure`` resolves e21 as ``repro bench`` does, which
+        exports REPRO_BENCH_DIR and clears REPRO_FAULT_PLAN; an
+        in-process caller gets both back unchanged."""
+        plan = json.dumps({"mem_slow_rate": 0.5})
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan)
+        # Set, then delete: teardown removes the variable if it leaks.
+        monkeypatch.setenv("REPRO_BENCH_DIR", "")
+        monkeypatch.delenv("REPRO_BENCH_DIR")
+        measured, cells = measure(["hep"])
+        assert os.environ["REPRO_FAULT_PLAN"] == plan
+        assert "REPRO_BENCH_DIR" not in os.environ
+        assert cells["cached"] == 0 and cells["cold"] == len(fit_grid(["hep"]))
+        assert measured == _simulated(["hep"])
+
     def test_load_missing_returns_none(self, tmp_path):
         assert load_fit(str(tmp_path), "nope") is None
 
@@ -253,7 +271,6 @@ class TestPredictCli:
         and passes; ``--fit`` then reads all of them from the store and
         rewrites the committed artifacts byte for byte."""
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
-        monkeypatch.setenv("REPRO_BENCH_DIR", find_bench_dir())
         out = io.StringIO()
         assert main(["predict", "--validate", "--json"], out=out) == 0
         report = json.loads(out.getvalue())

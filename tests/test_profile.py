@@ -484,6 +484,23 @@ def test_host_layer_table_repeats_its_calls(tmp_path, monkeypatch):
     assert {row["layer"] for row in payload["layers"]} == set(calls[0])
 
 
+def test_host_profile_leaves_the_environment_as_found(tmp_path,
+                                                      monkeypatch):
+    """Resolving the tables exports REPRO_BENCH_DIR and clears
+    REPRO_FAULT_PLAN; ``host_profile`` puts both back."""
+    from repro.exp.hostprof import host_profile
+    from stub_bench import stub_bench
+
+    modules = {"bench_host": (HOST_CELL, ["host_cell"])}
+    with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+        monkeypatch.delenv("REPRO_BENCH_DIR")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", '{"mem_slow_rate": 0.5}')
+        tables, _rows = host_profile(bench_dir=bench_dir)
+        assert tables == ["host_cell"]
+        assert "REPRO_BENCH_DIR" not in os.environ
+        assert os.environ["REPRO_FAULT_PLAN"] == '{"mem_slow_rate": 0.5}'
+
+
 def test_profile_takes_a_file_or_host():
     for argv in (["profile"], ["profile", "prog.id", "--host"]):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,12 @@
 """Tests for the von Neumann substrate: assembler, processors, caches,
 coherence, atomics, full/empty bits, multithreading."""
 
+import random
+
 import pytest
 
 from repro.common import CompileError, MachineError, SimulationError
+from repro.common.simulator import Simulator
 from repro.vonneumann import (
     ALU_OPS,
     BRANCH_OPS,
@@ -19,6 +22,8 @@ from repro.vonneumann import (
     decode,
     programs,
 )
+from repro.vonneumann.coherence import SnoopyBusSystem
+from repro.vonneumann.memory import MemRequest
 from repro.vonneumann.processor import (ALU, ALU_HANDLERS, BRANCH,
                                         BRANCH_HANDLERS, HALT, INVALID,
                                         MEMORY)
@@ -85,6 +90,7 @@ class TestAssemblerMemo:
     def empty_memo(self, monkeypatch):
         monkeypatch.setattr(assembler, "_ASSEMBLED", {})
         monkeypatch.setattr(assembler, "_SEEN_ONCE", set())
+        monkeypatch.setattr(assembler, "_STATEMENTS", {})
 
     def test_repeat_calls_return_fresh_equal_lists(self):
         calls = [assemble(self.SOURCE) for _ in range(3)]
@@ -125,6 +131,42 @@ class TestAssemblerMemo:
             with pytest.raises(CompileError, match=match):
                 assemble(source)
         assert source not in assembler._ASSEMBLED
+
+    def test_a_memoized_branch_resolves_in_each_program(self):
+        """``jmp top`` and ``bnez r2, top`` parse once, but each program
+        places ``top`` itself."""
+        early = assemble("top: subi r2, r2, 1\nbnez r2, top\njmp top\nhalt")
+        late = assemble("movi r2, 3\nnop\ntop:\nsubi r2, r2, 1\n"
+                        "bnez r2, top\njmp top")
+        assert [(i.op, i.target) for i in early[1:3]] == [(Op.BNEZ, 0),
+                                                           (Op.JMP, 0)]
+        assert [(i.op, i.target) for i in late[3:]] == [(Op.BNEZ, 2),
+                                                         (Op.JMP, 2)]
+        assert assembler._STATEMENTS["jmp top"][-1] is None
+        assert early[0] is late[2]  # the finished Instr is shared
+
+    @pytest.mark.parametrize("bad, match", [
+        ("add r1, r2", "expects 3 operands"),
+        ("load r1, x2, 0", "expected register"),
+        ("movi r1, one", "expected immediate"),
+        ("frobnicate r1", "unknown mnemonic"),
+    ])
+    def test_a_bad_statement_reports_its_line_every_time(self, bad, match):
+        for line, source in ((1, f"{bad}\nhalt"),
+                             (3, f"movi r1, 1\nnop\n  {bad}  ; again\n")):
+            with pytest.raises(CompileError, match=match) as excinfo:
+                assemble(source)
+            assert excinfo.value.line == line
+        assert bad not in assembler._STATEMENTS
+
+    def test_statement_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(assembler, "_STATEMENTS_MAX", 4)
+        for k in range(5):
+            text = "\n".join(f"movi r1, {k * 10 + j}" for j in range(7))
+            program = assemble(text + "\nhalt")
+            assert [instr.imm for instr in program[:-1]] == \
+                [k * 10 + j for j in range(7)]
+            assert len(assembler._STATEMENTS) <= 4
 
     def test_load_spmd_results_unchanged(self):
         source = programs.shared_counter_faa(1, 4)
@@ -270,7 +312,7 @@ class TestFullEmptyBits:
 
 class TestCacheModel:
     def test_fill_and_hit(self):
-        cache = Cache(CacheConfig(n_sets=4, assoc=2, line_words=4))
+        cache = Cache(CacheConfig(n_sets=4, assoc=2, line_words=4), {}, 0)
         assert cache.lookup(0) is CacheState.INVALID
         cache.fill(0, CacheState.SHARED)
         assert cache.lookup(0) is CacheState.SHARED
@@ -278,7 +320,7 @@ class TestCacheModel:
         assert cache.lookup(4) is CacheState.INVALID  # next line
 
     def test_lru_eviction(self):
-        cache = Cache(CacheConfig(n_sets=1, assoc=2, line_words=1))
+        cache = Cache(CacheConfig(n_sets=1, assoc=2, line_words=1), {}, 0)
         cache.fill(0, CacheState.SHARED)
         cache.fill(1, CacheState.SHARED)
         cache.lookup(0)  # touch 0 so 1 is LRU
@@ -288,18 +330,122 @@ class TestCacheModel:
         assert cache.counters["evictions"] == 1
 
     def test_dirty_eviction_reports_writeback(self):
-        cache = Cache(CacheConfig(n_sets=1, assoc=1, line_words=1))
+        cache = Cache(CacheConfig(n_sets=1, assoc=1, line_words=1), {}, 0)
         cache.fill(0, CacheState.MODIFIED)
         victim = cache.fill(1, CacheState.SHARED)
         assert victim is CacheState.MODIFIED
         assert cache.counters["writebacks"] == 1
 
     def test_invalidate(self):
-        cache = Cache(CacheConfig())
+        cache = Cache(CacheConfig(), {}, 0)
         cache.fill(8, CacheState.SHARED)
         assert cache.invalidate(8) is True
         assert cache.invalidate(8) is False
         assert cache.peek_state(8) is CacheState.INVALID
+
+
+class TestHoldersDirectory:
+    """The bus's holders directory against a full scan of the caches,
+    and the snoopy runs it serves against figures recorded when every
+    snoop still visited every cache."""
+
+    OPS = [Op.LOAD] * 9 + [Op.STORE] * 7 + [Op.TESTSET] * 2 + [Op.FAA] * 2
+
+    #: (n_procs, policy, seed) -> (time, bus counters, per-cache
+    #: (evictions, writebacks, invalidations_received)).
+    RECORDED = {
+        (2, "write_back", 1): (852.0, {
+            "accesses": 80, "bus_atomic": 22, "bus_read_miss": 26,
+            "bus_upgrade": 4, "bus_write_miss": 19, "dirty_transfers": 3,
+            "eviction_writebacks": 13, "invalidations": 10,
+            "load_hits": 5, "store_hits": 4,
+        }, [(14, 7, 7), (14, 6, 7)]),
+        (7, "write_back", 2): (3676.0, {
+            "accesses": 280, "bus_atomic": 54, "bus_read_miss": 108,
+            "bus_upgrade": 16, "bus_write_miss": 85, "dirty_transfers": 68,
+            "eviction_writebacks": 25, "invalidations": 110,
+            "load_hits": 14, "store_hits": 3,
+        }, [(11, 3, 17), (13, 4, 17), (12, 5, 15), (11, 1, 17), (10, 4, 17),
+            (7, 2, 18), (8, 6, 18)]),
+        (16, "write_back", 3): (8648.0, {
+            "accesses": 640, "bus_atomic": 124, "bus_read_miss": 236,
+            "bus_upgrade": 24, "bus_write_miss": 205, "dirty_transfers": 182,
+            "eviction_writebacks": 9, "invalidations": 386,
+            "load_hits": 41, "store_hits": 10,
+        }, [(4, 0, 20), (4, 1, 23), (4, 1, 26), (4, 2, 23), (2, 0, 24),
+            (8, 1, 25), (3, 1, 24), (1, 0, 25), (3, 0, 23), (6, 1, 25),
+            (2, 0, 26), (3, 0, 27), (3, 0, 26), (6, 1, 24), (4, 1, 23),
+            (5, 0, 26)]),
+        (2, "write_through", 4): (829.0, {
+            "accesses": 80, "bus_atomic": 10, "bus_read_miss": 30,
+            "bus_write_through": 29, "invalidations": 9, "load_hits": 11,
+        }, [(17, 0, 8), (16, 0, 5)]),
+        (7, "write_through", 5): (3072.0, {
+            "accesses": 280, "bus_atomic": 47, "bus_read_miss": 106,
+            "bus_write_through": 103, "invalidations": 121, "load_hits": 24,
+        }, [(11, 0, 18), (11, 0, 18), (9, 0, 17), (14, 0, 14), (15, 0, 14),
+            (7, 0, 19), (11, 0, 23)]),
+        (16, "write_through", 6): (7320.0, {
+            "accesses": 640, "bus_atomic": 129, "bus_read_miss": 246,
+            "bus_write_through": 235, "invalidations": 403, "load_hits": 30,
+        }, [(3, 0, 21), (0, 0, 29), (2, 0, 23), (5, 0, 27), (4, 0, 30),
+            (3, 0, 23), (4, 0, 29), (5, 0, 28), (2, 0, 20), (2, 0, 27),
+            (5, 0, 29), (1, 0, 26), (4, 0, 24), (2, 0, 25), (3, 0, 23),
+            (1, 0, 29)]),
+    }
+
+    @staticmethod
+    def _scan(system, n_lines):
+        holders = {}
+        for line in range(n_lines):
+            address = line * system.caches[0].config.line_words
+            procs = {proc for proc, cache in enumerate(system.caches)
+                     if cache.peek_state(address) is not CacheState.INVALID}
+            if procs:
+                holders[line] = procs
+        return holders
+
+    @pytest.mark.parametrize("key", list(RECORDED),
+                             ids=lambda key: f"{key[0]}p-{key[1]}")
+    def test_directory_is_exact_and_runs_match_the_full_scan_snoop(self,
+                                                                   key):
+        """Each processor streams 40 seeded random accesses over 16
+        words (8 lines) through 2 one-way sets, so lines are shared,
+        upgraded, stolen and evicted while other transactions wait on
+        the bus.  After every completed access the directory equals a
+        scan of every cache."""
+        n_procs, policy, seed = key
+        rng = random.Random(seed)
+        sim = Simulator()
+        system = SnoopyBusSystem(
+            sim, n_procs, cache_config=CacheConfig(n_sets=2, assoc=1,
+                                                   line_words=2),
+            write_policy=policy)
+        left = [40] * n_procs
+        checked = []
+
+        def start(proc):
+            left[proc] -= 1
+            request = MemRequest(op=rng.choice(self.OPS),
+                                 address=rng.randrange(16),
+                                 value=rng.randrange(1, 9), proc=proc)
+            system.access(proc, request, lambda response: done(proc))
+
+        def done(proc):
+            assert system.holders == self._scan(system, 8)
+            checked.append(proc)
+            if left[proc]:
+                sim.post(rng.randrange(4), start, proc)
+
+        for proc in range(n_procs):
+            sim.post(proc % 3, start, proc)
+        sim.run()
+        assert len(checked) == 40 * n_procs
+        caches = [tuple(cache.counters[name] for name in
+                        ("evictions", "writebacks", "invalidations_received"))
+                  for cache in system.caches]
+        assert (sim.now, system.counters.as_dict(), caches) == \
+            self.RECORDED[key]
 
 
 class TestCoherence:
