@@ -78,7 +78,19 @@ SWEEPS = {"e01_latency_tolerance": Experiment(
 
 _at = row_at("latency")
 
-#: The paper's claims, read off the table (latency 1 against 50).
+#: Bound on the r/(r+L) model's shortfall against the measured vN
+#: utilization, relative to measured: the committed table runs from 7.0%
+#: at latency 1 to 21.7% at latency 50 (the loop-branch work the model
+#: folds into r leaves it below the measurement at every latency).
+MODEL_GAP_BOUND = 0.22
+
+
+def _model_gap(row):
+    return (row["vN util"] - row["vN util (model)"]) / row["vN util"]
+
+
+#: The paper's claims, read off the table (latency 1 against 50, and the
+#: model gap at every latency).
 CLAIMS = {"e01_latency_tolerance": {
     # von Neumann: utilization collapses, time grows ~linearly.
     "vn_util_collapses": lambda rows: (_at(rows, 1)["vN util"] > 0.5
@@ -88,4 +100,9 @@ CLAIMS = {"e01_latency_tolerance": {
     "dataflow_tolerates_latency": lambda rows: (
         _at(rows, 50)["dataflow slowdown"] < _at(rows, 50)["vN slowdown"] / 3
         and _at(rows, 50)["dataflow slowdown"] < 2.5),
+    # The r/(r+L) law: the model sits below the measurement at every
+    # latency, by at most MODEL_GAP_BOUND of it.
+    "vn_util_tracks_model": lambda rows: all(
+        0 < _model_gap(_at(rows, latency)) <= MODEL_GAP_BOUND
+        for latency in LATENCIES),
 }}

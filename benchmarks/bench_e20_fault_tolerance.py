@@ -18,18 +18,15 @@ TTDA's split-phase reads overlap the injected latency almost entirely
 while the barrel — 8 contexts deep, but synchronous at each reference —
 tracks it nearly linearly.
 
-The grid honors ``repro bench --faults PLAN``: the validated plan is
-exported as ``$REPRO_FAULT_PLAN`` before bench modules are imported, and
-this module reads it at grid-build time — ``seed``/``mem_slow_rate``
-override the defaults and an optional ``levels`` list replaces the
-default severity grid, so each fault level appears as its own sweep row.
+The grid honors ``repro bench --faults PLAN``: this table's ``SWEEPS``
+entry is :func:`build_sweep`, a function of the plan's machine-level
+part, which the suite passes it — ``seed``/``mem_slow_rate`` override
+the defaults and an optional ``levels`` list replaces the default
+severity grid, so each fault level appears as its own sweep row.
 
 Level 0 runs with ``faults=None`` (no injector constructed at all), so
 the baseline row doubles as a drift gate against the un-faulted models.
 """
-
-import json
-import os
 
 from repro.analysis import Table
 from repro.exp import Experiment, one_row
@@ -43,19 +40,6 @@ LEVELS = [0, 32, 64, 128, 256, 512]
 #: muddy the monotonicity this table is about.
 RATE = 0.9
 SEED = 11
-
-
-def _plan_overrides():
-    """(seed, rate, levels) with ``$REPRO_FAULT_PLAN`` applied."""
-    raw = os.environ.get("REPRO_FAULT_PLAN")
-    if not raw:
-        return SEED, RATE, LEVELS
-    payload = json.loads(raw)
-    seed = int(payload.get("seed", SEED))
-    rate = float(payload.get("mem_slow_rate", RATE))
-    levels = payload.get("levels", LEVELS)
-    levels = [int(level) for level in levels]
-    return seed, rate, levels
 
 
 def _faults(config):
@@ -103,18 +87,23 @@ def _assemble(experiment, values):
     return table
 
 
-def build_sweep():
-    seed, rate, levels = _plan_overrides()
+def build_sweep(plan):
+    """The sweep under a machine-level fault ``plan`` (``None`` for the
+    defaults).  Every grid point carries its seed, rate and level, so a
+    cell's value follows from its config alone."""
+    plan = plan or {}
+    seed = int(plan.get("seed", SEED))
+    rate = float(plan.get("mem_slow_rate", RATE))
     return Experiment(
         name="e20_fault_tolerance",
         run=run_point,
         grid=[{"mem_slow_cycles": int(level), "mem_slow_rate": rate,
-               "seed": seed} for level in levels],
+               "seed": seed} for level in plan.get("levels", LEVELS)],
         assemble=_assemble,
     )
 
 
-SWEEPS = {"e20_fault_tolerance": build_sweep()}
+SWEEPS = {"e20_fault_tolerance": build_sweep}
 
 
 def _slowdowns(rows, machine):

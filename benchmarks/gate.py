@@ -7,8 +7,9 @@ Usage, from any directory, on the standard library alone::
 
 Legs, in this order:
 
-* ``faults``: e20 under one fault plan at ``--jobs 2`` and at
-  ``--jobs 0``; the two tables must be byte-identical.
+* ``faults``: e20 under one fault plan at ``--jobs 2``, at ``--jobs
+  0``, and with ``--remote`` against a ``repro serve --no-store``
+  started for the leg; the three tables must be byte-identical.
 * ``hashseed``: e10b, e12 and e12b under ``PYTHONHASHSEED`` 1 and 2;
   the tables must be byte-identical (PE placement must not follow the
   per-process str hash).
@@ -32,6 +33,7 @@ any failed.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -64,6 +66,26 @@ def repro(*args, hashseed=None, store=None, capture=False):
                           stdout=subprocess.PIPE if capture else None).stdout
 
 
+@contextlib.contextmanager
+def serve(*args):
+    """``repro serve --port 0 ARGS`` on this checkout in its own process;
+    yields the URL its banner names and stops it on the way out."""
+    print(f"$ repro serve --port 0 {' '.join(args)} &", flush=True)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        stderr=subprocess.PIPE, text=True)
+    try:
+        line = proc.stderr.readline()   # "repro serve: http://HOST:PORT ..."
+        if "http://" not in line:
+            raise subprocess.CalledProcessError(proc.wait(), proc.args)
+        yield line.split()[2]
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+        proc.stderr.close()
+
+
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -77,12 +99,15 @@ def faults_leg(scratch, out):
     plan = os.path.join(scratch, "fault-plan.json")
     with open(plan, "w", encoding="utf-8") as fh:
         json.dump(FAULT_PLAN, fh)
+    bench = ("bench", "--only", "e20", "--faults", plan, "--no-cache")
     runs = []
     for jobs in ("2", "0"):
-        repro("bench", "--only", "e20", "--faults", plan, "--no-cache",
-              "--jobs", jobs)
+        repro(*bench, "--jobs", jobs)
         runs.append(tables("e20_fault_tolerance"))
-    return runs[0] == runs[1]
+    with serve("--no-store", "--workers", "2") as url:
+        repro(*bench, "--remote", url)
+    runs.append(tables("e20_fault_tolerance"))
+    return runs[0] == runs[1] == runs[2]
 
 
 def hashseed_leg(scratch, out):

@@ -164,7 +164,9 @@ def build_parser():
                        help="worker processes (default: cpu count; "
                             "0 = inline)")
     bench.add_argument("--no-cache", action="store_true",
-                       help="ignore and do not update the result cache")
+                       help="ignore and do not update the result cache "
+                            "(with --remote: the server simulates every "
+                            "cell)")
     bench.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-run timeout before terminate + one retry")
@@ -184,8 +186,8 @@ def build_parser():
                        help="write the structured check result as JSON")
     bench.add_argument("--faults", metavar="PLAN", default=None,
                        help="fault-plan JSON file; fault-aware sweeps "
-                            "(e20) read it (and its optional 'levels' "
-                            "list) while building their grids")
+                            "(e20) build their grids from it (and its "
+                            "optional 'levels' list)")
     bench.add_argument("--cache-dir", default=None, metavar="PATH",
                        help="result store, shared with repro serve and "
                             "repro cache (default: $REPRO_STORE or "
@@ -659,27 +661,17 @@ def _cmd_bench(options, out):
     if options.trace:
         bus = TraceBus()
         sink = bus.add_sink(JsonlSink(options.trace))
-    if options.remote:
-        from .serve.client import remote_suite
-
-        aggregate = remote_suite(
-            options.remote,
-            only=options.only,
-            bench_dir=options.bench_dir,
-            faults=options.faults,
-            timeout=options.timeout,
-        )
-    else:
-        aggregate = run_suite(
-            only=options.only,
-            jobs=options.jobs,
-            no_cache=options.no_cache,
-            timeout=options.timeout,
-            bench_dir=options.bench_dir,
-            cache_dir=options.cache_dir,
-            bus=bus,
-            faults=options.faults,
-        )
+    aggregate = run_suite(
+        only=options.only,
+        jobs=options.jobs,
+        no_cache=options.no_cache,
+        timeout=options.timeout,
+        bench_dir=options.bench_dir,
+        cache_dir=options.cache_dir,
+        bus=bus,
+        faults=options.faults,
+        remote=options.remote,
+    )
     if sink is not None:
         sink.close()
         print(f"sweep trace: {sink.written} event(s) -> {options.trace}",

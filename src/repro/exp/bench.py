@@ -28,12 +28,11 @@ import time
 
 from .cache import invalidate_fingerprints
 from .claims import evaluate_claims
-from .engine import host_cpus, run_experiment
+from .engine import RunRecord, host_cpus, run_experiment
 from .tables import table_rows
 
-__all__ = ["build_experiment", "export_fault_plan", "find_bench_dir",
-           "host_cpus", "run_suite", "suite_tables", "table_entry",
-           "wall_text", "write_aggregate"]
+__all__ = ["build_experiment", "find_bench_dir", "host_cpus", "run_suite",
+           "suite_tables", "table_entry", "wall_text", "write_aggregate"]
 
 #: Seconds one benchmark run may take before it is terminated + retried.
 DEFAULT_TIMEOUT = 300.0
@@ -103,36 +102,37 @@ def table_entry(module_name, out_name, table, wall, counts, err,
     }
 
 
-def build_experiment(module, out_name):
+def build_experiment(module, out_name, plan=None):
     """The Experiment for one table of an imported bench ``module``: its
     ``SWEEPS`` entry, with the module's file hashed into its cells'
-    cache keys.  Public so the sweep service (:mod:`repro.serve`)
-    resolves requests through the exact machinery ``repro bench``
-    uses."""
+    cache keys.  An entry is an Experiment, or a function of the
+    machine-level fault ``plan`` (a dict, or ``None`` when fault-free)
+    that builds one: the table's grid is then the plan's (e20).  Public
+    so the sweep service (:mod:`repro.serve`) resolves requests through
+    the exact machinery ``repro bench`` uses."""
     experiment = module.SWEEPS[out_name]
+    if callable(experiment):
+        experiment = experiment(plan)
     if not experiment.code_paths:
         experiment.code_paths = [module.__file__]
     return experiment
 
 
-def _run_inline(selected, bench_dir, store, bus, plan):
+def _run_inline(selected, bench_dir, plan, store, bus):
     """``--jobs 0``: each experiment in turn, inline in this process,
-    its cells keyed under the machine-level fault ``plan`` as the pool
-    keys them.  Resolved as the pool resolves them, so a module this
-    process imported under another plan is reloaded first."""
+    resolved as the pool resolves them."""
     from ..serve.protocol import resolve_experiment
 
     for module_name, out_name in selected:
         experiment = resolve_experiment(
             {"experiment": out_name, "bench_dir": bench_dir}, plan=plan)
         start = time.time()
-        records = run_experiment(experiment, jobs=0, cache=store, bus=bus,
-                                 plan=plan)
+        records = run_experiment(experiment, jobs=0, cache=store, bus=bus)
         wall = time.time() - start
         yield module_name, out_name, experiment, records, wall
 
 
-def _run_pooled(selected, bench_dir, jobs, store, timeout, bus, faults):
+def _run_pooled(selected, bench_dir, faults, jobs, store, timeout, bus):
     """``--jobs N``: every experiment submitted up front to one pool of
     N workers, then awaited in suite order.  An experiment's wall is its
     own span (first dispatch to last cell), not its time in the queue."""
@@ -145,8 +145,7 @@ def _run_pooled(selected, bench_dir, jobs, store, timeout, bus, faults):
         # the pool starts: a worker forked while this thread is inside
         # an import inherits that module's lock held, and deadlocks on
         # its first import of the module.
-        sweep_ids = [pool.submit({"experiment": out_name,
-                                  "bench_dir": bench_dir, "faults": faults})
+        sweep_ids = [pool.submit({"experiment": out_name, "faults": faults})
                      for _module, out_name in selected]
         pool.start()
         for (module_name, out_name), sweep_id in zip(selected, sweep_ids):
@@ -159,6 +158,37 @@ def _run_pooled(selected, bench_dir, jobs, store, timeout, bus, faults):
         pool.close()
 
 
+def _run_remote(selected, bench_dir, faults, plan, url, no_store, timeout):
+    """``--remote URL``: each experiment submitted in turn to a running
+    ``repro serve``, which simulates the cells or answers them from its
+    store.  Records are rebuilt from the rows the server returns; the
+    experiment that assembles them is resolved here, under the same
+    plan, so the table describes the grid the server ran.  A request the
+    server refuses, or a sweep it aborts, is one failed record."""
+    from ..serve.client import ServeClient, ServeError
+    from ..serve.protocol import ProtocolError, resolve_experiment
+
+    client = ServeClient(url)
+    for module_name, out_name in selected:
+        request = {"experiment": out_name, "faults": faults,
+                   "no_store": no_store, "timeout": timeout}
+        start = time.time()
+        try:
+            status = client.run({key: value for key, value in request.items()
+                                 if value})
+            error = None if status["state"] == "done" else \
+                f"sweep {status['state']}"
+        except (ProtocolError, ServeError) as exc:
+            error = str(exc)
+        wall = time.time() - start
+        records = ([RunRecord(index=0, config={}, status="error",
+                              error=error)] if error else
+                   [RunRecord(**row) for row in status["records"]])
+        experiment = resolve_experiment(
+            {"experiment": out_name, "bench_dir": bench_dir}, plan=plan)
+        yield module_name, out_name, experiment, records, wall
+
+
 def _cpu_seconds():
     """User + system CPU seconds of this process and of its reaped
     children (pool workers count once ``close`` has joined them)."""
@@ -169,12 +199,11 @@ def _cpu_seconds():
                   resource.getrusage(resource.RUSAGE_CHILDREN)))
 
 
-def export_fault_plan(faults):
+def _read_faults(faults):
     """Validate a ``--faults`` plan (a dict, a FaultPlan or a JSON file
-    path) and export its machine-level part as ``REPRO_FAULT_PLAN``, or
-    clear that variable, before any bench module is imported; returns
-    ``(faults, plan)``: the plan as a dict and its machine-level part."""
-    from ..serve.protocol import apply_plan_env, machine_plan
+    path); returns ``(faults, plan)``: the plan as a dict and its
+    machine-level part."""
+    from ..serve.protocol import machine_plan
 
     if faults is not None:
         from ..faults import FaultPlan
@@ -185,30 +214,36 @@ def export_fault_plan(faults):
         elif not isinstance(faults, dict):
             faults = faults.as_dict()
         FaultPlan.from_dict(faults)  # validate eagerly (allows "levels")
-    plan = machine_plan(faults)
-    apply_plan_env(plan)
-    return faults, plan
+    return faults, machine_plan(faults)
 
 
 def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
               bench_dir=None, cache_dir=None, bus=None, err=None,
-              faults=None):
+              faults=None, remote=None):
     """Run the benchmark suite; returns the aggregate telemetry dict.
 
-    ``jobs``/``timeout``/``no_cache`` map 1:1 onto the ``repro bench``
-    CLI flags.  Tables print to stdout (as the serial runner always did);
-    per-experiment progress lines go to ``err``.  Results are read from
-    and written to the SQLite store at ``cache_dir`` (default
-    :func:`~repro.serve.store.default_store_path`); ``no_cache`` runs
-    without a store.
+    ``jobs``/``timeout``/``no_cache``/``remote`` map 1:1 onto the
+    ``repro bench`` CLI flags.  Tables print to stdout (as the serial
+    runner always did); per-experiment progress lines go to ``err``.
+    Results are read from and written to the SQLite store at
+    ``cache_dir`` (default :func:`~repro.serve.store.default_store_path`);
+    ``no_cache`` runs without a store.
+
+    The cells run from one of three sources: inline in this process
+    (``jobs=0``), on one pool of ``jobs`` workers, or on the ``repro
+    serve`` at the URL ``remote``, whose store stands in for the local
+    one (``no_cache`` becomes the request's ``no_store``).  Whichever
+    ran them, one loop assembles and writes each table, its failures
+    and its claims, and ``BENCH_results.json``; a remote run stamps its
+    URL as ``meta.remote`` there and in each table's meta.
 
     ``faults`` (a plan dict or a JSON file path, the ``--faults`` flag)
-    is validated, and its machine-level part is exported as
-    ``REPRO_FAULT_PLAN`` before the bench modules are imported (and sent
-    with every pool request, whose workers export it the same way);
-    fault-aware sweeps (e20) read it while building their grids, so each
-    fault level appears as its own row.  The payload may carry a
-    ``levels`` list overriding a sweep's default fault-severity grid.
+    is validated, and its machine-level part is passed to each table's
+    ``SWEEPS`` entry (and sent with every pool or remote request, which
+    resolve it the same way); a fault-aware sweep (e20) builds its grid
+    from it, so each fault level appears as its own row.  The payload
+    may carry a ``levels`` list overriding a sweep's default
+    fault-severity grid.
 
     Walls time cold work only: an experiment with any cell answered
     from the store gets ``wall_seconds: null`` (and "cached" on
@@ -225,14 +260,12 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     # Fingerprint memoization is per process-lifetime; a long-lived
     # driver would stamp stale code versions after an on-disk edit.
     invalidate_fingerprints()
-    faults, plan = export_fault_plan(faults)
+    faults, plan = _read_faults(faults)
     bench_dir = find_bench_dir(bench_dir)
-    os.environ["REPRO_BENCH_DIR"] = bench_dir
     selected = list(suite_tables(bench_dir, only))
     harness = importlib.import_module("harness")
 
-    store = None if no_cache else open_store(cache_dir)
-    timeout = DEFAULT_TIMEOUT if timeout is None else timeout
+    store = None if no_cache or remote else open_store(cache_dir)
     jobs = host_cpus() if jobs is None else jobs
 
     telemetry = []
@@ -240,10 +273,16 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     cells = {"cold": 0, "cached": 0}
     suite_start = time.time()
     cpu_start = _cpu_seconds()
-    outcomes = (_run_inline(selected, bench_dir, store, bus, plan)
-                if jobs == 0 else
-                _run_pooled(selected, bench_dir, jobs, store, timeout, bus,
-                            faults))
+    if remote:
+        outcomes = _run_remote(selected, bench_dir, faults, plan, remote,
+                               no_cache, timeout)
+    elif jobs == 0:
+        outcomes = _run_inline(selected, bench_dir, plan, store, bus)
+    else:
+        outcomes = _run_pooled(
+            selected, bench_dir, faults, jobs, store,
+            DEFAULT_TIMEOUT if timeout is None else timeout, bus)
+    hits = "store hits, remote" if remote else "cached"
     try:
         for module_name, out_name, experiment, records, wall in outcomes:
             cached = sum(1 for record in records if record.cached)
@@ -265,10 +304,12 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             wall = None if cached else round(wall, 3)
             counts = {"cold_cells": len(records) - cached,
                       "cache_hits": cached, "grid": len(records)}
-            harness.write_table(table, out_name,
-                                meta={"wall_seconds": wall, **counts})
+            meta = {"wall_seconds": wall, **counts}
+            if remote:
+                meta["remote"] = remote
+            harness.write_table(table, out_name, meta=meta)
             print(f"[{wall_text(wall)}] {out_name} "
-                  f"({cached}/{len(records)} cached)\n", file=err)
+                  f"({cached}/{len(records)} {hits})\n", file=err)
             telemetry.append(table_entry(module_name, out_name, table, wall,
                                          counts, err, plan))
     finally:
@@ -282,7 +323,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
         "experiments": telemetry,
         "failures": failures,
         "meta": {
-            "jobs": jobs,
+            "jobs": None if remote else jobs,
             "cache": (None if store is None else
                       {"root": store.path, "hits": store.hits,
                        "misses": store.misses}),
@@ -297,6 +338,8 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
             "python": sys.version.split()[0],
         },
     }
+    if remote:
+        aggregate["meta"]["remote"] = remote
     return write_aggregate(aggregate, bench_dir, err)
 
 

@@ -31,7 +31,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .cache import config_key, key_config, repro_fingerprint
+from .cache import config_key, repro_fingerprint
 
 __all__ = ["RunRecord", "TaskQueue", "experiment_code_version",
            "host_cpus", "records_payload", "run_experiment"]
@@ -132,8 +132,9 @@ class TaskQueue:
         return bool(self._ready) or bool(self._delayed)
 
     def push(self, item, front=False, not_before=None):
-        """Add ``item``; ``front`` jumps the FIFO (inline retries),
-        ``not_before`` (a monotonic timestamp) delays maturity."""
+        """Add ``item``; ``front`` jumps the FIFO (a cell handed back
+        unrun: no idle worker, or its send failed), ``not_before`` (a
+        monotonic timestamp) delays maturity."""
         if not_before is not None:
             self._delayed.append((not_before, item))
         elif front:
@@ -250,7 +251,7 @@ def _run_on_pool(experiment, pending, jobs, timeout, retries):
 
 
 def run_experiment(experiment, jobs=None, cache=None, timeout=None,
-                   retries=DEFAULT_RETRIES, bus=None, plan=None):
+                   retries=DEFAULT_RETRIES, bus=None):
     """Execute every config in ``experiment.grid``; returns RunRecords
     in grid order.
 
@@ -260,11 +261,8 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     import + run); an expired worker is terminated and the run retried
     up to ``retries`` more times before a ``timeout`` record is written.
     ``cache``: a store with the :class:`~repro.serve.store.SqliteStore`
-    ``get``/``put`` interface; hits skip execution entirely.  ``plan``:
-    the machine-level fault plan the grid was built under, which keys
-    the cells as the sweep scheduler keys them (:func:`~repro.exp.cache.
-    key_config`).  ``bus``: a :class:`repro.obs.TraceBus` for progress
-    telemetry.
+    ``get``/``put`` interface; hits skip execution entirely.  ``bus``:
+    a :class:`repro.obs.TraceBus` for progress telemetry.
     """
     if jobs is None:
         jobs = host_cpus()
@@ -278,9 +276,8 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     def finish(record):
         records[record.index] = record
         if record.ok and not record.cached and cache is not None:
-            cache.put(experiment.name, record.cache_key,
-                      key_config(record.config, plan), code_version,
-                      record.value)
+            cache.put(experiment.name, record.cache_key, record.config,
+                      code_version, record.value)
         fields = dict(index=record.index, status=record.status,
                       attempts=record.attempts, cached=record.cached,
                       wall=round(record.wall_seconds, 4))
@@ -296,8 +293,7 @@ def run_experiment(experiment, jobs=None, cache=None, timeout=None,
     for index, config in enumerate(experiment.grid):
         key = None
         if cache is not None:
-            key = config_key(experiment.name, key_config(config, plan),
-                             code_version)
+            key = config_key(experiment.name, config, code_version)
             found, value = cache.get(experiment.name, key)
             if found:
                 finish(RunRecord(index=index, config=config, value=value,

@@ -52,17 +52,16 @@ def host_profile(only=None, bench_dir=None):
     """Profile every cell of the bench tables whose module or table name
     contains ``only``; returns ``(tables, rows)``: the table names, and
     one ``{"layer", "seconds", "share", "calls"}`` per layer, largest
-    share first.  ``os.environ`` is left as it was found."""
-    from ..serve.protocol import resolve_experiment, restored_env
+    share first."""
+    from ..serve.protocol import resolve_experiment
 
     bench_dir = find_bench_dir(bench_dir)
     tables = [table for _module, table in suite_tables(bench_dir, only)]
+    experiments = [resolve_experiment({"experiment": table,
+                                       "bench_dir": bench_dir})
+                   for table in tables]
     profiler = cProfile.Profile()
-    with restored_env():
-        experiments = [resolve_experiment({"experiment": table,
-                                           "bench_dir": bench_dir})
-                       for table in tables]
-        profiler.runcall(_run_cells, experiments)
+    profiler.runcall(_run_cells, experiments)
     layers = {}
     for (filename, _line, _name), (_primitive, calls, seconds, _cumulative,
                                    _callers) in \

@@ -142,19 +142,18 @@ def measure(machines):
     :func:`group_means` gives them, plus ``{"cold": n, "cached": n}``.
     Each point is e21's cell, read from the result store
     (``$REPRO_STORE``) under ``repro bench``'s key, or simulated inline
-    and stored.  ``os.environ`` is left as it was found."""
+    and stored."""
     from ..exp.engine import run_experiment
-    from ..serve.protocol import resolve_experiment, restored_env
+    from ..serve.protocol import resolve_experiment
     from ..serve.store import open_store
 
-    with restored_env():
-        experiment = resolve_experiment({"experiment": "e21_predict"},
-                                        grid=fit_grid(machines))
-        store = open_store()
-        try:
-            records = run_experiment(experiment, jobs=0, cache=store)
-        finally:
-            store.close()
+    experiment = resolve_experiment({"experiment": "e21_predict"},
+                                    grid=fit_grid(machines))
+    store = open_store()
+    try:
+        records = run_experiment(experiment, jobs=0, cache=store)
+    finally:
+        store.close()
     for record in records:
         if not record.ok:
             raise RuntimeError(

@@ -32,7 +32,6 @@ _EXPORTS = {
     "SweepScheduler": "scheduler",
     "default_store_path": "store",
     "open_store": "store",
-    "remote_suite": "client",
     "run_server": "server",
     "sweep_trace": "trace",
 }

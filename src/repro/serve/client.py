@@ -1,28 +1,19 @@
 """HTTP client for a running ``repro serve`` instance.
 
 :class:`ServeClient` is a thin stdlib (:mod:`http.client`) wrapper used
-by the ``repro submit`` / ``repro sweeps`` CLI and the tests;
-:func:`remote_suite` is the engine behind ``repro bench --remote URL``:
-it submits each selected benchmark to the server, streams progress from
-the long-poll event feed, then assembles and writes the result tables
-*locally* through the same ``harness.write_table`` path the in-process
-suite uses — so a remote bench run produces byte-identical
-``benchmarks/results/*.txt`` files.
+by the ``repro submit`` / ``repro sweeps`` CLI, by ``repro bench
+--remote URL`` (one of :func:`repro.exp.bench.run_suite`'s three cell
+sources, which assembles and writes the tables locally, so a remote
+bench run produces byte-identical ``benchmarks/results/*.txt`` files)
+and by the tests.
 """
 
 import http.client
-import importlib
 import json
-import os
-import sys
 import time
 import urllib.parse
 
-from ..exp.bench import (export_fault_plan, find_bench_dir, suite_tables,
-                         table_entry, wall_text, write_aggregate)
-from .protocol import ProtocolError, resolve_experiment
-
-__all__ = ["ServeClient", "ServeError", "remote_suite"]
+__all__ = ["ServeClient", "ServeError"]
 
 
 class ServeError(RuntimeError):
@@ -156,105 +147,3 @@ class ServeClient:
         submitted = self.submit(request)
         return self.wait(submitted["id"], timeout=timeout,
                          on_event=on_event)
-
-
-def _progress_printer(name, err):
-    def on_event(event):
-        kind = event.get("kind", "")
-        if kind in ("serve_store_hit", "sweep_task", "serve_requeue",
-                    "sweep_end"):
-            print(f"  [{name}] {kind}: {event.get('detail', '')}",
-                  file=err)
-    return on_event
-
-
-def remote_suite(url, only=None, bench_dir=None, err=None, faults=None,
-                 no_store=False, timeout=None, verbose=False):
-    """Run the benchmark suite against a remote ``repro serve``.
-
-    The server simulates (or answers from its store); tables are
-    assembled and written locally so ``benchmarks/results/*.txt`` and
-    ``BENCH_results.json`` come out exactly as an in-process
-    ``repro bench`` run would produce them.  Returns the aggregate
-    telemetry dict (same shape as :func:`repro.exp.bench.run_suite`).
-
-    Walls time cold work only, as in ``run_suite``: an experiment with
-    any cell answered from the server's store gets ``wall_seconds:
-    null`` (and "cached" on ``err``), and so does the suite ``meta``
-    when any experiment had one.  Each experiment records its
-    ``cold_cells`` and ``cache_hits``; ``meta.cells`` sums them.
-    """
-    err = err if err is not None else sys.stderr
-    client = ServeClient(url)
-    faults, plan = export_fault_plan(faults)
-    bench_dir = find_bench_dir(bench_dir)
-    os.environ["REPRO_BENCH_DIR"] = bench_dir
-    selected = list(suite_tables(bench_dir, only))
-    harness = importlib.import_module("harness")
-
-    telemetry = []
-    failures = []
-    cells = {"cold": 0, "cached": 0}
-    suite_start = time.time()
-    for module_name, out_name in selected:
-        request = {"experiment": out_name}
-        if faults:
-            request["faults"] = faults
-        if no_store:
-            request["no_store"] = True
-        if timeout is not None:
-            request["timeout"] = timeout
-        start = time.time()
-        try:
-            status = client.run(
-                request,
-                on_event=(_progress_printer(out_name, err)
-                          if verbose else None))
-        except (ProtocolError, ServeError) as exc:
-            print(f"[FAILED] {out_name}: {exc}", file=err)
-            failures.append({"experiment": out_name,
-                             "module": module_name,
-                             "rows": [{"error": str(exc)}]})
-            continue
-        wall = time.time() - start
-        records = status.get("records", [])
-        failed = [r for r in records if r["status"] != "ok"]
-        if status["state"] != "done" or failed:
-            for row in failed:
-                print(f"[FAILED] {out_name}[{row['index']}] "
-                      f"{row['status']} after {row['attempts']} "
-                      f"attempt(s):\n{row['error']}", file=err)
-            failures.append({"experiment": out_name,
-                             "module": module_name,
-                             "rows": failed or records})
-            continue
-        # Assemble locally through the experiment's own table builder;
-        # values came over the wire, the layout is ours.
-        experiment = resolve_experiment(
-            {"experiment": out_name, "bench_dir": bench_dir}, plan=plan)
-        table = experiment.table([r["value"] for r in records])
-        cached = status.get("cached", 0)
-        cells["cold"] += len(records) - cached
-        cells["cached"] += cached
-        wall = None if cached else round(wall, 3)
-        counts = {"cold_cells": len(records) - cached,
-                  "cache_hits": cached, "grid": len(records)}
-        harness.write_table(
-            table, out_name,
-            meta={"wall_seconds": wall, **counts, "remote": url})
-        print(f"[{wall_text(wall)}] {out_name} "
-              f"({cached}/{len(records)} store hits, remote)\n", file=err)
-        telemetry.append(table_entry(module_name, out_name, table, wall,
-                                     counts, err, plan))
-
-    aggregate = {
-        "experiments": telemetry,
-        "failures": failures,
-        "meta": {
-            "remote": url,
-            "wall_seconds": (None if cells["cached"] else
-                             round(time.time() - suite_start, 3)),
-            "cells": cells,
-        },
-    }
-    return write_aggregate(aggregate, bench_dir, err)

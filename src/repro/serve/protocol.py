@@ -9,9 +9,10 @@ Three layers share the definitions here:
   optionally with a :class:`~repro.faults.FaultPlan`.
 * **Experiment resolution** — :func:`resolve_experiment` turns a request
   spec into a live :class:`~repro.exp.Experiment` through the same
-  machinery ``repro bench`` uses, exporting the machine-level fault plan
-  (``REPRO_FAULT_PLAN``) before the bench module is (re)imported so
-  fault-aware grids honor it even in a long-running process.
+  machinery ``repro bench`` uses (:func:`~repro.exp.bench.
+  build_experiment`), handing the machine-level fault plan to the
+  table's ``SWEEPS`` entry as an argument: a fault-aware table (e20)
+  builds its grid from it, every other table ignores it.
 * **Worker pipe messages** — :func:`pool_worker_main` is the body of a
   persistent pool worker: it loops receiving ``("task", {...})``
   messages, answers ``("begin", id)`` when it enters the run function
@@ -20,14 +21,15 @@ Three layers share the definitions here:
   (``flight`` is ``None`` on success).
 
 Fault plans split in two: *machine-level* fields (slow banks, network
-spikes, ...) change a run's value, so they are folded into the cell's
-cache key and exported to the worker; *scheduling-level* fields
-(``worker_crash_rate``) crash the worker process itself — they can never
-change a value, so they are stripped from keys: a chaos run and a clean
-run of the same cell share one store entry.
+spikes, ...) shape a fault-aware table's grid, so each cell's config
+carries what it runs under and its cache key follows from the config
+alone; *scheduling-level* fields (``worker_crash_rate``) crash the
+worker process itself — they can never change a value, so a chaos run
+and a clean run of the same cell share one store entry.  A ``callable``
+request has no table to shape, so it may carry scheduling-level fields
+only.
 """
 
-import contextlib
 import importlib
 import json
 import os
@@ -45,7 +47,7 @@ from ..faults import SCHEDULING_FIELDS, FaultPlan
 
 __all__ = ["FlightRecorder", "ProtocolError", "SweepRequest",
            "machine_plan", "pool_worker_main", "resolve_experiment",
-           "restored_env", "scheduling_plan"]
+           "scheduling_plan"]
 
 #: Default TCP port for ``repro serve`` (after CSG Memo 226).
 DEFAULT_PORT = 8226
@@ -113,6 +115,11 @@ class SweepRequest:
                 FaultPlan.from_dict(request.faults)
             except (TypeError, ValueError) as exc:
                 raise ProtocolError(f"invalid fault plan: {exc}") from exc
+            if request.callable and machine_plan(request.faults):
+                raise ProtocolError(
+                    "'callable' sweeps take scheduling-level faults only "
+                    "(worker_crash_rate): no table grid reads the "
+                    "machine-level fields")
         if request.retries is not None and request.retries < 0:
             raise ProtocolError("'retries' must be >= 0")
         if request.timeout is not None and request.timeout <= 0:
@@ -168,19 +175,6 @@ def scheduling_plan(faults):
 # ---------------------------------------------------------------------------
 # experiment resolution
 
-#: module name -> canonical machine-plan JSON it was last imported under.
-_MODULE_PLAN = {}
-
-
-def apply_plan_env(plan):
-    """Export a machine-level fault plan as ``REPRO_FAULT_PLAN`` (clear
-    it for ``None``)."""
-    if plan is not None:
-        os.environ["REPRO_FAULT_PLAN"] = json.dumps(plan, sort_keys=True)
-    else:
-        os.environ.pop("REPRO_FAULT_PLAN", None)
-
-
 def _import_callable(path):
     module_name, _, fn_name = path.partition(":")
     if not module_name or not fn_name:
@@ -194,38 +188,13 @@ def _import_callable(path):
             from exc
 
 
-@contextlib.contextmanager
-def restored_env():
-    """Put back, on exit, the two variables :func:`resolve_experiment`
-    exports (``REPRO_BENCH_DIR``, ``REPRO_FAULT_PLAN``): an in-process
-    caller that resolves and runs experiments inside leaves
-    ``os.environ`` as it found it."""
-    names = ("REPRO_BENCH_DIR", "REPRO_FAULT_PLAN")
-    saved = {name: os.environ.get(name) for name in names}
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def resolve_experiment(spec, grid=None, plan=None):
     """Build the :class:`Experiment` a spec names.
 
-    ``plan`` (a machine-level fault plan dict) is exported as
-    ``REPRO_FAULT_PLAN`` first; a bench module that was previously
-    imported under a *different* plan is reloaded so fault-aware grids
-    (e20) rebuild against the new environment — the long-running-server
-    equivalent of ``repro bench`` exporting the plan before import.
-    ``grid`` replaces the declared grid.  Both exports outlive the call,
-    as the CLI and the pool workers want; an in-process caller wraps it
-    in :func:`restored_env`.
+    ``plan`` (a machine-level fault plan dict, or ``None``) goes to the
+    table's ``SWEEPS`` entry through :func:`~repro.exp.bench.
+    build_experiment`; ``grid`` replaces the declared grid.
     """
-    apply_plan_env(plan)
-    plan_json = json.dumps(plan, sort_keys=True) if plan else None
     if spec.get("callable"):
         run = _import_callable(spec["callable"])
         return Experiment(
@@ -235,17 +204,12 @@ def resolve_experiment(spec, grid=None, plan=None):
         )
 
     name = spec.get("experiment")
-    bench_dir = find_bench_dir(spec.get("bench_dir"))
-    os.environ["REPRO_BENCH_DIR"] = bench_dir
-    for module_name, out_name in suite_tables(bench_dir):
+    for module_name, out_name in suite_tables(
+            find_bench_dir(spec.get("bench_dir"))):
         if out_name != name:
             continue
-        already = module_name in sys.modules
-        module = importlib.import_module(module_name)
-        if already and _MODULE_PLAN.get(module_name) != plan_json:
-            module = importlib.reload(module)
-        _MODULE_PLAN[module_name] = plan_json
-        experiment = build_experiment(module, out_name)
+        experiment = build_experiment(importlib.import_module(module_name),
+                                      out_name, plan)
         if grid is not None:
             experiment = replace(experiment,
                                  grid=[dict(config) for config in grid])
@@ -355,7 +319,7 @@ def _chaos_crash(task):
 def pool_worker_main(conn, worker_id, flight_path=None, inherited=()):
     """Body of one persistent pool worker process.
 
-    Resolved run functions are memoized per (spec, plan), so a worker
+    Resolved run functions are memoized per spec, so a worker
     that serves a thousand cells of one sweep imports its bench module
     once.  Any exception a run raises ships back as a structured
     ``done`` error (with the flight-recorder tail as a sixth element);
@@ -388,13 +352,11 @@ def pool_worker_main(conn, worker_id, flight_path=None, inherited=()):
         recorder.begin_task(task)
         _chaos_crash(task)
         try:
-            memo = json.dumps([task["spec"], task.get("plan")],
-                              sort_keys=True)
+            memo = json.dumps(task["spec"], sort_keys=True)
             run = runners.get(memo)
             if run is None:
                 recorder.note("flight_resolve", str(task["spec"]))
-                run = resolve_experiment(task["spec"],
-                                         plan=task.get("plan")).run
+                run = resolve_experiment(task["spec"]).run
                 runners[memo] = run
             conn.send(("begin", task_id))
             recorder.note("flight_run")

@@ -55,7 +55,8 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Optional
 
-from ..exp.cache import config_key, key_config
+from ..exp.bench import find_bench_dir
+from ..exp.cache import config_key
 from ..exp.engine import (DEFAULT_RETRIES, RunRecord, TaskQueue,
                           experiment_code_version, host_cpus,
                           records_payload)
@@ -108,13 +109,12 @@ class SweepState:
     """Everything the scheduler tracks for one submitted sweep."""
 
     def __init__(self, sweep_id, request, experiment, code_version,
-                 plan, chaos, retries, timeout, trace_id=None):
+                 chaos, retries, timeout, trace_id=None):
         self.id = sweep_id
         self.trace_id = trace_id or f"tr-{sweep_id}"
         self.request = request
         self.experiment = experiment
         self.code_version = code_version
-        self.plan = plan          # machine-level fault plan (or None)
         self.chaos = chaos        # scheduling-level chaos (or None)
         self.retries = retries
         self.timeout = timeout
@@ -291,15 +291,17 @@ class SweepScheduler:
         returns the sweep id.  Raises
         :class:`~repro.serve.protocol.ProtocolError` on a bad request —
         resolution happens here, in the caller's thread, so a bad
-        experiment name fails fast with a clean error."""
+        experiment name fails fast with a clean error.  The benchmarks
+        directory is found here too, once, and rides in every task's
+        spec, so a worker resolves the table the sweep was built from."""
         request = (payload if isinstance(payload, SweepRequest)
                    else SweepRequest.from_dict(payload))
-        if request.bench_dir is None and self.bench_dir is not None:
-            request.bench_dir = self.bench_dir
-        plan = machine_plan(request.faults)
+        if not request.callable:
+            request.bench_dir = find_bench_dir(request.bench_dir
+                                               or self.bench_dir)
         chaos = scheduling_plan(request.faults)
         experiment = resolve_experiment(request.spec(), grid=request.grid,
-                                        plan=plan)
+                                        plan=machine_plan(request.faults))
         code_version = experiment_code_version(experiment)
         retries = request.retries
         if retries is None:
@@ -312,7 +314,7 @@ class SweepScheduler:
         with self._lock:
             sweep_id = f"sw{next(self._next_sweep):04d}"
             sweep = SweepState(sweep_id, request, experiment, code_version,
-                               plan, chaos, retries, timeout)
+                               chaos, retries, timeout)
             sweep.created_rel = sweep.created - self._clock0
             self._sweeps[sweep_id] = sweep
             self._order.append(sweep_id)
@@ -420,8 +422,7 @@ class SweepScheduler:
             for index, config in enumerate(sweep.experiment.grid):
                 key = None
                 if self.store is not None:
-                    key = config_key(sweep.experiment.name,
-                                     key_config(config, sweep.plan),
+                    key = config_key(sweep.experiment.name, config,
                                      sweep.code_version)
                 if use_store:
                     found, value = self.store.get(sweep.experiment.name,
@@ -492,7 +493,6 @@ class SweepScheduler:
             "attempt": attempt,
             "spec": sweep.request.spec(),
             "config": sweep.experiment.grid[index],
-            "plan": sweep.plan,
             "chaos": sweep.chaos,
             # Telemetry: the sweep's trace id rides along so the
             # worker's flight-recorder events carry it end to end.
@@ -578,8 +578,7 @@ class SweepScheduler:
             self._assign_pass(now)
             if assignment.key is not None and self.store is not None:
                 self.store.put(sweep.experiment.name, assignment.key,
-                               key_config(sweep.experiment.grid[index],
-                                          sweep.plan),
+                               sweep.experiment.grid[index],
                                sweep.code_version, value)
             sweep.stats["executed"] += 1
             self.metrics.inc("cells_executed_total")

@@ -72,17 +72,12 @@ SWEEPS = {"stub_grid": Experiment(name="stub_grid", run=run_cell,
                                   assemble=_assemble)}
 '''
 
-#: A bench module whose grid, like e20's, reads ``$REPRO_FAULT_PLAN``
-#: when it is imported: one cell, ``stub_faults``, at the plan's
+#: A bench module whose ``SWEEPS`` entry, like e20's, is a function of
+#: the machine-level fault plan: one cell, ``stub_faults``, at the plan's
 #: ``mem_slow_rate``.  Its note names the rate of the grid it assembles.
 FAULT_AWARE = '''\
-import json
-import os
-
 from repro.analysis import Table
 from repro.exp import Experiment
-
-PLAN = json.loads(os.environ.get("REPRO_FAULT_PLAN") or "{}")
 
 
 def run_cell(config):
@@ -96,9 +91,14 @@ def _assemble(experiment, values):
     return t
 
 
-SWEEPS = {"stub_faults": Experiment(
-    name="stub_faults", run=run_cell,
-    grid=[{"rate": PLAN.get("mem_slow_rate", 0.9)}], assemble=_assemble)}
+def build_sweep(plan):
+    return Experiment(
+        name="stub_faults", run=run_cell,
+        grid=[{"rate": (plan or {}).get("mem_slow_rate", 0.9)}],
+        assemble=_assemble)
+
+
+SWEEPS = {"stub_faults": build_sweep}
 '''
 
 
@@ -123,10 +123,6 @@ def stub_bench(tmp_path, monkeypatch, modules):
         (root / f"{name}.py").write_text(source)
     monkeypatch.syspath_prepend(str(root))
     monkeypatch.setenv("REPRO_BENCH_DIR", str(root))
-    # run_suite and remote_suite export a --faults plan into os.environ;
-    # setting the variable first makes monkeypatch remove it afterwards.
-    monkeypatch.setenv("REPRO_FAULT_PLAN", "")
-    monkeypatch.delenv("REPRO_FAULT_PLAN")
     names = ("run_all", "harness", *modules)
     saved = {n: sys.modules.pop(n) for n in names if n in sys.modules}
     try:

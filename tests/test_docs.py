@@ -4,11 +4,13 @@ Every ``repro <command> [<subcommand>] ... --flag`` in a fenced code
 block of ``docs/*.md``, README.md or EXPERIMENTS.md must name a flag
 that :func:`repro.cli.build_parser` defines for that (sub)command.
 Every backticked path with a directory part in those files must exist
-relative to the repository root or to ``src/repro/``.
+relative to the repository root or to ``src/repro/``, and every
+backticked dotted ``repro.…`` name must resolve by import and getattr.
 """
 
 import argparse
 import glob
+import importlib
 import os
 import re
 
@@ -124,3 +126,41 @@ def test_documented_paths_exist():
         checked += 1
     assert not missing, "\n".join(missing)
     assert checked >= 30, checked
+
+
+#: A backticked dotted name under the package, e.g.
+#: ``repro.exp.bench.build_experiment``.
+DOTTED = re.compile(r"`(repro(?:\.\w+)+)`")
+
+
+def resolve(name):
+    """The object ``name`` names: its longest importable module prefix,
+    then an attribute lookup for each remaining part."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            target = getattr(target, attr)
+        return target
+    raise ModuleNotFoundError(name)
+
+
+def test_documented_names_resolve():
+    missing = []
+    checked = 0
+    for doc in DOCS:
+        with open(doc, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        for match in DOTTED.finditer(text):
+            try:
+                resolve(match.group(1))
+            except (ImportError, AttributeError) as exc:
+                line = text.count("\n", 0, match.start()) + 1
+                missing.append(f"{os.path.relpath(doc, ROOT)}:{line}: "
+                               f"`{match.group(1)}` ({exc})")
+            checked += 1
+    assert not missing, "\n".join(missing)
+    assert checked >= 60, checked

@@ -309,18 +309,19 @@ class TestTimeoutPhase:
 
 
 def test_every_suite_table_is_a_sweep():
-    """Every table of the suite registry is its module's ``SWEEPS``
-    entry: an assembler and a non-empty grid of configs that survive
-    JSON unchanged (the store and the pool ship them as JSON).  Imports
-    the bench modules only; no cell runs."""
+    """Every table of the suite registry is built from its module's
+    ``SWEEPS`` entry: an assembler and a non-empty grid of configs that
+    survive JSON unchanged (the store and the pool ship them as JSON).
+    Imports the bench modules only; no cell runs."""
     import importlib
 
-    from repro.exp.bench import find_bench_dir, suite_tables
+    from repro.exp.bench import build_experiment, find_bench_dir, suite_tables
 
     tables = list(suite_tables(find_bench_dir()))
     assert len(tables) == 27
     for module_name, table in tables:
-        experiment = importlib.import_module(module_name).SWEEPS[table]
+        experiment = build_experiment(importlib.import_module(module_name),
+                                      table)
         assert experiment.name == table
         assert experiment.assemble is not None and experiment.grid
         assert json.loads(json.dumps(experiment.grid)) == experiment.grid
@@ -379,8 +380,8 @@ class TestSuiteStore:
 
     def test_inline_runs_under_two_plans_use_each_plans_grid(
             self, monkeypatch, tmp_path):
-        """A second ``--jobs 0 --faults`` run in one process reloads the
-        fault-aware module its first run imported, so each table is
+        """Two ``--jobs 0 --faults`` runs in one process pass each plan
+        to the fault-aware module's ``SWEEPS`` entry, so each table is
         built on its own plan's grid."""
         from repro.exp.bench import run_suite
         from stub_bench import FAULT_AWARE, stub_bench
@@ -395,6 +396,30 @@ class TestSuiteStore:
                 notes.append(results.read_text().splitlines()[-1])
         assert "rate 0.5" in notes[0]
         assert "rate 0.25" in notes[1]
+
+
+    def test_one_pool_serves_two_plans_each_on_its_own_grid(
+            self, monkeypatch, tmp_path):
+        """One scheduler serves two sweeps of the fault-aware stub under
+        two plans at once; each sweep's grid, values and table are its
+        own plan's, as the workers get no plan at all."""
+        from repro.serve.scheduler import SweepScheduler
+        from stub_bench import FAULT_AWARE, stub_bench
+
+        modules = {"bench_faults": (FAULT_AWARE, ["stub_faults"])}
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            with SweepScheduler(workers=2, bench_dir=bench_dir) as pool:
+                sweep_ids = [pool.submit({"experiment": "stub_faults",
+                                          "faults": {"mem_slow_rate": rate}})
+                             for rate in (0.5, 0.25)]
+                assert all(pool.wait(sweep_id, timeout=60)
+                           for sweep_id in sweep_ids)
+                sweeps = [pool.get(sweep_id) for sweep_id in sweep_ids]
+                tables = [pool.table_text(sweep_id) for sweep_id in sweep_ids]
+        for sweep, table, rate in zip(sweeps, tables, (0.5, 0.25)):
+            assert sweep.experiment.grid == [{"rate": rate}]
+            assert sweep.records[0].value == rate
+            assert f"rate {rate:g}" in table.splitlines()[-1]
 
 
 class TestSuiteWalls:

@@ -23,7 +23,6 @@ from repro.serve import (
     SweepScheduler,
     open_store,
 )
-from repro.exp.cache import key_config
 from repro.obs import KINDS, validate_chrome_trace
 from repro.serve.protocol import (machine_plan, resolve_experiment,
                                   scheduling_plan)
@@ -155,6 +154,17 @@ class TestProtocol:
             SweepRequest.from_dict({"experiment": "e07",
                                     "faults": {"no_such_knob": 1.0}})
 
+    def test_callable_takes_no_machine_level_faults(self):
+        """A ``callable`` sweep has no table grid to shape, so a
+        machine-level fault field would be read by nothing; chaos
+        (scheduling-level) fields are still accepted."""
+        with pytest.raises(ProtocolError, match="scheduling-level"):
+            SweepRequest.from_dict(_request([{"x": 1}],
+                                            faults={"mem_slow_rate": 0.5}))
+        chaos = {"worker_crash_rate": 0.5, "seed": 7, "max_retries": 4}
+        assert SweepRequest.from_dict(
+            _request([{"x": 1}], faults=chaos)).faults == chaos
+
     def test_predict_field_is_unknown(self):
         with pytest.raises(ProtocolError, match="unknown.*predict"):
             SweepRequest.from_dict({"experiment": "e07", "predict": True})
@@ -179,12 +189,9 @@ class TestProtocol:
         assert "worker_crash_rate" not in machine
         assert machine["mem_slow_rate"] == 0.01
         assert chaos["worker_crash_rate"] == 0.5
-        # Pure chaos (no machine-level fields) leaves the cache key
-        # untouched: a chaos run shares store entries with a clean run.
+        # Pure chaos (no machine-level fields) leaves no plan for a
+        # table grid: a chaos run shares store entries with a clean run.
         assert machine_plan({"worker_crash_rate": 0.5}) is None
-        assert key_config({"x": 1}, None) == {"x": 1}
-        assert key_config({"x": 1}, machine) == {
-            "__faults__": machine, "config": {"x": 1}}
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +462,7 @@ class TestRemoteSuiteWalls:
 
     def test_warm_remote_rerun_reports_null_walls(self, monkeypatch,
                                                   tmp_path):
-        from repro.serve.client import remote_suite
+        from repro.exp.bench import run_suite
         from stub_bench import GRID, slow_table, stub_bench
 
         modules = {"bench_tiny": (slow_table("tiny", 0.0),
@@ -466,11 +473,11 @@ class TestRemoteSuiteWalls:
             with ServerThread(store_path=store, workers=2,
                               bench_dir=bench_dir,
                               err=io.StringIO()) as handle:
-                cold = remote_suite(handle.url, bench_dir=bench_dir,
-                                    err=io.StringIO())
+                cold = run_suite(remote=handle.url, bench_dir=bench_dir,
+                                 err=io.StringIO())
                 err = io.StringIO()
-                warm = remote_suite(handle.url, bench_dir=bench_dir,
-                                    err=err)
+                warm = run_suite(remote=handle.url, bench_dir=bench_dir,
+                                 err=err)
         assert not cold["failures"] and not warm["failures"]
         for entry in cold["experiments"]:
             assert isinstance(entry["wall_seconds"], float)
@@ -487,6 +494,30 @@ class TestRemoteSuiteWalls:
         lines = err.getvalue().splitlines()
         assert "[ cached] stub_grid (6/6 store hits, remote)" in lines
         assert any(line.startswith("[ cached] total -> ") for line in lines)
+
+    def test_no_cache_makes_the_server_simulate_every_cell(
+            self, monkeypatch, tmp_path):
+        """``repro bench --remote URL --no-cache`` asks the server to skip
+        its store: on a warm server the run reports no store hit."""
+        from repro.exp.bench import run_suite
+        from stub_bench import GRID, stub_bench
+
+        modules = {"bench_grid": (GRID, ["stub_grid"])}
+        store = str(tmp_path / "store.sqlite")
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            with ServerThread(store_path=store, workers=2,
+                              bench_dir=bench_dir,
+                              err=io.StringIO()) as handle:
+                warm = run_suite(remote=handle.url, bench_dir=bench_dir,
+                                 err=io.StringIO())
+                code, _ = _cli("bench", "--remote", handle.url,
+                               "--no-cache", "--bench-dir", bench_dir)
+        assert warm["meta"]["cells"] == {"cold": 6, "cached": 0}
+        aggregate = json.loads((tmp_path / "BENCH_results.json").read_text())
+        assert code == 0
+        assert aggregate["meta"]["remote"] == handle.url
+        assert aggregate["meta"]["cells"] == {"cold": 6, "cached": 0}
+        assert aggregate["experiments"][0]["cache_hits"] == 0
 
 
 def _alive_children(pid):
@@ -562,12 +593,11 @@ def test_sigterm_stops_the_server_and_its_pool():
 
 def test_remote_suite_assembles_under_the_fault_plan(monkeypatch,
                                                      tmp_path):
-    """``repro bench --remote URL --faults PLAN`` exports the plan before
-    it imports the bench modules, so the table it assembles locally
-    describes the grid the server ran.  The server runs in its own
-    process: an in-process one would export the plan into this process
-    and hide a client that does not."""
-    from repro.serve.client import remote_suite
+    """``repro bench --remote URL --faults PLAN`` passes the plan to the
+    table it assembles locally, so the table describes the grid the
+    server ran.  The server runs in its own process, so nothing but the
+    request carries the plan to it."""
+    from repro.exp.bench import run_suite
     from stub_bench import FAULT_AWARE, stub_bench
 
     faults = {"mem_slow_rate": 0.5, "levels": [0, 64]}
@@ -575,8 +605,8 @@ def test_remote_suite_assembles_under_the_fault_plan(monkeypatch,
     with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
         with _serve_process("--no-store", "--workers", "1",
                             "--bench-dir", bench_dir) as (_proc, url):
-            aggregate = remote_suite(url, bench_dir=bench_dir,
-                                     faults=faults, err=io.StringIO())
+            aggregate = run_suite(remote=url, bench_dir=bench_dir,
+                                  faults=faults, err=io.StringIO())
     assert not aggregate["failures"]
     table = (tmp_path / "benchmarks" / "results"
              / "stub_faults.txt").read_text()
