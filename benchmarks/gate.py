@@ -3,13 +3,15 @@ and the differential legs too slow for the tier-1 tests.
 
 Usage, from any directory, on the standard library alone::
 
-    python3 benchmarks/gate.py [--out DIR]   # check JSON + trace to DIR
+    python3 benchmarks/gate.py [--out DIR]   # check JSON + traces to DIR
 
 Legs, in this order:
 
 * ``faults``: e20 under one fault plan at ``--jobs 2``, at ``--jobs
   0``, and with ``--remote`` against a ``repro serve --no-store``
-  started for the leg; the three tables must be byte-identical.
+  started for the leg; the three tables must be byte-identical, and
+  the remote run's sweep trace (``remote-sweep-events.jsonl``) must
+  hold a ``sweep_task`` event for every e20 cell.
 * ``hashseed``: e10b, e12 and e12b under ``PYTHONHASHSEED`` 1 and 2;
   the tables must be byte-identical (PE placement must not follow the
   per-process str hash).
@@ -104,10 +106,18 @@ def faults_leg(scratch, out):
     for jobs in ("2", "0"):
         repro(*bench, "--jobs", jobs)
         runs.append(tables("e20_fault_tolerance"))
+    trace = os.path.join(out, "remote-sweep-events.jsonl")
     with serve("--no-store", "--workers", "2") as url:
-        repro(*bench, "--remote", url)
+        repro(*bench, "--remote", url, "--trace", trace)
     runs.append(tables("e20_fault_tolerance"))
-    return runs[0] == runs[1] == runs[2]
+    with open(os.path.join(ROOT, "BENCH_results.json"), "r",
+              encoding="utf-8") as fh:
+        grid = json.load(fh)["experiments"][0]["grid"]
+    with open(trace, "r", encoding="utf-8") as fh:
+        traced = {event["index"] for event in map(json.loads, fh)
+                  if event["kind"] == "sweep_task"}
+    print(f"remote trace: sweep_task for {len(traced)} of {grid} cells")
+    return runs[0] == runs[1] == runs[2] and traced == set(range(grid))
 
 
 def hashseed_leg(scratch, out):
@@ -164,8 +174,8 @@ LEGS = {"faults": faults_leg, "hashseed": hashseed_leg, "micro": micro_leg,
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="gate-out", metavar="DIR",
-                        help="where the suite leg's check JSON and sweep "
-                             "trace go (default ./gate-out)")
+                        help="where the check JSON and the sweep traces "
+                             "go (default ./gate-out)")
     out = os.path.abspath(parser.parse_args(argv).out)
     os.makedirs(out, exist_ok=True)
     failed = []

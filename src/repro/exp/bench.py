@@ -41,12 +41,13 @@ DEFAULT_TIMEOUT = 300.0
 def find_bench_dir(start=None):
     """Locate the benchmarks directory.
 
-    Search order: ``$REPRO_BENCH_DIR``; ``start`` (or cwd) if it holds
-    ``run_all.py``; a ``benchmarks/`` child of start/cwd; the checkout
-    the :mod:`repro` package itself lives in.
+    Search order: ``start`` when given (the directory itself if it
+    holds ``run_all.py``, else its ``benchmarks/`` child); otherwise
+    ``$REPRO_BENCH_DIR``, then the same two places under the cwd; last,
+    the checkout the :mod:`repro` package itself lives in.
     """
     env = os.environ.get("REPRO_BENCH_DIR")
-    if env:
+    if env and not start:
         return os.path.abspath(env)
     here = os.path.abspath(start or os.getcwd())
     for candidate in (here, os.path.join(here, "benchmarks")):
@@ -158,24 +159,37 @@ def _run_pooled(selected, bench_dir, faults, jobs, store, timeout, bus):
         pool.close()
 
 
-def _run_remote(selected, bench_dir, faults, plan, url, no_store, timeout):
+def _run_remote(selected, bench_dir, faults, plan, url, no_store, timeout,
+                bus):
     """``--remote URL``: each experiment submitted in turn to a running
     ``repro serve``, which simulates the cells or answers them from its
     store.  Records are rebuilt from the rows the server returns; the
     experiment that assembles them is resolved here, under the same
     plan, so the table describes the grid the server ran.  A request the
-    server refuses, or a sweep it aborts, is one failed record."""
+    server refuses, or a sweep it aborts, is one failed record.  The
+    server's events for each sweep are re-emitted on ``bus``, their
+    times offset by the sweep's start on this run's clock."""
     from ..serve.client import ServeClient, ServeError
     from ..serve.protocol import ProtocolError, resolve_experiment
 
     client = ServeClient(url)
+    clock_start = time.monotonic()
     for module_name, out_name in selected:
         request = {"experiment": out_name, "faults": faults,
                    "no_store": no_store, "timeout": timeout}
+        offset = time.monotonic() - clock_start
+
+        def forward(event, offset=offset):
+            fields = {key: value for key, value in event.items()
+                      if key not in ("seq", "t", "kind", "detail")}
+            bus.emit(round(offset + event["t"], 6), "serve", event["kind"],
+                     event["detail"], **fields)
+
         start = time.time()
         try:
             status = client.run({key: value for key, value in request.items()
-                                 if value})
+                                 if value},
+                                on_event=forward if bus is not None else None)
             error = None if status["state"] == "done" else \
                 f"sweep {status['state']}"
         except (ProtocolError, ServeError) as exc:
@@ -275,7 +289,7 @@ def run_suite(only=None, jobs=None, no_cache=False, timeout=None,
     cpu_start = _cpu_seconds()
     if remote:
         outcomes = _run_remote(selected, bench_dir, faults, plan, remote,
-                               no_cache, timeout)
+                               no_cache, timeout, bus)
     elif jobs == 0:
         outcomes = _run_inline(selected, bench_dir, plan, store, bus)
     else:

@@ -17,6 +17,7 @@ behavior of Cm* if micro-tasking processors had been used", §1.2.2).
 
 from ..analysis.metrics import von_neumann_utilization
 from ..network.hierarchy import HierarchicalNetwork
+from ..vonneumann.isa import Instr, Op
 from ..vonneumann.machine import VNMachine
 from .api import SimResult
 from .registry import register
@@ -53,8 +54,10 @@ def _build_cmstar(n_clusters=4, cluster_size=4, kmap_time=3.0,
 
 def locality_kernel(pid, n_procs, cluster_size, n_refs, remote_fraction,
                     remote_kind="intercluster", think_ops=2):
-    """Unrolled load kernel: ``remote_fraction`` of ``n_refs`` references
-    target another computer module; the rest are local.
+    """Unrolled load kernel, as a list of :class:`Instr`:
+    ``remote_fraction`` of ``n_refs`` references target another computer
+    module; the rest are local.  Each reference is a ``movi r2, addr``,
+    a ``load r3, r2, 0`` and ``think_ops`` times ``addi r7, r7, 1``.
 
     ``remote_kind`` picks the victim: a neighbour in the same cluster
     (one Kmap hop) or the corresponding module of the next cluster (full
@@ -70,7 +73,9 @@ def locality_kernel(pid, n_procs, cluster_size, n_refs, remote_fraction,
         raise ValueError(f"unknown remote_kind {remote_kind!r}")
     remote_base = victim * LOCAL_BLOCK
 
-    lines = ["    movi r7, 0"]
+    load = Instr(Op.LOAD, rd=3, ra=2, imm=0)
+    think = [Instr(Op.ADDI, rd=7, ra=7, imm=1)] * think_ops
+    program = [Instr(Op.MOVI, rd=7, imm=0)]
     acc = 0.0
     for i in range(n_refs):
         acc += remote_fraction
@@ -79,12 +84,11 @@ def locality_kernel(pid, n_procs, cluster_size, n_refs, remote_fraction,
             base = remote_base
         else:
             base = local_base
-        lines.append(f"    movi r2, {base + (i % 64)}")
-        lines.append("    load r3, r2, 0")
-        for _ in range(think_ops):
-            lines.append("    addi r7, r7, 1")
-    lines.append("    halt")
-    return "\n".join(lines)
+        program.append(Instr(Op.MOVI, rd=2, imm=base + (i % 64)))
+        program.append(load)
+        program += think
+    program.append(Instr(Op.HALT))
+    return program
 
 
 @register("cmstar")
@@ -131,15 +135,15 @@ class CmstarModel:
         work = 2 + think_ops
         machine = self.build()
         for pid in range(n):
-            source = locality_kernel(
+            program = locality_kernel(
                 pid, n, config["cluster_size"], n_refs, remote_fraction,
                 remote_kind=remote_kind, think_ops=think_ops,
             )
             if contexts <= 1:
-                machine.add_processor(source, regs={1: pid})
+                machine.add_processor(program, regs={1: pid})
             else:
                 machine.add_multithreaded_processor(
-                    [(source, {1: pid}) for _ in range(contexts)]
+                    [(program, {1: pid}) for _ in range(contexts)]
                 )
         result = machine.run()
         mixed_latency = ((1 - remote_fraction) * local_rt

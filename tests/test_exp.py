@@ -327,6 +327,20 @@ def test_every_suite_table_is_a_sweep():
         assert json.loads(json.dumps(experiment.grid)) == experiment.grid
 
 
+def test_an_explicit_bench_dir_wins_over_the_environment(monkeypatch,
+                                                         tmp_path):
+    """``--bench-dir B`` runs B even with ``$REPRO_BENCH_DIR`` at A; the
+    variable applies only when no directory is given."""
+    from repro.exp.bench import find_bench_dir
+
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "run_all.py").write_text("EXPERIMENTS = []\n")
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "a"))
+    assert find_bench_dir(str(tmp_path / "b")) == str(tmp_path / "b")
+    assert find_bench_dir() == str(tmp_path / "a")
+
+
 class TestSuiteStore:
     def test_run_suite_defaults_to_the_shared_store(self, monkeypatch,
                                                      tmp_path):

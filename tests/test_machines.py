@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.dataflow import Interpreter
@@ -95,6 +96,39 @@ class TestCmstar:
             assert result.metric("utilization") == pytest.approx(
                 result.metric("predicted_utilization"), rel=0.35)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_clusters=st.integers(1, 4),
+           cluster_size=st.integers(1, 4), n_refs=st.integers(0, 80),
+           fraction=st.floats(0.0, 1.0),
+           remote_kind=st.sampled_from(["intracluster", "intercluster"]),
+           think_ops=st.integers(0, 4))
+    def test_kernel_equals_its_assembled_text(self, data, n_clusters,
+                                              cluster_size, n_refs,
+                                              fraction, remote_kind,
+                                              think_ops):
+        from repro.machines.cmstar import locality_kernel
+        from repro.vonneumann import assemble
+
+        n_procs = n_clusters * cluster_size
+        pid = data.draw(st.integers(0, n_procs - 1))
+        args = (pid, n_procs, cluster_size, n_refs, fraction)
+        assert locality_kernel(*args, remote_kind=remote_kind,
+                               think_ops=think_ops) == assemble(
+            _reference_locality_text(*args, remote_kind=remote_kind,
+                                     think_ops=think_ops))
+
+    @pytest.mark.parametrize("contexts", [1, 2])
+    def test_a_run_assembles_no_text(self, monkeypatch, contexts):
+        import repro.vonneumann.machine
+
+        def refuse(source):
+            raise AssertionError("cmstar assembled a text")
+
+        monkeypatch.setattr(repro.vonneumann.machine, "assemble", refuse)
+        result = registry.create("cmstar", n_clusters=2, cluster_size=2).run(
+            remote_fraction=0.25, n_refs=10, contexts=contexts)
+        assert 0 < result.metric("utilization") <= 1
+
     def test_local_references_bypass_kmap(self):
         from repro.machines.cmstar import locality_kernel
         machine = registry.create("cmstar", n_clusters=2,
@@ -105,6 +139,33 @@ class TestCmstar:
         assert network.counters["local"] > 0
         assert network.counters.get("intra_cluster") == 0
         assert network.counters.get("inter_cluster") == 0
+
+
+def _reference_locality_text(pid, n_procs, cluster_size, n_refs,
+                             remote_fraction, remote_kind="intercluster",
+                             think_ops=2):
+    """The Cm* locality kernel written as assembly text: the reference
+    that ``locality_kernel``'s instruction list must assemble equal to."""
+    if remote_kind == "intracluster":
+        cluster_start = (pid // cluster_size) * cluster_size
+        victim = cluster_start + (pid + 1 - cluster_start) % cluster_size
+    else:
+        victim = (pid + cluster_size) % n_procs
+    lines = ["    movi r7, 0"]
+    acc = 0.0
+    for i in range(n_refs):
+        acc += remote_fraction
+        if acc >= 1.0:
+            acc -= 1.0
+            base = victim * 1024
+        else:
+            base = pid * 1024
+        lines.append(f"    movi r2, {base + (i % 64)}")
+        lines.append("    load r3, r2, 0")
+        for _ in range(think_ops):
+            lines.append("    addi r7, r7, 1")
+    lines.append("    halt")
+    return "\n".join(lines)
 
 
 class TestUltracomputer:

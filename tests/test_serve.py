@@ -519,6 +519,32 @@ class TestRemoteSuiteWalls:
         assert aggregate["meta"]["cells"] == {"cold": 6, "cached": 0}
         assert aggregate["experiments"][0]["cache_hits"] == 0
 
+    def test_remote_run_forwards_the_server_events(self, monkeypatch,
+                                                   tmp_path):
+        """``repro bench --remote URL --trace FILE`` records the server's
+        sweep: one ``sweep_task`` per cell reaches the local bus."""
+        from repro.exp.bench import run_suite
+        from repro.obs import TraceBus
+        from repro.obs.sinks import RingSink
+        from stub_bench import GRID, stub_bench
+
+        sink = RingSink()
+        modules = {"bench_grid": (GRID, ["stub_grid"])}
+        with stub_bench(tmp_path, monkeypatch, modules) as bench_dir:
+            with ServerThread(no_store=True, workers=2,
+                              bench_dir=bench_dir,
+                              err=io.StringIO()) as handle:
+                aggregate = run_suite(remote=handle.url, bench_dir=bench_dir,
+                                      bus=TraceBus(sink), err=io.StringIO())
+        assert not aggregate["failures"]
+        tasks = [event for event in sink.events if event.kind == "sweep_task"]
+        assert sorted(event.fields["index"] for event in tasks) == \
+            list(range(6))
+        assert all(event.source == "serve" and
+                   event.fields["status"] == "ok" for event in tasks)
+        times = [event.time for event in sink.events]
+        assert times == sorted(times)
+
 
 def _alive_children(pid):
     """Live (non-zombie) processes whose parent is ``pid``, from /proc."""

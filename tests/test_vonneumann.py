@@ -89,8 +89,6 @@ class TestAssemblerMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
         monkeypatch.setattr(assembler, "_ASSEMBLED", {})
-        monkeypatch.setattr(assembler, "_SEEN_ONCE", set())
-        monkeypatch.setattr(assembler, "_STATEMENTS", {})
 
     def test_repeat_calls_return_fresh_equal_lists(self):
         calls = [assemble(self.SOURCE) for _ in range(3)]
@@ -101,20 +99,13 @@ class TestAssemblerMemo:
         assert assemble(self.SOURCE) == calls[0]
         assert len(calls[0]) == 5 and calls[0][0].op is Op.MOVI
 
-    def test_a_text_is_kept_from_its_second_assembly(self):
-        assemble(self.SOURCE)
-        assert self.SOURCE not in assembler._ASSEMBLED
-        assemble(self.SOURCE)
-        assert assembler._ASSEMBLED[self.SOURCE] == tuple(
-            assemble(self.SOURCE))
+    def test_a_text_is_kept_from_its_first_assembly(self):
+        program = assemble(self.SOURCE)
+        assert assembler._ASSEMBLED[self.SOURCE] == tuple(program)
 
-    def test_memo_and_seen_set_are_bounded(self, monkeypatch):
+    def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(assembler, "_ASSEMBLED_MAX", 2)
-        monkeypatch.setattr(assembler, "_SEEN_ONCE_MAX", 3)
         texts = [f"movi r1, {k}\nhalt" for k in range(5)]
-        for text in texts:
-            assemble(text)
-            assert len(assembler._SEEN_ONCE) <= 3
         for text in texts:
             assemble(text)
             assemble(text)
@@ -133,8 +124,8 @@ class TestAssemblerMemo:
         assert source not in assembler._ASSEMBLED
 
     def test_a_memoized_branch_resolves_in_each_program(self):
-        """``jmp top`` and ``bnez r2, top`` parse once, but each program
-        places ``top`` itself."""
+        """``jmp top`` and ``bnez r2, top`` recur in two programs, and
+        each program places ``top`` itself."""
         early = assemble("top: subi r2, r2, 1\nbnez r2, top\njmp top\nhalt")
         late = assemble("movi r2, 3\nnop\ntop:\nsubi r2, r2, 1\n"
                         "bnez r2, top\njmp top")
@@ -142,8 +133,6 @@ class TestAssemblerMemo:
                                                            (Op.JMP, 0)]
         assert [(i.op, i.target) for i in late[3:]] == [(Op.BNEZ, 2),
                                                          (Op.JMP, 2)]
-        assert assembler._STATEMENTS["jmp top"][-1] is None
-        assert early[0] is late[2]  # the finished Instr is shared
 
     @pytest.mark.parametrize("bad, match", [
         ("add r1, r2", "expects 3 operands"),
@@ -157,16 +146,6 @@ class TestAssemblerMemo:
             with pytest.raises(CompileError, match=match) as excinfo:
                 assemble(source)
             assert excinfo.value.line == line
-        assert bad not in assembler._STATEMENTS
-
-    def test_statement_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(assembler, "_STATEMENTS_MAX", 4)
-        for k in range(5):
-            text = "\n".join(f"movi r1, {k * 10 + j}" for j in range(7))
-            program = assemble(text + "\nhalt")
-            assert [instr.imm for instr in program[:-1]] == \
-                [k * 10 + j for j in range(7)]
-            assert len(assembler._STATEMENTS) <= 4
 
     def test_load_spmd_results_unchanged(self):
         source = programs.shared_counter_faa(1, 4)
